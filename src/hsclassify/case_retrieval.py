@@ -9,7 +9,7 @@ import numpy as np
 
 from .corpus import DecisionCase
 from .encoder import DescriptionEncoder, encode_with_evidence
-from .errors import DuplicateId, EmptyInput
+from .errors import DimensionMismatch, DuplicateId, EmptyInput
 from .textproc import cosine
 
 SNIPPET_LENGTH = 80
@@ -43,15 +43,23 @@ class CaseIndex:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CaseIndex":
+        dimension = int(data["dimension"])
+
+        def indexed(record: dict) -> IndexedCase:
+            embedding = np.array(record["embedding"], dtype=float)
+            if embedding.shape != (dimension,):
+                raise DimensionMismatch(
+                    f"case {record['id']!r} embedding has shape {embedding.shape}, "
+                    f"index dimension is {dimension}"
+                )
+            return IndexedCase(record["id"], embedding, record["snippet"])
+
         return cls(
             by_subheading={
-                sub: [
-                    IndexedCase(c["id"], np.array(c["embedding"], dtype=float), c["snippet"])
-                    for c in cases
-                ]
+                sub: [indexed(record) for record in cases]
                 for sub, cases in data["by_subheading"].items()
             },
-            dimension=int(data["dimension"]),
+            dimension=dimension,
         )
 
 

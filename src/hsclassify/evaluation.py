@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 from .corpus import DecisionCase, ManualEntry
@@ -162,18 +162,7 @@ class MetricsReport:
         data["retrieval_precision"] = self.retrieval_precision
         data["retrieval_recall"] = self.retrieval_recall
         data["external_baselines"] = self.external_baselines
-        data["per_case"] = [
-            {
-                "case_id": r.case_id,
-                "gold_heading": r.gold_heading,
-                "gold_subheading": r.gold_subheading,
-                "predicted_headings": r.predicted_headings,
-                "predicted_subheadings": r.predicted_subheadings,
-                "retrieval_precision": r.retrieval_precision,
-                "retrieval_recall": r.retrieval_recall,
-            }
-            for r in self.per_case
-        ]
+        data["per_case"] = [asdict(r) for r in self.per_case]
         return data
 
     def render_table(self, ks: Sequence[int] = (1, 3, 5)) -> str:
@@ -244,7 +233,8 @@ def evaluate_pipeline(
 
     has_ablation = model.ablation_classifier is not None
     for case in test_cases:
-        report = model.predict(case.description, k=max_k)
+        trace = model.infer(case.description, headings=max_k)
+        report = model.report(trace, max_k)
         headings = [c.heading for c in report.heading_candidates]
         subheadings = [c.subheading for c in report.subheading_candidates]
         heading_ranked.append(headings)
@@ -253,7 +243,7 @@ def evaluate_pipeline(
             [h for h, _ in word_matching_baseline(case.description, manuals, model.retriever.stopwords)][:max_k]
         )
         if has_ablation:
-            probs = model.ablation_subheading_probabilities(case.description)
+            probs = model.ablation_scaler.probabilities(trace.ablation_logits)
             order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))[:max_k]
             ablation_ranked.append([model.label_space.subheadings[i] for i in order])
 

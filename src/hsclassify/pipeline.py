@@ -4,6 +4,12 @@ Training retrieves evidence from each case's gold heading's manual entry;
 inference retrieves from the predicted heading's entry. The subheading head
 ranges over the full subheading label space (no heading constraint) unless
 the mask-to-heading-children mode is switched on.
+
+``PipelineModel.infer`` is the one inference path: it runs each stage once
+per description and records the outputs in an ``InferenceTrace``. Stage 3
+and the similar-case query reuse the top heading's evidence retrieved in the
+heading stage. ``predict``, ``evaluate_pipeline``, ``refit_temperatures`` and
+the stage-3 validation inputs of ``fit`` all read that trace.
 """
 
 from __future__ import annotations
@@ -11,14 +17,14 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .alignment import KeySentenceRetriever, RetrievalConfig
+from .alignment import KeySentenceRetriever, RetrievalConfig, RetrievalResult
 from .calibration import TemperatureScaler, fit_temperature
 from .case_retrieval import CaseIndex, build_index, similar_cases, snippet_for
 from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, top_k, train
@@ -80,55 +86,11 @@ class CandidateReport:
     subheading_candidates: list[SubheadingCandidate]
 
     def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "heading_candidates": [
-                {
-                    "heading": c.heading,
-                    "score": c.score,
-                    "key_sentences": list(c.key_sentences),
-                    "manual_missing": c.manual_missing,
-                }
-                for c in self.heading_candidates
-            ],
-            "subheading_candidates": [
-                {
-                    "subheading": c.subheading,
-                    "score": c.score,
-                    "similar_cases": [
-                        {"case_id": s.case_id, "similarity": s.similarity, "snippet": s.snippet}
-                        for s in c.similar_cases
-                    ],
-                }
-                for c in self.subheading_candidates
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CandidateReport":
-        return cls(
-            description=data["description"],
-            heading_candidates=[
-                HeadingCandidate(
-                    heading=c["heading"],
-                    score=float(c["score"]),
-                    key_sentences=list(c["key_sentences"]),
-                    manual_missing=bool(c["manual_missing"]),
-                )
-                for c in data["heading_candidates"]
-            ],
-            subheading_candidates=[
-                SubheadingCandidate(
-                    subheading=c["subheading"],
-                    score=float(c["score"]),
-                    similar_cases=[
-                        SimilarCase(s["case_id"], float(s["similarity"]), s["snippet"])
-                        for s in c["similar_cases"]
-                    ],
-                )
-                for c in data["subheading_candidates"]
-            ],
-        )
+        return _from_dict(cls, data)
 
     def render_text(self) -> str:
         """Plain-text report; scores shown to 4 decimal places."""
@@ -167,11 +129,32 @@ class FitReport:
 
 
 @dataclass
-class PipelineModel:
-    """A fitted pipeline: encoders, heads, retriever, scalers, case index."""
+class InferenceTrace:
+    """Every stage's output for one description, each computed once.
 
-    encoder_stage1: PooledEncoder
-    encoder_stage3: PooledEncoder
+    ``retrievals[i]`` holds the key sentences from the manual entry of the
+    heading ``ranked_headings[i]`` (None when it has no entry). Stage 3, the
+    ablation head and the similar-case query all read the top heading's
+    evidence.
+    """
+
+    description: str
+    heading_logits: np.ndarray
+    heading_probabilities: np.ndarray
+    ranked_headings: list[int]
+    retrievals: list[RetrievalResult | None]
+    stage3_vector: np.ndarray
+    subheading_logits: np.ndarray
+    subheading_probabilities: np.ndarray
+    ablation_vector: np.ndarray | None = None
+    ablation_logits: np.ndarray | None = None
+
+
+@dataclass
+class PipelineModel:
+    """A fitted pipeline: encoder, heads, retriever, scalers, case index."""
+
+    encoder: PooledEncoder
     heading_classifier: SoftmaxClassifier
     subheading_classifier: SoftmaxClassifier
     manuals: dict[str, ManualEntry]
@@ -186,95 +169,105 @@ class PipelineModel:
     fit_report: FitReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        pairs = [
-            (self.encoder_stage1, self.heading_classifier),
-            (self.encoder_stage3, self.subheading_classifier),
-        ]
-        if self.ablation_classifier is not None:
-            pairs.append((self.encoder_stage3, self.ablation_classifier))
-        for encoder, classifier in pairs:
-            if encoder.output_dimension != classifier.input_dimension:
+        dimension = self.encoder.output_dimension
+        heads = [self.heading_classifier, self.subheading_classifier, self.ablation_classifier]
+        for classifier in filter(None, heads):
+            if classifier.input_dimension != dimension:
                 raise DimensionMismatch(
-                    f"encoder dimension {encoder.output_dimension} does not match "
+                    f"encoder dimension {dimension} does not match "
                     f"classifier input {classifier.input_dimension}"
                 )
+        if self.case_index.dimension != dimension:
+            raise DimensionMismatch(
+                f"encoder dimension {dimension} does not match "
+                f"case index dimension {self.case_index.dimension}"
+            )
         if self.heading_classifier.labels != list(self.label_space.headings):
             raise ValueError("heading classifier is not bound to the heading label space")
         if self.subheading_classifier.labels != list(self.label_space.subheadings):
             raise ValueError("subheading classifier is not bound to the subheading label space")
 
-    # -- stage helpers -----------------------------------------------------
+    # -- inference ---------------------------------------------------------
 
-    def heading_logits(self, description: str) -> np.ndarray:
-        return self.heading_classifier.logits(self.encoder_stage1.encode(description))
+    def infer(self, description: str, headings: int = 1) -> InferenceTrace:
+        """Run every stage once for one description.
 
-    def heading_probabilities(self, description: str) -> np.ndarray:
-        """Calibrated heading probabilities over the full heading space."""
-        return self.heading_scaler.probabilities(self.heading_logits(description))
+        Key sentences are retrieved for the top ``headings`` headings, and
+        for at least the top three in evidence-per-candidate mode, whose
+        subheading mixture uses them.
+        """
+        config = self.config
+        space = self.label_space
+        description_vector = self.encoder.encode(description)
+        heading_logits = self.heading_classifier.logits(description_vector)
+        heading_probs = self.heading_scaler.probabilities(heading_logits)
+        ranked = [index for index, _ in top_k(heading_probs, len(space.headings))]
 
-    def retrieve_for_heading(self, description: str, heading: str):
-        """Key-sentence retrieval from one heading's manual; None if absent."""
-        entry = self.manuals.get(heading)
-        if entry is None:
-            return None
-        return self.retriever.retrieve(description, entry)
+        wanted = max(headings, 3 if config.evidence_per_candidate else 1)
+        entries = [self.manuals.get(space.headings[index]) for index in ranked[:wanted]]
+        retrievals = [
+            self.retriever.retrieve(description, entry) if entry is not None else None
+            for entry in entries
+        ]
 
-    def _stage3_vector(self, description: str, evidence: Sequence[str], with_evidence: bool):
-        if with_evidence:
-            return encode_with_evidence(self.encoder_stage3, description, list(evidence))
-        return self.encoder_stage3.encode(description)
+        def vector(result: RetrievalResult | None, with_evidence: bool) -> np.ndarray:
+            evidence = result.sentence_texts() if with_evidence and result is not None else []
+            if not evidence:
+                return description_vector
+            return encode_with_evidence(self.encoder, description, evidence)
 
-    def _evidence_for(self, description: str, heading: str) -> list[str]:
-        result = self.retrieve_for_heading(description, heading)
-        return result.sentence_texts() if result is not None else []
-
-    def subheading_probabilities(self, description: str) -> np.ndarray:
-        """Calibrated subheading probabilities along the inference path."""
-        probs, _, _ = self._subheading_stage(description)
-        return probs
-
-    def ablation_subheading_probabilities(self, description: str) -> np.ndarray:
-        if self.ablation_classifier is None or self.ablation_scaler is None:
-            raise UntrainedModel("no ablation head was trained")
-        top_heading = self.label_space.headings[int(np.argmax(self.heading_logits(description)))]
-        evidence = self._evidence_for(description, top_heading)
-        vector = self._stage3_vector(description, evidence, not self.config.use_evidence)
-        return self.ablation_scaler.probabilities(self.ablation_classifier.logits(vector))
-
-    def _subheading_stage(self, description: str):
-        """Calibrated subheading probabilities, top-1 heading, its evidence."""
-        heading_probs = self.heading_probabilities(description)
-        ranked = top_k(heading_probs, min(len(self.label_space.headings), 3))
-        top_heading = self.label_space.headings[ranked[0][0]]
-
-        if self.config.evidence_per_candidate:
-            # Mixture over heading candidates, weighted by calibrated score.
-            mixed = np.zeros(len(self.label_space.subheadings))
+        stage3_vector = vector(retrievals[0], config.use_evidence)
+        subheading_logits = self.subheading_classifier.logits(stage3_vector)
+        probs = self.subheading_scaler.probabilities(subheading_logits)
+        if config.evidence_per_candidate:
+            # Mixture over the top three headings, weighted by calibrated score.
+            candidate_probs = [probs] + [
+                self.subheading_scaler.probabilities(
+                    self.subheading_classifier.logits(vector(result, config.use_evidence))
+                )
+                for result in retrievals[1:3]
+            ]
+            mixed = np.zeros(len(space.subheadings))
             weight_sum = 0.0
-            for index, weight in ranked:
-                heading = self.label_space.headings[index]
-                vector = self._stage3_vector(
-                    description, self._evidence_for(description, heading), self.config.use_evidence
-                )
-                mixed += weight * self.subheading_scaler.probabilities(
-                    self.subheading_classifier.logits(vector)
-                )
+            for index, candidate in zip(ranked, candidate_probs):
+                weight = float(heading_probs[index])
+                mixed += weight * candidate
                 weight_sum += weight
             probs = mixed / weight_sum
-            evidence = self._evidence_for(description, top_heading)
-        else:
-            evidence = self._evidence_for(description, top_heading)
-            vector = self._stage3_vector(description, evidence, self.config.use_evidence)
-            probs = self.subheading_scaler.probabilities(self.subheading_classifier.logits(vector))
 
-        if self.config.mask_to_heading:
-            mask = np.array(
-                [s.startswith(top_heading) for s in self.label_space.subheadings], dtype=float
-            )
+        if config.mask_to_heading:
+            top_heading = space.headings[ranked[0]]
+            mask = np.array([s.startswith(top_heading) for s in space.subheadings], dtype=float)
             masked = probs * mask
             if masked.sum() > 0:
                 probs = masked / masked.sum()
-        return probs, top_heading, evidence
+
+        trace = InferenceTrace(
+            description=description,
+            heading_logits=heading_logits,
+            heading_probabilities=heading_probs,
+            ranked_headings=ranked,
+            retrievals=retrievals,
+            stage3_vector=stage3_vector,
+            subheading_logits=subheading_logits,
+            subheading_probabilities=probs,
+        )
+        if config.train_ablation:
+            trace.ablation_vector = vector(retrievals[0], not config.use_evidence)
+        if self.ablation_classifier is not None:
+            trace.ablation_logits = self.ablation_classifier.logits(trace.ablation_vector)
+        return trace
+
+    def heading_logits(self, description: str) -> np.ndarray:
+        return self.infer(description).heading_logits
+
+    def heading_probabilities(self, description: str) -> np.ndarray:
+        """Calibrated heading probabilities over the full heading space."""
+        return self.infer(description).heading_probabilities
+
+    def subheading_probabilities(self, description: str) -> np.ndarray:
+        """Calibrated subheading probabilities along the inference path."""
+        return self.infer(description).subheading_probabilities
 
     # -- prediction --------------------------------------------------------
 
@@ -282,31 +275,29 @@ class PipelineModel:
         """Rank headings and subheadings with evidence; k clamps to the label space."""
         if k < 1:
             raise BadK(f"k={k} must be >= 1")
-        heading_probs = self.heading_probabilities(description)
-        heading_ranked = top_k(heading_probs, min(k, len(self.label_space.headings)))
+        return self.report(self.infer(description, headings=k), k)
 
-        heading_candidates = []
-        for index, score in heading_ranked:
-            heading = self.label_space.headings[index]
-            result = self.retrieve_for_heading(description, heading)
-            heading_candidates.append(
-                HeadingCandidate(
-                    heading=heading,
-                    score=score,
-                    key_sentences=result.sentence_texts() if result is not None else [],
-                    manual_missing=result is None,
-                )
+    def report(self, trace: InferenceTrace, k: int) -> CandidateReport:
+        """The top-k candidate report of a trace inferred with ``headings >= k``."""
+        space = self.label_space
+        heading_candidates = [
+            HeadingCandidate(
+                heading=space.headings[index],
+                score=float(trace.heading_probabilities[index]),
+                key_sentences=result.sentence_texts() if result is not None else [],
+                manual_missing=result is None,
             )
-
-        sub_probs, top_heading, evidence = self._subheading_stage(description)
-        sub_ranked = top_k(sub_probs, min(k, len(self.label_space.subheadings)))
-        query_vector = self._stage3_vector(description, evidence, self.config.use_evidence)
+            for index, result in zip(trace.ranked_headings[:k], trace.retrievals)
+        ]
 
         subheading_candidates = []
-        for index, score in sub_ranked:
-            subheading = self.label_space.subheadings[index]
+        for index, score in top_k(trace.subheading_probabilities, min(k, len(space.subheadings))):
+            subheading = space.subheadings[index]
             neighbours = similar_cases(
-                self.case_index, query_vector, subheading, self.config.similar_cases_per_candidate
+                self.case_index,
+                trace.stage3_vector,
+                subheading,
+                self.config.similar_cases_per_candidate,
             )
             subheading_candidates.append(
                 SubheadingCandidate(
@@ -320,7 +311,7 @@ class PipelineModel:
             )
 
         return CandidateReport(
-            description=description,
+            description=trace.description,
             heading_candidates=heading_candidates,
             subheading_candidates=subheading_candidates,
         )
@@ -370,8 +361,8 @@ def fit(
     Stage-3 training evidence comes from each case's gold heading's manual;
     cases whose gold heading has no manual entry train on the description
     alone (a MissingManualWarning is emitted per affected heading). Stage-3
-    validation inputs follow the inference path: evidence retrieved from the
-    heading the trained stage-1 model predicts.
+    validation inputs follow the inference path: ``PipelineModel.infer`` on
+    the model fitted so far, so evidence comes from the predicted heading.
     """
     if not train_cases:
         raise EmptyInput("no training cases")
@@ -391,6 +382,7 @@ def fit(
     heading_clf, heading_report = train(
         x1_train, y1_train, x1_val, y1_val, config.heading_train, label_space.headings
     )
+    heading_scaler = _fit_scaler([heading_clf.logits(v) for v in x1_val], y1_val)
 
     # Stage-3 training inputs: evidence from the gold heading's manual.
     evidence_by_case: dict[str, list[str]] = {}
@@ -411,45 +403,13 @@ def fit(
         )
     missing_count = sum(1 for c in train_cases if c.label.heading in missing_headings)
 
-    def stage3_vector(case: DecisionCase, with_evidence: bool) -> np.ndarray:
-        if with_evidence:
-            return encode_with_evidence(encoder, case.description, evidence_by_case[case.id])
-        return encoder.encode(case.description)
-
-    # Stage-3 validation follows the inference path (predicted heading).
-    def stage3_val_vector(case: DecisionCase, with_evidence: bool) -> np.ndarray:
+    def train_vectors(with_evidence: bool) -> list[np.ndarray]:
         if not with_evidence:
-            return encoder.encode(case.description)
-        logits = heading_clf.logits(encoder.encode(case.description))
-        predicted = label_space.headings[int(np.argmax(logits))]
-        entry = manuals.get(predicted)
-        sentences = (
-            retriever.retrieve(case.description, entry).sentence_texts() if entry else []
-        )
-        return encode_with_evidence(encoder, case.description, sentences)
-
-    y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")
-    y3_val = _label_indices(validation_cases, label_space.subheading_index, "subheading")
-
-    x3_train = [stage3_vector(c, config.use_evidence) for c in train_cases]
-    x3_val = [stage3_val_vector(c, config.use_evidence) for c in validation_cases]
-    subheading_clf, subheading_report = train(
-        x3_train, y3_train, x3_val, y3_val, config.subheading_train, label_space.subheadings
-    )
-
-    ablation_clf = None
-    ablation_scaler = None
-    ablation_report = None
-    if config.train_ablation:
-        xa_train = [stage3_vector(c, not config.use_evidence) for c in train_cases]
-        xa_val = [stage3_val_vector(c, not config.use_evidence) for c in validation_cases]
-        ablation_clf, ablation_report = train(
-            xa_train, y3_train, xa_val, y3_val, config.subheading_train, label_space.subheadings
-        )
-        ablation_scaler = _fit_scaler([ablation_clf.logits(v) for v in xa_val], y3_val)
-
-    heading_scaler = _fit_scaler([heading_clf.logits(v) for v in x1_val], y1_val)
-    subheading_scaler = _fit_scaler([subheading_clf.logits(v) for v in x3_val], y3_val)
+            return x1_train
+        return [
+            encode_with_evidence(encoder, c.description, evidence_by_case[c.id])
+            for c in train_cases
+        ]
 
     case_index = build_index(
         list(train_cases),
@@ -457,20 +417,55 @@ def fit(
         evidence_by_case if config.use_evidence else {c.id: [] for c in train_cases},
     )
 
-    return PipelineModel(
-        encoder_stage1=encoder,
-        encoder_stage3=encoder,
+    # The model so far, with an untrained (uniform) subheading head, infers
+    # the stage-3 validation inputs.
+    subheadings = list(label_space.subheadings)
+    model = PipelineModel(
+        encoder=encoder,
         heading_classifier=heading_clf,
-        subheading_classifier=subheading_clf,
+        subheading_classifier=SoftmaxClassifier(
+            np.zeros((encoder.output_dimension, len(subheadings))),
+            np.zeros(len(subheadings)),
+            subheadings,
+        ),
         manuals=dict(manuals),
         retriever=retriever,
         heading_scaler=heading_scaler,
-        subheading_scaler=subheading_scaler,
+        subheading_scaler=TemperatureScaler(),
         label_space=label_space,
         case_index=case_index,
         config=config,
-        ablation_classifier=ablation_clf,
-        ablation_scaler=ablation_scaler,
+    )
+    traces = (model.infer(c.description) for c in validation_cases)
+    val_vectors = [(t.stage3_vector, t.ablation_vector) for t in traces]
+
+    y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")
+    y3_val = _label_indices(validation_cases, label_space.subheading_index, "subheading")
+
+    x3_train = train_vectors(config.use_evidence)
+    x3_val = [v for v, _ in val_vectors]
+    subheading_clf, subheading_report = train(
+        x3_train, y3_train, x3_val, y3_val, config.subheading_train, subheadings
+    )
+
+    ablation = {}
+    ablation_report = None
+    if config.train_ablation:
+        xa_train = train_vectors(not config.use_evidence)
+        xa_val = [v for _, v in val_vectors]
+        ablation_clf, ablation_report = train(
+            xa_train, y3_train, xa_val, y3_val, config.subheading_train, subheadings
+        )
+        ablation = dict(
+            ablation_classifier=ablation_clf,
+            ablation_scaler=_fit_scaler([ablation_clf.logits(v) for v in xa_val], y3_val),
+        )
+
+    return replace(
+        model,
+        subheading_classifier=subheading_clf,
+        subheading_scaler=_fit_scaler([subheading_clf.logits(v) for v in x3_val], y3_val),
+        **ablation,
         fit_report=FitReport(
             heading=heading_report,
             subheading=subheading_report,
@@ -482,47 +477,35 @@ def fit(
 
 def refit_temperatures(model: PipelineModel, validation_cases: Sequence[DecisionCase]) -> None:
     """Refit the per-stage temperature scalers on a validation split in place."""
-    heading_logits = [model.heading_logits(c.description) for c in validation_cases]
+    # A generator, so only each trace's logits stay in memory.
+    traces = (model.infer(c.description) for c in validation_cases)
+    logits = [(t.heading_logits, t.subheading_logits, t.ablation_logits) for t in traces]
     heading_labels = _label_indices(validation_cases, model.label_space.heading_index, "heading")
-    model.heading_scaler = _fit_scaler(heading_logits, heading_labels)
-
-    subheading_logits = []
-    ablation_logits = []
-    for case in validation_cases:
-        top = model.label_space.headings[int(np.argmax(model.heading_logits(case.description)))]
-        evidence = model._evidence_for(case.description, top)
-        vector = model._stage3_vector(case.description, evidence, model.config.use_evidence)
-        subheading_logits.append(model.subheading_classifier.logits(vector))
-        if model.ablation_classifier is not None:
-            other = model._stage3_vector(case.description, evidence, not model.config.use_evidence)
-            ablation_logits.append(model.ablation_classifier.logits(other))
     subheading_labels = _label_indices(
         validation_cases, model.label_space.subheading_index, "subheading"
     )
-    model.subheading_scaler = _fit_scaler(subheading_logits, subheading_labels)
+    model.heading_scaler = _fit_scaler([z for z, _, _ in logits], heading_labels)
+    model.subheading_scaler = _fit_scaler([z for _, z, _ in logits], subheading_labels)
     if model.ablation_classifier is not None:
-        model.ablation_scaler = _fit_scaler(ablation_logits, subheading_labels)
+        model.ablation_scaler = _fit_scaler([z for _, _, z in logits], subheading_labels)
 
 
 # -- checkpointing -----------------------------------------------------------
 
 
-def _config_to_dict(config: PipelineConfig) -> dict:
-    return asdict(config)
+def _from_dict(cls, data):
+    """Inverse of ``dataclasses.asdict`` for this module's annotated dataclasses."""
+    if is_dataclass(cls):
+        hints = get_type_hints(cls)
+        return cls(**{name: _from_dict(hints[name], value) for name, value in data.items()})
+    if get_origin(cls) is list:
+        (item,) = get_args(cls)
+        return [_from_dict(item, value) for value in data]
+    return data
 
 
-def _config_from_dict(data: dict) -> PipelineConfig:
-    return PipelineConfig(
-        heading_train=TrainConfig(**data["heading_train"]),
-        subheading_train=TrainConfig(**data["subheading_train"]),
-        retrieval=RetrievalConfig(**data["retrieval"]),
-        use_evidence=data["use_evidence"],
-        train_ablation=data["train_ablation"],
-        mask_to_heading=data["mask_to_heading"],
-        evidence_per_candidate=data["evidence_per_candidate"],
-        similar_cases_per_candidate=data["similar_cases_per_candidate"],
-        idf_documents=data["idf_documents"],
-    )
+def _config_hashes(config: dict) -> dict:
+    return {"pipeline": _hash_json(config), "retrieval": _hash_json(config["retrieval"])}
 
 
 def _hash_json(data) -> str:
@@ -554,8 +537,8 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
         files.append("ablation_classifier.json")
 
     _write_json(directory / "case_index.json", model.case_index.to_dict())
-    _write_json(directory / "idf.json", model.encoder_stage3.idf.to_dict())
-    model.encoder_stage3.vectors.save(directory / "vectors.txt")
+    _write_json(directory / "idf.json", model.encoder.idf.to_dict())
+    model.encoder.vectors.save(directory / "vectors.txt")
     with open(directory / "stopwords.txt", "w", encoding="utf-8") as handle:
         for word in sorted(model.retriever.stopwords):
             handle.write(word + "\n")
@@ -565,15 +548,12 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
             handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     files.extend(["case_index.json", "idf.json", "vectors.txt", "stopwords.txt", "manual.jsonl"])
 
-    config_dict = _config_to_dict(model.config)
+    config_dict = asdict(model.config)
     manifest = {
         "format_version": CHECKPOINT_FORMAT,
         "package_version": __version__,
         "config": config_dict,
-        "config_hashes": {
-            "pipeline": _hash_json(config_dict),
-            "retrieval": _hash_json(config_dict["retrieval"]),
-        },
+        "config_hashes": _config_hashes(config_dict),
         "heading_temperature": model.heading_scaler.temperature,
         "subheading_temperature": model.subheading_scaler.temperature,
         "ablation_temperature": (
@@ -602,7 +582,11 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
         if not (directory / name).exists():
             raise UntrainedModel(f"checkpoint at {directory} is incomplete: missing {name}")
 
-    config = _config_from_dict(manifest["config"])
+    if manifest.get("config_hashes") != _config_hashes(manifest["config"]):
+        raise UntrainedModel(
+            f"checkpoint at {directory}: config in manifest.json does not match its config_hashes"
+        )
+    config = _from_dict(PipelineConfig, manifest["config"])
     vectors = WordVectorTable.load(directory / "vectors.txt")
     with open(directory / "idf.json", encoding="utf-8") as handle:
         idf = IdfTable.from_dict(json.load(handle))
@@ -629,8 +613,7 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
     )
     ablation_temp = manifest.get("ablation_temperature")
     return PipelineModel(
-        encoder_stage1=encoder,
-        encoder_stage3=encoder,
+        encoder=encoder,
         heading_classifier=heading_clf,
         subheading_classifier=subheading_clf,
         manuals=manuals,

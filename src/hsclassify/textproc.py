@@ -94,6 +94,8 @@ class WordVectorTable:
                     raise ParseError(f"bad vector value: {exc}", line_no) from exc
                 if values.size == 0:
                     raise ParseError(f"token {token!r} has no vector values", line_no)
+                if not np.isfinite(values).all():
+                    raise ParseError(f"token {token!r} has a non-finite vector value", line_no)
                 vectors[token] = values
         return cls(vectors)
 

@@ -7,7 +7,7 @@ import pytest
 
 from hsclassify.case_retrieval import CaseIndex, IndexedCase, build_index, similar_cases
 from hsclassify.encoder import PooledEncoder
-from hsclassify.errors import DuplicateId, EmptyInput
+from hsclassify.errors import DimensionMismatch, DuplicateId, EmptyInput
 from hsclassify.textproc import IdfTable, WordVectorTable
 
 from conftest import make_case
@@ -74,6 +74,13 @@ class TestBuildIndex:
                 assert a.case_id == b.case_id
                 assert np.array_equal(a.embedding, b.embedding)
                 assert a.snippet == b.snippet
+
+    def test_from_dict_rejects_wrong_embedding_length(self, encoder):
+        data = build_index(ten_cases(), encoder, {}).to_dict()
+        bucket = next(iter(data["by_subheading"].values()))
+        bucket[0]["embedding"] = bucket[0]["embedding"][:-1]
+        with pytest.raises(DimensionMismatch, match=bucket[0]["id"]):
+            CaseIndex.from_dict(data)
 
 
 class TestSimilarCases:

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from hsclassify.alignment import KeySentenceRetriever
 from hsclassify.classifier import SoftmaxClassifier, TrainConfig
 from hsclassify.corpus import ManualEntry, chronological_split
-from hsclassify.errors import BadK, EmptyInput, MissingManualWarning, UntrainedModel
+from hsclassify.encoder import PooledEncoder
+from hsclassify.errors import (
+    BadK,
+    DimensionMismatch,
+    EmptyInput,
+    MissingManualWarning,
+    UntrainedModel,
+)
 from hsclassify.evaluation import evaluate_pipeline
 from hsclassify.pipeline import (
     CandidateReport,
@@ -239,9 +249,43 @@ class TestCheckpoint:
         with pytest.raises(UntrainedModel, match="case_index.json"):
             load_pipeline(tmp_path / "ckpt")
 
-    def test_mismatched_assembly_rejected(self, model):
-        from hsclassify.errors import DimensionMismatch
+    def test_truncated_case_embedding_rejected_at_load(self, model, tmp_path):
+        save_pipeline(model, tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "case_index.json"
+        data = json.loads(path.read_text())
+        bucket = next(iter(data["by_subheading"].values()))
+        bucket[0]["embedding"] = bucket[0]["embedding"][:5]
+        path.write_text(json.dumps(data))
+        with pytest.raises(DimensionMismatch, match=bucket[0]["id"]):
+            load_pipeline(tmp_path / "ckpt")
 
+    def test_case_index_of_other_dimension_rejected_at_load(self, model, tmp_path):
+        save_pipeline(model, tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "case_index.json"
+        data = json.loads(path.read_text())
+        data["dimension"] = 5
+        for bucket in data["by_subheading"].values():
+            for case in bucket:
+                case["embedding"] = case["embedding"][:5]
+        path.write_text(json.dumps(data))
+        with pytest.raises(DimensionMismatch, match="case index dimension 5"):
+            load_pipeline(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [(None, "similar_cases_per_candidate", 1), ("retrieval", "max_sentences", 2)],
+    )
+    def test_edited_config_rejected_at_load(self, model, tmp_path, section, key, value):
+        save_pipeline(model, tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        config = manifest["config"] if section is None else manifest["config"][section]
+        config[key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(UntrainedModel, match="manifest.json"):
+            load_pipeline(tmp_path / "ckpt")
+
+    def test_mismatched_assembly_rejected(self, model):
         bad = SoftmaxClassifier(
             np.zeros((model.heading_classifier.input_dimension + 1, 2)),
             np.zeros(2),
@@ -259,6 +303,46 @@ class TestRefitTemperatures:
         after = (model.heading_scaler.temperature, model.subheading_scaler.temperature)
         assert after[0] == pytest.approx(before[0], rel=1e-6)
         assert after[1] == pytest.approx(before[1], rel=1e-6)
+
+
+class TestSinglePass:
+    """Each stage runs once per description, pinned by counting calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(self, *args, **kwargs):
+                counts[key(self)] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(KeySentenceRetriever, "retrieve", lambda _: "retrieve")
+        count(PooledEncoder, "encode", lambda _: "encode")
+        # Heading labels have 4 digits, subheading labels 6.
+        count(SoftmaxClassifier, "logits", lambda clf: f"logits{len(clf.labels[0])}")
+        return counts
+
+    def test_predict(self, model, small_corpus, calls):
+        _, split = small_corpus
+        report = model.predict(split.test[0].description, k=3)
+        assert report.heading_candidates[0].key_sentences
+        assert calls == {"retrieve": 3, "encode": 2, "logits4": 1, "logits6": 1}
+
+    def test_evaluate_with_ablation_head(self, ablation_model, small_corpus, calls):
+        _, split = small_corpus
+        evaluate_pipeline(ablation_model, [split.test[0]], ablation_model.manuals)
+        assert calls == {"retrieve": 5, "encode": 2, "logits4": 1, "logits6": 2}
+
+    def test_refit_temperatures(self, model, small_corpus, calls):
+        _, split = small_corpus
+        refit_temperatures(copy.copy(model), list(split.validation))
+        assert calls["retrieve"] == len(split.validation)
+        assert calls["logits4"] == len(split.validation)
 
 
 class TestEvaluate:
@@ -327,8 +411,6 @@ class TestEvaluate:
 
 
 def fitted_with_zero_heads(model):
-    import copy
-
     clone = copy.copy(model)
     clone.heading_classifier = SoftmaxClassifier(
         np.zeros_like(model.heading_classifier.weights),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsclassify.errors import DimensionMismatch, EmptyInput
+from hsclassify.errors import DimensionMismatch, EmptyInput, ParseError
 from hsclassify.textproc import (
     DEFAULT_STOPWORDS,
     WordVectorTable,
@@ -161,6 +161,21 @@ class TestWordVectorTable:
     def test_inconsistent_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             WordVectorTable({"a": np.ones(2), "b": np.ones(3)})
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("foo 1 0 0\nbar 0 nan 0\n", 2),
+            ("foo 1 0 0\nbar 0 1 0\nbaz inf 0 0\n", 3),
+            ("foo -Infinity 0 0\n", 1),
+        ],
+    )
+    def test_non_finite_values_rejected_with_line(self, tmp_path, text, line):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="non-finite") as info:
+            WordVectorTable.load(path)
+        assert info.value.line == line
 
 
 def test_load_stopwords(tmp_path):
