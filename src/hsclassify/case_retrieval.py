@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import DecisionCase
-from .encoder import DescriptionEncoder, encode_with_evidence
 from .errors import DimensionMismatch, DuplicateId, EmptyInput
 from .textproc import cosine
 
@@ -70,30 +69,24 @@ def _snippet(description: str) -> str:
     return flat[: SNIPPET_LENGTH - 1].rstrip() + "…"
 
 
-def build_index(
-    cases: Sequence[DecisionCase],
-    encoder: DescriptionEncoder,
-    evidence_by_case: Mapping[str, Sequence[str]],
-) -> CaseIndex:
-    """Embed each case with its train-time evidence, grouped by gold subheading.
+def build_index(cases: Sequence[DecisionCase], embeddings: Sequence[np.ndarray]) -> CaseIndex:
+    """Group each case with its embedding under the case's gold subheading.
 
-    ``evidence_by_case`` maps case id to the key sentences used when the case
-    was embedded for training (may be empty for cases without a manual entry).
+    ``embeddings[i]`` is the vector ``cases[i]`` was trained on; the index
+    keeps that array, so a query compares against the training inputs.
     """
     if not cases:
         raise EmptyInput("no cases to index")
     seen: set[str] = set()
     by_subheading: dict[str, list[IndexedCase]] = {}
-    for case in cases:
+    for case, embedding in zip(cases, embeddings, strict=True):
         if case.id in seen:
             raise DuplicateId(f"duplicate case id {case.id!r} in index build")
         seen.add(case.id)
-        sentences = list(evidence_by_case.get(case.id, ()))
-        embedding = encode_with_evidence(encoder, case.description, sentences)
         by_subheading.setdefault(case.label.subheading, []).append(
             IndexedCase(case_id=case.id, embedding=embedding, snippet=_snippet(case.description))
         )
-    return CaseIndex(by_subheading=by_subheading, dimension=encoder.output_dimension)
+    return CaseIndex(by_subheading=by_subheading, dimension=len(embeddings[0]))
 
 
 def similar_cases(

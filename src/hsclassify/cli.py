@@ -1,7 +1,8 @@
 """Command-line surface: train, predict, evaluate, calibrate, synth.
 
-Exit codes: 0 success, 2 usage or input error, 1 internal error. All
-commands are deterministic given the same inputs and seed.
+Exit codes: 0 success; 2 bad user input (arguments, config file, corpus
+files, a missing checkpoint); 1 a corrupt checkpoint or an internal error.
+All commands are deterministic given the same inputs and seed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import HsClassifyError
 from .evaluation import evaluate_pipeline
 from .pipeline import (
     PipelineConfig,
+    PipelineModel,
     fit,
     load_pipeline,
     refit_temperatures,
@@ -48,13 +50,6 @@ def _load_config(config_path: str | None, seed: int | None, output_format: str |
     path = Path(config_path)
     if not path.exists():
         raise click.UsageError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
-
-    base = path.parent
 
     def resolve(key: str, required: bool = True) -> Path | None:
         value = data.get(key)
@@ -62,38 +57,49 @@ def _load_config(config_path: str | None, seed: int | None, output_format: str |
             if required:
                 raise click.UsageError(f"config file {path} is missing {key!r}")
             return None
-        return base / value
+        return path.parent / value
 
-    effective_seed = seed if seed is not None else int(data.get("seed", 0))
-    pipeline_options = data.get("pipeline", {})
-    heading_train = TrainConfig(**{**data.get("heading_train", {}), "seed": effective_seed})
-    subheading_train = TrainConfig(
-        **{**data.get("subheading_train", {}), "seed": effective_seed + 1}
-    )
-    pipeline_config = PipelineConfig(
-        heading_train=heading_train,
-        subheading_train=subheading_train,
-        retrieval=RetrievalConfig(**data.get("retrieval", {})),
-        **pipeline_options,
-    )
-    return CliConfig(
-        cases=resolve("cases"),
-        manual=resolve("manual"),
-        vectors=resolve("vectors"),
-        stopwords=resolve("stopwords", required=False),
-        checkpoint_dir=resolve("checkpoint_dir"),
-        seed=effective_seed,
-        output_format=output_format or data.get("format", "text"),
-        validation_months=int(data.get("validation_months", 3)),
-        test_months=int(data.get("test_months", 3)),
-        pipeline=pipeline_config,
-    )
+    def train_config(key: str, seed: int) -> TrainConfig:
+        return TrainConfig(**{**data.get(key, {}), "seed": seed})
+
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        effective_seed = seed if seed is not None else int(data.get("seed", 0))
+        return CliConfig(
+            cases=resolve("cases"),
+            manual=resolve("manual"),
+            vectors=resolve("vectors"),
+            stopwords=resolve("stopwords", required=False),
+            checkpoint_dir=resolve("checkpoint_dir"),
+            seed=effective_seed,
+            output_format=output_format or data.get("format", "text"),
+            validation_months=int(data.get("validation_months", 3)),
+            test_months=int(data.get("test_months", 3)),
+            pipeline=PipelineConfig(
+                heading_train=train_config("heading_train", effective_seed),
+                subheading_train=train_config("subheading_train", effective_seed + 1),
+                retrieval=RetrievalConfig(**data.get("retrieval", {})),
+                **data.get("pipeline", {}),
+            ),
+        )
+    except (TypeError, ValueError) as exc:  # ValueError includes invalid JSON
+        raise click.UsageError(f"config file {path} is invalid: {exc}")
 
 
 def _require_file(path: Path, label: str) -> Path:
     if not path.exists():
         raise click.UsageError(f"{label} file not found: {path}")
     return path
+
+
+def _load_checkpoint(directory: Path) -> PipelineModel:
+    """Exit 2 when there is no checkpoint, 1 when it cannot be loaded."""
+    if not (directory / "manifest.json").exists():
+        raise click.UsageError(f"no pipeline checkpoint at {directory}")
+    try:
+        return load_pipeline(directory)
+    except HsClassifyError as exc:
+        raise click.ClickException(str(exc))
 
 
 def _load_inputs(config: CliConfig):
@@ -193,8 +199,8 @@ def predict(ctx: click.Context, description: str | None, input_file: str | None,
         description = path.read_text(encoding="utf-8")
     if description is None or not description.strip():
         raise click.UsageError("provide a non-empty item description (argument or --input-file)")
+    model = _load_checkpoint(config.checkpoint_dir)
     try:
-        model = load_pipeline(config.checkpoint_dir)
         report = model.predict(description.strip(), k=top_k)
     except HsClassifyError as exc:
         raise click.UsageError(str(exc))
@@ -216,9 +222,9 @@ def evaluate(ctx: click.Context, output_dir: str | None):
     """Evaluate the checkpoint on the chronological test split."""
     config = _ctx_config(ctx)
     cases, manuals, _, _ = _load_inputs(config)
+    model = _load_checkpoint(config.checkpoint_dir)
     try:
         split = chronological_split(cases, config.validation_months, config.test_months)
-        model = load_pipeline(config.checkpoint_dir)
         metrics = evaluate_pipeline(model, split.test, manuals)
     except HsClassifyError as exc:
         raise click.UsageError(str(exc))
@@ -244,9 +250,9 @@ def calibrate(ctx: click.Context):
     """Refit the per-stage temperatures on the validation split."""
     config = _ctx_config(ctx)
     cases, _, _, _ = _load_inputs(config)
+    model = _load_checkpoint(config.checkpoint_dir)
     try:
         split = chronological_split(cases, config.validation_months, config.test_months)
-        model = load_pipeline(config.checkpoint_dir)
         refit_temperatures(model, list(split.validation))
     except HsClassifyError as exc:
         raise click.UsageError(str(exc))

@@ -28,17 +28,16 @@ class DescriptionEncoder(Protocol):
 
 
 class PooledEncoder:
-    """IDF-weighted mean of in-vocabulary token vectors.
+    """Unit-length IDF-weighted mean of in-vocabulary token vectors.
 
-    Empty or all-out-of-vocabulary text encodes to the zero vector. With
-    ``normalize`` the nonzero outputs get unit L2 norm, so downstream cosine
-    similarities reduce to dot products.
+    Empty or all-out-of-vocabulary text encodes to the zero vector; every
+    other output has unit L2 norm, so downstream cosine similarities reduce
+    to dot products.
     """
 
-    def __init__(self, vectors: WordVectorTable, idf: IdfTable, normalize: bool = True):
+    def __init__(self, vectors: WordVectorTable, idf: IdfTable):
         self.vectors = vectors
         self.idf = idf
-        self.normalize = normalize
         self.output_dimension = vectors.dimension
 
     def encode(self, text: str) -> np.ndarray:
@@ -53,10 +52,9 @@ class PooledEncoder:
         if total_weight <= 0.0:
             return np.zeros(self.output_dimension)
         pooled /= total_weight
-        if self.normalize:
-            norm = np.linalg.norm(pooled)
-            if norm > 0.0:
-                pooled /= norm
+        norm = np.linalg.norm(pooled)
+        if norm > 0.0:
+            pooled /= norm
         return pooled
 
 

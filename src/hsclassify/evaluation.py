@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
+from .classifier import top_k
 from .corpus import DecisionCase, ManualEntry
 from .errors import BadK, EmptyInput
 from .pipeline import PipelineModel
@@ -244,8 +245,8 @@ def evaluate_pipeline(
         )
         if has_ablation:
             probs = model.ablation_scaler.probabilities(trace.ablation_logits)
-            order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))[:max_k]
-            ablation_ranked.append([model.label_space.subheadings[i] for i in order])
+            order = top_k(probs, min(max_k, len(probs)))
+            ablation_ranked.append([model.label_space.subheadings[i] for i, _ in order])
 
         record = CaseRecord(
             case_id=case.id,

@@ -19,7 +19,7 @@ import json
 import warnings
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .case_retrieval import CaseIndex, build_index, similar_cases, snippet_for
 from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, top_k, train
 from .corpus import DecisionCase, LabelSpace, ManualEntry, build_label_space
 from .encoder import PooledEncoder, encode_with_evidence
-from .errors import BadK, DimensionMismatch, EmptyInput, MissingManualWarning, UntrainedModel
+from .errors import BadK, DimensionMismatch, EmptyInput, HsClassifyError, UntrainedModel
+from .errors import MissingManualWarning
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, compute_idf, tokenize
 
 CHECKPOINT_FORMAT = 1
@@ -189,12 +190,12 @@ class PipelineModel:
 
     # -- inference ---------------------------------------------------------
 
-    def infer(self, description: str, headings: int = 1) -> InferenceTrace:
+    def infer(self, description: str, headings: int = 0) -> InferenceTrace:
         """Run every stage once for one description.
 
-        Key sentences are retrieved for the top ``headings`` headings, and
-        for at least the top three in evidence-per-candidate mode, whose
-        subheading mixture uses them.
+        Key sentences are retrieved only where read: for the top ``headings``
+        headings (a report), the top heading when stage 3 or the ablation head
+        uses evidence, and the top three for the evidence-per-candidate mixture.
         """
         config = self.config
         space = self.label_space
@@ -203,29 +204,32 @@ class PipelineModel:
         heading_probs = self.heading_scaler.probabilities(heading_logits)
         ranked = [index for index, _ in top_k(heading_probs, len(space.headings))]
 
-        wanted = max(headings, 3 if config.evidence_per_candidate else 1)
-        entries = [self.manuals.get(space.headings[index]) for index in ranked[:wanted]]
+        if config.use_evidence or config.train_ablation:
+            mixture = config.use_evidence and config.evidence_per_candidate
+            headings = max(headings, 3 if mixture else 1)
+        entries = [self.manuals.get(space.headings[index]) for index in ranked[:headings]]
         retrievals = [
             self.retriever.retrieve(description, entry) if entry is not None else None
             for entry in entries
         ]
 
-        def vector(result: RetrievalResult | None, with_evidence: bool) -> np.ndarray:
-            evidence = result.sentence_texts() if with_evidence and result is not None else []
+        def vector(position: int, with_evidence: bool) -> np.ndarray:
+            result = retrievals[position] if with_evidence else None
+            evidence = result.sentence_texts() if result is not None else []
             if not evidence:
                 return description_vector
             return encode_with_evidence(self.encoder, description, evidence)
 
-        stage3_vector = vector(retrievals[0], config.use_evidence)
+        stage3_vector = vector(0, config.use_evidence)
         subheading_logits = self.subheading_classifier.logits(stage3_vector)
         probs = self.subheading_scaler.probabilities(subheading_logits)
         if config.evidence_per_candidate:
             # Mixture over the top three headings, weighted by calibrated score.
             candidate_probs = [probs] + [
                 self.subheading_scaler.probabilities(
-                    self.subheading_classifier.logits(vector(result, config.use_evidence))
+                    self.subheading_classifier.logits(vector(position, config.use_evidence))
                 )
-                for result in retrievals[1:3]
+                for position in range(1, min(3, len(ranked)))
             ]
             mixed = np.zeros(len(space.subheadings))
             weight_sum = 0.0
@@ -253,7 +257,7 @@ class PipelineModel:
             subheading_probabilities=probs,
         )
         if config.train_ablation:
-            trace.ablation_vector = vector(retrievals[0], not config.use_evidence)
+            trace.ablation_vector = vector(0, not config.use_evidence)
         if self.ablation_classifier is not None:
             trace.ablation_logits = self.ablation_classifier.logits(trace.ablation_vector)
         return trace
@@ -333,11 +337,8 @@ def _idf_documents(
 
 
 def _label_indices(cases: Sequence[DecisionCase], index: Mapping[str, int], level: str) -> list[int]:
-    out = []
-    for case in cases:
-        label = case.label.heading if level == "heading" else case.label.subheading
-        out.append(index.get(label, -1))
-    return out
+    """Each case's ``level`` ("heading" or "subheading") label index; -1 if unknown."""
+    return [index.get(getattr(case.label, level), -1) for case in cases]
 
 
 def _fit_scaler(logits: list[np.ndarray], labels: list[int]) -> TemperatureScaler:
@@ -358,11 +359,11 @@ def fit(
 ) -> PipelineModel:
     """Train both stages, fit per-stage temperatures, build the case index.
 
-    Stage-3 training evidence comes from each case's gold heading's manual;
-    cases whose gold heading has no manual entry train on the description
-    alone (a MissingManualWarning is emitted per affected heading). Stage-3
-    validation inputs follow the inference path: ``PipelineModel.infer`` on
-    the model fitted so far, so evidence comes from the predicted heading.
+    Each training case is encoded once, and once more with the key sentences
+    of its gold heading's manual when stage 3 or the ablation head reads
+    evidence; a case without evidence reuses its description vector (a
+    missing manual warns once per heading). The case index holds the stage-3
+    training vectors; stage-3 validation inputs come from ``infer``.
     """
     if not train_cases:
         raise EmptyInput("no training cases")
@@ -371,7 +372,7 @@ def fit(
     idf = compute_idf(
         _idf_documents([*train_cases, *validation_cases], manuals, config.idf_documents)
     )
-    encoder = PooledEncoder(vectors, idf, normalize=True)
+    encoder = PooledEncoder(vectors, idf)
     retriever = KeySentenceRetriever(vectors, idf, stopwords, config.retrieval)
 
     # Stage 1: heading from the description alone.
@@ -384,38 +385,28 @@ def fit(
     )
     heading_scaler = _fit_scaler([heading_clf.logits(v) for v in x1_val], y1_val)
 
-    # Stage-3 training inputs: evidence from the gold heading's manual.
-    evidence_by_case: dict[str, list[str]] = {}
-    missing_headings: set[str] = set()
-    for case in train_cases:
-        entry = manuals.get(case.label.heading)
-        if entry is None:
-            missing_headings.add(case.label.heading)
-            evidence_by_case[case.id] = []
-        else:
-            evidence_by_case[case.id] = retriever.retrieve(case.description, entry).sentence_texts()
-    for heading in sorted(missing_headings):
+    for heading in sorted({c.label.heading for c in train_cases} - manuals.keys()):
         warnings.warn(
             f"no manual entry for gold heading {heading}; affected cases train on "
             "description alone",
             MissingManualWarning,
             stacklevel=2,
         )
-    missing_count = sum(1 for c in train_cases if c.label.heading in missing_headings)
 
-    def train_vectors(with_evidence: bool) -> list[np.ndarray]:
-        if not with_evidence:
-            return x1_train
-        return [
-            encode_with_evidence(encoder, c.description, evidence_by_case[c.id])
-            for c in train_cases
-        ]
+    # Stage-3 training inputs: key sentences from the gold heading's manual.
+    def with_evidence(case: DecisionCase, vector: np.ndarray) -> np.ndarray:
+        entry = manuals.get(case.label.heading)
+        result = retriever.retrieve(case.description, entry) if entry is not None else None
+        evidence = result.sentence_texts() if result is not None else []
+        return encode_with_evidence(encoder, case.description, evidence) if evidence else vector
 
-    case_index = build_index(
-        list(train_cases),
-        encoder,
-        evidence_by_case if config.use_evidence else {c.id: [] for c in train_cases},
+    evidence_train = x1_train
+    if config.use_evidence or config.train_ablation:
+        evidence_train = [with_evidence(c, v) for c, v in zip(train_cases, x1_train)]
+    x3_train, xa_train = (
+        (evidence_train, x1_train) if config.use_evidence else (x1_train, evidence_train)
     )
+    case_index = build_index(list(train_cases), x3_train)
 
     # The model so far, with an untrained (uniform) subheading head, infers
     # the stage-3 validation inputs.
@@ -442,7 +433,6 @@ def fit(
     y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")
     y3_val = _label_indices(validation_cases, label_space.subheading_index, "subheading")
 
-    x3_train = train_vectors(config.use_evidence)
     x3_val = [v for v, _ in val_vectors]
     subheading_clf, subheading_report = train(
         x3_train, y3_train, x3_val, y3_val, config.subheading_train, subheadings
@@ -451,7 +441,6 @@ def fit(
     ablation = {}
     ablation_report = None
     if config.train_ablation:
-        xa_train = train_vectors(not config.use_evidence)
         xa_val = [v for _, v in val_vectors]
         ablation_clf, ablation_report = train(
             xa_train, y3_train, xa_val, y3_val, config.subheading_train, subheadings
@@ -470,7 +459,7 @@ def fit(
             heading=heading_report,
             subheading=subheading_report,
             ablation=ablation_report,
-            missing_manual_cases=missing_count,
+            missing_manual_cases=sum(1 for c in train_cases if c.label.heading not in manuals),
         ),
     )
 
@@ -568,14 +557,28 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
     _write_json(directory / "manifest.json", manifest)
 
 
+def _read(path: Path, parse: Callable[[Path], object]):
+    """``parse(path)`` for a checkpoint file; any error it raises names the file."""
+    try:
+        return parse(path)
+    except HsClassifyError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UntrainedModel(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def load_pipeline(directory: str | Path) -> PipelineModel:
-    """Load a checkpoint directory written by save_pipeline."""
+    """Load a checkpoint directory written by save_pipeline; errors name the bad file."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise UntrainedModel(f"no pipeline checkpoint at {directory}")
-    with open(manifest_path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    manifest = _read(manifest_path, _json)
     if manifest.get("format_version") != CHECKPOINT_FORMAT:
         raise UntrainedModel(f"unsupported checkpoint format {manifest.get('format_version')}")
     for name in manifest.get("files", []):
@@ -583,34 +586,28 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
             raise UntrainedModel(f"checkpoint at {directory} is incomplete: missing {name}")
 
     if manifest.get("config_hashes") != _config_hashes(manifest["config"]):
-        raise UntrainedModel(
-            f"checkpoint at {directory}: config in manifest.json does not match its config_hashes"
-        )
+        raise UntrainedModel(f"{manifest_path}: config does not match its config_hashes")
     config = _from_dict(PipelineConfig, manifest["config"])
-    vectors = WordVectorTable.load(directory / "vectors.txt")
-    with open(directory / "idf.json", encoding="utf-8") as handle:
-        idf = IdfTable.from_dict(json.load(handle))
-    with open(directory / "stopwords.txt", encoding="utf-8") as handle:
-        stopwords = frozenset(w.strip() for w in handle if w.strip())
+    vectors = _read(directory / "vectors.txt", WordVectorTable.load)
+    idf = _read(directory / "idf.json", lambda path: IdfTable.from_dict(_json(path)))
+    stopwords = _read(
+        directory / "stopwords.txt",
+        lambda path: frozenset(w.strip() for w in path.read_text("utf-8").split("\n") if w.strip()),
+    )
 
     from .corpus import load_manual  # local import to avoid cycle at module load
 
-    manuals = load_manual(directory / "manual.jsonl")
-    encoder = PooledEncoder(vectors, idf, normalize=True)
+    manuals = _read(directory / "manual.jsonl", load_manual)
+    encoder = PooledEncoder(vectors, idf)
     retriever = KeySentenceRetriever(vectors, idf, stopwords, config.retrieval)
 
-    heading_clf = SoftmaxClassifier.load(directory / "heading_classifier.json")
-    subheading_clf = SoftmaxClassifier.load(directory / "subheading_classifier.json")
+    heading_clf = _read(directory / "heading_classifier.json", SoftmaxClassifier.load)
+    subheading_clf = _read(directory / "subheading_classifier.json", SoftmaxClassifier.load)
     ablation_path = directory / "ablation_classifier.json"
-    ablation_clf = SoftmaxClassifier.load(ablation_path) if ablation_path.exists() else None
+    ablation_clf = _read(ablation_path, SoftmaxClassifier.load) if ablation_path.exists() else None
+    case_index = _read(directory / "case_index.json", lambda path: CaseIndex.from_dict(_json(path)))
 
-    with open(directory / "case_index.json", encoding="utf-8") as handle:
-        case_index = CaseIndex.from_dict(json.load(handle))
-
-    label_space = LabelSpace(
-        headings=tuple(manifest["label_space"]["headings"]),
-        subheadings=tuple(manifest["label_space"]["subheadings"]),
-    )
+    label_space = LabelSpace(**{key: tuple(v) for key, v in manifest["label_space"].items()})
     ablation_temp = manifest.get("ablation_temperature")
     return PipelineModel(
         encoder=encoder,

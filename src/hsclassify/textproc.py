@@ -154,8 +154,12 @@ def cosine(u, v) -> float:
         raise DimensionMismatch(f"vector lengths differ: {u.shape} vs {v.shape}")
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
+    if nu < 1e-150 or nv < 1e-150:
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
+        # Squared components this small are subnormal and skew the norm;
+        # the cosine is scale-free, so rescale and recompute.
+        return cosine(u / np.abs(u).max(), v / np.abs(v).max())
     return float(np.dot(u, v) / (nu * nv))
 
 

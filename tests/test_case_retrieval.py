@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hsclassify.case_retrieval import CaseIndex, IndexedCase, build_index, similar_cases
-from hsclassify.encoder import PooledEncoder
+from hsclassify.encoder import PooledEncoder, encode_with_evidence
 from hsclassify.errors import DimensionMismatch, DuplicateId, EmptyInput
 from hsclassify.textproc import IdfTable, WordVectorTable
 
@@ -22,7 +22,13 @@ def encoder() -> PooledEncoder:
             "gamma": [0.0, 0.0, 1.0],
         }
     )
-    return PooledEncoder(vectors, IdfTable(document_count=4, values={}), normalize=True)
+    return PooledEncoder(vectors, IdfTable(document_count=4, values={}))
+
+
+def embedded(cases, encoder, evidence=None):
+    """Each case's description encoded with its ``evidence`` sentences, if any."""
+    evidence = evidence or {}
+    return [encode_with_evidence(encoder, c.description, evidence.get(c.id, [])) for c in cases]
 
 
 def ten_cases():
@@ -36,37 +42,30 @@ def ten_cases():
 
 class TestBuildIndex:
     def test_two_buckets_sum_to_input(self, encoder):
-        index = build_index(ten_cases(), encoder, {})
+        index = build_index(ten_cases(), embedded(ten_cases(), encoder))
         assert set(index.by_subheading) == {"854140", "854151"}
         assert sum(len(v) for v in index.by_subheading.values()) == 10
 
     def test_duplicate_id_rejected(self, encoder):
         cases = [make_case("same"), make_case("same")]
         with pytest.raises(DuplicateId):
-            build_index(cases, encoder, {})
+            build_index(cases, embedded(cases, encoder))
 
     def test_rebuild_is_bit_identical(self, encoder):
         evidence = {"case-00": ["beta gamma"], "case-07": ["alpha"]}
-        first = build_index(ten_cases(), encoder, evidence)
-        second = build_index(ten_cases(), encoder, evidence)
+        first = build_index(ten_cases(), embedded(ten_cases(), encoder, evidence))
+        second = build_index(ten_cases(), embedded(ten_cases(), encoder, evidence))
         for sub in first.by_subheading:
             for a, b in zip(first.by_subheading[sub], second.by_subheading[sub]):
                 assert a.case_id == b.case_id
                 assert np.array_equal(a.embedding, b.embedding)
 
-    def test_evidence_changes_embedding(self, encoder):
-        plain = build_index(ten_cases(), encoder, {})
-        enriched = build_index(ten_cases(), encoder, {"case-00": ["beta beta beta"]})
-        a = plain.by_subheading["854140"][0].embedding
-        b = enriched.by_subheading["854140"][0].embedding
-        assert not np.array_equal(a, b)
-
     def test_empty_input(self, encoder):
         with pytest.raises(EmptyInput):
-            build_index([], encoder, {})
+            build_index([], [])
 
     def test_roundtrip_through_dict(self, encoder):
-        index = build_index(ten_cases(), encoder, {})
+        index = build_index(ten_cases(), embedded(ten_cases(), encoder))
         loaded = CaseIndex.from_dict(index.to_dict())
         assert set(loaded.by_subheading) == set(index.by_subheading)
         for sub in index.by_subheading:
@@ -76,7 +75,7 @@ class TestBuildIndex:
                 assert a.snippet == b.snippet
 
     def test_from_dict_rejects_wrong_embedding_length(self, encoder):
-        data = build_index(ten_cases(), encoder, {}).to_dict()
+        data = build_index(ten_cases(), embedded(ten_cases(), encoder)).to_dict()
         bucket = next(iter(data["by_subheading"].values()))
         bucket[0]["embedding"] = bucket[0]["embedding"][:-1]
         with pytest.raises(DimensionMismatch, match=bucket[0]["id"]):
@@ -85,13 +84,13 @@ class TestBuildIndex:
 
 class TestSimilarCases:
     def test_exact_match_ranks_first_with_unit_similarity(self, encoder):
-        index = build_index(ten_cases(), encoder, {})
+        index = build_index(ten_cases(), embedded(ten_cases(), encoder))
         query = index.by_subheading["854140"][2].embedding
         results = similar_cases(index, query, "854140", m=3)
         assert results[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_absent_subheading_gives_empty_list(self, encoder):
-        index = build_index(ten_cases(), encoder, {})
+        index = build_index(ten_cases(), embedded(ten_cases(), encoder))
         assert similar_cases(index, np.ones(3), "999999") == []
 
     def test_ranking_matches_brute_force_sort(self):
@@ -127,7 +126,7 @@ class TestSimilarCases:
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_result_size_and_ordering_invariants(self, encoder):
-        index = build_index(ten_cases(), encoder, {})
+        index = build_index(ten_cases(), embedded(ten_cases(), encoder))
         for m in (1, 3, 10, 50):
             results = similar_cases(index, np.array([1.0, 1.0, 0.0]), "854140", m=m)
             assert len(results) == min(m, 6)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,17 @@ def trained_dir(runner, corpus_dir) -> Path:
 
 def checkpoint_bytes(checkpoint: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(checkpoint.iterdir())}
+
+
+def write_config(corpus_dir: Path, path: Path, **changes) -> Path:
+    """The corpus config with absolute input paths and ``changes``, written to ``path``."""
+    config = json.loads((corpus_dir / "config.json").read_text())
+    config["cases"] = str(corpus_dir / "cases.jsonl")
+    config["manual"] = str(corpus_dir / "manual.jsonl")
+    config["vectors"] = str(corpus_dir / "vectors.txt")
+    config.update(changes)
+    path.write_text(json.dumps(config))
+    return path
 
 
 class TestSynthCommand:
@@ -331,3 +343,64 @@ class TestTrainVariants:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "ckpt-abl" / "ablation_classifier.json").exists()
+
+
+def truncate_case_index(checkpoint: Path) -> None:
+    path = checkpoint / "case_index.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def shorten_one_embedding(checkpoint: Path) -> None:
+    path = checkpoint / "case_index.json"
+    data = json.loads(path.read_text())
+    next(iter(data["by_subheading"].values()))[0]["embedding"].pop()
+    path.write_text(json.dumps(data))
+
+
+def delete_idf(checkpoint: Path) -> None:
+    (checkpoint / "idf.json").unlink()
+
+
+class TestExitCodes:
+    """2 for bad user input, 1 for a corrupt checkpoint; never a traceback."""
+
+    @pytest.mark.parametrize(
+        "corrupt, bad_file",
+        [
+            (truncate_case_index, "case_index.json"),
+            (shorten_one_embedding, "case_index.json"),
+            (delete_idf, "idf.json"),
+        ],
+    )
+    def test_corrupt_checkpoint_exit_1(self, runner, trained_dir, tmp_path, corrupt, bad_file):
+        checkpoint = tmp_path / "ckpt"
+        shutil.copytree(trained_dir / "checkpoint", checkpoint)
+        corrupt(checkpoint)
+        config = write_config(trained_dir, tmp_path / "config.json", checkpoint_dir=str(checkpoint))
+        result = runner.invoke(main, ["--config", str(config), "predict", "solar panel"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        (line,) = result.output.strip().splitlines()
+        assert line.startswith("Error:")
+        assert bad_file in line
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("pipeline", "use_evidnce", True),
+            ("heading_train", "epochs", 0),
+            ("retrieval", "coverage_threshold", 2),
+            ("pipeline", "idf_documents", "bogus"),
+        ],
+    )
+    def test_bad_config_value_exit_2(self, runner, corpus_dir, tmp_path, section, key, value):
+        config = json.loads((corpus_dir / "config.json").read_text())
+        options = {**config.get(section, {}), key: value}
+        path = write_config(
+            corpus_dir, tmp_path / "config.json", checkpoint_dir=str(tmp_path), **{section: options}
+        )
+        result = runner.invoke(main, ["--config", str(path), "train"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert str(path) in result.output

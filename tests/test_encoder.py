@@ -23,12 +23,12 @@ def _toy_encoder() -> PooledEncoder:
             "diode": [0.0, 1.0, 1.0],
         }
     )
-    return PooledEncoder(vectors, IdfTable(document_count=4, values={}), normalize=True)
+    return PooledEncoder(vectors, IdfTable(document_count=4, values={}))
 
 
 @pytest.fixture
 def encoder(toy_vectors, uniform_idf) -> PooledEncoder:
-    return PooledEncoder(toy_vectors, uniform_idf, normalize=True)
+    return PooledEncoder(toy_vectors, uniform_idf)
 
 
 class TestPooledEncoder:
@@ -53,22 +53,19 @@ class TestPooledEncoder:
         expected = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_unnormalized_keeps_weighted_mean(self, toy_vectors, uniform_idf):
-        raw = PooledEncoder(toy_vectors, uniform_idf, normalize=False)
-        np.testing.assert_allclose(raw.encode("solar panel"), [0.5, 0.5, 0.0], atol=1e-12)
-
     def test_idf_weighting_shifts_the_mean(self, toy_vectors):
         idf = IdfTable(document_count=4, values={"solar": math.log(4), "panel": math.log(2)})
-        raw = PooledEncoder(toy_vectors, idf, normalize=False)
+        enc = PooledEncoder(toy_vectors, idf)
         w_solar, w_panel = math.log(4), math.log(2)
-        expected = (w_solar * np.array([1.0, 0, 0]) + w_panel * np.array([0, 1.0, 0])) / (
+        mean = (w_solar * np.array([1.0, 0, 0]) + w_panel * np.array([0, 1.0, 0])) / (
             w_solar + w_panel
         )
-        np.testing.assert_allclose(raw.encode("solar panel"), expected, atol=1e-12)
+        expected = mean / np.linalg.norm(mean)
+        np.testing.assert_allclose(enc.encode("solar panel"), expected, atol=1e-12)
 
     def test_zero_total_weight_gives_zero_vector(self, toy_vectors):
         idf = IdfTable(document_count=1, values={"solar": 0.0})
-        enc = PooledEncoder(toy_vectors, idf, normalize=True)
+        enc = PooledEncoder(toy_vectors, idf)
         assert not enc.encode("solar solar").any()
 
     @settings(max_examples=50, deadline=None)

@@ -21,6 +21,7 @@ from hsclassify.errors import (
     MissingManualWarning,
     UntrainedModel,
 )
+from hsclassify import pipeline
 from hsclassify.evaluation import evaluate_pipeline
 from hsclassify.pipeline import (
     CandidateReport,
@@ -343,6 +344,50 @@ class TestSinglePass:
         refit_temperatures(copy.copy(model), list(split.validation))
         assert calls["retrieve"] == len(split.validation)
         assert calls["logits4"] == len(split.validation)
+
+    def test_fit_encodes_each_training_case_at_most_twice(self, small_corpus, calls):
+        # x1 and description+evidence per training case; x1, then description
+        # and description+evidence along the inference path per validation case.
+        corpus, split = small_corpus
+        config = PipelineConfig(**FAST_TRAIN)
+        fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
+        assert calls["encode"] <= 2 * len(split.train) + 3 * len(split.validation)
+
+    def test_fit_without_evidence_retrieves_nothing(self, small_corpus, calls):
+        corpus, split = small_corpus
+        config = PipelineConfig(**FAST_TRAIN, use_evidence=False)
+        model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
+        assert calls["retrieve"] == 0
+        assert calls["encode"] == len(split.train) + 2 * len(split.validation)
+        refit_temperatures(model, list(split.validation))
+        assert calls["retrieve"] == 0
+
+    @pytest.mark.parametrize("use_evidence", [True, False])
+    def test_case_index_holds_stage3_training_vectors(
+        self, small_corpus, monkeypatch, use_evidence
+    ):
+        corpus, split = small_corpus
+        inputs_by_label_length = {}
+
+        def recording_train(inputs, labels, *rest):
+            # Heading labels have 4 digits, subheading labels 6.
+            inputs_by_label_length[len(rest[-1][0])] = inputs
+            return train(inputs, labels, *rest)
+
+        train = pipeline.train
+        monkeypatch.setattr(pipeline, "train", recording_train)
+        config = PipelineConfig(**FAST_TRAIN, use_evidence=use_evidence)
+        model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
+        stage3_inputs = inputs_by_label_length[6]
+        indexed = {
+            case.case_id: case.embedding
+            for bucket in model.case_index.by_subheading.values()
+            for case in bucket
+        }
+        assert len(indexed) == len(split.train)
+        for case, vector in zip(split.train, stage3_inputs, strict=True):
+            # The very array the subheading head trained on, not a re-encoded copy.
+            assert indexed[case.id] is vector
 
 
 class TestEvaluate:

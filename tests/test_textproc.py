@@ -105,6 +105,11 @@ class TestCosine:
         with pytest.raises(DimensionMismatch):
             cosine([1.0], [1.0, 2.0])
 
+    def test_tiny_norm_stays_exact(self):
+        # Squaring 3e-162 gives a subnormal float, which skews a naive norm.
+        assert cosine([3.3341784415318333e-162], [1.0]) == 1.0
+        assert cosine([3e-162, -3e-162], [-1.0, 1.0]) == pytest.approx(-1.0, abs=1e-12)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
