@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DecisionCase
-from .errors import DimensionMismatch, DuplicateId, EmptyInput
+from .errors import DuplicateId, EmptyInput
 from .textproc import cosine
 
 SNIPPET_LENGTH = 80
@@ -27,39 +27,6 @@ class CaseIndex:
 
     by_subheading: dict[str, list[IndexedCase]]
     dimension: int
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "by_subheading": {
-                sub: [
-                    {"id": c.case_id, "embedding": c.embedding.tolist(), "snippet": c.snippet}
-                    for c in cases
-                ]
-                for sub, cases in sorted(self.by_subheading.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CaseIndex":
-        dimension = int(data["dimension"])
-
-        def indexed(record: dict) -> IndexedCase:
-            embedding = np.array(record["embedding"], dtype=float)
-            if embedding.shape != (dimension,):
-                raise DimensionMismatch(
-                    f"case {record['id']!r} embedding has shape {embedding.shape}, "
-                    f"index dimension is {dimension}"
-                )
-            return IndexedCase(record["id"], embedding, record["snippet"])
-
-        return cls(
-            by_subheading={
-                sub: [indexed(record) for record in cases]
-                for sub, cases in data["by_subheading"].items()
-            },
-            dimension=dimension,
-        )
 
 
 def _snippet(description: str) -> str:

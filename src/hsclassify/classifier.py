@@ -8,9 +8,7 @@ snapshot from the best validation epoch.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -110,10 +108,6 @@ class SoftmaxClassifier:
     def input_dimension(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[1]
-
     def logits(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.input_dimension,):
@@ -124,32 +118,6 @@ class SoftmaxClassifier:
 
     def predict_proba(self, x) -> np.ndarray:
         return _softmax(self.logits(x))
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.input_dimension,
-            "num_classes": self.num_classes,
-            "labels": self.labels,
-            "weights": self.weights.tolist(),
-            "bias": self.bias.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SoftmaxClassifier":
-        return cls(np.array(data["weights"]), np.array(data["bias"]), data["labels"])
-
-    def save(self, path: str | Path, config: TrainConfig | None = None) -> None:
-        payload = self.to_dict()
-        if config is not None:
-            payload["train_config"] = asdict(config)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SoftmaxClassifier":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 def top_k(probabilities, k: int) -> list[tuple[int, float]]:

@@ -43,6 +43,10 @@ class CliConfig:
     test_months: int
     pipeline: PipelineConfig
 
+    def __post_init__(self):
+        if self.validation_months < 1 or self.test_months < 1:
+            raise ValueError("validation_months and test_months must be >= 1")
+
 
 def _load_config(config_path: str | None, seed: int | None, output_format: str | None) -> CliConfig:
     if config_path is None:

@@ -15,8 +15,11 @@ the stage-3 validation inputs of ``fit`` all read that trace.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import warnings
+import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
@@ -26,7 +29,7 @@ import numpy as np
 from . import __version__
 from .alignment import KeySentenceRetriever, RetrievalConfig, RetrievalResult
 from .calibration import TemperatureScaler, fit_temperature
-from .case_retrieval import CaseIndex, build_index, similar_cases, snippet_for
+from .case_retrieval import CaseIndex, IndexedCase, build_index, similar_cases, snippet_for
 from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, top_k, train
 from .corpus import DecisionCase, LabelSpace, ManualEntry, build_label_space
 from .encoder import PooledEncoder, encode_with_evidence
@@ -34,7 +37,7 @@ from .errors import BadK, DimensionMismatch, EmptyInput, HsClassifyError, Untrai
 from .errors import MissingManualWarning
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, compute_idf, tokenize
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -262,17 +265,6 @@ class PipelineModel:
             trace.ablation_logits = self.ablation_classifier.logits(trace.ablation_vector)
         return trace
 
-    def heading_logits(self, description: str) -> np.ndarray:
-        return self.infer(description).heading_logits
-
-    def heading_probabilities(self, description: str) -> np.ndarray:
-        """Calibrated heading probabilities over the full heading space."""
-        return self.infer(description).heading_probabilities
-
-    def subheading_probabilities(self, description: str) -> np.ndarray:
-        """Calibrated subheading probabilities along the inference path."""
-        return self.infer(description).subheading_probabilities
-
     # -- prediction --------------------------------------------------------
 
     def predict(self, description: str, k: int = 3) -> CandidateReport:
@@ -480,6 +472,8 @@ def refit_temperatures(model: PipelineModel, validation_cases: Sequence[Decision
 
 
 # -- checkpointing -----------------------------------------------------------
+# Only this section knows the checkpoint layout. Each fact is stored once, and
+# the manifest holds a sha256 of every other file and of itself.
 
 
 def _from_dict(cls, data):
@@ -493,133 +487,176 @@ def _from_dict(cls, data):
     return data
 
 
-def _config_hashes(config: dict) -> dict:
-    return {"pipeline": _hash_json(config), "retrieval": _hash_json(config["retrieval"])}
+def _canonical(data) -> bytes:
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _hash_json(data) -> str:
-    return hashlib.sha256(
-        json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_json(path: Path, data) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+def _npz(**arrays: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)  # fixed zip member dates: the bytes depend on the arrays alone
+    return buffer.getvalue()
+
+
+def _arrays(data: bytes, *names: str) -> list:
+    """The named arrays of ``.npz`` bytes; str arrays come back as lists of str."""
+    arrays = np.load(io.BytesIO(data), allow_pickle=False)
+    return [a.tolist() if a.dtype.kind == "U" else a for a in map(arrays.__getitem__, names)]
 
 
 def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
-    """Persist a fitted pipeline as a self-contained checkpoint directory."""
+    """Write a fitted pipeline as a self-contained checkpoint directory.
+
+    Float arrays go to ``.npz`` files; ``manifest.json`` holds the config, the
+    temperatures, the label space, each file's sha256 and its own. One model
+    always saves to the same bytes.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    model.heading_classifier.save(directory / "heading_classifier.json", model.config.heading_train)
-    model.subheading_classifier.save(
-        directory / "subheading_classifier.json", model.config.subheading_train
-    )
-    files = ["heading_classifier.json", "subheading_classifier.json"]
-    if model.ablation_classifier is not None:
-        model.ablation_classifier.save(
-            directory / "ablation_classifier.json", model.config.subheading_train
-        )
-        files.append("ablation_classifier.json")
-
-    _write_json(directory / "case_index.json", model.case_index.to_dict())
-    _write_json(directory / "idf.json", model.encoder.idf.to_dict())
-    model.encoder.vectors.save(directory / "vectors.txt")
-    with open(directory / "stopwords.txt", "w", encoding="utf-8") as handle:
-        for word in sorted(model.retriever.stopwords):
-            handle.write(word + "\n")
-    with open(directory / "manual.jsonl", "w", encoding="utf-8") as handle:
-        for heading, entry in model.manuals.items():
-            record = {"heading": heading, "sentences": list(entry.sentences)}
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-    files.extend(["case_index.json", "idf.json", "vectors.txt", "stopwords.txt", "manual.jsonl"])
-
-    config_dict = asdict(model.config)
+    heads = {"heading": model.heading_classifier, "subheading": model.subheading_classifier,
+             "ablation": model.ablation_classifier}
+    rows = [(sub, case) for sub, cases in sorted(model.case_index.by_subheading.items())
+            for case in cases]
+    vectors, idf = model.encoder.vectors, model.encoder.idf
+    tokens = sorted(vectors.tokens())
+    files = {
+        **{f"{stage}_classifier.npz": _npz(weights=head.weights, bias=head.bias)
+           for stage, head in heads.items() if head is not None},
+        "case_index.npz": _npz(
+            embeddings=np.array([case.embedding for _, case in rows]),
+            subheadings=np.array([sub for sub, _ in rows]),
+            ids=np.array([case.case_id for _, case in rows]),
+            snippets=np.array([case.snippet for _, case in rows]),
+        ),
+        "vectors.npz": _npz(
+            tokens=np.array(tokens), vectors=np.array([vectors.get(t) for t in tokens])
+        ),
+        "idf.json": _canonical(
+            {"document_count": idf.document_count, "values": dict(sorted(idf.items()))}
+        ) + b"\n",
+        "manual.jsonl": b"".join(
+            _canonical({"heading": heading, "sentences": list(entry.sentences)}) + b"\n"
+            for heading, entry in model.manuals.items()
+        ),
+        "stopwords.txt": "".join(w + "\n" for w in sorted(model.retriever.stopwords)).encode(),
+    }
     manifest = {
         "format_version": CHECKPOINT_FORMAT,
         "package_version": __version__,
-        "config": config_dict,
-        "config_hashes": _config_hashes(config_dict),
+        "config": asdict(model.config),
         "heading_temperature": model.heading_scaler.temperature,
         "subheading_temperature": model.subheading_scaler.temperature,
-        "ablation_temperature": (
-            model.ablation_scaler.temperature if model.ablation_scaler is not None else None
-        ),
+        "ablation_temperature": getattr(model.ablation_scaler, "temperature", None),
         "label_space": {
-            "headings": list(model.label_space.headings),
-            "subheadings": list(model.label_space.subheadings),
+            key: list(getattr(model.label_space, key)) for key in ("headings", "subheadings")
         },
-        "files": sorted(files),
+        "files": {name: _sha256(data) for name, data in files.items()},
     }
-    _write_json(directory / "manifest.json", manifest)
+    manifest["sha256"] = _sha256(_canonical(manifest))
+    files["manifest.json"] = _canonical(manifest) + b"\n"
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
 
 
-def _read(path: Path, parse: Callable[[Path], object]):
-    """``parse(path)`` for a checkpoint file; any error it raises names the file."""
+@contextmanager
+def _read(path: Path):
+    """Re-raise any error of the block as a package error that names ``path``."""
     try:
-        return parse(path)
+        yield
     except HsClassifyError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, EOFError,
+            zipfile.BadZipFile) as exc:
         raise UntrainedModel(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _json(path: Path):
-    return json.loads(path.read_text(encoding="utf-8"))
+def _manifest(data: bytes) -> dict:
+    """The manifest in ``data``, once its format and its own sha256 check out."""
+    manifest = json.loads(data)
+    version = manifest.get("format_version")
+    if version != CHECKPOINT_FORMAT:
+        raise UntrainedModel(f"unsupported checkpoint format {version}; retrain")
+    digest = manifest.pop("sha256")
+    # Only canonical bytes pass, so no byte lies outside what the hash covers.
+    canonical = data == _canonical({**manifest, "sha256": digest}) + b"\n"
+    if not canonical or _sha256(_canonical(manifest)) != digest:
+        raise UntrainedModel("content does not match its sha256")
+    return manifest
+
+
+def _case_index(data: bytes) -> CaseIndex:
+    embeddings, *columns = _arrays(data, "embeddings", "subheadings", "ids", "snippets")
+    counts = [len(embeddings), *map(len, columns)]
+    if embeddings.ndim != 2 or len(set(counts)) != 1:
+        raise DimensionMismatch(f"row counts of embeddings, subheadings, ids, snippets: {counts}")
+    by_subheading: dict[str, list[IndexedCase]] = {}
+    for subheading, case_id, snippet, embedding in zip(*columns, embeddings):
+        by_subheading.setdefault(subheading, []).append(IndexedCase(case_id, embedding, snippet))
+    return CaseIndex(by_subheading, dimension=embeddings.shape[1])
 
 
 def load_pipeline(directory: str | Path) -> PipelineModel:
-    """Load a checkpoint directory written by save_pipeline; errors name the bad file."""
+    """Load a checkpoint directory written by ``save_pipeline``.
+
+    Each file is read once. The manifest's own sha256 and every file's
+    sha256 are checked before any other file is parsed; a checkpoint of
+    another format must be retrained. Every error is a package error that
+    names the bad file, or the directory when two files disagree.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise UntrainedModel(f"no pipeline checkpoint at {directory}")
-    manifest = _read(manifest_path, _json)
-    if manifest.get("format_version") != CHECKPOINT_FORMAT:
-        raise UntrainedModel(f"unsupported checkpoint format {manifest.get('format_version')}")
-    for name in manifest.get("files", []):
-        if not (directory / name).exists():
-            raise UntrainedModel(f"checkpoint at {directory} is incomplete: missing {name}")
+    with _read(manifest_path):
+        manifest = _manifest(manifest_path.read_bytes())
+        config = _from_dict(PipelineConfig, manifest["config"])
+        label_space = LabelSpace(**{key: tuple(v) for key, v in manifest["label_space"].items()})
+        scalers = {
+            f"{stage}_scaler": TemperatureScaler(manifest[f"{stage}_temperature"])
+            for stage in ("heading", "subheading", "ablation")
+            if manifest[f"{stage}_temperature"] is not None
+        }
+        digests = dict(manifest["files"])
 
-    if manifest.get("config_hashes") != _config_hashes(manifest["config"]):
-        raise UntrainedModel(f"{manifest_path}: config does not match its config_hashes")
-    config = _from_dict(PipelineConfig, manifest["config"])
-    vectors = _read(directory / "vectors.txt", WordVectorTable.load)
-    idf = _read(directory / "idf.json", lambda path: IdfTable.from_dict(_json(path)))
-    stopwords = _read(
-        directory / "stopwords.txt",
-        lambda path: frozenset(w.strip() for w in path.read_text("utf-8").split("\n") if w.strip()),
-    )
+    data = {}
+    for name, digest in digests.items():
+        with _read(directory / name):
+            data[name] = (directory / name).read_bytes()
+            if _sha256(data[name]) != digest:
+                raise UntrainedModel(f"content does not match its sha256 in {manifest_path.name}")
 
-    from .corpus import load_manual  # local import to avoid cycle at module load
+    def parse(name: str, parser: Callable[[bytes], object]):
+        with _read(directory / name):
+            return parser(data[name])
 
-    manuals = _read(directory / "manual.jsonl", load_manual)
-    encoder = PooledEncoder(vectors, idf)
-    retriever = KeySentenceRetriever(vectors, idf, stopwords, config.retrieval)
+    def classifier(name: str, labels: Sequence[str]) -> SoftmaxClassifier:
+        return parse(name, lambda d: SoftmaxClassifier(*_arrays(d, "weights", "bias"), labels))
 
-    heading_clf = _read(directory / "heading_classifier.json", SoftmaxClassifier.load)
-    subheading_clf = _read(directory / "subheading_classifier.json", SoftmaxClassifier.load)
-    ablation_path = directory / "ablation_classifier.json"
-    ablation_clf = _read(ablation_path, SoftmaxClassifier.load) if ablation_path.exists() else None
-    case_index = _read(directory / "case_index.json", lambda path: CaseIndex.from_dict(_json(path)))
-
-    label_space = LabelSpace(**{key: tuple(v) for key, v in manifest["label_space"].items()})
-    ablation_temp = manifest.get("ablation_temperature")
-    return PipelineModel(
-        encoder=encoder,
-        heading_classifier=heading_clf,
-        subheading_classifier=subheading_clf,
-        manuals=manuals,
-        retriever=retriever,
-        heading_scaler=TemperatureScaler(manifest["heading_temperature"]),
-        subheading_scaler=TemperatureScaler(manifest["subheading_temperature"]),
-        label_space=label_space,
-        case_index=case_index,
-        config=config,
-        ablation_classifier=ablation_clf,
-        ablation_scaler=TemperatureScaler(ablation_temp) if ablation_temp is not None else None,
-    )
+    vectors = parse("vectors.npz", lambda d: WordVectorTable(
+        dict(zip(*_arrays(d, "tokens", "vectors"), strict=True))))
+    idf = parse("idf.json", lambda d: IdfTable(**json.loads(d)))
+    stopwords = parse("stopwords.txt", lambda d: frozenset(d.decode().split("\n")[:-1]))
+    manuals = parse("manual.jsonl", lambda d: {
+        r["heading"]: ManualEntry(r["heading"], tuple(r["sentences"]))
+        for r in map(json.loads, d.decode().splitlines())
+    })
+    labels = dict(heading=label_space.headings, subheading=label_space.subheadings,
+                  ablation=label_space.subheadings)
+    heads = {f"{stage}_classifier": classifier(f"{stage}_classifier.npz", stage_labels)
+             for stage, stage_labels in labels.items() if f"{stage}_classifier.npz" in data}
+    case_index = parse("case_index.npz", _case_index)
+    with _read(directory):
+        return PipelineModel(
+            encoder=PooledEncoder(vectors, idf),
+            manuals=manuals,
+            retriever=KeySentenceRetriever(vectors, idf, stopwords, config.retrieval),
+            label_space=label_space,
+            case_index=case_index,
+            config=config,
+            **heads,
+            **scalers,
+        )

@@ -99,12 +99,6 @@ class WordVectorTable:
                 vectors[token] = values
         return cls(vectors)
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            for token in sorted(self._vectors):
-                values = " ".join(repr(float(x)) for x in self._vectors[token])
-                handle.write(f"{token} {values}\n")
-
 
 class IdfTable:
     """Inverse document frequencies: idf(t) = ln(N / df(t)).
@@ -124,13 +118,6 @@ class IdfTable:
 
     def items(self):
         return self._values.items()
-
-    def to_dict(self) -> dict:
-        return {"document_count": self.document_count, "values": dict(sorted(self._values.items()))}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IdfTable":
-        return cls(int(data["document_count"]), {k: float(v) for k, v in data["values"].items()})
 
 
 def compute_idf(documents: list[list[str]]) -> IdfTable:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
+import io
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hsclassify.corpus import DecisionCase, ManualEntry, Origin, parse_hs_code
@@ -69,3 +73,31 @@ def write_jsonl(path, records) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record) + "\n")
+
+
+def _canonical(data) -> bytes:
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+def rehash_checkpoint(checkpoint: Path) -> None:
+    """Re-sign an edited checkpoint: each file's sha256, then the manifest's own."""
+    path = checkpoint / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["sha256"]
+    manifest["files"] = {
+        name: hashlib.sha256((checkpoint / name).read_bytes()).hexdigest()
+        for name in manifest["files"]
+    }
+    manifest["sha256"] = hashlib.sha256(_canonical(manifest)).hexdigest()
+    path.write_bytes(_canonical(manifest) + b"\n")
+
+
+def edit_checkpoint_arrays(checkpoint: Path, name: str, edit) -> None:
+    """Replace the arrays of ``name`` by ``edit(arrays)`` and re-sign the checkpoint."""
+    path = checkpoint / name
+    with np.load(io.BytesIO(path.read_bytes()), allow_pickle=False) as loaded:
+        arrays = dict(loaded)
+    buffer = io.BytesIO()
+    np.savez(buffer, **edit(arrays))
+    path.write_bytes(buffer.getvalue())
+    rehash_checkpoint(checkpoint)

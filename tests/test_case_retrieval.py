@@ -7,7 +7,7 @@ import pytest
 
 from hsclassify.case_retrieval import CaseIndex, IndexedCase, build_index, similar_cases
 from hsclassify.encoder import PooledEncoder, encode_with_evidence
-from hsclassify.errors import DimensionMismatch, DuplicateId, EmptyInput
+from hsclassify.errors import DuplicateId, EmptyInput
 from hsclassify.textproc import IdfTable, WordVectorTable
 
 from conftest import make_case
@@ -63,23 +63,6 @@ class TestBuildIndex:
     def test_empty_input(self, encoder):
         with pytest.raises(EmptyInput):
             build_index([], [])
-
-    def test_roundtrip_through_dict(self, encoder):
-        index = build_index(ten_cases(), embedded(ten_cases(), encoder))
-        loaded = CaseIndex.from_dict(index.to_dict())
-        assert set(loaded.by_subheading) == set(index.by_subheading)
-        for sub in index.by_subheading:
-            for a, b in zip(index.by_subheading[sub], loaded.by_subheading[sub]):
-                assert a.case_id == b.case_id
-                assert np.array_equal(a.embedding, b.embedding)
-                assert a.snippet == b.snippet
-
-    def test_from_dict_rejects_wrong_embedding_length(self, encoder):
-        data = build_index(ten_cases(), embedded(ten_cases(), encoder)).to_dict()
-        bucket = next(iter(data["by_subheading"].values()))
-        bucket[0]["embedding"] = bucket[0]["embedding"][:-1]
-        with pytest.raises(DimensionMismatch, match=bucket[0]["id"]):
-            CaseIndex.from_dict(data)
 
 
 class TestSimilarCases:

@@ -211,24 +211,6 @@ class TestTrain:
             train([np.zeros(2)], [0, 1], [], [], TrainConfig(), ["a", "b"])
 
 
-class TestCheckpoint:
-    def test_roundtrip_is_exact(self, tmp_path):
-        inputs, labels = separable_blobs(seed=4)
-        clf, _ = train(inputs, labels, [], [], TrainConfig(epochs=5, seed=1), ["a", "b"])
-        path = tmp_path / "clf.json"
-        clf.save(path, TrainConfig(epochs=5, seed=1))
-        loaded = SoftmaxClassifier.load(path)
-        assert np.array_equal(loaded.weights, clf.weights)
-        assert np.array_equal(loaded.bias, clf.bias)
-        assert loaded.labels == clf.labels
-
-    def test_save_is_deterministic(self, tmp_path):
-        clf = SoftmaxClassifier(np.array([[0.1, -0.7]]), np.array([0.0, 2.5]), ["x", "y"])
-        clf.save(tmp_path / "a.json")
-        clf.save(tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

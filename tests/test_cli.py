@@ -12,6 +12,8 @@ from click.testing import CliRunner
 from hsclassify.cli import main
 from hsclassify.pipeline import CandidateReport
 
+from conftest import edit_checkpoint_arrays
+
 SMALL_SYNTH = [
     "--headings", "4",
     "--subheadings-per-heading", "2",
@@ -19,6 +21,17 @@ SMALL_SYNTH = [
     "--validation-per-subheading", "2",
     "--test-per-subheading", "2",
     "--dimension", "16",
+]
+
+CHECKPOINT_FILES = [
+    "manifest.json",
+    "heading_classifier.npz",
+    "subheading_classifier.npz",
+    "case_index.npz",
+    "idf.json",
+    "vectors.npz",
+    "stopwords.txt",
+    "manual.jsonl",
 ]
 
 
@@ -77,10 +90,9 @@ class TestTrainCommand:
     def test_checkpoint_structure(self, trained_dir):
         checkpoint = trained_dir / "checkpoint"
         names = {p.name for p in checkpoint.iterdir()}
-        assert "manifest.json" in names
-        assert "heading_classifier.json" in names
-        assert "subheading_classifier.json" in names
-        assert "case_index.json" in names
+        assert set(CHECKPOINT_FILES) <= names
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        assert sorted(manifest["files"]) == sorted(CHECKPOINT_FILES[1:])
 
     def test_missing_manual_file_exit_2(self, runner, corpus_dir, tmp_path):
         # Paths resolve relative to the config file, so point the good inputs
@@ -342,20 +354,33 @@ class TestTrainVariants:
             main, ["--config", str(path), "--seed", "13", "train", "--with-ablation"]
         )
         assert result.exit_code == 0, result.output
-        assert (tmp_path / "ckpt-abl" / "ablation_classifier.json").exists()
+        assert (tmp_path / "ckpt-abl" / "ablation_classifier.npz").exists()
+        manifest = json.loads((tmp_path / "ckpt-abl" / "manifest.json").read_text())
+        assert "ablation_classifier.npz" in manifest["files"]
 
 
 def truncate_case_index(checkpoint: Path) -> None:
-    path = checkpoint / "case_index.json"
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
+    path = checkpoint / "case_index.npz"
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
 
 
-def shorten_one_embedding(checkpoint: Path) -> None:
-    path = checkpoint / "case_index.json"
-    data = json.loads(path.read_text())
-    next(iter(data["by_subheading"].values()))[0]["embedding"].pop()
-    path.write_text(json.dumps(data))
+def drop_one_case_id(checkpoint: Path) -> None:
+    edit_checkpoint_arrays(
+        checkpoint, "case_index.npz", lambda arrays: {**arrays, "ids": arrays["ids"][1:]}
+    )
+
+
+def delete_heading_temperature(checkpoint: Path) -> None:
+    path = checkpoint / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["heading_temperature"]
+    path.write_text(json.dumps(manifest))
+
+
+def downgrade_to_format_1(checkpoint: Path) -> None:
+    path = checkpoint / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 1}))
 
 
 def delete_idf(checkpoint: Path) -> None:
@@ -368,12 +393,31 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "corrupt, bad_file",
         [
-            (truncate_case_index, "case_index.json"),
-            (shorten_one_embedding, "case_index.json"),
+            (truncate_case_index, "case_index.npz"),
+            (drop_one_case_id, "case_index.npz"),
             (delete_idf, "idf.json"),
+            (delete_heading_temperature, "manifest.json"),
+            (downgrade_to_format_1, "manifest.json: unsupported checkpoint format 1; retrain"),
         ],
     )
     def test_corrupt_checkpoint_exit_1(self, runner, trained_dir, tmp_path, corrupt, bad_file):
+        self.assert_predict_names(runner, trained_dir, tmp_path, corrupt, bad_file)
+
+    @pytest.mark.parametrize("name", CHECKPOINT_FILES)
+    def test_flipped_byte_exit_1(self, runner, trained_dir, tmp_path, name):
+        def flip(checkpoint: Path) -> None:
+            data = bytearray((checkpoint / name).read_bytes())
+            # The last ASCII letter or digit: content rather than syntax, so
+            # only a hash can tell the flip.
+            index = max(i for i in range(len(data)) if data[i : i + 1].isalnum())
+            data[index] ^= 0x01
+            (checkpoint / name).write_bytes(bytes(data))
+
+        self.assert_predict_names(runner, trained_dir, tmp_path, flip, name)
+
+    @staticmethod
+    def assert_predict_names(runner, trained_dir, tmp_path, corrupt, bad_file) -> None:
+        """``predict`` on a corrupted copy of the checkpoint prints one error naming the file."""
         checkpoint = tmp_path / "ckpt"
         shutil.copytree(trained_dir / "checkpoint", checkpoint)
         corrupt(checkpoint)
@@ -404,3 +448,13 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert str(path) in result.output
+
+    @pytest.mark.parametrize("key", ["validation_months", "test_months"])
+    def test_zero_month_window_exit_2(self, runner, corpus_dir, tmp_path, key):
+        path = write_config(
+            corpus_dir, tmp_path / "config.json", checkpoint_dir=str(tmp_path), **{key: 0}
+        )
+        result = runner.invoke(main, ["--config", str(path), "train"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"config file {path} is invalid" in result.output

@@ -6,6 +6,7 @@ import copy
 import json
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from hsclassify.pipeline import (
 )
 from hsclassify.synth import SynthConfig, generate
 
-from conftest import make_case
+from conftest import edit_checkpoint_arrays, make_case
 
 SMALL = SynthConfig(
     headings=6,
@@ -177,7 +178,7 @@ class TestPredict:
     def test_calibration_preserves_ranking(self, model, small_corpus):
         _, split = small_corpus
         description = split.test[2].description
-        logits = model.heading_logits(description)
+        logits = model.infer(description).heading_logits
         raw_order = list(np.argsort(-logits, kind="stable"))
         report = model.predict(description, k=3)
         calibrated = [model.label_space.heading_index[c.heading] for c in report.heading_candidates]
@@ -226,19 +227,29 @@ class TestCheckpoint:
     def test_checkpoint_structure(self, model, tmp_path):
         save_pipeline(model, tmp_path / "ckpt")
         names = {p.name for p in (tmp_path / "ckpt").iterdir()}
-        assert {
+        assert names == {
             "manifest.json",
-            "heading_classifier.json",
-            "subheading_classifier.json",
-            "case_index.json",
+            "heading_classifier.npz",
+            "subheading_classifier.npz",
+            "case_index.npz",
             "idf.json",
-            "vectors.txt",
+            "vectors.npz",
             "stopwords.txt",
             "manual.jsonl",
-        } <= names
+        }
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert manifest["format_version"] == 1
-        assert "config_hashes" in manifest
+        assert manifest["format_version"] == 2
+        assert set(manifest["files"]) == names - {"manifest.json"}
+        assert "config_hashes" not in manifest
+
+    def test_benchmark_checkpoint_metrics_name_saved_files(self, model, tmp_path):
+        # The benchmark names one size metric after each checkpoint file stem.
+        bench = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+        prefix = "pipeline.checkpoint."
+        named = {m["name"][len(prefix): -len("_mb")] for m in bench["per_layer"]
+                 if m["name"].startswith(prefix)}
+        save_pipeline(model, tmp_path / "ckpt")
+        assert named and named <= {p.name.rsplit(".", 1)[0] for p in (tmp_path / "ckpt").iterdir()}
 
     def test_missing_checkpoint_raises_untrained(self, tmp_path):
         with pytest.raises(UntrainedModel):
@@ -246,30 +257,36 @@ class TestCheckpoint:
 
     def test_incomplete_checkpoint_raises_untrained(self, model, tmp_path):
         save_pipeline(model, tmp_path / "ckpt")
-        (tmp_path / "ckpt" / "case_index.json").unlink()
-        with pytest.raises(UntrainedModel, match="case_index.json"):
+        (tmp_path / "ckpt" / "case_index.npz").unlink()
+        with pytest.raises(UntrainedModel, match="case_index.npz"):
             load_pipeline(tmp_path / "ckpt")
 
-    def test_truncated_case_embedding_rejected_at_load(self, model, tmp_path):
+    def test_case_index_row_counts_checked_at_load(self, model, tmp_path):
         save_pipeline(model, tmp_path / "ckpt")
-        path = tmp_path / "ckpt" / "case_index.json"
-        data = json.loads(path.read_text())
-        bucket = next(iter(data["by_subheading"].values()))
-        bucket[0]["embedding"] = bucket[0]["embedding"][:5]
-        path.write_text(json.dumps(data))
-        with pytest.raises(DimensionMismatch, match=bucket[0]["id"]):
+        edit_checkpoint_arrays(
+            tmp_path / "ckpt", "case_index.npz", lambda arrays: {**arrays, "ids": arrays["ids"][1:]}
+        )
+        with pytest.raises(DimensionMismatch, match="case_index.npz: row counts"):
             load_pipeline(tmp_path / "ckpt")
 
     def test_case_index_of_other_dimension_rejected_at_load(self, model, tmp_path):
         save_pipeline(model, tmp_path / "ckpt")
-        path = tmp_path / "ckpt" / "case_index.json"
-        data = json.loads(path.read_text())
-        data["dimension"] = 5
-        for bucket in data["by_subheading"].values():
-            for case in bucket:
-                case["embedding"] = case["embedding"][:5]
-        path.write_text(json.dumps(data))
+        edit_checkpoint_arrays(
+            tmp_path / "ckpt",
+            "case_index.npz",
+            lambda arrays: {**arrays, "embeddings": arrays["embeddings"][:, :5]},
+        )
         with pytest.raises(DimensionMismatch, match="case index dimension 5"):
+            load_pipeline(tmp_path / "ckpt")
+
+    def test_resigned_arrays_are_parsed_without_pickles(self, model, tmp_path):
+        save_pipeline(model, tmp_path / "ckpt")
+        edit_checkpoint_arrays(
+            tmp_path / "ckpt",
+            "heading_classifier.npz",
+            lambda arrays: {key: np.array([object()], dtype=object) for key in arrays},
+        )
+        with pytest.raises(UntrainedModel, match="heading_classifier.npz: ValueError"):
             load_pipeline(tmp_path / "ckpt")
 
     @pytest.mark.parametrize(
@@ -444,8 +461,8 @@ class TestEvaluate:
         _, split = small_corpus
         for case in split.test[:10]:
             for probs in (
-                model.heading_probabilities(case.description),
-                model.subheading_probabilities(case.description),
+                model.infer(case.description).heading_probabilities,
+                model.infer(case.description).subheading_probabilities,
             ):
                 assert probs.min() >= 0.0
                 assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -507,7 +524,7 @@ class TestVariants:
         corpus, split = small_corpus
         config = PipelineConfig(**FAST_TRAIN, evidence_per_candidate=True)
         pipeline = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        probs = pipeline.subheading_probabilities(split.test[0].description)
+        probs = pipeline.infer(split.test[0].description).subheading_probabilities
         assert probs.min() >= 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         report = pipeline.predict(split.test[0].description, k=3)
