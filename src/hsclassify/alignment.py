@@ -5,11 +5,17 @@ similarity between their word vectors; sentence scores sum the keywords'
 idf-weighted alignments. Sentences are selected greedily against the still
 uncovered keywords until every keyword is covered, a selection would cover
 nothing new, or the sentence budget runs out.
+
+Each greedy step ranks every sentence approximately from one keyword x
+sentence matrix (one matrix product per query) and rescores with
+``alignment_score`` only the sentences within ``PREFILTER_MARGIN`` of the
+best, so the selection and its scores equal scoring every sentence exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -17,6 +23,18 @@ import numpy as np
 from .corpus import ManualEntry
 from .errors import EmptyManual
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, content_keywords, tokenize
+
+
+# The prefilter and ``alignment_score`` use the same unit rows (``_unit_rows``
+# is row-wise), so their scores of a sentence differ only in the rounding of
+# the dot products and of the idf-weighted sum: by at most (2d + 2k + 2)uR
+# times the summed |idf| of the k uncovered keywords (u = 2**-53, d the vector
+# dimension, R >= 1 bounding |keyword row| * |token row|, which exceeds 1 only
+# for vectors whose squared components are subnormal). The dot-product bound
+# with Cauchy-Schwarz gives this; the max over tokens and the clamp at 0 keep
+# it. It is below PREFILTER_MARGIN times R and the summed |idf| for d + k
+# under four million.
+PREFILTER_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,8 +107,27 @@ def alignment_score(
     return float((weights * best).sum())
 
 
+@dataclass(frozen=True)
+class _PreparedEntry:
+    """A manual entry's sentence tokens and, stacked in order, their unit rows.
+
+    ``starts[j]`` is the first row of sentence ``nonempty[j]``, the j-th
+    sentence with tokens; ``reach`` is the largest row norm.
+    """
+
+    tokens: list[list[str]]
+    rows: np.ndarray
+    nonempty: np.ndarray
+    starts: np.ndarray
+    reach: float
+
+
 class KeySentenceRetriever:
-    """Binds vector, idf and stopword tables to the retrieval procedure."""
+    """Binds vector, idf and stopword tables to the retrieval procedure.
+
+    The first retrieval from a manual entry tokenizes its sentences and keeps
+    them with their vector rows, keyed by the entry.
+    """
 
     def __init__(
         self,
@@ -103,6 +140,40 @@ class KeySentenceRetriever:
         self.idf = idf
         self.stopwords = frozenset(stopwords)
         self.config = config
+        self._entries: dict[ManualEntry, _PreparedEntry] = {}
+
+    def _prepared(self, entry: ManualEntry) -> _PreparedEntry:
+        prepared = self._entries.get(entry)
+        if prepared is None:
+            tokens = [tokenize(s) for s in entry.sentences]
+            lengths = np.array([len(t) for t in tokens])
+            rows = _unit_rows(chain.from_iterable(tokens), self.vectors)
+            prepared = self._entries[entry] = _PreparedEntry(
+                tokens=tokens,
+                rows=rows,
+                nonempty=np.flatnonzero(lengths),
+                starts=(np.cumsum(lengths) - lengths)[lengths > 0],
+                reach=float(np.linalg.norm(rows, axis=1).max(initial=0.0)),
+            )
+        return prepared
+
+    def _weighted_alignments(
+        self, keywords: list[str], prepared: _PreparedEntry
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sentence x keyword idf-weighted clamped best cosines, and each keyword's error scale.
+
+        Summed over a keyword subset, a row is within ``PREFILTER_MARGIN``
+        times max(1, the subset's error scales) of ``alignment_score``.
+        """
+        rows = _unit_rows(keywords, self.vectors)
+        best = np.zeros((len(prepared.tokens), len(keywords)))
+        if keywords and len(prepared.nonempty):
+            best[prepared.nonempty] = np.maximum.reduceat(
+                prepared.rows @ rows.T, prepared.starts, axis=0
+            )
+        weights = np.array([self.idf.value(t) for t in keywords])
+        reach = max(1.0, prepared.reach * np.linalg.norm(rows, axis=1).max(initial=0.0))
+        return np.maximum(best, 0.0) * weights, np.abs(weights) * reach
 
     def query_keywords(self, description: str) -> set[str]:
         return content_keywords(
@@ -114,16 +185,21 @@ class KeySentenceRetriever:
 
         Each step scores every unselected sentence against the currently
         uncovered keywords only and takes the argmax (ties to the lowest
-        sentence index). A keyword counts as covered once its best cosine
-        within a selected sentence reaches the coverage threshold. Selection
-        stops when all keywords are covered, the argmax sentence would cover
-        nothing new (it is not taken), or ``max_sentences`` is reached.
+        sentence index). ``alignment_score`` rescores only the sentences
+        within the prefilter margin of the best approximate score. A keyword
+        counts as covered once its best cosine within a selected sentence
+        reaches the coverage threshold. Selection stops when all keywords are
+        covered, the argmax sentence would cover nothing new (it is not
+        taken), or ``max_sentences`` is reached.
         """
         if not manual_entry.sentences:
             raise EmptyManual(f"manual entry {manual_entry.heading} has no sentences")
 
         keywords = self.query_keywords(description)
-        sentence_tokens = [tokenize(s) for s in manual_entry.sentences]
+        prepared = self._prepared(manual_entry)
+        sentence_tokens = prepared.tokens
+        ordered = sorted(keywords)
+        weighted, error_scale = self._weighted_alignments(ordered, prepared)
 
         result = RetrievalResult(query_keywords=set(keywords), uncovered_keywords=set(keywords))
         remaining = list(range(len(sentence_tokens)))
@@ -134,9 +210,14 @@ class KeySentenceRetriever:
             and len(result.sentences) < self.config.max_sentences
         ):
             uncovered = sorted(result.uncovered_keywords)
+            mask = np.array([t in result.uncovered_keywords for t in ordered], dtype=float)
+            approximate = weighted[remaining] @ mask
+            cut = approximate.max() - PREFILTER_MARGIN * max(1.0, float(error_scale @ mask))
             best_index = -1
             best_score = -1.0
-            for index in remaining:
+            for index, approximate_score in zip(remaining, approximate):
+                if approximate_score < cut:
+                    continue
                 score = alignment_score(uncovered, sentence_tokens[index], self.vectors, self.idf)
                 if score > best_score:
                     best_index, best_score = index, score

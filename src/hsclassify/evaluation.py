@@ -97,6 +97,30 @@ def retrieval_precision_recall(
     )
 
 
+def _manual_token_sets(manuals: Mapping[str, ManualEntry]) -> dict[str, set[str]]:
+    """Each heading's manual tokens, in ascending heading order."""
+    if not manuals:
+        raise EmptyInput("no manual entries")
+    return {
+        heading: {t for sentence in manuals[heading].sentences for t in tokenize(sentence)}
+        for heading in sorted(manuals)
+    }
+
+
+def _rank_by_word_matching(
+    description: str,
+    token_sets: Mapping[str, set[str]],
+    stopwords: frozenset[str] | set[str],
+) -> list[tuple[str, float]]:
+    content = {t for t in tokenize(description) if t not in stopwords}
+    scores = [
+        (heading, len(content & tokens) / len(content) if content else 0.0)
+        for heading, tokens in token_sets.items()
+    ]
+    scores.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scores
+
+
 def word_matching_baseline(
     description: str,
     manuals: Mapping[str, ManualEntry],
@@ -106,21 +130,7 @@ def word_matching_baseline(
 
     Ties (including the all-zero case) order by ascending heading.
     """
-    if not manuals:
-        raise EmptyInput("no manual entries")
-    content = {t for t in tokenize(description) if t not in stopwords}
-    scores = []
-    for heading in sorted(manuals):
-        if content:
-            manual_tokens: set[str] = set()
-            for sentence in manuals[heading].sentences:
-                manual_tokens.update(tokenize(sentence))
-            score = len(content & manual_tokens) / len(content)
-        else:
-            score = 0.0
-        scores.append((heading, score))
-    scores.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scores
+    return _rank_by_word_matching(description, _manual_token_sets(manuals), stopwords)
 
 
 @dataclass
@@ -233,6 +243,8 @@ def evaluate_pipeline(
     recalls: list[float] = []
 
     has_ablation = model.ablation_classifier is not None
+    manual_tokens = _manual_token_sets(manuals)
+    stopwords = model.retriever.stopwords
     for case in test_cases:
         trace = model.infer(case.description, headings=max_k)
         report = model.report(trace, max_k)
@@ -240,9 +252,8 @@ def evaluate_pipeline(
         subheadings = [c.subheading for c in report.subheading_candidates]
         heading_ranked.append(headings)
         subheading_ranked.append(subheadings)
-        baseline_ranked.append(
-            [h for h, _ in word_matching_baseline(case.description, manuals, model.retriever.stopwords)][:max_k]
-        )
+        baseline = _rank_by_word_matching(case.description, manual_tokens, stopwords)
+        baseline_ranked.append([h for h, _ in baseline[:max_k]])
         if has_ablation:
             probs = model.ablation_scaler.probabilities(trace.ablation_logits)
             order = top_k(probs, min(max_k, len(probs)))

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .alignment import KeySentenceRetriever, RetrievalConfig, RetrievalResult
 from .calibration import TemperatureScaler, fit_temperature
-from .case_retrieval import CaseIndex, IndexedCase, build_index, similar_cases, snippet_for
+from .case_retrieval import CaseIndex, build_index, similar_cases
 from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, top_k, train
 from .corpus import DecisionCase, LabelSpace, ManualEntry, build_label_space
 from .encoder import PooledEncoder, encode_with_evidence
@@ -299,10 +299,7 @@ class PipelineModel:
                 SubheadingCandidate(
                     subheading=subheading,
                     score=score,
-                    similar_cases=[
-                        SimilarCase(cid, sim, snippet_for(self.case_index, subheading, cid))
-                        for cid, sim in neighbours
-                    ],
+                    similar_cases=[SimilarCase(*neighbour) for neighbour in neighbours],
                 )
             )
 
@@ -518,18 +515,17 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     heads = {"heading": model.heading_classifier, "subheading": model.subheading_classifier,
              "ablation": model.ablation_classifier}
-    rows = [(sub, case) for sub, cases in sorted(model.case_index.by_subheading.items())
-            for case in cases]
+    buckets = sorted(model.case_index.by_subheading.items())
     vectors, idf = model.encoder.vectors, model.encoder.idf
     tokens = sorted(vectors.tokens())
     files = {
         **{f"{stage}_classifier.npz": _npz(weights=head.weights, bias=head.bias)
            for stage, head in heads.items() if head is not None},
         "case_index.npz": _npz(
-            embeddings=np.array([case.embedding for _, case in rows]),
-            subheadings=np.array([sub for sub, _ in rows]),
-            ids=np.array([case.case_id for _, case in rows]),
-            snippets=np.array([case.snippet for _, case in rows]),
+            embeddings=np.concatenate([bucket.embeddings for _, bucket in buckets]),
+            subheadings=np.array([sub for sub, bucket in buckets for _ in bucket.ids]),
+            ids=np.array([case_id for _, bucket in buckets for case_id in bucket.ids]),
+            snippets=np.array([snippet for _, bucket in buckets for snippet in bucket.snippets]),
         ),
         "vectors.npz": _npz(
             tokens=np.array(tokens), vectors=np.array([vectors.get(t) for t in tokens])
@@ -593,10 +589,7 @@ def _case_index(data: bytes) -> CaseIndex:
     counts = [len(embeddings), *map(len, columns)]
     if embeddings.ndim != 2 or len(set(counts)) != 1:
         raise DimensionMismatch(f"row counts of embeddings, subheadings, ids, snippets: {counts}")
-    by_subheading: dict[str, list[IndexedCase]] = {}
-    for subheading, case_id, snippet, embedding in zip(*columns, embeddings):
-        by_subheading.setdefault(subheading, []).append(IndexedCase(case_id, embedding, snippet))
-    return CaseIndex(by_subheading, dimension=embeddings.shape[1])
+    return CaseIndex.from_rows(*columns, embeddings)
 
 
 def load_pipeline(directory: str | Path) -> PipelineModel:

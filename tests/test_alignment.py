@@ -7,10 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from hsclassify.alignment import KeySentenceRetriever, RetrievalConfig, alignment_score
+from hsclassify.alignment import (
+    KeySentenceRetriever,
+    RetrievalConfig,
+    RetrievalResult,
+    RetrievedSentence,
+    _best_alignments,
+    alignment_score,
+)
 from hsclassify.corpus import ManualEntry
 from hsclassify.errors import EmptyManual
-from hsclassify.textproc import IdfTable, WordVectorTable
+from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
 
 from oracles import oracle_alignment_score, oracle_retrieve
 
@@ -213,3 +220,174 @@ class TestRetrievalConfig:
             RetrievalConfig(coverage_threshold=0.0)
         with pytest.raises(ValueError):
             RetrievalConfig(coverage_threshold=1.5)
+
+
+class TestMinKeywordIdf:
+    def test_floor_drops_a_keyword_that_would_be_covered(self):
+        axes = np.eye(3)
+        vectors = {"k0": axes[0], "m0": axes[0], "k1": axes[1], "m1": axes[1], "junk": axes[2]}
+        idf_values = {"k0": 0.2, "k1": 1.0, "m0": 1.0, "m1": 1.0, "junk": 1.0}
+        entry = ManualEntry(heading="8541", sentences=("m0 junk", "m1"))
+        unfloored = make_retriever(vectors, idf_values).retrieve("k0 k1", entry)
+        assert [s.index for s in unfloored.sentences] == [1, 0]
+        result = make_retriever(vectors, idf_values, min_keyword_idf=0.5).retrieve("k0 k1", entry)
+        assert result.query_keywords == {"k1"}
+        assert "k0" not in result.covered_keywords | result.uncovered_keywords
+        assert [s.index for s in result.sentences] == [1]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_oracle_on_the_filtered_keywords(self, seed):
+        vectors, idf_values, sentences, keywords = random_instance(seed)
+        floor = float(np.median([idf_values[k] for k in keywords]))
+        kept = {k for k in keywords if idf_values[k] >= floor}
+        retriever = make_retriever(vectors, idf_values, min_keyword_idf=floor)
+        entry = ManualEntry(heading="8541", sentences=tuple(" ".join(s) for s in sentences))
+        result = retriever.retrieve(" ".join(sorted(keywords)), entry)
+        expected = oracle_retrieve(
+            keywords=kept,
+            sentences=sentences,
+            vectors={k: list(map(float, v)) for k, v in vectors.items()},
+            idf=idf_values,
+            default_idf=math.log(4),
+            dim=3,
+            max_sentences=7,
+            coverage_threshold=0.95,
+        )
+        assert result.query_keywords == kept
+        assert [s.index for s in result.sentences] == expected.indices
+        assert result.covered_keywords == expected.covered
+        assert result.uncovered_keywords == expected.uncovered
+
+
+def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: ManualEntry):
+    """The loop the prefilter replaces: ``alignment_score`` on every remaining sentence."""
+    keywords = retriever.query_keywords(description)
+    sentence_tokens = [tokenize(s) for s in entry.sentences]
+    result = RetrievalResult(query_keywords=set(keywords), uncovered_keywords=set(keywords))
+    remaining = list(range(len(sentence_tokens)))
+    while (
+        result.uncovered_keywords
+        and remaining
+        and len(result.sentences) < retriever.config.max_sentences
+    ):
+        uncovered = sorted(result.uncovered_keywords)
+        best_index, best_score = -1, -1.0
+        for index in remaining:
+            score = alignment_score(
+                uncovered, sentence_tokens[index], retriever.vectors, retriever.idf
+            )
+            if score > best_score:
+                best_index, best_score = index, score
+        alignments = _best_alignments(uncovered, sentence_tokens[best_index], retriever.vectors)
+        newly_covered = {
+            t for t, a in zip(uncovered, alignments) if a >= retriever.config.coverage_threshold
+        }
+        if not newly_covered:
+            break
+        result.sentences.append(
+            RetrievedSentence(entry.sentences[best_index], best_index, best_score)
+        )
+        remaining.remove(best_index)
+        result.covered_keywords |= newly_covered
+        result.uncovered_keywords -= newly_covered
+    return result
+
+
+def assert_same_retrieval(retriever, description, entry):
+    got = retriever.retrieve(description, entry)
+    want = scalar_retrieve(retriever, description, entry)
+    # Scores compare with ==: the prefilter must return the reference's very bits.
+    assert [(s.index, s.score, s.text) for s in got.sentences] == [
+        (s.index, s.score, s.text) for s in want.sentences
+    ]
+    assert all(type(s.index) is int for s in got.sentences)
+    assert got.covered_keywords == want.covered_keywords
+    assert got.uncovered_keywords == want.uncovered_keywords
+    assert got.query_keywords == want.query_keywords
+    return got
+
+
+class TestPrefilterIsExact:
+    """The matrix prefilter plus ``alignment_score`` rescoring equals the scalar loop."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_manuals(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        dim = int(rng.choice([3, 16, 50]))
+        vocab = [f"w{i}" for i in range(30)]
+        # Scaled copies of a few directions tie exactly in the true cosine, and
+        # their computed cosines differ by rounding.
+        directions = rng.normal(size=(3, dim))
+        vectors = {}
+        for word in vocab[:-4]:  # the last four words have no vector
+            scale = float(rng.choice([1.0, rng.uniform(0.3, 3.0)]))
+            direction = directions[int(rng.integers(0, 3))]
+            vectors[word] = direction * scale if rng.random() < 0.5 else rng.normal(size=dim)
+        idf_values = {w: float(rng.choice([0.5, 1.0, rng.uniform(0.1, 3.0)])) for w in vocab}
+        sentences = []
+        for _ in range(int(rng.integers(1, 16))):
+            words = rng.choice(vocab, size=int(rng.integers(0, 9))).tolist()
+            sentences.append(" ".join(words) if words else "--")
+        if rng.random() < 0.5:
+            donor = sentences[int(rng.integers(0, len(sentences)))].split()
+            sentences.append(" ".join(reversed(donor)) or "--")
+        retriever = make_retriever(
+            vectors,
+            idf_values,
+            max_sentences=int(rng.integers(1, 8)),
+            coverage_threshold=float(rng.choice([0.5, 0.95, 1.0])),
+        )
+        entry = ManualEntry(heading="8541", sentences=tuple(sentences))
+        for _ in range(10):
+            words = rng.choice(vocab, size=int(rng.integers(0, 10)), replace=False)
+            assert_same_retrieval(retriever, " ".join(words), entry)
+
+    def test_reordered_sentence_ties_to_lowest_index(self):
+        vectors = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "c": [0.6, 0.8, 0.0]}
+        retriever = make_retriever(vectors, {"a": 1.0, "b": 1.0, "c": 1.0})
+        entry = ManualEntry(heading="8541", sentences=("c", "b a c", "a c b", "a b"))
+        got = assert_same_retrieval(retriever, "a b", entry)
+        assert [s.index for s in got.sentences] == [1]
+
+    @pytest.mark.parametrize("seed", [10, 54, 200])
+    def test_scaled_copies_of_one_vector_near_tie(self, seed):
+        # Half the words are scaled copies of one vector, so many sentences tie
+        # in exact arithmetic; on these seeds the matrix product and
+        # ``alignment_score`` rank the tied sentences differently.
+        rng = np.random.default_rng(seed)
+        dim = int(rng.choice([16, 50]))
+        vocab = [f"w{i}" for i in range(20)]
+        base = rng.normal(size=dim)
+        vectors = {
+            word: (base if i % 2 else rng.normal(size=dim)) * rng.uniform(0.3, 3.0)
+            for i, word in enumerate(vocab)
+        }
+        idf_values = {word: float(rng.uniform(0.1, 3.0)) for word in vocab}
+        sentences = tuple(
+            " ".join(rng.choice(vocab, size=int(rng.integers(1, 6))).tolist()) for _ in range(8)
+        )
+        retriever = make_retriever(vectors, idf_values, coverage_threshold=0.5)
+        entry = ManualEntry(heading="8541", sentences=sentences)
+        assert_same_retrieval(retriever, " ".join(rng.choice(vocab, size=6, replace=False)), entry)
+
+    def test_tiny_vectors(self):
+        vectors = {"q": [3.3e-162, 1e-163], "x": [1.0, 0.0], "y": [2e-162, 2e-162]}
+        retriever = make_retriever(vectors, {"q": 1.0}, coverage_threshold=0.5)
+        entry = ManualEntry(heading="8541", sentences=("y", "x", "x y"))
+        assert_same_retrieval(retriever, "q", entry)
+
+    def test_repeat_retrieval_tokenizes_only_the_description(self, monkeypatch):
+        from hsclassify import alignment
+
+        calls = []
+        original = alignment.tokenize
+        monkeypatch.setattr(alignment, "tokenize", lambda t: calls.append(t) or original(t))
+        vectors, idf_values, sentences, keywords = random_instance(3)
+        retriever = make_retriever(vectors, idf_values)
+        entry = ManualEntry(heading="8541", sentences=tuple(" ".join(s) for s in sentences))
+        description = " ".join(sorted(keywords))
+        first = retriever.retrieve(description, entry)
+        assert len(calls) == 1 + len(sentences)
+        second = retriever.retrieve(description, entry)
+        assert calls[len(sentences) + 1:] == [description]
+        assert second.sentences == first.sentences

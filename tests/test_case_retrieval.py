@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from hsclassify.case_retrieval import CaseIndex, IndexedCase, build_index, similar_cases
+from hsclassify import case_retrieval
+from hsclassify.case_retrieval import build_index, similar_cases
 from hsclassify.encoder import PooledEncoder, encode_with_evidence
-from hsclassify.errors import DuplicateId, EmptyInput
-from hsclassify.textproc import IdfTable, WordVectorTable
+from hsclassify.errors import DimensionMismatch, DuplicateId, EmptyInput
+from hsclassify.textproc import IdfTable, WordVectorTable, cosine
 
 from conftest import make_case
 
@@ -31,6 +34,12 @@ def embedded(cases, encoder, evidence=None):
     return [encode_with_evidence(encoder, c.description, evidence.get(c.id, [])) for c in cases]
 
 
+def indexed(embeddings: dict, subheading: str = "854140"):
+    """An index of one bucket: case id -> embedding, each described by its id."""
+    cases = [make_case(cid, description=f"case {cid}", code=subheading) for cid in embeddings]
+    return build_index(cases, list(embeddings.values()))
+
+
 def ten_cases():
     cases = []
     for i in range(10):
@@ -44,7 +53,7 @@ class TestBuildIndex:
     def test_two_buckets_sum_to_input(self, encoder):
         index = build_index(ten_cases(), embedded(ten_cases(), encoder))
         assert set(index.by_subheading) == {"854140", "854151"}
-        assert sum(len(v) for v in index.by_subheading.values()) == 10
+        assert sum(len(v.ids) for v in index.by_subheading.values()) == 10
 
     def test_duplicate_id_rejected(self, encoder):
         cases = [make_case("same"), make_case("same")]
@@ -55,10 +64,10 @@ class TestBuildIndex:
         evidence = {"case-00": ["beta gamma"], "case-07": ["alpha"]}
         first = build_index(ten_cases(), embedded(ten_cases(), encoder, evidence))
         second = build_index(ten_cases(), embedded(ten_cases(), encoder, evidence))
-        for sub in first.by_subheading:
-            for a, b in zip(first.by_subheading[sub], second.by_subheading[sub]):
-                assert a.case_id == b.case_id
-                assert np.array_equal(a.embedding, b.embedding)
+        for sub, a in first.by_subheading.items():
+            b = second.by_subheading[sub]
+            assert a.ids == b.ids
+            assert a.embeddings.tobytes() == b.embeddings.tobytes()
 
     def test_empty_input(self, encoder):
         with pytest.raises(EmptyInput):
@@ -68,7 +77,7 @@ class TestBuildIndex:
 class TestSimilarCases:
     def test_exact_match_ranks_first_with_unit_similarity(self, encoder):
         index = build_index(ten_cases(), embedded(ten_cases(), encoder))
-        query = index.by_subheading["854140"][2].embedding
+        query = index.by_subheading["854140"].embeddings[2]
         results = similar_cases(index, query, "854140", m=3)
         assert results[0][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -84,12 +93,7 @@ class TestSimilarCases:
             "c-d": np.array([-1.0, 0.0]),
             "c-e": np.array([0.6, 0.8]),
         }
-        index = CaseIndex(
-            by_subheading={
-                "854140": [IndexedCase(cid, vec, cid) for cid, vec in embeddings.items()]
-            },
-            dimension=2,
-        )
+        index = indexed(embeddings)
         query = np.array([1.0, 0.0])
 
         def brute(vec_map, q):
@@ -104,8 +108,8 @@ class TestSimilarCases:
 
         expected = brute(embeddings, query)
         got = similar_cases(index, query, "854140", m=5)
-        assert [cid for cid, _ in got] == [cid for cid, _ in expected]
-        for (_, a), (_, b) in zip(got, expected):
+        assert [cid for cid, _, _ in got] == [cid for cid, _ in expected]
+        for (_, a, _), (_, b) in zip(got, expected):
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_result_size_and_ordering_invariants(self, encoder):
@@ -113,19 +117,96 @@ class TestSimilarCases:
         for m in (1, 3, 10, 50):
             results = similar_cases(index, np.array([1.0, 1.0, 0.0]), "854140", m=m)
             assert len(results) == min(m, 6)
-            sims = [s for _, s in results]
+            sims = [s for _, s, _ in results]
             assert all(-1.0 - 1e-12 <= s <= 1.0 + 1e-12 for s in sims)
             assert sims == sorted(sims, reverse=True)
 
     def test_tie_breaks_lexicographically(self):
-        index = CaseIndex(
-            by_subheading={
-                "854140": [
-                    IndexedCase("zz", np.array([1.0, 0.0]), ""),
-                    IndexedCase("aa", np.array([2.0, 0.0]), ""),
-                ]
-            },
-            dimension=2,
-        )
+        index = indexed({"zz": np.array([1.0, 0.0]), "aa": np.array([2.0, 0.0])})
         results = similar_cases(index, np.array([1.0, 0.0]), "854140", m=2)
-        assert [cid for cid, _ in results] == ["aa", "zz"]
+        assert [cid for cid, _, _ in results] == ["aa", "zz"]
+
+
+def scalar_reference(embeddings: dict, query, m: int) -> list[tuple[str, float]]:
+    """The loop the prefilter replaces: ``cosine`` against every case, then sort."""
+    scored = [(cid, cosine(query, vector)) for cid, vector in embeddings.items()]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:m]
+
+
+def assert_exact(embeddings: dict, query, m: int) -> list:
+    got = similar_cases(indexed(embeddings), query, "854140", m=m)
+    # Floats compare with ==: the lookup must return the reference's very bits.
+    assert [(cid, sim) for cid, sim, _ in got] == scalar_reference(embeddings, query, m)
+    assert [snippet for _, _, snippet in got] == [f"case {cid}" for cid, _, _ in got]
+    return got
+
+
+class TestPrefilterIsExact:
+    """The matrix prefilter plus ``cosine`` rescoring equals the scalar loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_buckets(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.choice([2, 3, 24, 50]))
+        n = int(rng.integers(1, 80))
+        vectors = rng.normal(size=(n, dim))
+        # Near-ties: scaled copies share a direction, so their cosines differ
+        # only by rounding.
+        for i in rng.integers(0, n, size=n // 3):
+            vectors[int(rng.integers(0, n))] = vectors[i] * rng.uniform(0.1, 10.0)
+        ids = [f"c{int(j):03d}" for j in rng.permutation(n)]
+        embeddings = dict(zip(ids, vectors))
+        queries = [rng.normal(size=dim), vectors[int(rng.integers(0, n))] * 3.0]
+        for query in queries:
+            for m in (1, 3, 5, n - 1, n, n + 1):
+                assert_exact(embeddings, query, m)
+
+    def test_equal_embeddings_break_on_id(self):
+        got = assert_exact({"b": np.array([1.0, 2.0]), "a": np.array([1.0, 2.0]),
+                            "c": np.array([2.0, -1.0]), "d": np.array([0.0, 1.0])},
+                           np.array([1.0, 2.0]), m=1)
+        assert [cid for cid, _, _ in got] == ["a"]
+
+    def test_zero_query_ties_every_case(self):
+        embeddings = {f"c{i}": v for i, v in zip([3, 1, 4, 0, 2], np.eye(5) + 0.5)}
+        got = assert_exact(embeddings, np.zeros(5), m=3)
+        assert [(cid, sim) for cid, sim, _ in got] == [("c0", 0.0), ("c1", 0.0), ("c2", 0.0)]
+
+    def test_zero_norm_row(self):
+        embeddings = {"a": np.zeros(3), "b": np.array([-1.0, 0.0, 0.0]),
+                      "c": np.array([-1.0, -1.0, 0.0]), "d": np.array([0.0, -1.0, 0.0])}
+        got = assert_exact(embeddings, np.array([1.0, 0.0, 0.0]), m=1)
+        assert got[0][:2] == ("a", 0.0)
+        assert_exact(embeddings, np.array([1.0, 0.0, 0.0]), m=2)
+
+    def test_tiny_norm_query_and_rows(self):
+        embeddings = {"a": np.array([1.0, 0.1]), "b": np.array([3.3e-162, 0.0]),
+                      "c": np.array([0.0, 1.0]), "d": np.array([-1.0, 0.5])}
+        assert_exact(embeddings, np.array([3.3341784415318333e-162, 1e-163]), m=1)
+        got = assert_exact(embeddings, np.array([1.0, 0.0]), m=1)
+        assert got[0][0] == "b"
+
+    def test_m_zero_and_small_buckets(self):
+        embeddings = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        assert similar_cases(indexed(embeddings), np.array([1.0, 1.0]), "854140", m=0) == []
+        for m in (1, 2, 3):
+            assert_exact(embeddings, np.array([1.0, 2.0]), m)
+
+    def test_wrong_query_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            similar_cases(indexed({"a": np.ones(3)}), np.ones(2), "854140")
+
+    def test_rescores_only_the_leaders(self, monkeypatch):
+        calls = Counter()
+        original = case_retrieval.cosine
+
+        def counted(u, v):
+            calls["cosine"] += 1
+            return original(u, v)
+
+        monkeypatch.setattr(case_retrieval, "cosine", counted)
+        rng = np.random.default_rng(5)
+        embeddings = {f"c{i:03d}": v for i, v in enumerate(rng.normal(size=(200, 16)))}
+        similar_cases(indexed(embeddings), rng.normal(size=16), "854140", m=3)
+        assert calls["cosine"] == 3

@@ -22,7 +22,7 @@ from hsclassify.errors import (
     MissingManualWarning,
     UntrainedModel,
 )
-from hsclassify import pipeline
+from hsclassify import alignment, case_retrieval, pipeline
 from hsclassify.evaluation import evaluate_pipeline
 from hsclassify.pipeline import (
     CandidateReport,
@@ -269,6 +269,26 @@ class TestCheckpoint:
         with pytest.raises(DimensionMismatch, match="case_index.npz: row counts"):
             load_pipeline(tmp_path / "ckpt")
 
+    def test_case_index_rows_grouped_by_subheading(self, model, tmp_path):
+        # Moving the first row to the end splits its subheading's bucket in two.
+        save_pipeline(model, tmp_path / "ckpt")
+        edit_checkpoint_arrays(
+            tmp_path / "ckpt",
+            "case_index.npz",
+            lambda arrays: {key: np.roll(value, -1, axis=0) for key, value in arrays.items()},
+        )
+        with pytest.raises(UntrainedModel, match="case_index.npz: ValueError: rows of subheading"):
+            load_pipeline(tmp_path / "ckpt")
+
+    def test_load_keeps_case_index_buckets_as_views(self, model, tmp_path):
+        save_pipeline(model, tmp_path / "ckpt")
+        loaded = load_pipeline(tmp_path / "ckpt").case_index.by_subheading.values()
+        matrices = [bucket.embeddings for bucket in loaded]
+        assert all(m.base is not None and m.base is matrices[0].base for m in matrices)
+        saved = model.case_index.by_subheading.values()
+        assert [b.ids for b in loaded] == [b.ids for b in saved]
+        assert [b.snippets for b in loaded] == [b.snippets for b in saved]
+
     def test_case_index_of_other_dimension_rejected_at_load(self, model, tmp_path):
         save_pipeline(model, tmp_path / "ckpt")
         edit_checkpoint_arrays(
@@ -362,6 +382,30 @@ class TestSinglePass:
         assert calls["retrieve"] == len(split.validation)
         assert calls["logits4"] == len(split.validation)
 
+    def test_repeat_predict_tokenizes_descriptions_and_rescores_leaders(
+        self, model, small_corpus, calls, monkeypatch
+    ):
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        _, split = small_corpus
+        description = split.test[0].description
+        model.predict(description, k=3)  # the first retrieval from an entry tokenizes it
+        calls.clear()
+        count(alignment, "tokenize")
+        count(case_retrieval, "cosine")
+        report = model.predict(description, k=3)
+        assert calls["tokenize"] == calls["retrieve"] == 3
+        m = model.config.similar_cases_per_candidate
+        assert all(len(c.similar_cases) == m for c in report.subheading_candidates)
+        assert calls["cosine"] <= m * len(report.subheading_candidates)
+
     def test_fit_encodes_each_training_case_at_most_twice(self, small_corpus, calls):
         # x1 and description+evidence per training case; x1, then description
         # and description+evidence along the inference path per validation case.
@@ -395,16 +439,15 @@ class TestSinglePass:
         monkeypatch.setattr(pipeline, "train", recording_train)
         config = PipelineConfig(**FAST_TRAIN, use_evidence=use_evidence)
         model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        stage3_inputs = inputs_by_label_length[6]
-        indexed = {
-            case.case_id: case.embedding
-            for bucket in model.case_index.by_subheading.values()
-            for case in bucket
-        }
-        assert len(indexed) == len(split.train)
-        for case, vector in zip(split.train, stage3_inputs, strict=True):
-            # The very array the subheading head trained on, not a re-encoded copy.
-            assert indexed[case.id] is vector
+        stage3_inputs = dict(
+            zip((c.id for c in split.train), inputs_by_label_length[6], strict=True)
+        )
+        buckets = model.case_index.by_subheading.values()
+        ids = [case_id for bucket in buckets for case_id in bucket.ids]
+        assert sorted(ids) == sorted(stage3_inputs)
+        # The bytes the subheading head trained on, stacked bucket by bucket.
+        stacked = np.concatenate([bucket.embeddings for bucket in buckets])
+        assert stacked.tobytes() == np.array([stage3_inputs[i] for i in ids]).tobytes()
 
 
 class TestEvaluate:
