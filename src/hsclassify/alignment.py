@@ -7,9 +7,10 @@ uncovered keywords until every keyword is covered, a selection would cover
 nothing new, or the sentence budget runs out.
 
 Each greedy step ranks every sentence approximately from one keyword x
-sentence matrix (one matrix product per query) and rescores with
-``alignment_score`` only the sentences within ``PREFILTER_MARGIN`` of the
-best, so the selection and its scores equal scoring every sentence exactly.
+sentence matrix (one matrix product per query) and rescores exactly only the
+sentences within ``PREFILTER_MARGIN`` of the best. The rescore multiplies the
+same unit rows in the same shapes and order as ``alignment_score``, so the
+selection and its scores equal scoring every sentence with it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import EmptyManual
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, content_keywords, tokenize
 
 
-# The prefilter and ``alignment_score`` use the same unit rows (``_unit_rows``
+# The prefilter and the exact rescore use the same unit rows (``_unit_rows``
 # is row-wise), so their scores of a sentence differ only in the rounding of
 # the dot products and of the idf-weighted sum: by at most (2d + 2k + 2)uR
 # times the summed |idf| of the k uncovered keywords (u = 2**-53, d the vector
@@ -109,24 +110,30 @@ def alignment_score(
 
 @dataclass(frozen=True)
 class _PreparedEntry:
-    """A manual entry's sentence tokens and, stacked in order, their unit rows.
+    """A manual entry's sentences as unit rows, one row per distinct token.
 
-    ``starts[j]`` is the first row of sentence ``nonempty[j]``, the j-th
-    sentence with tokens; ``reach`` is the largest row norm.
+    Sentence ``i``'s tokens, in order, have the rows
+    ``occurrences[bounds[i]:bounds[i + 1]]``. ``starts[j]`` is the first
+    occurrence of sentence ``nonempty[j]``, the j-th sentence with tokens;
+    ``reach`` is the largest row norm.
     """
 
-    tokens: list[list[str]]
     rows: np.ndarray
+    occurrences: np.ndarray
+    bounds: np.ndarray
     nonempty: np.ndarray
     starts: np.ndarray
     reach: float
+
+    def sentence_rows(self, index: int) -> np.ndarray:
+        return self.rows[self.occurrences[self.bounds[index] : self.bounds[index + 1]]]
 
 
 class KeySentenceRetriever:
     """Binds vector, idf and stopword tables to the retrieval procedure.
 
     The first retrieval from a manual entry tokenizes its sentences and keeps
-    them with their vector rows, keyed by the entry.
+    their vector rows, keyed by the entry.
     """
 
     def __init__(
@@ -146,34 +153,23 @@ class KeySentenceRetriever:
         prepared = self._entries.get(entry)
         if prepared is None:
             tokens = [tokenize(s) for s in entry.sentences]
-            lengths = np.array([len(t) for t in tokens])
-            rows = _unit_rows(chain.from_iterable(tokens), self.vectors)
+            lengths = np.array([len(t) for t in tokens], dtype=np.intp)
+            distinct: dict[str, int] = {}
+            occurrences = np.array(
+                [distinct.setdefault(t, len(distinct)) for t in chain.from_iterable(tokens)],
+                dtype=np.intp,
+            )
+            rows = _unit_rows(distinct, self.vectors)
+            bounds = np.concatenate(([0], np.cumsum(lengths)))
             prepared = self._entries[entry] = _PreparedEntry(
-                tokens=tokens,
                 rows=rows,
+                occurrences=occurrences,
+                bounds=bounds,
                 nonempty=np.flatnonzero(lengths),
-                starts=(np.cumsum(lengths) - lengths)[lengths > 0],
+                starts=bounds[:-1][lengths > 0],
                 reach=float(np.linalg.norm(rows, axis=1).max(initial=0.0)),
             )
         return prepared
-
-    def _weighted_alignments(
-        self, keywords: list[str], prepared: _PreparedEntry
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sentence x keyword idf-weighted clamped best cosines, and each keyword's error scale.
-
-        Summed over a keyword subset, a row is within ``PREFILTER_MARGIN``
-        times max(1, the subset's error scales) of ``alignment_score``.
-        """
-        rows = _unit_rows(keywords, self.vectors)
-        best = np.zeros((len(prepared.tokens), len(keywords)))
-        if keywords and len(prepared.nonempty):
-            best[prepared.nonempty] = np.maximum.reduceat(
-                prepared.rows @ rows.T, prepared.starts, axis=0
-            )
-        weights = np.array([self.idf.value(t) for t in keywords])
-        reach = max(1.0, prepared.reach * np.linalg.norm(rows, axis=1).max(initial=0.0))
-        return np.maximum(best, 0.0) * weights, np.abs(weights) * reach
 
     def query_keywords(self, description: str) -> set[str]:
         return content_keywords(
@@ -185,50 +181,62 @@ class KeySentenceRetriever:
 
         Each step scores every unselected sentence against the currently
         uncovered keywords only and takes the argmax (ties to the lowest
-        sentence index). ``alignment_score`` rescores only the sentences
-        within the prefilter margin of the best approximate score. A keyword
-        counts as covered once its best cosine within a selected sentence
-        reaches the coverage threshold. Selection stops when all keywords are
-        covered, the argmax sentence would cover nothing new (it is not
-        taken), or ``max_sentences`` is reached.
+        sentence index). Only the sentences within the prefilter margin of the
+        best approximate score are scored exactly, to the bits of
+        ``alignment_score``. A keyword counts as covered once its best cosine
+        within a selected sentence reaches the coverage threshold. Selection
+        stops when all keywords are covered, the argmax sentence would cover
+        nothing new (it is not taken), or ``max_sentences`` is reached.
         """
         if not manual_entry.sentences:
             raise EmptyManual(f"manual entry {manual_entry.heading} has no sentences")
 
         keywords = self.query_keywords(description)
         prepared = self._prepared(manual_entry)
-        sentence_tokens = prepared.tokens
         ordered = sorted(keywords)
-        weighted, error_scale = self._weighted_alignments(ordered, prepared)
+        keyword_rows = _unit_rows(ordered, self.vectors)
+        weights = np.array([self.idf.value(t) for t in ordered])
+
+        # Sentence x keyword idf-weighted clamped best cosines. Summed over the
+        # uncovered keywords, a row is within PREFILTER_MARGIN times
+        # max(1, their summed error scales) of the exact score.
+        best = np.zeros((len(manual_entry.sentences), len(ordered)))
+        if ordered and len(prepared.nonempty):
+            best[prepared.nonempty] = np.maximum.reduceat(
+                (prepared.rows @ keyword_rows.T)[prepared.occurrences], prepared.starts, axis=0
+            )
+        weighted = np.maximum(best, 0.0) * weights
+        reach = max(1.0, prepared.reach * np.linalg.norm(keyword_rows, axis=1).max(initial=0.0))
+        error_scale = np.abs(weights) * reach
 
         result = RetrievalResult(query_keywords=set(keywords), uncovered_keywords=set(keywords))
-        remaining = list(range(len(sentence_tokens)))
+        remaining = list(range(len(manual_entry.sentences)))
+        uncovered = np.ones(len(ordered), dtype=bool)
 
-        while (
-            result.uncovered_keywords
-            and remaining
-            and len(result.sentences) < self.config.max_sentences
-        ):
-            uncovered = sorted(result.uncovered_keywords)
-            mask = np.array([t in result.uncovered_keywords for t in ordered], dtype=float)
+        while uncovered.any() and remaining and len(result.sentences) < self.config.max_sentences:
+            mask = uncovered.astype(float)
             approximate = weighted[remaining] @ mask
             cut = approximate.max() - PREFILTER_MARGIN * max(1.0, float(error_scale @ mask))
-            best_index = -1
-            best_score = -1.0
+            rows = keyword_rows[uncovered]
+            uncovered_weights = weights[uncovered]
+            best_index, best_score = -1, -np.inf
             for index, approximate_score in zip(remaining, approximate):
                 if approximate_score < cut:
                     continue
-                score = alignment_score(uncovered, sentence_tokens[index], self.vectors, self.idf)
+                # alignment_score's arithmetic, on the prepared rows.
+                sentence_rows = prepared.sentence_rows(index)
+                if len(sentence_rows):
+                    alignments = (rows @ sentence_rows.T).max(axis=1)
+                else:
+                    alignments = np.zeros(len(rows))
+                score = float((uncovered_weights * np.maximum(alignments, 0.0)).sum())
                 if score > best_score:
-                    best_index, best_score = index, score
+                    best_index, best_score, best_alignments = index, score, alignments
 
-            alignments = _best_alignments(uncovered, sentence_tokens[best_index], self.vectors)
-            newly_covered = {
-                t
-                for t, a in zip(uncovered, alignments)
-                if a >= self.config.coverage_threshold
-            }
-            if not newly_covered:
+            newly_covered = np.flatnonzero(uncovered)[
+                best_alignments >= self.config.coverage_threshold
+            ]
+            if not len(newly_covered):
                 break
 
             result.sentences.append(
@@ -237,7 +245,9 @@ class KeySentenceRetriever:
                 )
             )
             remaining.remove(best_index)
-            result.covered_keywords |= newly_covered
-            result.uncovered_keywords -= newly_covered
+            uncovered[newly_covered] = False
+            covered = {ordered[i] for i in newly_covered}
+            result.covered_keywords |= covered
+            result.uncovered_keywords -= covered
 
         return result

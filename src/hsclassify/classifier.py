@@ -67,6 +67,25 @@ def cross_entropy(true_label_index: int, probabilities) -> float:
     return float(-np.log(max(probabilities[true_label_index], _LOG_FLOOR)))
 
 
+def _mean_loss(weights, bias, inputs, label_indices, l2_penalty) -> float:
+    """Mean cross-entropy + (l2/2)*||W||^2."""
+    n = inputs.shape[0]
+    probs = _softmax(inputs @ weights + bias)
+    picked = probs[np.arange(n), label_indices]
+    loss = float(-np.log(np.maximum(picked, _LOG_FLOOR)).mean())
+    return loss + 0.5 * l2_penalty * float((weights**2).sum())
+
+
+def _gradient(weights, bias, inputs, label_indices, l2_penalty) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``_mean_loss`` w.r.t. W and bias."""
+    n = inputs.shape[0]
+    delta = _softmax(inputs @ weights + bias)
+    delta[np.arange(n), label_indices] -= 1.0
+    grad_w = inputs.T @ delta / n + l2_penalty * weights
+    grad_b = delta.mean(axis=0)
+    return grad_w, grad_b
+
+
 def mean_loss_and_gradient(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -74,17 +93,12 @@ def mean_loss_and_gradient(
     label_indices: np.ndarray,
     l2_penalty: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy + (l2/2)*||W||^2 and its gradients w.r.t. W and bias."""
-    n = inputs.shape[0]
-    probs = _softmax(inputs @ weights + bias)
-    picked = probs[np.arange(n), label_indices]
-    loss = float(-np.log(np.maximum(picked, _LOG_FLOOR)).mean())
-    loss += 0.5 * l2_penalty * float((weights**2).sum())
+    """Mean cross-entropy + (l2/2)*||W||^2 and its gradients w.r.t. W and bias.
 
-    delta = probs
-    delta[np.arange(n), label_indices] -= 1.0
-    grad_w = inputs.T @ delta / n + l2_penalty * weights
-    grad_b = delta.mean(axis=0)
+    ``train`` reads the two parts at different points and calls them apart.
+    """
+    loss = _mean_loss(weights, bias, inputs, label_indices, l2_penalty)
+    grad_w, grad_b = _gradient(weights, bias, inputs, label_indices, l2_penalty)
     return loss, grad_w, grad_b
 
 
@@ -125,8 +139,8 @@ def top_k(probabilities, k: int) -> list[tuple[int, float]]:
     probabilities = np.asarray(probabilities, dtype=float)
     if not 1 <= k <= probabilities.shape[0]:
         raise BadK(f"k={k} outside 1..{probabilities.shape[0]}")
-    order = sorted(range(probabilities.shape[0]), key=lambda i: (-probabilities[i], i))
-    return [(i, float(probabilities[i])) for i in order[:k]]
+    order = np.argsort(-probabilities, kind="stable")[:k]
+    return [(int(i), float(probabilities[i])) for i in order]
 
 
 def _top1_accuracy(weights, bias, inputs, label_indices) -> float:
@@ -190,14 +204,11 @@ def train(
         order = rng.permutation(len(x))
         for start in range(0, len(x), config.batch_size):
             batch = order[start : start + config.batch_size]
-            _, grad_w, grad_b = mean_loss_and_gradient(
-                weights, bias, x[batch], y[batch], config.l2_penalty
-            )
+            grad_w, grad_b = _gradient(weights, bias, x[batch], y[batch], config.l2_penalty)
             weights -= config.learning_rate * grad_w
             bias -= config.learning_rate * grad_b
 
-        loss, _, _ = mean_loss_and_gradient(weights, bias, x, y, config.l2_penalty)
-        report.losses.append(loss)
+        report.losses.append(_mean_loss(weights, bias, x, y, config.l2_penalty))
         accuracy = _top1_accuracy(weights, bias, xv, yv) if has_val else 0.0
         report.val_accuracies.append(accuracy)
         if has_val and accuracy > best_acc:

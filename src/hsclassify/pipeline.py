@@ -200,9 +200,14 @@ class PipelineModel:
         headings (a report), the top heading when stage 3 or the ablation head
         uses evidence, and the top three for the evidence-per-candidate mixture.
         """
+        return self._infer(description, self.encoder.encode(description), headings)
+
+    def _infer(
+        self, description: str, description_vector: np.ndarray, headings: int = 0
+    ) -> InferenceTrace:
+        """``infer`` for a description whose encoder vector is already known."""
         config = self.config
         space = self.label_space
-        description_vector = self.encoder.encode(description)
         heading_logits = self.heading_classifier.logits(description_vector)
         heading_probs = self.heading_scaler.probabilities(heading_logits)
         ranked = [index for index, _ in top_k(heading_probs, len(space.headings))]
@@ -352,7 +357,8 @@ def fit(
     of its gold heading's manual when stage 3 or the ablation head reads
     evidence; a case without evidence reuses its description vector (a
     missing manual warns once per heading). The case index holds the stage-3
-    training vectors; stage-3 validation inputs come from ``infer``.
+    training vectors; stage-3 validation inputs come from the inference path,
+    which reuses each validation description's vector.
     """
     if not train_cases:
         raise EmptyInput("no training cases")
@@ -416,7 +422,7 @@ def fit(
         case_index=case_index,
         config=config,
     )
-    traces = (model.infer(c.description) for c in validation_cases)
+    traces = (model._infer(c.description, v) for c, v in zip(validation_cases, x1_val))
     val_vectors = [(t.stage3_vector, t.ablation_vector) for t in traces]
 
     y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")

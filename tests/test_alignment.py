@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hsclassify.alignment import (
     RetrievalResult,
     RetrievedSentence,
     _best_alignments,
+    _unit_rows,
     alignment_score,
 )
 from hsclassify.corpus import ManualEntry
@@ -391,3 +393,38 @@ class TestPrefilterIsExact:
         second = retriever.retrieve(description, entry)
         assert calls[len(sentences) + 1:] == [description]
         assert second.sentences == first.sentences
+
+    def test_repeat_retrieval_rescores_from_the_prepared_rows(self, monkeypatch):
+        from hsclassify import alignment
+
+        vectors, idf_values, sentences, keywords = random_instance(3)
+        retriever = make_retriever(vectors, idf_values)
+        entry = ManualEntry(heading="8541", sentences=tuple(" ".join(s) for s in sentences))
+        description = " ".join(sorted(keywords))
+        first = retriever.retrieve(description, entry)
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(alignment, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in ("_unit_rows", "alignment_score"):
+            monkeypatch.setattr(alignment, name, counting(name))
+        second = retriever.retrieve(description, entry)
+        assert calls == {"_unit_rows": 1}
+        assert second.sentences == first.sentences
+
+    def test_prepared_rows_are_one_per_distinct_token(self):
+        vectors, idf_values, sentences, _ = random_instance(5)
+        retriever = make_retriever(vectors, idf_values)
+        texts = tuple(" ".join(s) for s in sentences) + ("--",)
+        prepared = retriever._prepared(ManualEntry(heading="8541", sentences=texts))
+        assert len(prepared.rows) == len({t for s in sentences for t in s})
+        for index, text in enumerate(texts):
+            want = _unit_rows(tokenize(text), retriever.vectors)
+            assert prepared.sentence_rows(index).tobytes() == want.tobytes()

@@ -127,6 +127,18 @@ class TestTopK:
         assert three[:1] == one
         assert five[:3] == three
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_sorted_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        # Few distinct values, zeros among them, so exact ties are common.
+        probs = rng.choice([0.0, 0.125, 0.25, float(rng.uniform())], size=n)
+        reference = sorted(range(n), key=lambda i: (-probs[i], i))
+        for k in sorted({1, int(rng.integers(1, n + 1)), n}):
+            got = top_k(probs, k)
+            assert got == [(i, float(probs[i])) for i in reference[:k]]
+            assert all(type(i) is int for i, _ in got)
+
     def test_bad_k(self):
         with pytest.raises(BadK):
             top_k([0.5, 0.5], 3)
@@ -150,6 +162,108 @@ class TestGradient:
             fd_w, fd_b = finite_difference_gradients(weights, bias, inputs, labels, l2)
             assert relative_error(grad_w, fd_w) < 1e-4
             assert relative_error(grad_b, fd_b) < 1e-4
+
+
+def reference_loss_and_gradient(weights, bias, inputs, label_indices, l2_penalty):
+    """The fused loss and gradient that ``train`` called before its step was split."""
+    n = inputs.shape[0]
+    logits = inputs @ weights + bias
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    picked = probs[np.arange(n), label_indices]
+    loss = float(-np.log(np.maximum(picked, 1e-12)).mean())
+    loss += 0.5 * l2_penalty * float((weights**2).sum())
+    delta = probs
+    delta[np.arange(n), label_indices] -= 1.0
+    grad_w = inputs.T @ delta / n + l2_penalty * weights
+    grad_b = delta.mean(axis=0)
+    return loss, grad_w, grad_b
+
+
+def reference_train(inputs, labels, val_inputs, val_labels, config, num_classes):
+    """``train``'s loop with one fused loss-and-gradient call per step and per epoch."""
+    x = np.asarray(inputs, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    has_val = len(val_inputs) > 0
+    rng = np.random.default_rng(config.seed)
+    weights = np.zeros((x.shape[1], num_classes))
+    bias = np.zeros(num_classes)
+    losses, accuracies = [], []
+    best_acc, best, best_epoch = -1.0, (weights.copy(), bias.copy()), 0
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            _, grad_w, grad_b = reference_loss_and_gradient(
+                weights, bias, x[batch], y[batch], config.l2_penalty
+            )
+            weights -= config.learning_rate * grad_w
+            bias -= config.learning_rate * grad_b
+        loss, _, _ = reference_loss_and_gradient(weights, bias, x, y, config.l2_penalty)
+        losses.append(loss)
+        accuracy = 0.0
+        if has_val:
+            xv = np.asarray(val_inputs, dtype=float)
+            predictions = np.argmax(xv @ weights + bias, axis=1)
+            accuracy = float((predictions == np.asarray(val_labels)).mean())
+        accuracies.append(accuracy)
+        if has_val and accuracy > best_acc:
+            best_acc, best, best_epoch = accuracy, (weights.copy(), bias.copy()), epoch
+    if not has_val:
+        best, best_epoch = (weights.copy(), bias.copy()), config.epochs - 1
+    return best[0], best[1], losses, accuracies, best_epoch
+
+
+class TestSplitStepMatchesFusedReference:
+    """``train`` and ``mean_loss_and_gradient`` keep the fused step's very bits."""
+
+    def test_mean_loss_and_gradient(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            d, c, n = (int(v) for v in rng.integers(1, 9, size=3))
+            args = (
+                rng.normal(size=(d, c)),
+                rng.normal(size=c),
+                rng.normal(size=(n, d)),
+                rng.integers(0, c, size=n),
+                float(rng.uniform(0.0, 0.1)),
+            )
+            loss, grad_w, grad_b = mean_loss_and_gradient(*args)
+            want_loss, want_w, want_b = reference_loss_and_gradient(*args)
+            assert loss.hex() == want_loss.hex()
+            assert grad_w.tobytes() == want_w.tobytes()
+            assert grad_b.tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["batch_does_not_divide_n", "no_validation", "sentinel_validation", "single_class"],
+    )
+    def test_train(self, case):
+        rng = np.random.default_rng(17)
+        n, d, classes = 37, 5, 4
+        inputs = list(rng.normal(size=(n, d)))
+        labels = [int(v) for v in rng.integers(0, classes, size=n)]
+        val_inputs = list(rng.normal(size=(9, d)))
+        val_labels = [int(v) for v in rng.integers(0, classes, size=9)]
+        if case == "no_validation":
+            val_inputs, val_labels = [], []
+        elif case == "sentinel_validation":
+            val_labels[::2] = [-1] * len(val_labels[::2])
+        elif case == "single_class":
+            classes, labels, val_labels = 1, [0] * n, [0] * 9
+        config = TrainConfig(epochs=12, learning_rate=0.5, batch_size=8, seed=4, l2_penalty=1e-3)
+        clf, report = train(
+            inputs, labels, val_inputs, val_labels, config, [f"c{i}" for i in range(classes)]
+        )
+        weights, bias, losses, accuracies, best_epoch = reference_train(
+            inputs, labels, val_inputs, val_labels, config, classes
+        )
+        assert clf.weights.tobytes() == weights.tobytes()
+        assert clf.bias.tobytes() == bias.tobytes()
+        assert [v.hex() for v in report.losses] == [v.hex() for v in losses]
+        assert [v.hex() for v in report.val_accuracies] == [v.hex() for v in accuracies]
+        assert report.best_epoch == best_epoch
 
 
 class TestTrain:

@@ -407,19 +407,19 @@ class TestSinglePass:
         assert calls["cosine"] <= m * len(report.subheading_candidates)
 
     def test_fit_encodes_each_training_case_at_most_twice(self, small_corpus, calls):
-        # x1 and description+evidence per training case; x1, then description
-        # and description+evidence along the inference path per validation case.
+        # x1 and description+evidence per training case; x1, then
+        # description+evidence along the inference path per validation case.
         corpus, split = small_corpus
         config = PipelineConfig(**FAST_TRAIN)
         fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        assert calls["encode"] <= 2 * len(split.train) + 3 * len(split.validation)
+        assert calls["encode"] <= 2 * len(split.train) + 2 * len(split.validation)
 
     def test_fit_without_evidence_retrieves_nothing(self, small_corpus, calls):
         corpus, split = small_corpus
         config = PipelineConfig(**FAST_TRAIN, use_evidence=False)
         model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
         assert calls["retrieve"] == 0
-        assert calls["encode"] == len(split.train) + 2 * len(split.validation)
+        assert calls["encode"] == len(split.train) + len(split.validation)
         refit_temperatures(model, list(split.validation))
         assert calls["retrieve"] == 0
 
