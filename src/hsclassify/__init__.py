@@ -19,7 +19,7 @@ from .corpus import (
     load_manual,
     parse_hs_code,
 )
-from .encoder import DescriptionEncoder, PooledEncoder, encode_with_evidence
+from .encoder import DescriptionEncoder, PooledEncoder
 from .evaluation import (
     MetricsReport,
     evaluate_pipeline,
@@ -61,7 +61,6 @@ __all__ = [
     "DecisionCase",
     "DEFAULT_STOPWORDS",
     "DescriptionEncoder",
-    "encode_with_evidence",
     "evaluate_pipeline",
     "fit",
     "fit_temperature",

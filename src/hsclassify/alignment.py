@@ -22,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import ManualEntry
+from .encoder import Part
 from .errors import EmptyManual
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, content_keywords, tokenize
 
@@ -71,13 +72,19 @@ class RetrievalResult:
         return [s.text for s in self.sentences]
 
 
-def _unit_rows(tokens: Iterable[str], vectors: WordVectorTable) -> np.ndarray:
+def _vector_rows(tokens: Iterable[str], vectors: WordVectorTable) -> np.ndarray:
     rows = np.array([vectors.get(t) for t in tokens], dtype=float)
-    if rows.size == 0:
-        return rows.reshape(0, vectors.dimension)
+    return rows.reshape(len(rows), vectors.dimension)
+
+
+def _unit(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return rows / norms
+
+
+def _unit_rows(tokens: Iterable[str], vectors: WordVectorTable) -> np.ndarray:
+    return _unit(_vector_rows(tokens, vectors))
 
 
 def _best_alignments(
@@ -115,10 +122,14 @@ class _PreparedEntry:
     Sentence ``i``'s tokens, in order, have the rows
     ``occurrences[bounds[i]:bounds[i + 1]]``. ``starts[j]`` is the first
     occurrence of sentence ``nonempty[j]``, the j-th sentence with tokens;
-    ``reach`` is the largest row norm.
+    ``reach`` is the largest row norm. The distinct tokens' word vectors,
+    vocabulary mask and idf weights give each sentence's encoder ``Part``.
     """
 
     rows: np.ndarray
+    vectors: np.ndarray
+    known: np.ndarray
+    weights: np.ndarray
     occurrences: np.ndarray
     bounds: np.ndarray
     nonempty: np.ndarray
@@ -128,12 +139,34 @@ class _PreparedEntry:
     def sentence_rows(self, index: int) -> np.ndarray:
         return self.rows[self.occurrences[self.bounds[index] : self.bounds[index + 1]]]
 
+    def part(self, index: int) -> Part:
+        """``PooledEncoder.part`` of sentence ``index``'s tokens."""
+        occurrences = self.occurrences[self.bounds[index] : self.bounds[index + 1]]
+        occurrences = occurrences[self.known[occurrences]]
+        return Part(rows=self.vectors[occurrences], weights=self.weights[occurrences])
+
+
+@dataclass(frozen=True, eq=False)
+class Query:
+    """A description's keywords, sorted, with their unit rows and idf weights.
+
+    Built once per description and shared by every entry retrieved from;
+    ``reach`` is the largest row norm.
+    """
+
+    keywords: set[str]
+    ordered: list[str]
+    rows: np.ndarray
+    weights: np.ndarray
+    reach: float
+
 
 class KeySentenceRetriever:
     """Binds vector, idf and stopword tables to the retrieval procedure.
 
     The first retrieval from a manual entry tokenizes its sentences and keeps
-    their vector rows, keyed by the entry.
+    their vector rows, keyed by the entry; ``evidence_parts`` reads the
+    selected sentences' encoder parts from them.
     """
 
     def __init__(
@@ -159,10 +192,14 @@ class KeySentenceRetriever:
                 [distinct.setdefault(t, len(distinct)) for t in chain.from_iterable(tokens)],
                 dtype=np.intp,
             )
-            rows = _unit_rows(distinct, self.vectors)
+            vectors = _vector_rows(distinct, self.vectors)
+            rows = _unit(vectors)
             bounds = np.concatenate(([0], np.cumsum(lengths)))
             prepared = self._entries[entry] = _PreparedEntry(
                 rows=rows,
+                vectors=vectors,
+                known=np.array([t in self.vectors for t in distinct], dtype=bool),
+                weights=np.array([self.idf.value(t) for t in distinct], dtype=float),
                 occurrences=occurrences,
                 bounds=bounds,
                 nonempty=np.flatnonzero(lengths),
@@ -171,13 +208,32 @@ class KeySentenceRetriever:
             )
         return prepared
 
+    def evidence_parts(self, manual_entry: ManualEntry, result: RetrievalResult) -> list[Part]:
+        """The encoder parts of ``result``'s sentences, retrieved from ``manual_entry``."""
+        prepared = self._prepared(manual_entry)
+        return [prepared.part(sentence.index) for sentence in result.sentences]
+
     def query_keywords(self, description: str) -> set[str]:
-        return content_keywords(
-            tokenize(description), self.idf, self.stopwords, self.config.min_keyword_idf
+        return self.query(tokenize(description)).keywords
+
+    def query(self, tokens: list[str]) -> Query:
+        """The query of a description with ``tokens``."""
+        keywords = content_keywords(tokens, self.idf, self.stopwords, self.config.min_keyword_idf)
+        ordered = sorted(keywords)
+        rows = _unit_rows(ordered, self.vectors)
+        return Query(
+            keywords=keywords,
+            ordered=ordered,
+            rows=rows,
+            weights=np.array([self.idf.value(t) for t in ordered]),
+            reach=float(np.linalg.norm(rows, axis=1).max(initial=0.0)),
         )
 
-    def retrieve(self, description: str, manual_entry: ManualEntry) -> RetrievalResult:
+    def retrieve(self, description: str | Query, manual_entry: ManualEntry) -> RetrievalResult:
         """Greedy iterative selection of manual sentences.
+
+        ``description`` is the text or its ``query``, built once for several
+        entries.
 
         Each step scores every unselected sentence against the currently
         uncovered keywords only and takes the argmax (ties to the lowest
@@ -191,11 +247,11 @@ class KeySentenceRetriever:
         if not manual_entry.sentences:
             raise EmptyManual(f"manual entry {manual_entry.heading} has no sentences")
 
-        keywords = self.query_keywords(description)
+        if not isinstance(description, Query):
+            description = self.query(tokenize(description))
+        keywords, ordered = description.keywords, description.ordered
+        keyword_rows, weights = description.rows, description.weights
         prepared = self._prepared(manual_entry)
-        ordered = sorted(keywords)
-        keyword_rows = _unit_rows(ordered, self.vectors)
-        weights = np.array([self.idf.value(t) for t in ordered])
 
         # Sentence x keyword idf-weighted clamped best cosines. Summed over the
         # uncovered keywords, a row is within PREFILTER_MARGIN times
@@ -206,7 +262,7 @@ class KeySentenceRetriever:
                 (prepared.rows @ keyword_rows.T)[prepared.occurrences], prepared.starts, axis=0
             )
         weighted = np.maximum(best, 0.0) * weights
-        reach = max(1.0, prepared.reach * np.linalg.norm(keyword_rows, axis=1).max(initial=0.0))
+        reach = max(1.0, prepared.reach * description.reach)
         error_scale = np.abs(weights) * reach
 
         result = RetrievalResult(query_keywords=set(keywords), uncovered_keywords=set(keywords))

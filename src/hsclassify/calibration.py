@@ -8,10 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .classifier import mean_log_loss, picked_probabilities, softmax_inplace
 from .errors import BadTemperature, EmptyInput
 
 TEMPERATURE_BOUNDS = (0.05, 20.0)
-_LOG_FLOOR = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -31,16 +31,11 @@ def scale(logits, temperature: float) -> np.ndarray:
     """softmax(logits / T); preserves the argsort of the logits for any T > 0."""
     if not (math.isfinite(temperature) and temperature > 0):
         raise BadTemperature(f"temperature must be finite and positive, got {temperature}")
-    logits = np.asarray(logits, dtype=float) / temperature
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    return softmax_inplace(np.asarray(logits, dtype=float) / temperature)
 
 
 def _mean_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    probs = scale(logits, temperature)
-    picked = probs[np.arange(logits.shape[0]), labels]
-    return float(-np.log(np.maximum(picked, _LOG_FLOOR)).mean())
+    return mean_log_loss(picked_probabilities(logits / temperature, labels))
 
 
 def fit_temperature(

@@ -51,10 +51,42 @@ class TrainReport:
     best_epoch: int = 0
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+# Each n x C pass computes its logits into one array and works on it in
+# place. The operations and their order are those of the plain expressions
+# (``x @ W + b``, ``exp(z - max) / sum``), so every float is the same. The
+# passes are not split into row chunks: BLAS may round a chunk's rows of
+# ``x @ W`` differently from the same rows of the whole product (a one-row
+# chunk goes to a matrix-vector kernel, and threads split rows elsewhere).
+
+
+def _logits(weights, bias, inputs) -> np.ndarray:
+    logits = inputs @ weights
+    logits += bias
+    return logits
+
+
+def _exp_shifted(logits: np.ndarray) -> np.ndarray:
+    """exp(logits - row max), written over ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    return np.exp(logits, out=logits)
+
+
+def softmax_inplace(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, written over ``logits``."""
+    exp = _exp_shifted(logits)
+    exp /= exp.sum(axis=-1, keepdims=True)
+    return exp
+
+
+def picked_probabilities(logits: np.ndarray, label_indices) -> np.ndarray:
+    """softmax(logits)[i, label_indices[i]] for each row i; overwrites ``logits``."""
+    exp = _exp_shifted(logits)
+    return exp[np.arange(exp.shape[0]), label_indices] / exp.sum(axis=-1)
+
+
+def mean_log_loss(picked: np.ndarray) -> float:
+    """Mean of -ln p over the picked probabilities, each floored at 1e-12."""
+    return float(-np.log(np.maximum(picked, _LOG_FLOOR)).mean())
 
 
 def cross_entropy(true_label_index: int, probabilities) -> float:
@@ -69,37 +101,18 @@ def cross_entropy(true_label_index: int, probabilities) -> float:
 
 def _mean_loss(weights, bias, inputs, label_indices, l2_penalty) -> float:
     """Mean cross-entropy + (l2/2)*||W||^2."""
-    n = inputs.shape[0]
-    probs = _softmax(inputs @ weights + bias)
-    picked = probs[np.arange(n), label_indices]
-    loss = float(-np.log(np.maximum(picked, _LOG_FLOOR)).mean())
-    return loss + 0.5 * l2_penalty * float((weights**2).sum())
+    picked = picked_probabilities(_logits(weights, bias, inputs), label_indices)
+    return mean_log_loss(picked) + 0.5 * l2_penalty * float((weights**2).sum())
 
 
 def _gradient(weights, bias, inputs, label_indices, l2_penalty) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of ``_mean_loss`` w.r.t. W and bias."""
     n = inputs.shape[0]
-    delta = _softmax(inputs @ weights + bias)
+    delta = softmax_inplace(_logits(weights, bias, inputs))
     delta[np.arange(n), label_indices] -= 1.0
     grad_w = inputs.T @ delta / n + l2_penalty * weights
     grad_b = delta.mean(axis=0)
     return grad_w, grad_b
-
-
-def mean_loss_and_gradient(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    inputs: np.ndarray,
-    label_indices: np.ndarray,
-    l2_penalty: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy + (l2/2)*||W||^2 and its gradients w.r.t. W and bias.
-
-    ``train`` reads the two parts at different points and calls them apart.
-    """
-    loss = _mean_loss(weights, bias, inputs, label_indices, l2_penalty)
-    grad_w, grad_b = _gradient(weights, bias, inputs, label_indices, l2_penalty)
-    return loss, grad_w, grad_b
 
 
 class SoftmaxClassifier:
@@ -131,7 +144,7 @@ class SoftmaxClassifier:
         return x @ self.weights + self.bias
 
     def predict_proba(self, x) -> np.ndarray:
-        return _softmax(self.logits(x))
+        return softmax_inplace(self.logits(x))
 
 
 def top_k(probabilities, k: int) -> list[tuple[int, float]]:
@@ -146,7 +159,7 @@ def top_k(probabilities, k: int) -> list[tuple[int, float]]:
 def _top1_accuracy(weights, bias, inputs, label_indices) -> float:
     if inputs.shape[0] == 0:
         return 0.0
-    predictions = np.argmax(inputs @ weights + bias, axis=1)
+    predictions = np.argmax(_logits(weights, bias, inputs), axis=1)
     return float((predictions == label_indices).mean())
 
 

@@ -32,12 +32,12 @@ from .calibration import TemperatureScaler, fit_temperature
 from .case_retrieval import CaseIndex, build_index, similar_cases
 from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, top_k, train
 from .corpus import DecisionCase, LabelSpace, ManualEntry, build_label_space
-from .encoder import PooledEncoder, encode_with_evidence
+from .encoder import Part, PooledEncoder
 from .errors import BadK, DimensionMismatch, EmptyInput, HsClassifyError, UntrainedModel
 from .errors import MissingManualWarning
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, compute_idf, tokenize
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,9 @@ class PipelineModel:
                     f"encoder dimension {dimension} does not match "
                     f"classifier input {classifier.input_dimension}"
                 )
+        retriever, encoder = self.retriever, self.encoder
+        if retriever.vectors is not encoder.vectors or retriever.idf is not encoder.idf:
+            raise ValueError("the encoder and the retriever must share their vector and idf tables")
         if self.case_index.dimension != dimension:
             raise DimensionMismatch(
                 f"encoder dimension {dimension} does not match "
@@ -200,12 +203,23 @@ class PipelineModel:
         headings (a report), the top heading when stage 3 or the ablation head
         uses evidence, and the top three for the evidence-per-candidate mixture.
         """
-        return self._infer(description, self.encoder.encode(description), headings)
+        tokens = tokenize(description)
+        part = self.encoder.part(tokens)
+        return self._infer(description, tokens, part, self.encoder.pool([part]), headings)
 
     def _infer(
-        self, description: str, description_vector: np.ndarray, headings: int = 0
+        self,
+        description: str,
+        tokens: list[str],
+        part: Part,
+        description_vector: np.ndarray,
+        headings: int = 0,
     ) -> InferenceTrace:
-        """``infer`` for a description whose encoder vector is already known."""
+        """``infer`` for a description already tokenized, gathered and encoded.
+
+        Every retrieval shares one query, and every evidence vector pools the
+        description's part followed by its sentences' parts.
+        """
         config = self.config
         space = self.label_space
         heading_logits = self.heading_classifier.logits(description_vector)
@@ -216,17 +230,18 @@ class PipelineModel:
             mixture = config.use_evidence and config.evidence_per_candidate
             headings = max(headings, 3 if mixture else 1)
         entries = [self.manuals.get(space.headings[index]) for index in ranked[:headings]]
+        query = self.retriever.query(tokens) if any(e is not None for e in entries) else None
         retrievals = [
-            self.retriever.retrieve(description, entry) if entry is not None else None
+            self.retriever.retrieve(query, entry) if entry is not None else None
             for entry in entries
         ]
 
         def vector(position: int, with_evidence: bool) -> np.ndarray:
             result = retrievals[position] if with_evidence else None
-            evidence = result.sentence_texts() if result is not None else []
-            if not evidence:
+            if result is None or not result.sentences:
                 return description_vector
-            return encode_with_evidence(self.encoder, description, evidence)
+            evidence = self.retriever.evidence_parts(entries[position], result)
+            return self.encoder.pool([part, *evidence])
 
         stage3_vector = vector(0, config.use_evidence)
         subheading_logits = self.subheading_classifier.logits(stage3_vector)
@@ -319,11 +334,11 @@ class PipelineModel:
 
 
 def _idf_documents(
-    cases: Sequence[DecisionCase], manuals: Mapping[str, ManualEntry], mode: str
+    case_tokens: Sequence[list[str]], manuals: Mapping[str, ManualEntry], mode: str
 ) -> list[list[str]]:
     documents: list[list[str]] = []
     if mode in ("cases", "cases+manual"):
-        documents.extend(tokenize(c.description) for c in cases)
+        documents.extend(case_tokens)
     if mode in ("manual", "cases+manual"):
         for entry in manuals.values():
             documents.extend(tokenize(s) for s in entry.sentences)
@@ -353,32 +368,26 @@ def fit(
 ) -> PipelineModel:
     """Train both stages, fit per-stage temperatures, build the case index.
 
-    Each training case is encoded once, and once more with the key sentences
-    of its gold heading's manual when stage 3 or the ablation head reads
-    evidence; a case without evidence reuses its description vector (a
-    missing manual warns once per heading). The case index holds the stage-3
-    training vectors; stage-3 validation inputs come from the inference path,
-    which reuses each validation description's vector.
+    Each description is tokenized once, for the idf table, its encoding and
+    its retrieval query. Each training case is encoded once, and once more
+    with the key sentences of its gold heading's manual when stage 3 or the
+    ablation head reads evidence; a case without evidence reuses its
+    description vector (a missing manual warns once per heading). The case
+    index holds the stage-3 training vectors; stage-3 validation inputs come
+    from the inference path, which reuses each validation description's
+    tokens, part and vector.
     """
     if not train_cases:
         raise EmptyInput("no training cases")
 
     label_space = build_label_space(list(train_cases))
+    train_tokens = [tokenize(c.description) for c in train_cases]
+    val_tokens = [tokenize(c.description) for c in validation_cases]
     idf = compute_idf(
-        _idf_documents([*train_cases, *validation_cases], manuals, config.idf_documents)
+        _idf_documents([*train_tokens, *val_tokens], manuals, config.idf_documents)
     )
     encoder = PooledEncoder(vectors, idf)
     retriever = KeySentenceRetriever(vectors, idf, stopwords, config.retrieval)
-
-    # Stage 1: heading from the description alone.
-    x1_train = [encoder.encode(c.description) for c in train_cases]
-    y1_train = _label_indices(train_cases, label_space.heading_index, "heading")
-    x1_val = [encoder.encode(c.description) for c in validation_cases]
-    y1_val = _label_indices(validation_cases, label_space.heading_index, "heading")
-    heading_clf, heading_report = train(
-        x1_train, y1_train, x1_val, y1_val, config.heading_train, label_space.headings
-    )
-    heading_scaler = _fit_scaler([heading_clf.logits(v) for v in x1_val], y1_val)
 
     for heading in sorted({c.label.heading for c in train_cases} - manuals.keys()):
         warnings.warn(
@@ -388,16 +397,35 @@ def fit(
             stacklevel=2,
         )
 
-    # Stage-3 training inputs: key sentences from the gold heading's manual.
-    def with_evidence(case: DecisionCase, vector: np.ndarray) -> np.ndarray:
+    # Stage 1 reads each training description's vector; stage 3 (or the
+    # ablation head) the same description pooled with the key sentences of
+    # its gold heading's manual.
+    def with_evidence(case: DecisionCase, tokens: list[str], part: Part, vector: np.ndarray):
         entry = manuals.get(case.label.heading)
-        result = retriever.retrieve(case.description, entry) if entry is not None else None
-        evidence = result.sentence_texts() if result is not None else []
-        return encode_with_evidence(encoder, case.description, evidence) if evidence else vector
+        result = retriever.retrieve(retriever.query(tokens), entry) if entry is not None else None
+        if result is None or not result.sentences:
+            return vector
+        return encoder.pool([part, *retriever.evidence_parts(entry, result)])
 
-    evidence_train = x1_train
-    if config.use_evidence or config.train_ablation:
-        evidence_train = [with_evidence(c, v) for c, v in zip(train_cases, x1_train)]
+    reads_evidence = config.use_evidence or config.train_ablation
+    x1_train, evidence_train = [], []
+    for case, tokens in zip(train_cases, train_tokens):
+        part = encoder.part(tokens)
+        x1_train.append(encoder.pool([part]))
+        if reads_evidence:
+            evidence_train.append(with_evidence(case, tokens, part, x1_train[-1]))
+    if not reads_evidence:
+        evidence_train = x1_train
+
+    y1_train = _label_indices(train_cases, label_space.heading_index, "heading")
+    val_parts = [encoder.part(tokens) for tokens in val_tokens]
+    x1_val = [encoder.pool([part]) for part in val_parts]
+    y1_val = _label_indices(validation_cases, label_space.heading_index, "heading")
+    heading_clf, heading_report = train(
+        x1_train, y1_train, x1_val, y1_val, config.heading_train, label_space.headings
+    )
+    heading_scaler = _fit_scaler([heading_clf.logits(v) for v in x1_val], y1_val)
+
     x3_train, xa_train = (
         (evidence_train, x1_train) if config.use_evidence else (x1_train, evidence_train)
     )
@@ -422,7 +450,10 @@ def fit(
         case_index=case_index,
         config=config,
     )
-    traces = (model._infer(c.description, v) for c, v in zip(validation_cases, x1_val))
+    traces = (
+        model._infer(c.description, tokens, part, vector)
+        for c, tokens, part, vector in zip(validation_cases, val_tokens, val_parts, x1_val)
+    )
     val_vectors = [(t.stage3_vector, t.ablation_vector) for t in traces]
 
     y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")
@@ -504,6 +535,12 @@ def _npz(**arrays: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
+# Case snippets are stored "\n"-joined as one array of UTF-8 bytes (a case's
+# snippet is its description with every whitespace run flattened to a space).
+# Lone surrogates, which JSON input can hold, pass through.
+_UTF8 = ("utf-8", "surrogatepass")
+
+
 def _arrays(data: bytes, *names: str) -> list:
     """The named arrays of ``.npz`` bytes; str arrays come back as lists of str."""
     arrays = np.load(io.BytesIO(data), allow_pickle=False)
@@ -522,6 +559,9 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
     heads = {"heading": model.heading_classifier, "subheading": model.subheading_classifier,
              "ablation": model.ablation_classifier}
     buckets = sorted(model.case_index.by_subheading.items())
+    snippets = [snippet for _, bucket in buckets for snippet in bucket.snippets]
+    if any("\n" in snippet for snippet in snippets):
+        raise ValueError("a case snippet contains a newline")
     vectors, idf = model.encoder.vectors, model.encoder.idf
     tokens = sorted(vectors.tokens())
     files = {
@@ -531,7 +571,7 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
             embeddings=np.concatenate([bucket.embeddings for _, bucket in buckets]),
             subheadings=np.array([sub for sub, bucket in buckets for _ in bucket.ids]),
             ids=np.array([case_id for _, bucket in buckets for case_id in bucket.ids]),
-            snippets=np.array([snippet for _, bucket in buckets for snippet in bucket.snippets]),
+            snippets=np.frombuffer("\n".join(snippets).encode(*_UTF8), dtype=np.uint8),
         ),
         "vectors.npz": _npz(
             tokens=np.array(tokens), vectors=np.array([vectors.get(t) for t in tokens])
@@ -591,7 +631,12 @@ def _manifest(data: bytes) -> dict:
 
 
 def _case_index(data: bytes) -> CaseIndex:
-    embeddings, *columns = _arrays(data, "embeddings", "subheadings", "ids", "snippets")
+    embeddings, subheadings, ids, snippets = _arrays(
+        data, "embeddings", "subheadings", "ids", "snippets"
+    )
+    if not isinstance(snippets, np.ndarray) or snippets.dtype != np.uint8 or snippets.ndim != 1:
+        raise ValueError("snippets must be one array of UTF-8 bytes")
+    columns = [subheadings, ids, snippets.tobytes().decode(*_UTF8).split("\n")]
     counts = [len(embeddings), *map(len, columns)]
     if embeddings.ndim != 2 or len(set(counts)) != 1:
         raise DimensionMismatch(f"row counts of embeddings, subheadings, ids, snippets: {counts}")

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from hsclassify.corpus import DecisionCase, ManualEntry, Origin, parse_hs_code
-from hsclassify.textproc import IdfTable, WordVectorTable, compute_idf
+from hsclassify.encoder import PooledEncoder
+from hsclassify.textproc import IdfTable, WordVectorTable, compute_idf, tokenize
 
 
 @pytest.fixture
@@ -67,6 +68,11 @@ def make_case(
 
 def make_manual_entry(heading: str, sentences: list[str]) -> ManualEntry:
     return ManualEntry(heading=heading, sentences=tuple(sentences))
+
+
+def encode_with_evidence(encoder: PooledEncoder, description: str, sentences) -> np.ndarray:
+    """A description pooled with its evidence sentences, in order, from their parts."""
+    return encoder.pool([encoder.part(tokenize(text)) for text in [description, *sentences]])
 
 
 def write_jsonl(path, records) -> None:

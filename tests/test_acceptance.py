@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from hsclassify.calibration import fit_temperature, scale
-from hsclassify.classifier import mean_loss_and_gradient
+from hsclassify.classifier import _gradient
 from hsclassify.cli import main
 from hsclassify.evaluation import retrieval_precision_recall
 from hsclassify.pipeline import CandidateReport, load_pipeline
@@ -95,7 +95,7 @@ class TestCriterion3GradientCorrectness:
             inputs = rng.normal(size=(n, d))
             labels = rng.integers(0, c, size=n)
             l2 = float(rng.uniform(0.0, 0.1))
-            _, grad_w, grad_b = mean_loss_and_gradient(weights, bias, inputs, labels, l2)
+            grad_w, grad_b = _gradient(weights, bias, inputs, labels, l2)
             fd_w, fd_b = finite_difference_gradients(weights, bias, inputs, labels, l2)
             worst = max(worst, relative_error(grad_w, fd_w), relative_error(grad_b, fd_b))
         announce(3, worst < 1e-4, f"max relative gradient error {worst:.2e} (<1e-4)")

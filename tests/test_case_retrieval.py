@@ -9,11 +9,11 @@ import pytest
 
 from hsclassify import case_retrieval
 from hsclassify.case_retrieval import build_index, similar_cases
-from hsclassify.encoder import PooledEncoder, encode_with_evidence
+from hsclassify.encoder import PooledEncoder
 from hsclassify.errors import DimensionMismatch, DuplicateId, EmptyInput
 from hsclassify.textproc import IdfTable, WordVectorTable, cosine
 
-from conftest import make_case
+from conftest import encode_with_evidence, make_case
 
 
 @pytest.fixture

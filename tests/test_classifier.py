@@ -10,8 +10,9 @@ import pytest
 from hsclassify.classifier import (
     SoftmaxClassifier,
     TrainConfig,
+    _gradient,
+    _mean_loss,
     cross_entropy,
-    mean_loss_and_gradient,
     top_k,
     train,
 )
@@ -19,11 +20,10 @@ from hsclassify.errors import BadK, DimensionMismatch, EmptyInput, IndexOutOfRan
 
 
 def finite_difference_gradients(weights, bias, inputs, labels, l2, h=1e-5):
-    """Central-difference gradients of the training objective."""
+    """Central-difference gradients of the training objective ``train`` evaluates."""
 
     def loss_at(w, b):
-        value, _, _ = mean_loss_and_gradient(w, b, inputs, labels, l2)
-        return value
+        return _mean_loss(w, b, inputs, labels, l2)
 
     grad_w = np.zeros_like(weights)
     for i in range(weights.shape[0]):
@@ -158,7 +158,7 @@ class TestGradient:
             inputs = rng.normal(size=(n, d))
             labels = rng.integers(0, c, size=n)
             l2 = float(rng.uniform(0.0, 0.1))
-            _, grad_w, grad_b = mean_loss_and_gradient(weights, bias, inputs, labels, l2)
+            grad_w, grad_b = _gradient(weights, bias, inputs, labels, l2)
             fd_w, fd_b = finite_difference_gradients(weights, bias, inputs, labels, l2)
             assert relative_error(grad_w, fd_w) < 1e-4
             assert relative_error(grad_b, fd_b) < 1e-4
@@ -216,7 +216,7 @@ def reference_train(inputs, labels, val_inputs, val_labels, config, num_classes)
 
 
 class TestSplitStepMatchesFusedReference:
-    """``train`` and ``mean_loss_and_gradient`` keep the fused step's very bits."""
+    """``train``, ``_mean_loss`` and ``_gradient`` keep the fused step's very bits."""
 
     def test_mean_loss_and_gradient(self):
         rng = np.random.default_rng(3)
@@ -229,7 +229,8 @@ class TestSplitStepMatchesFusedReference:
                 rng.integers(0, c, size=n),
                 float(rng.uniform(0.0, 0.1)),
             )
-            loss, grad_w, grad_b = mean_loss_and_gradient(*args)
+            loss = _mean_loss(*args)
+            grad_w, grad_b = _gradient(*args)
             want_loss, want_w, want_b = reference_loss_and_gradient(*args)
             assert loss.hex() == want_loss.hex()
             assert grad_w.tobytes() == want_w.tobytes()

@@ -383,6 +383,11 @@ def downgrade_to_format_1(checkpoint: Path) -> None:
     path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 1}))
 
 
+def downgrade_to_format_2(checkpoint: Path) -> None:
+    path = checkpoint / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 2}))
+
+
 def delete_idf(checkpoint: Path) -> None:
     (checkpoint / "idf.json").unlink()
 
@@ -398,6 +403,7 @@ class TestExitCodes:
             (delete_idf, "idf.json"),
             (delete_heading_temperature, "manifest.json"),
             (downgrade_to_format_1, "manifest.json: unsupported checkpoint format 1; retrain"),
+            (downgrade_to_format_2, "manifest.json: unsupported checkpoint format 2; retrain"),
         ],
     )
     def test_corrupt_checkpoint_exit_1(self, runner, trained_dir, tmp_path, corrupt, bad_file):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsclassify.encoder import DescriptionEncoder, PooledEncoder, encode_with_evidence
+from hsclassify.encoder import DescriptionEncoder, PooledEncoder
 from hsclassify.textproc import IdfTable, WordVectorTable
+
+from conftest import encode_with_evidence
 
 
 def _toy_encoder() -> PooledEncoder:

@@ -6,12 +6,14 @@ import copy
 import json
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hsclassify.alignment import KeySentenceRetriever
+from hsclassify.case_retrieval import CaseIndex, _snippet
 from hsclassify.classifier import SoftmaxClassifier, TrainConfig
 from hsclassify.corpus import ManualEntry, chronological_split
 from hsclassify.encoder import PooledEncoder
@@ -22,7 +24,7 @@ from hsclassify.errors import (
     MissingManualWarning,
     UntrainedModel,
 )
-from hsclassify import alignment, case_retrieval, pipeline
+from hsclassify import alignment, case_retrieval, encoder, pipeline
 from hsclassify.evaluation import evaluate_pipeline
 from hsclassify.pipeline import (
     CandidateReport,
@@ -34,6 +36,7 @@ from hsclassify.pipeline import (
 )
 from hsclassify.synth import SynthConfig, generate
 
+import oracles
 from conftest import edit_checkpoint_arrays, make_case
 
 SMALL = SynthConfig(
@@ -115,6 +118,27 @@ class TestFit:
                 config=PipelineConfig(**FAST_TRAIN),
             )
         assert pipeline.fit_report.missing_manual_cases > 0
+
+    def test_evidence_vectors_equal_encoding_of_joined_text(self, model, small_corpus):
+        # Pooled from the retriever's prepared sentence parts, bit for bit the
+        # token-by-token encoding of the description and key sentences joined.
+        _, split = small_corpus
+        vectors, idf = model.encoder.vectors, model.encoder.idf
+        index = {
+            case_id: row
+            for bucket in model.case_index.by_subheading.values()
+            for case_id, row in zip(bucket.ids, bucket.embeddings)
+        }
+        for case in split.train:
+            entry = model.manuals[case.label.heading]
+            evidence = model.retriever.retrieve(case.description, entry).sentence_texts()
+            want = oracles.joined_encode_with_evidence(vectors, idf, case.description, evidence)
+            assert index[case.id].tobytes() == want.tobytes()
+        for case in split.test:
+            trace = model.infer(case.description)
+            evidence = trace.retrievals[0].sentence_texts()
+            want = oracles.joined_encode_with_evidence(vectors, idf, case.description, evidence)
+            assert trace.stage3_vector.tobytes() == want.tobytes()
 
     def test_empty_train_rejected(self, small_corpus):
         corpus, _ = small_corpus
@@ -238,7 +262,7 @@ class TestCheckpoint:
             "manual.jsonl",
         }
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert set(manifest["files"]) == names - {"manifest.json"}
         assert "config_hashes" not in manifest
 
@@ -267,6 +291,51 @@ class TestCheckpoint:
             tmp_path / "ckpt", "case_index.npz", lambda arrays: {**arrays, "ids": arrays["ids"][1:]}
         )
         with pytest.raises(DimensionMismatch, match="case_index.npz: row counts"):
+            load_pipeline(tmp_path / "ckpt")
+
+    def test_snippets_stored_as_utf8_bytes_round_trip(self, model, tmp_path):
+        rows = [(sub, case_id, embedding)
+                for sub, bucket in sorted(model.case_index.by_subheading.items())
+                for case_id, embedding in zip(bucket.ids, bucket.embeddings)]
+        snippets = [_snippet(f"Câble n°{i} « façade » ☃ " * 8) for i in range(len(rows))]
+        snippets[:3] = ["", "lone \ud800 surrogate", "plain"]
+        assert snippets[-1].endswith("…")
+        subheadings, ids, embeddings = zip(*rows)
+        index = CaseIndex.from_rows(subheadings, ids, snippets, np.array(embeddings))
+        save_pipeline(replace(model, case_index=index), tmp_path / "ckpt")
+        with np.load(tmp_path / "ckpt" / "case_index.npz", allow_pickle=False) as arrays:
+            assert arrays["snippets"].dtype == np.uint8
+        loaded = load_pipeline(tmp_path / "ckpt").case_index.by_subheading
+        assert [s for b in loaded.values() for s in b.snippets] == snippets
+        assert [i for b in loaded.values() for i in b.ids] == list(ids)
+
+    def test_snippet_with_a_newline_is_not_saved(self, model, tmp_path):
+        buckets = dict(model.case_index.by_subheading)
+        subheading, bucket = next(iter(buckets.items()))
+        buckets[subheading] = replace(bucket, snippets=["two\nlines", *bucket.snippets[1:]])
+        index = CaseIndex(buckets, model.case_index.dimension)
+        with pytest.raises(ValueError, match="newline"):
+            save_pipeline(replace(model, case_index=index), tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("one_snippet_too_few", "case_index.npz: row counts"),
+            ("str_snippets", "case_index.npz: ValueError: snippets must be one array of UTF-8"),
+        ],
+    )
+    def test_snippet_column_checked_at_load(self, model, tmp_path, edit, message):
+        def edited(arrays):
+            data = arrays["snippets"].tobytes()
+            if edit == "one_snippet_too_few":
+                snippets = np.frombuffer(data[: data.rindex(b"\n")], dtype=np.uint8)
+            else:
+                snippets = np.array(data.decode().split("\n"))
+            return {**arrays, "snippets": snippets}
+
+        save_pipeline(model, tmp_path / "ckpt")
+        edit_checkpoint_arrays(tmp_path / "ckpt", "case_index.npz", edited)
+        with pytest.raises((DimensionMismatch, UntrainedModel), match=message):
             load_pipeline(tmp_path / "ckpt")
 
     def test_case_index_rows_grouped_by_subheading(self, model, tmp_path):
@@ -332,6 +401,14 @@ class TestCheckpoint:
         with pytest.raises(DimensionMismatch):
             type(model)(**{**model.__dict__, "heading_classifier": bad})
 
+    def test_retriever_with_other_tables_rejected(self, model):
+        # Evidence parts come from the retriever's tables, pooled by the encoder.
+        vectors, idf = model.encoder.vectors, model.encoder.idf
+        for other in (KeySentenceRetriever(vectors, copy.copy(idf)),
+                      KeySentenceRetriever(copy.copy(vectors), idf)):
+            with pytest.raises(ValueError, match="share their vector and idf tables"):
+                type(model)(**{**model.__dict__, "retriever": other})
+
 
 class TestRefitTemperatures:
     def test_refit_matches_fit_temperatures(self, model, small_corpus):
@@ -361,6 +438,7 @@ class TestSinglePass:
 
         count(KeySentenceRetriever, "retrieve", lambda _: "retrieve")
         count(PooledEncoder, "encode", lambda _: "encode")
+        count(PooledEncoder, "pool", lambda _: "pool")
         # Heading labels have 4 digits, subheading labels 6.
         count(SoftmaxClassifier, "logits", lambda clf: f"logits{len(clf.labels[0])}")
         return counts
@@ -369,12 +447,12 @@ class TestSinglePass:
         _, split = small_corpus
         report = model.predict(split.test[0].description, k=3)
         assert report.heading_candidates[0].key_sentences
-        assert calls == {"retrieve": 3, "encode": 2, "logits4": 1, "logits6": 1}
+        assert calls == {"retrieve": 3, "pool": 2, "logits4": 1, "logits6": 1}
 
     def test_evaluate_with_ablation_head(self, ablation_model, small_corpus, calls):
         _, split = small_corpus
         evaluate_pipeline(ablation_model, [split.test[0]], ablation_model.manuals)
-        assert calls == {"retrieve": 5, "encode": 2, "logits4": 1, "logits6": 2}
+        assert calls == {"retrieve": 5, "pool": 2, "logits4": 1, "logits6": 2}
 
     def test_refit_temperatures(self, model, small_corpus, calls):
         _, split = small_corpus
@@ -398,10 +476,14 @@ class TestSinglePass:
         description = split.test[0].description
         model.predict(description, k=3)  # the first retrieval from an entry tokenizes it
         calls.clear()
-        count(alignment, "tokenize")
+        for module in (pipeline, alignment, encoder):
+            count(module, "tokenize")
+        count(alignment, "_unit_rows")
         count(case_retrieval, "cosine")
         report = model.predict(description, k=3)
-        assert calls["tokenize"] == calls["retrieve"] == 3
+        # One tokenization and one set of keyword rows shared by 3 retrievals.
+        assert calls["tokenize"] == calls["_unit_rows"] == 1
+        assert calls["retrieve"] == 3
         m = model.config.similar_cases_per_candidate
         assert all(len(c.similar_cases) == m for c in report.subheading_candidates)
         assert calls["cosine"] <= m * len(report.subheading_candidates)
@@ -412,14 +494,32 @@ class TestSinglePass:
         corpus, split = small_corpus
         config = PipelineConfig(**FAST_TRAIN)
         fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        assert calls["encode"] <= 2 * len(split.train) + 2 * len(split.validation)
+        assert calls["pool"] <= 2 * len(split.train) + 2 * len(split.validation)
+        assert calls["encode"] == 0
+
+    @pytest.mark.parametrize("idf_documents", ["cases+manual", "manual"])
+    def test_fit_tokenizes_each_description_once(self, small_corpus, monkeypatch, idf_documents):
+        corpus, split = small_corpus
+        tokenized = Counter()
+        for module in (pipeline, alignment, encoder):
+            original = module.tokenize
+            monkeypatch.setattr(
+                module, "tokenize", lambda text, f=original: tokenized.update([text]) or f(text)
+            )
+        config = PipelineConfig(**FAST_TRAIN, idf_documents=idf_documents, train_ablation=True)
+        fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
+        descriptions = Counter(c.description for c in [*split.train, *split.validation])
+        assert {text: tokenized[text] for text in descriptions} == descriptions
+        # A manual sentence: for the idf table and when its entry is prepared.
+        sentences = {s for entry in corpus.manual.values() for s in entry.sentences}
+        assert max(tokenized[s] for s in sentences) <= 2
 
     def test_fit_without_evidence_retrieves_nothing(self, small_corpus, calls):
         corpus, split = small_corpus
         config = PipelineConfig(**FAST_TRAIN, use_evidence=False)
         model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
         assert calls["retrieve"] == 0
-        assert calls["encode"] == len(split.train) + len(split.validation)
+        assert calls["pool"] == len(split.train) + len(split.validation)
         refit_temperatures(model, list(split.validation))
         assert calls["retrieve"] == 0
 
