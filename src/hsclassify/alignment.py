@@ -7,17 +7,20 @@ uncovered keywords until every keyword is covered, a selection would cover
 nothing new, or the sentence budget runs out.
 
 Each greedy step ranks every sentence approximately from one keyword x
-sentence matrix (one matrix product per query) and rescores exactly only the
-sentences within ``PREFILTER_MARGIN`` of the best. The rescore multiplies the
-same unit rows in the same shapes and order as ``alignment_score``, so the
-selection and its scores equal scoring every sentence with it.
+sentence matrix (one matrix product for all queries of an entry) and rescores
+exactly only the sentences within ``PREFILTER_MARGIN`` of the best. The
+rescore multiplies the same unit rows in the same shapes and order as
+``alignment_score``, so the selection and its scores equal scoring every
+sentence with it. A query's selection also stops once no remaining sentence
+aligns approximately with an uncovered keyword to within the margin of the
+coverage threshold: then no sentence can cover anything new.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable
+from itertools import accumulate, chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +38,8 @@ from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, content_keyw
 # for vectors whose squared components are subnormal). The dot-product bound
 # with Cauchy-Schwarz gives this; the max over tokens and the clamp at 0 keep
 # it. It is below PREFILTER_MARGIN times R and the summed |idf| for d + k
-# under four million.
+# under four million. A single alignment (one dot product, then the max)
+# differs by at most 2duR, below PREFILTER_MARGIN times R.
 PREFILTER_MARGIN = 1e-9
 
 
@@ -164,9 +168,10 @@ class Query:
 class KeySentenceRetriever:
     """Binds vector, idf and stopword tables to the retrieval procedure.
 
-    The first retrieval from a manual entry tokenizes its sentences and keeps
-    their vector rows, keyed by the entry; ``evidence_parts`` reads the
-    selected sentences' encoder parts from them.
+    The first retrieval from a manual entry tokenizes its sentences (unless
+    ``prepare`` was given their tokens) and keeps their vector rows, keyed by
+    the entry; ``evidence_parts`` reads the selected sentences' encoder parts
+    from them.
     """
 
     def __init__(
@@ -182,14 +187,25 @@ class KeySentenceRetriever:
         self.config = config
         self._entries: dict[ManualEntry, _PreparedEntry] = {}
 
-    def _prepared(self, entry: ManualEntry) -> _PreparedEntry:
+    def prepare(
+        self, entry: ManualEntry, sentence_tokens: list[list[str]] | None = None
+    ) -> _PreparedEntry:
+        """The prepared form of ``entry``, built on first use from ``sentence_tokens``.
+
+        ``sentence_tokens`` are the tokens of each sentence, if the caller has
+        them; otherwise the sentences are tokenized here.
+        """
         prepared = self._entries.get(entry)
         if prepared is None:
-            tokens = [tokenize(s) for s in entry.sentences]
-            lengths = np.array([len(t) for t in tokens], dtype=np.intp)
+            if sentence_tokens is None:
+                sentence_tokens = [tokenize(s) for s in entry.sentences]
+            lengths = np.array([len(t) for t in sentence_tokens], dtype=np.intp)
             distinct: dict[str, int] = {}
             occurrences = np.array(
-                [distinct.setdefault(t, len(distinct)) for t in chain.from_iterable(tokens)],
+                [
+                    distinct.setdefault(t, len(distinct))
+                    for t in chain.from_iterable(sentence_tokens)
+                ],
                 dtype=np.intp,
             )
             vectors = _vector_rows(distinct, self.vectors)
@@ -210,7 +226,7 @@ class KeySentenceRetriever:
 
     def evidence_parts(self, manual_entry: ManualEntry, result: RetrievalResult) -> list[Part]:
         """The encoder parts of ``result``'s sentences, retrieved from ``manual_entry``."""
-        prepared = self._prepared(manual_entry)
+        prepared = self.prepare(manual_entry)
         return [prepared.part(sentence.index) for sentence in result.sentences]
 
     def query_keywords(self, description: str) -> set[str]:
@@ -230,10 +246,15 @@ class KeySentenceRetriever:
         )
 
     def retrieve(self, description: str | Query, manual_entry: ManualEntry) -> RetrievalResult:
-        """Greedy iterative selection of manual sentences.
+        """``retrieve_many`` of one query; ``description`` is the text or its ``query``."""
+        if not isinstance(description, Query):
+            description = self.query(tokenize(description))
+        return self.retrieve_many([description], manual_entry)[0]
 
-        ``description`` is the text or its ``query``, built once for several
-        entries.
+    def retrieve_many(
+        self, queries: Sequence[Query], manual_entry: ManualEntry
+    ) -> list[RetrievalResult]:
+        """Greedy iterative selection of manual sentences, for each query.
 
         Each step scores every unselected sentence against the currently
         uncovered keywords only and takes the argmax (ties to the lowest
@@ -243,33 +264,54 @@ class KeySentenceRetriever:
         within a selected sentence reaches the coverage threshold. Selection
         stops when all keywords are covered, the argmax sentence would cover
         nothing new (it is not taken), or ``max_sentences`` is reached.
+
+        The approximate alignments of all queries come from one matrix
+        product; each query's selection then runs on its own columns.
         """
         if not manual_entry.sentences:
             raise EmptyManual(f"manual entry {manual_entry.heading} has no sentences")
+        prepared = self.prepare(manual_entry)
+        if not queries:
+            return []
 
-        if not isinstance(description, Query):
-            description = self.query(tokenize(description))
-        keywords, ordered = description.keywords, description.ordered
-        keyword_rows, weights = description.rows, description.weights
-        prepared = self._prepared(manual_entry)
-
-        # Sentence x keyword idf-weighted clamped best cosines. Summed over the
-        # uncovered keywords, a row is within PREFILTER_MARGIN times
-        # max(1, their summed error scales) of the exact score.
-        best = np.zeros((len(manual_entry.sentences), len(ordered)))
-        if ordered and len(prepared.nonempty):
+        # Sentence x keyword best cosines, for the keywords of every query.
+        keyword_rows = np.concatenate([q.rows for q in queries])
+        best = np.zeros((len(manual_entry.sentences), len(keyword_rows)))
+        if len(keyword_rows) and len(prepared.nonempty):
             best[prepared.nonempty] = np.maximum.reduceat(
                 (prepared.rows @ keyword_rows.T)[prepared.occurrences], prepared.starts, axis=0
             )
+        ends = accumulate(len(query.ordered) for query in queries)
+        return [
+            self._select(query, prepared, manual_entry, best[:, end - len(query.ordered) : end])
+            for query, end in zip(queries, ends)
+        ]
+
+    def _select(
+        self, query: Query, prepared: _PreparedEntry, manual_entry: ManualEntry, best: np.ndarray
+    ) -> RetrievalResult:
+        """One query's greedy selection, from its sentence x keyword best cosines."""
+        keywords, ordered = query.keywords, query.ordered
+        keyword_rows, weights = query.rows, query.weights
+        threshold = self.config.coverage_threshold
+
+        # Idf-weighted clamped best cosines. Summed over the uncovered
+        # keywords, a row is within PREFILTER_MARGIN times max(1, their summed
+        # error scales) of the exact score.
         weighted = np.maximum(best, 0.0) * weights
-        reach = max(1.0, prepared.reach * description.reach)
+        reach = max(1.0, prepared.reach * query.reach)
         error_scale = np.abs(weights) * reach
+        # Sentence x keyword pairs whose exact alignment may reach the
+        # threshold; a selected sentence's row is cleared.
+        coverable = best >= threshold - PREFILTER_MARGIN * reach
 
         result = RetrievalResult(query_keywords=set(keywords), uncovered_keywords=set(keywords))
         remaining = list(range(len(manual_entry.sentences)))
         uncovered = np.ones(len(ordered), dtype=bool)
 
         while uncovered.any() and remaining and len(result.sentences) < self.config.max_sentences:
+            if not coverable[:, uncovered].any():
+                break  # the argmax sentence would cover nothing new
             mask = uncovered.astype(float)
             approximate = weighted[remaining] @ mask
             cut = approximate.max() - PREFILTER_MARGIN * max(1.0, float(error_scale @ mask))
@@ -289,9 +331,7 @@ class KeySentenceRetriever:
                 if score > best_score:
                     best_index, best_score, best_alignments = index, score, alignments
 
-            newly_covered = np.flatnonzero(uncovered)[
-                best_alignments >= self.config.coverage_threshold
-            ]
+            newly_covered = np.flatnonzero(uncovered)[best_alignments >= threshold]
             if not len(newly_covered):
                 break
 
@@ -301,6 +341,7 @@ class KeySentenceRetriever:
                 )
             )
             remaining.remove(best_index)
+            coverable[best_index] = False
             uncovered[newly_covered] = False
             covered = {ordered[i] for i in newly_covered}
             result.covered_keywords |= covered

@@ -98,11 +98,10 @@ def build_index(cases: Sequence[DecisionCase], embeddings: Sequence[np.ndarray])
     )
 
 
-def _leaders(bucket: Bucket, query: np.ndarray, m: int) -> np.ndarray:
+def _leaders(bucket: Bucket, query: np.ndarray, query_norm: float, m: int) -> np.ndarray:
     """Rows that can rank in the top m by ``cosine``: the prefilter's survivors."""
     rows = len(bucket.ids)
     low, high = NORM_RANGE
-    query_norm = np.linalg.norm(query)
     if not low <= query_norm <= high:
         return np.arange(rows)
     outside = ~((bucket.norms >= low) & (bucket.norms <= high))
@@ -122,6 +121,7 @@ def similar_cases(
     case id; an unknown subheading yields []. A bucket of more than m cases
     is prefiltered with one matrix-vector product, and ``cosine`` rescores
     every case within ``PREFILTER_MARGIN`` of the m-th best approximate score.
+    The query's norm is computed once per lookup.
     """
     bucket = index.by_subheading.get(subheading)
     if bucket is None:
@@ -133,11 +133,12 @@ def similar_cases(
         )
     if m == 0:
         return []
+    query_norm = np.linalg.norm(query)
     rows = range(len(bucket.ids))
     if 0 < m < len(rows):
-        rows = _leaders(bucket, query, m)
+        rows = _leaders(bucket, query, query_norm, m)
     scored = sorted(
-        ((bucket.ids[i], cosine(query, bucket.embeddings[i]), i) for i in rows),
+        ((bucket.ids[i], cosine(query, bucket.embeddings[i], query_norm), i) for i in rows),
         key=lambda item: (-item[1], item[0]),
     )
     return [(case_id, similarity, bucket.snippets[i]) for case_id, similarity, i in scored[:m]]

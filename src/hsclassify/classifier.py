@@ -136,12 +136,19 @@ class SoftmaxClassifier:
         return self.weights.shape[0]
 
     def logits(self, x) -> np.ndarray:
+        """``x @ W + b`` for one input ``(d,)`` or for each row of ``(n, d)``.
+
+        Each row is a ``(1, d)`` stack item of one product, which makes one
+        matrix-vector call per row, so a row's logits have the bits of that
+        row alone. The plain ``(n, d) @ W`` is a matrix-matrix call whose
+        rounding depends on the row count.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.input_dimension,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.input_dimension:
             raise DimensionMismatch(
-                f"input length {x.shape} does not match d={self.input_dimension}"
+                f"input shape {x.shape} does not match d={self.input_dimension}"
             )
-        return x @ self.weights + self.bias
+        return (x[..., None, :] @ self.weights)[..., 0, :] + self.bias
 
     def predict_proba(self, x) -> np.ndarray:
         return softmax_inplace(self.logits(x))

@@ -3,7 +3,8 @@
 ``DescriptionEncoder`` (``encode(text)`` and ``output_dimension``) is the
 contract the classifiers and the case index consume. The pipeline also
 builds each text's ``Part`` once and pools descriptions with their evidence
-sentences from parts, so it needs ``PooledEncoder``'s ``part`` and ``pool``.
+sentences from parts, many at a time, so it needs ``PooledEncoder``'s
+``part`` and ``pool_many``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class PooledEncoder:
     A text is pooled from its ``Part``: tokenized and gathered once, then
     pooled alone or followed by other parts (a description by its evidence
     sentences' parts, which the retriever keeps with its prepared manual
-    entry).
+    entry). ``pool_many`` pools many such groups at once; ``pool`` is its
+    one-group case.
     """
 
     def __init__(self, vectors: WordVectorTable, idf: IdfTable):
@@ -60,27 +62,48 @@ class PooledEncoder:
         )
 
     def pool(self, parts: Sequence[Part]) -> np.ndarray:
-        """Encode the concatenation of ``parts``' tokens.
+        """Encode the concatenation of ``parts``' tokens; ``pool_many`` of one group."""
+        return self.pool_many([parts])[0]
 
-        Equal to ``encode`` of the parts' texts joined by a separator the
-        tokenizer drops.
+    def pool_many(self, groups: Sequence[Sequence[Part]]) -> np.ndarray:
+        """Row i: the encoding of the concatenation of ``groups[i]``'s tokens.
 
-        Token by token from +0.0, as a running sum: ``pooled += w * v`` and
-        ``total += w``. ``np.add.accumulate`` adds in that order, and adding
-        +0.0 to its last row gives the running sum's +0.0 where it has -0.0.
+        Equal to ``encode`` of the group's texts joined by a separator the
+        tokenizer drops, computed token by token from +0.0 as a running sum:
+        ``pooled += w * v`` and ``total += w``. Each token's ``w * v`` and
+        ``w`` form one row of ``d + 1`` terms. Token j of group i goes to
+        ``padded[j, i]`` of a zero-padded ``(tokens, groups, d + 1)`` array,
+        which is summed over its first axis from +0.0: that adds whole
+        ``(groups, d + 1)`` slabs in token order, and the padding adds +0.0,
+        which changes nothing. The total weight is summed with the terms,
+        never pairwise. Row norms are stacked dot products, the same calls as
+        ``np.linalg.norm``.
         """
-        weights = np.concatenate([part.weights for part in parts])
-        if not len(weights):
-            return np.zeros(self.output_dimension)
-        rows = np.concatenate([part.rows for part in parts])
-        total_weight = float(np.add.accumulate(weights)[-1])
-        if total_weight <= 0.0:
-            return np.zeros(self.output_dimension)
-        pooled = np.add.accumulate(weights[:, None] * rows, axis=0)[-1] + 0.0
-        pooled /= total_weight
-        norm = np.linalg.norm(pooled)
-        if norm > 0.0:
-            pooled /= norm
+        d = self.output_dimension
+        n = len(groups)
+        lengths = [sum(len(part.weights) for part in group) for group in groups]
+        width = max(lengths, default=0)
+        if not width:
+            return np.zeros((n, d))
+        parts = [part for group in groups for part in group]
+        weights = np.concatenate([part.weights for part in parts])[:, None]
+        terms = np.concatenate([part.rows for part in parts])
+        terms *= weights
+        if n == 1:
+            padded = np.concatenate((terms, weights), axis=1)[:, None]
+        else:
+            starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+            slots = (np.arange(len(terms)) - starts) * n + np.repeat(np.arange(n), lengths)
+            padded = np.zeros((width, n, d + 1))
+            flat = padded.reshape(width * n, d + 1)
+            flat[slots, :d] = terms
+            flat[slots, d] = weights[:, 0]
+        sums = np.add.reduce(padded, axis=0, initial=0.0)
+        totals = sums[:, d:]
+        pooled = np.zeros((n, d))
+        np.divide(sums[:, :d], totals, out=pooled, where=~(totals <= 0.0))
+        norms = np.sqrt(pooled[:, None, :] @ pooled[:, :, None])[:, 0]
+        np.divide(pooled, norms, out=pooled, where=norms > 0.0)
         return pooled
 
     def encode(self, text: str) -> np.ndarray:

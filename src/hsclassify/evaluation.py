@@ -245,8 +245,8 @@ def evaluate_pipeline(
     has_ablation = model.ablation_classifier is not None
     manual_tokens = _manual_token_sets(manuals)
     stopwords = model.retriever.stopwords
-    for case in test_cases:
-        trace = model.infer(case.description, headings=max_k)
+    traces = model.infer_many([case.description for case in test_cases], headings=max_k)
+    for case, trace in zip(test_cases, traces):
         report = model.report(trace, max_k)
         headings = [c.heading for c in report.heading_candidates]
         subheadings = [c.subheading for c in report.subheading_candidates]

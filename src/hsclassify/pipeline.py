@@ -5,11 +5,18 @@ inference retrieves from the predicted heading's entry. The subheading head
 ranges over the full subheading label space (no heading constraint) unless
 the mask-to-heading-children mode is switched on.
 
-``PipelineModel.infer`` is the one inference path: it runs each stage once
-per description and records the outputs in an ``InferenceTrace``. Stage 3
-and the similar-case query reuse the top heading's evidence retrieved in the
-heading stage. ``predict``, ``evaluate_pipeline``, ``refit_temperatures`` and
-the stage-3 validation inputs of ``fit`` all read that trace.
+``PipelineModel.infer_many`` is the one inference path: it runs each stage
+once per description, for a chunk of descriptions at a time, and records the
+outputs in one ``InferenceTrace`` per description. Stage 3 and the
+similar-case query reuse the top heading's evidence retrieved in the heading
+stage. ``infer`` and ``predict`` are its one-description case;
+``evaluate_pipeline``, ``refit_temperatures`` and the stage-3 validation
+inputs of ``fit`` read its traces.
+
+Every batched step computes each description's floats with the same calls as
+for that description alone: heads and norms are stacked per-row products,
+pooling sums each row's tokens in order, softmax, sums and sorts run per row.
+So a trace never depends on the other descriptions of its chunk.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,6 +45,12 @@ from .errors import MissingManualWarning
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, compute_idf, tokenize
 
 CHECKPOINT_FORMAT = 3
+
+# Descriptions per batch of the inference path and of fit's encoding passes.
+# A batch pools from a zero-padded (tokens x rows x (d + 1)) array, so this
+# bounds memory. Refitting temperatures on the benchmark's shapes took the
+# same time in batches of 64 as of 128, with about 1.5 MB less peak memory.
+CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -197,93 +210,107 @@ class PipelineModel:
     # -- inference ---------------------------------------------------------
 
     def infer(self, description: str, headings: int = 0) -> InferenceTrace:
-        """Run every stage once for one description.
+        """``infer_many`` of one description."""
+        (trace,) = self.infer_many([description], headings)
+        return trace
+
+    def infer_many(self, descriptions: Sequence[str], headings: int = 0) -> Iterator[InferenceTrace]:
+        """Run every stage once for each description; yields their traces in order.
 
         Key sentences are retrieved only where read: for the top ``headings``
         headings (a report), the top heading when stage 3 or the ablation head
         uses evidence, and the top three for the evidence-per-candidate mixture.
+        Descriptions are tokenized and inferred ``CHUNK_ROWS`` at a time.
         """
-        tokens = tokenize(description)
-        part = self.encoder.part(tokens)
-        return self._infer(description, tokens, part, self.encoder.pool([part]), headings)
+        for start in range(0, len(descriptions), CHUNK_ROWS):
+            chunk = descriptions[start : start + CHUNK_ROWS]
+            yield from self._infer_chunk(chunk, [tokenize(d) for d in chunk], headings)
 
-    def _infer(
+    def _infer_chunk(
         self,
-        description: str,
-        tokens: list[str],
-        part: Part,
-        description_vector: np.ndarray,
-        headings: int = 0,
-    ) -> InferenceTrace:
-        """``infer`` for a description already tokenized, gathered and encoded.
+        descriptions: Sequence[str],
+        tokens: Sequence[list[str]],
+        headings: int,
+        description_vectors: np.ndarray | None = None,
+    ) -> list[InferenceTrace]:
+        """The traces of tokenized descriptions; their vectors if already pooled.
 
-        Every retrieval shares one query, and every evidence vector pools the
-        description's part followed by its sentences' parts.
+        Every retrieval of a description shares one query, and every evidence
+        vector pools the description's part followed by its sentences' parts.
         """
         config = self.config
         space = self.label_space
-        heading_logits = self.heading_classifier.logits(description_vector)
+        n = len(descriptions)
+        parts = [self.encoder.part(t) for t in tokens]
+        x = description_vectors
+        if x is None:
+            x = self.encoder.pool_many([[part] for part in parts])
+        heading_logits = self.heading_classifier.logits(x)
         heading_probs = self.heading_scaler.probabilities(heading_logits)
-        ranked = [index for index, _ in top_k(heading_probs, len(space.headings))]
+        ranked = np.argsort(-heading_probs, axis=1, kind="stable")
 
         if config.use_evidence or config.train_ablation:
             mixture = config.use_evidence and config.evidence_per_candidate
             headings = max(headings, 3 if mixture else 1)
-        entries = [self.manuals.get(space.headings[index]) for index in ranked[:headings]]
-        query = self.retriever.query(tokens) if any(e is not None for e in entries) else None
-        retrievals = [
-            self.retriever.retrieve(query, entry) if entry is not None else None
-            for entry in entries
-        ]
+        entries = [[self.manuals.get(space.headings[h]) for h in row[:headings]] for row in ranked]
+        retrievals = _retrieve(self.retriever, tokens, entries)
 
-        def vector(position: int, with_evidence: bool) -> np.ndarray:
-            result = retrievals[position] if with_evidence else None
-            if result is None or not result.sentences:
-                return description_vector
-            evidence = self.retriever.evidence_parts(entries[position], result)
-            return self.encoder.pool([part, *evidence])
+        def vectors(position: int, with_evidence: bool) -> np.ndarray:
+            if not with_evidence:
+                return x
+            return _with_evidence(
+                self.encoder, self.retriever, parts, x,
+                [row[position] for row in entries], [row[position] for row in retrievals],
+            )
 
-        stage3_vector = vector(0, config.use_evidence)
-        subheading_logits = self.subheading_classifier.logits(stage3_vector)
+        stage3 = vectors(0, config.use_evidence)
+        subheading_logits = self.subheading_classifier.logits(stage3)
         probs = self.subheading_scaler.probabilities(subheading_logits)
         if config.evidence_per_candidate:
             # Mixture over the top three headings, weighted by calibrated score.
             candidate_probs = [probs] + [
                 self.subheading_scaler.probabilities(
-                    self.subheading_classifier.logits(vector(position, config.use_evidence))
+                    self.subheading_classifier.logits(vectors(position, config.use_evidence))
                 )
-                for position in range(1, min(3, len(ranked)))
+                for position in range(1, min(3, len(space.headings)))
             ]
-            mixed = np.zeros(len(space.subheadings))
-            weight_sum = 0.0
-            for index, candidate in zip(ranked, candidate_probs):
-                weight = float(heading_probs[index])
-                mixed += weight * candidate
+            mixed = np.zeros(probs.shape)
+            weight_sum = np.zeros(n)
+            for position, candidate in enumerate(candidate_probs):
+                weight = heading_probs[np.arange(n), ranked[:, position]]
+                mixed += weight[:, None] * candidate
                 weight_sum += weight
-            probs = mixed / weight_sum
+            probs = mixed / weight_sum[:, None]
 
         if config.mask_to_heading:
-            top_heading = space.headings[ranked[0]]
-            mask = np.array([s.startswith(top_heading) for s in space.subheadings], dtype=float)
+            mask = np.array(
+                [[s.startswith(space.headings[row[0]]) for s in space.subheadings] for row in ranked],
+                dtype=float,
+            )
             masked = probs * mask
-            if masked.sum() > 0:
-                probs = masked / masked.sum()
+            totals = masked.sum(axis=1)
+            kept = totals > 0
+            probs[kept] = masked[kept] / totals[kept, None]
 
-        trace = InferenceTrace(
-            description=description,
-            heading_logits=heading_logits,
-            heading_probabilities=heading_probs,
-            ranked_headings=ranked,
-            retrievals=retrievals,
-            stage3_vector=stage3_vector,
-            subheading_logits=subheading_logits,
-            subheading_probabilities=probs,
-        )
-        if config.train_ablation:
-            trace.ablation_vector = vector(0, not config.use_evidence)
+        ablation_vectors = vectors(0, not config.use_evidence) if config.train_ablation else None
+        ablation_logits = None
         if self.ablation_classifier is not None:
-            trace.ablation_logits = self.ablation_classifier.logits(trace.ablation_vector)
-        return trace
+            ablation_logits = self.ablation_classifier.logits(ablation_vectors)
+        return [
+            InferenceTrace(
+                description=description,
+                heading_logits=heading_logits[i],
+                heading_probabilities=heading_probs[i],
+                ranked_headings=ranked[i].tolist(),
+                retrievals=retrievals[i],
+                stage3_vector=stage3[i],
+                subheading_logits=subheading_logits[i],
+                subheading_probabilities=probs[i],
+                ablation_vector=None if ablation_vectors is None else ablation_vectors[i],
+                ablation_logits=None if ablation_logits is None else ablation_logits[i],
+            )
+            for i, description in enumerate(descriptions)
+        ]
 
     # -- prediction --------------------------------------------------------
 
@@ -330,19 +357,78 @@ class PipelineModel:
         )
 
 
+def _retrieve(
+    retriever: KeySentenceRetriever,
+    tokens: Sequence[list[str]],
+    entries: Sequence[Sequence[ManualEntry | None]],
+) -> list[list[RetrievalResult | None]]:
+    """``retrievals[i][j]``: description i's key sentences from ``entries[i][j]``.
+
+    A description with any entry builds one query; each entry is retrieved
+    from once, for all the descriptions that need it.
+    """
+    requests: dict[ManualEntry, list[tuple[int, int]]] = {}
+    for i, row in enumerate(entries):
+        for position, entry in enumerate(row):
+            if entry is not None:
+                requests.setdefault(entry, []).append((i, position))
+    queries = {
+        i: retriever.query(tokens[i])
+        for i, row in enumerate(entries)
+        if any(entry is not None for entry in row)
+    }
+    retrievals: list[list[RetrievalResult | None]] = [[None] * len(row) for row in entries]
+    for entry, slots in requests.items():
+        results = retriever.retrieve_many([queries[i] for i, _ in slots], entry)
+        for (i, position), result in zip(slots, results):
+            retrievals[i][position] = result
+    return retrievals
+
+
+def _with_evidence(
+    encoder: PooledEncoder,
+    retriever: KeySentenceRetriever,
+    parts: Sequence[Part],
+    vectors: np.ndarray,
+    entries: Sequence[ManualEntry | None],
+    results: Sequence[RetrievalResult | None],
+) -> np.ndarray:
+    """``vectors`` where row i is ``parts[i]`` pooled with its key sentences' parts.
+
+    A row without key sentences keeps its description vector.
+    """
+    chosen = [i for i, result in enumerate(results) if result is not None and result.sentences]
+    if not chosen:
+        return vectors
+    pooled = vectors.copy()
+    pooled[chosen] = encoder.pool_many(
+        [[parts[i], *retriever.evidence_parts(entries[i], results[i])] for i in chosen]
+    )
+    return pooled
+
+
 # -- fitting ----------------------------------------------------------------
 
 
 def _idf_documents(
-    case_tokens: Sequence[list[str]], manuals: Mapping[str, ManualEntry], mode: str
+    case_tokens: Sequence[list[str]], manual_tokens: Mapping[str, list[list[str]]], mode: str
 ) -> list[list[str]]:
     documents: list[list[str]] = []
     if mode in ("cases", "cases+manual"):
         documents.extend(case_tokens)
     if mode in ("manual", "cases+manual"):
-        for entry in manuals.values():
-            documents.extend(tokenize(s) for s in entry.sentences)
+        for sentence_tokens in manual_tokens.values():
+            documents.extend(sentence_tokens)
     return documents
+
+
+def _pool_descriptions(encoder: PooledEncoder, tokens: Sequence[list[str]]) -> np.ndarray:
+    """The description vector of each token list, ``CHUNK_ROWS`` at a time."""
+    vectors = np.zeros((len(tokens), encoder.output_dimension))
+    for start in range(0, len(tokens), CHUNK_ROWS):
+        chunk = tokens[start : start + CHUNK_ROWS]
+        vectors[start : start + len(chunk)] = encoder.pool_many([[encoder.part(t)] for t in chunk])
+    return vectors
 
 
 def _label_indices(cases: Sequence[DecisionCase], index: Mapping[str, int], level: str) -> list[int]:
@@ -368,14 +454,16 @@ def fit(
 ) -> PipelineModel:
     """Train both stages, fit per-stage temperatures, build the case index.
 
-    Each description is tokenized once, for the idf table, its encoding and
-    its retrieval query. Each training case is encoded once, and once more
-    with the key sentences of its gold heading's manual when stage 3 or the
-    ablation head reads evidence; a case without evidence reuses its
-    description vector (a missing manual warns once per heading). The case
-    index holds the stage-3 training vectors; stage-3 validation inputs come
-    from the inference path, which reuses each validation description's
-    tokens, part and vector.
+    Each description and each manual sentence is tokenized once: a
+    description for the idf table, its encoding and its retrieval query; a
+    sentence for the idf table and its entry's prepared rows. Training cases
+    are encoded one gold heading at a time, ``CHUNK_ROWS`` at a time: each
+    once, and once more with the key sentences of its gold heading's manual
+    when stage 3 or the ablation head reads evidence; a case without
+    evidence reuses its description vector (a missing manual warns once per
+    heading). The case index holds the stage-3 training vectors; stage-3
+    validation inputs come from the inference path, which reuses each
+    validation description's tokens and vector.
     """
     if not train_cases:
         raise EmptyInput("no training cases")
@@ -383,11 +471,17 @@ def fit(
     label_space = build_label_space(list(train_cases))
     train_tokens = [tokenize(c.description) for c in train_cases]
     val_tokens = [tokenize(c.description) for c in validation_cases]
+    manual_tokens = {}
+    if config.idf_documents != "cases":
+        manual_tokens = {h: [tokenize(s) for s in e.sentences] for h, e in manuals.items()}
     idf = compute_idf(
-        _idf_documents([*train_tokens, *val_tokens], manuals, config.idf_documents)
+        _idf_documents([*train_tokens, *val_tokens], manual_tokens, config.idf_documents)
     )
     encoder = PooledEncoder(vectors, idf)
     retriever = KeySentenceRetriever(vectors, idf, stopwords, config.retrieval)
+    for heading in label_space.headings:
+        if heading in manual_tokens:
+            retriever.prepare(manuals[heading], manual_tokens[heading])
 
     for heading in sorted({c.label.heading for c in train_cases} - manuals.keys()):
         warnings.warn(
@@ -400,31 +494,34 @@ def fit(
     # Stage 1 reads each training description's vector; stage 3 (or the
     # ablation head) the same description pooled with the key sentences of
     # its gold heading's manual.
-    def with_evidence(case: DecisionCase, tokens: list[str], part: Part, vector: np.ndarray):
-        entry = manuals.get(case.label.heading)
-        result = retriever.retrieve(retriever.query(tokens), entry) if entry is not None else None
-        if result is None or not result.sentences:
-            return vector
-        return encoder.pool([part, *retriever.evidence_parts(entry, result)])
-
     reads_evidence = config.use_evidence or config.train_ablation
-    x1_train, evidence_train = [], []
-    for case, tokens in zip(train_cases, train_tokens):
-        part = encoder.part(tokens)
-        x1_train.append(encoder.pool([part]))
-        if reads_evidence:
-            evidence_train.append(with_evidence(case, tokens, part, x1_train[-1]))
-    if not reads_evidence:
-        evidence_train = x1_train
+    x1_train = np.zeros((len(train_cases), encoder.output_dimension))
+    evidence_train = np.zeros_like(x1_train) if reads_evidence else x1_train
+    by_heading: dict[str, list[int]] = {}
+    for i, case in enumerate(train_cases):
+        by_heading.setdefault(case.label.heading, []).append(i)
+    for heading, members in by_heading.items():
+        entry = manuals.get(heading)
+        for start in range(0, len(members), CHUNK_ROWS):
+            rows = members[start : start + CHUNK_ROWS]
+            parts = [encoder.part(train_tokens[i]) for i in rows]
+            x1_train[rows] = x1 = encoder.pool_many([[part] for part in parts])
+            if reads_evidence:
+                results = [None] * len(rows)
+                if entry is not None:
+                    queries = [retriever.query(train_tokens[i]) for i in rows]
+                    results = retriever.retrieve_many(queries, entry)
+                evidence_train[rows] = _with_evidence(
+                    encoder, retriever, parts, x1, [entry] * len(rows), results
+                )
 
     y1_train = _label_indices(train_cases, label_space.heading_index, "heading")
-    val_parts = [encoder.part(tokens) for tokens in val_tokens]
-    x1_val = [encoder.pool([part]) for part in val_parts]
+    x1_val = _pool_descriptions(encoder, val_tokens)
     y1_val = _label_indices(validation_cases, label_space.heading_index, "heading")
     heading_clf, heading_report = train(
         x1_train, y1_train, x1_val, y1_val, config.heading_train, label_space.headings
     )
-    heading_scaler = _fit_scaler([heading_clf.logits(v) for v in x1_val], y1_val)
+    heading_scaler = _fit_scaler(heading_clf.logits(x1_val), y1_val)
 
     x3_train, xa_train = (
         (evidence_train, x1_train) if config.use_evidence else (x1_train, evidence_train)
@@ -450,16 +547,24 @@ def fit(
         case_index=case_index,
         config=config,
     )
-    traces = (
-        model._infer(c.description, tokens, part, vector)
-        for c, tokens, part, vector in zip(validation_cases, val_tokens, val_parts, x1_val)
-    )
-    val_vectors = [(t.stage3_vector, t.ablation_vector) for t in traces]
+    x3_val = np.zeros_like(x1_val)
+    xa_val = np.zeros_like(x1_val)
+    for start in range(0, len(validation_cases), CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
+        traces = model._infer_chunk(
+            [c.description for c in validation_cases[start:stop]],
+            val_tokens[start:stop],
+            0,
+            x1_val[start:stop],
+        )
+        for i, trace in enumerate(traces, start):
+            x3_val[i] = trace.stage3_vector
+            if config.train_ablation:
+                xa_val[i] = trace.ablation_vector
 
     y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")
     y3_val = _label_indices(validation_cases, label_space.subheading_index, "subheading")
 
-    x3_val = [v for v, _ in val_vectors]
     subheading_clf, subheading_report = train(
         x3_train, y3_train, x3_val, y3_val, config.subheading_train, subheadings
     )
@@ -467,19 +572,18 @@ def fit(
     ablation = {}
     ablation_report = None
     if config.train_ablation:
-        xa_val = [v for _, v in val_vectors]
         ablation_clf, ablation_report = train(
             xa_train, y3_train, xa_val, y3_val, config.subheading_train, subheadings
         )
         ablation = dict(
             ablation_classifier=ablation_clf,
-            ablation_scaler=_fit_scaler([ablation_clf.logits(v) for v in xa_val], y3_val),
+            ablation_scaler=_fit_scaler(ablation_clf.logits(xa_val), y3_val),
         )
 
     return replace(
         model,
         subheading_classifier=subheading_clf,
-        subheading_scaler=_fit_scaler([subheading_clf.logits(v) for v in x3_val], y3_val),
+        subheading_scaler=_fit_scaler(subheading_clf.logits(x3_val), y3_val),
         **ablation,
         fit_report=FitReport(
             heading=heading_report,
@@ -492,8 +596,8 @@ def fit(
 
 def refit_temperatures(model: PipelineModel, validation_cases: Sequence[DecisionCase]) -> None:
     """Refit the per-stage temperature scalers on a validation split in place."""
-    # A generator, so only each trace's logits stay in memory.
-    traces = (model.infer(c.description) for c in validation_cases)
+    # A generator, so only each chunk's logits stay in memory.
+    traces = model.infer_many([c.description for c in validation_cases])
     logits = [(t.heading_logits, t.subheading_logits, t.ablation_logits) for t in traces]
     heading_labels = _label_indices(validation_cases, model.label_space.heading_index, "heading")
     subheading_labels = _label_indices(

@@ -133,13 +133,17 @@ def compute_idf(documents: list[list[str]]) -> IdfTable:
     return IdfTable(document_count=n, values=values)
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
+def cosine(u, v, u_norm: float | None = None) -> float:
+    """Cosine similarity; 0.0 when either vector has zero norm.
+
+    ``u_norm`` is ``np.linalg.norm(u)``, for a caller that compares one ``u``
+    with many vectors and computes it once.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise DimensionMismatch(f"vector lengths differ: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
+    nu = np.linalg.norm(u) if u_norm is None else u_norm
     nv = np.linalg.norm(v)
     if nu < 1e-150 or nv < 1e-150:
         if nu == 0.0 or nv == 0.0:

@@ -7,9 +7,10 @@ consistent with the selection rules.
 
 The reference copies at the end are the plain whole-array expressions of
 the training loss, its gradient, validation accuracy, the calibration NLL
-and the token-by-token pooled encoding. The package computes the same
-floats in one buffer or from prepared parts, and the exactness tests compare
-the two bit for bit.
+and the token-by-token pooled encoding, the scalar retrieval loop, and the
+per-description inference the batched ``infer_many`` replaced. The package
+computes the same floats in one buffer, from prepared parts or for many
+descriptions at once, and the exactness tests compare the two bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hsclassify.alignment import (
+    KeySentenceRetriever,
+    RetrievalResult,
+    RetrievedSentence,
+    _best_alignments,
+    alignment_score,
+)
+from hsclassify.corpus import ManualEntry
+from hsclassify.encoder import Part
+from hsclassify.pipeline import InferenceTrace, PipelineModel
 from hsclassify.textproc import tokenize
 
 
@@ -212,3 +223,138 @@ def joined_encode_with_evidence(vectors, idf, description: str, sentences) -> np
     if not sentences:
         return scalar_encode(vectors, idf, description)
     return scalar_encode(vectors, idf, " ‖ ".join([description, *sentences]))
+
+
+def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: ManualEntry):
+    """The loop the prefilter replaces: ``alignment_score`` on every remaining sentence."""
+    keywords = retriever.query_keywords(description)
+    sentence_tokens = [tokenize(s) for s in entry.sentences]
+    result = RetrievalResult(query_keywords=set(keywords), uncovered_keywords=set(keywords))
+    remaining = list(range(len(sentence_tokens)))
+    while (
+        result.uncovered_keywords
+        and remaining
+        and len(result.sentences) < retriever.config.max_sentences
+    ):
+        uncovered = sorted(result.uncovered_keywords)
+        best_index, best_score = -1, -1.0
+        for index in remaining:
+            score = alignment_score(
+                uncovered, sentence_tokens[index], retriever.vectors, retriever.idf
+            )
+            if score > best_score:
+                best_index, best_score = index, score
+        alignments = _best_alignments(uncovered, sentence_tokens[best_index], retriever.vectors)
+        newly_covered = {
+            t for t, a in zip(uncovered, alignments) if a >= retriever.config.coverage_threshold
+        }
+        if not newly_covered:
+            break
+        result.sentences.append(
+            RetrievedSentence(entry.sentences[best_index], best_index, best_score)
+        )
+        remaining.remove(best_index)
+        result.covered_keywords |= newly_covered
+        result.uncovered_keywords -= newly_covered
+    return result
+
+
+def scalar_pool(parts: list[Part], dimension: int) -> np.ndarray:
+    """``PooledEncoder.pool`` as a running sum over the tokens of ``parts``."""
+    pooled = np.zeros(dimension)
+    total_weight = 0.0
+    for part in parts:
+        for row, weight in zip(part.rows, part.weights):
+            pooled += weight * row
+            total_weight += weight
+    if total_weight <= 0.0:
+        return np.zeros(dimension)
+    pooled /= total_weight
+    norm = np.linalg.norm(pooled)
+    if norm > 0.0:
+        pooled /= norm
+    return pooled
+
+
+def reference_infer(model: PipelineModel, description: str, headings: int = 0) -> InferenceTrace:
+    """One description's trace, stage by stage, as the pipeline computed it alone.
+
+    Heads are ``x @ W + b`` on one vector, scores ``softmax(z / T)``,
+    rankings a stable argsort, pooling ``scalar_pool`` and retrieval
+    ``scalar_retrieve``.
+    """
+    config = model.config
+    space = model.label_space
+    encoder = model.encoder
+    dimension = encoder.output_dimension
+
+    def logits(classifier, vector):
+        return vector @ classifier.weights + classifier.bias
+
+    def probabilities(scaler, z):
+        return softmax(z / scaler.temperature)
+
+    tokens = tokenize(description)
+    part = encoder.part(tokens)
+    description_vector = scalar_pool([part], dimension)
+    heading_logits = logits(model.heading_classifier, description_vector)
+    heading_probs = probabilities(model.heading_scaler, heading_logits)
+    ranked = np.argsort(-heading_probs, kind="stable").tolist()
+
+    if config.use_evidence or config.train_ablation:
+        mixture = config.use_evidence and config.evidence_per_candidate
+        headings = max(headings, 3 if mixture else 1)
+    entries = [model.manuals.get(space.headings[index]) for index in ranked[:headings]]
+    retrievals = [
+        scalar_retrieve(model.retriever, description, entry) if entry is not None else None
+        for entry in entries
+    ]
+
+    def vector(position: int, with_evidence: bool) -> np.ndarray:
+        result = retrievals[position] if with_evidence else None
+        if result is None or not result.sentences:
+            return description_vector
+        evidence = [encoder.part(tokenize(s.text)) for s in result.sentences]
+        return scalar_pool([part, *evidence], dimension)
+
+    stage3_vector = vector(0, config.use_evidence)
+    subheading_logits = logits(model.subheading_classifier, stage3_vector)
+    probs = probabilities(model.subheading_scaler, subheading_logits)
+    if config.evidence_per_candidate:
+        candidate_probs = [probs] + [
+            probabilities(
+                model.subheading_scaler,
+                logits(model.subheading_classifier, vector(position, config.use_evidence)),
+            )
+            for position in range(1, min(3, len(ranked)))
+        ]
+        mixed = np.zeros(len(space.subheadings))
+        weight_sum = 0.0
+        for index, candidate in zip(ranked, candidate_probs):
+            weight = float(heading_probs[index])
+            mixed += weight * candidate
+            weight_sum += weight
+        probs = mixed / weight_sum
+
+    if config.mask_to_heading:
+        top_heading = space.headings[ranked[0]]
+        mask = np.array([s.startswith(top_heading) for s in space.subheadings], dtype=float)
+        masked = probs * mask
+        if masked.sum() > 0:
+            probs = masked / masked.sum()
+
+    trace = InferenceTrace(
+        description=description,
+        heading_logits=heading_logits,
+        heading_probabilities=heading_probs,
+        ranked_headings=ranked,
+        retrievals=retrievals,
+        stage3_vector=stage3_vector,
+        subheading_logits=subheading_logits,
+        subheading_probabilities=probs,
+    )
+    if config.train_ablation:
+        trace.ablation_vector = vector(0, not config.use_evidence)
+    if model.ablation_classifier is not None:
+        trace.ablation_logits = logits(model.ablation_classifier, trace.ablation_vector)
+    return trace

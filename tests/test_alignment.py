@@ -11,9 +11,6 @@ import pytest
 from hsclassify.alignment import (
     KeySentenceRetriever,
     RetrievalConfig,
-    RetrievalResult,
-    RetrievedSentence,
-    _best_alignments,
     _unit_rows,
     alignment_score,
 )
@@ -21,7 +18,7 @@ from hsclassify.corpus import ManualEntry
 from hsclassify.errors import EmptyManual
 from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
 
-from oracles import oracle_alignment_score, oracle_retrieve
+from oracles import oracle_alignment_score, oracle_retrieve, scalar_retrieve
 
 NO_STOPWORDS: frozenset[str] = frozenset()
 
@@ -261,40 +258,6 @@ class TestMinKeywordIdf:
         assert result.uncovered_keywords == expected.uncovered
 
 
-def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: ManualEntry):
-    """The loop the prefilter replaces: ``alignment_score`` on every remaining sentence."""
-    keywords = retriever.query_keywords(description)
-    sentence_tokens = [tokenize(s) for s in entry.sentences]
-    result = RetrievalResult(query_keywords=set(keywords), uncovered_keywords=set(keywords))
-    remaining = list(range(len(sentence_tokens)))
-    while (
-        result.uncovered_keywords
-        and remaining
-        and len(result.sentences) < retriever.config.max_sentences
-    ):
-        uncovered = sorted(result.uncovered_keywords)
-        best_index, best_score = -1, -1.0
-        for index in remaining:
-            score = alignment_score(
-                uncovered, sentence_tokens[index], retriever.vectors, retriever.idf
-            )
-            if score > best_score:
-                best_index, best_score = index, score
-        alignments = _best_alignments(uncovered, sentence_tokens[best_index], retriever.vectors)
-        newly_covered = {
-            t for t, a in zip(uncovered, alignments) if a >= retriever.config.coverage_threshold
-        }
-        if not newly_covered:
-            break
-        result.sentences.append(
-            RetrievedSentence(entry.sentences[best_index], best_index, best_score)
-        )
-        remaining.remove(best_index)
-        result.covered_keywords |= newly_covered
-        result.uncovered_keywords -= newly_covered
-    return result
-
-
 def assert_same_retrieval(retriever, description, entry):
     got = retriever.retrieve(description, entry)
     want = scalar_retrieve(retriever, description, entry)
@@ -423,7 +386,7 @@ class TestPrefilterIsExact:
         vectors, idf_values, sentences, _ = random_instance(5)
         retriever = make_retriever(vectors, idf_values)
         texts = tuple(" ".join(s) for s in sentences) + ("--",)
-        prepared = retriever._prepared(ManualEntry(heading="8541", sentences=texts))
+        prepared = retriever.prepare(ManualEntry(heading="8541", sentences=texts))
         assert len(prepared.rows) == len({t for s in sentences for t in s})
         for index, text in enumerate(texts):
             want = _unit_rows(tokenize(text), retriever.vectors)

@@ -201,12 +201,15 @@ class TestPrefilterIsExact:
         calls = Counter()
         original = case_retrieval.cosine
 
-        def counted(u, v):
+        def counted(u, v, u_norm=None):
             calls["cosine"] += 1
-            return original(u, v)
+            calls[u_norm] += 1
+            return original(u, v, u_norm)
 
         monkeypatch.setattr(case_retrieval, "cosine", counted)
         rng = np.random.default_rng(5)
         embeddings = {f"c{i:03d}": v for i, v in enumerate(rng.normal(size=(200, 16)))}
-        similar_cases(indexed(embeddings), rng.normal(size=16), "854140", m=3)
-        assert calls["cosine"] == 3
+        query = rng.normal(size=16)
+        similar_cases(indexed(embeddings), query, "854140", m=3)
+        # Each rescore reads the query norm the lookup computed once.
+        assert calls == {"cosine": 3, np.linalg.norm(query): 3}

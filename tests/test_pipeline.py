@@ -421,24 +421,27 @@ class TestRefitTemperatures:
 
 
 class TestSinglePass:
-    """Each stage runs once per description, pinned by counting calls."""
+    """Each stage runs once per batch of descriptions, pinned by counting calls."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
 
-        def count(owner, name, key):
+        def count(owner, name, key, items=None):
             original = getattr(owner, name)
 
             def counted(self, *args, **kwargs):
                 counts[key(self)] += 1
+                if items is not None:
+                    counts[items] += len(args[0])  # queries or groups in the batch
                 return original(self, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
 
         count(KeySentenceRetriever, "retrieve", lambda _: "retrieve")
+        count(KeySentenceRetriever, "retrieve_many", lambda _: "retrieve_many", "queries")
         count(PooledEncoder, "encode", lambda _: "encode")
-        count(PooledEncoder, "pool", lambda _: "pool")
+        count(PooledEncoder, "pool_many", lambda _: "pool_many", "pooled")
         # Heading labels have 4 digits, subheading labels 6.
         count(SoftmaxClassifier, "logits", lambda clf: f"logits{len(clf.labels[0])}")
         return counts
@@ -447,18 +450,40 @@ class TestSinglePass:
         _, split = small_corpus
         report = model.predict(split.test[0].description, k=3)
         assert report.heading_candidates[0].key_sentences
-        assert calls == {"retrieve": 3, "pool": 2, "logits4": 1, "logits6": 1}
+        assert calls == {
+            "retrieve_many": 3, "queries": 3, "pool_many": 2, "pooled": 2, "logits4": 1, "logits6": 1
+        }
 
     def test_evaluate_with_ablation_head(self, ablation_model, small_corpus, calls):
         _, split = small_corpus
-        evaluate_pipeline(ablation_model, [split.test[0]], ablation_model.manuals)
-        assert calls == {"retrieve": 5, "pool": 2, "logits4": 1, "logits6": 2}
+        cases = list(split.test)
+        traces = list(ablation_model.infer_many([c.description for c in cases], headings=5))
+        with_evidence = sum(1 for trace in traces if trace.retrievals[0].sentences)
+        calls.clear()
+        evaluate_pipeline(ablation_model, cases, ablation_model.manuals)
+        # One batch: each stage runs once for all cases, and each manual entry
+        # (one per heading) is retrieved from once, for every case that ranks it.
+        assert len(cases) <= pipeline.CHUNK_ROWS
+        assert calls == {
+            "retrieve_many": len(ablation_model.label_space.headings),
+            "queries": 5 * len(cases),
+            "pool_many": 2,
+            "pooled": len(cases) + with_evidence,
+            "logits4": 1,
+            "logits6": 2,
+        }
 
     def test_refit_temperatures(self, model, small_corpus, calls):
         _, split = small_corpus
+        descriptions = [c.description for c in split.validation]
+        top_headings = {trace.ranked_headings[0] for trace in model.infer_many(descriptions)}
+        calls.clear()
         refit_temperatures(copy.copy(model), list(split.validation))
-        assert calls["retrieve"] == len(split.validation)
-        assert calls["logits4"] == len(split.validation)
+        assert len(descriptions) <= pipeline.CHUNK_ROWS
+        assert calls["retrieve_many"] == len(top_headings)
+        assert calls["queries"] == len(descriptions)
+        assert calls["logits4"] == calls["logits6"] == 1
+        assert calls["pool_many"] == 2
 
     def test_repeat_predict_tokenizes_descriptions_and_rescores_leaders(
         self, model, small_corpus, calls, monkeypatch
@@ -483,19 +508,21 @@ class TestSinglePass:
         report = model.predict(description, k=3)
         # One tokenization and one set of keyword rows shared by 3 retrievals.
         assert calls["tokenize"] == calls["_unit_rows"] == 1
-        assert calls["retrieve"] == 3
+        assert calls["retrieve_many"] == calls["queries"] == 3
         m = model.config.similar_cases_per_candidate
         assert all(len(c.similar_cases) == m for c in report.subheading_candidates)
         assert calls["cosine"] <= m * len(report.subheading_candidates)
 
     def test_fit_encodes_each_training_case_at_most_twice(self, small_corpus, calls):
-        # x1 and description+evidence per training case; x1, then
-        # description+evidence along the inference path per validation case.
+        # x1 and description+evidence per training case, pooled per gold
+        # heading; x1, then description+evidence along the inference path per
+        # validation case.
         corpus, split = small_corpus
         config = PipelineConfig(**FAST_TRAIN)
-        fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        assert calls["pool"] <= 2 * len(split.train) + 2 * len(split.validation)
-        assert calls["encode"] == 0
+        model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
+        assert calls["pooled"] <= 2 * len(split.train) + 2 * len(split.validation)
+        assert calls["pool_many"] == 2 * len(model.label_space.headings) + 2
+        assert calls["encode"] == calls["retrieve"] == 0
 
     @pytest.mark.parametrize("idf_documents", ["cases+manual", "manual"])
     def test_fit_tokenizes_each_description_once(self, small_corpus, monkeypatch, idf_documents):
@@ -510,18 +537,20 @@ class TestSinglePass:
         fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
         descriptions = Counter(c.description for c in [*split.train, *split.validation])
         assert {text: tokenized[text] for text in descriptions} == descriptions
-        # A manual sentence: for the idf table and when its entry is prepared.
-        sentences = {s for entry in corpus.manual.values() for s in entry.sentences}
-        assert max(tokenized[s] for s in sentences) <= 2
+        # A manual sentence: once, for the idf table and its entry's prepared rows.
+        sentences = [s for entry in corpus.manual.values() for s in entry.sentences]
+        assert len(set(sentences)) == len(sentences)
+        assert {tokenized[s] for s in sentences} == {1}
 
     def test_fit_without_evidence_retrieves_nothing(self, small_corpus, calls):
         corpus, split = small_corpus
         config = PipelineConfig(**FAST_TRAIN, use_evidence=False)
         model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        assert calls["retrieve"] == 0
-        assert calls["pool"] == len(split.train) + len(split.validation)
+        assert calls["queries"] == calls["retrieve_many"] == 0
+        assert calls["pooled"] == len(split.train) + len(split.validation)
+        assert calls["pool_many"] == len(model.label_space.headings) + 1
         refit_temperatures(model, list(split.validation))
-        assert calls["retrieve"] == 0
+        assert calls["queries"] == 0
 
     @pytest.mark.parametrize("use_evidence", [True, False])
     def test_case_index_holds_stage3_training_vectors(
