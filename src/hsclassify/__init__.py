@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .alignment import KeySentenceRetriever, RetrievalConfig, RetrievalResult, alignment_score
+from .alignment import KeySentenceRetriever, RetrievalConfig, RetrievalResult
 from .calibration import TemperatureScaler, fit_temperature, scale
 from .case_retrieval import CaseIndex, build_index, similar_cases
 from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, cross_entropy, top_k, train
@@ -47,7 +47,6 @@ from .textproc import (
 
 __all__ = [
     "__version__",
-    "alignment_score",
     "build_index",
     "build_label_space",
     "CandidateReport",

@@ -9,11 +9,13 @@ nothing new, or the sentence budget runs out.
 Each greedy step ranks every sentence approximately from one keyword x
 sentence matrix (one matrix product for all queries of an entry) and rescores
 exactly only the sentences within ``PREFILTER_MARGIN`` of the best. The
-rescore multiplies the same unit rows in the same shapes and order as
-``alignment_score``, so the selection and its scores equal scoring every
-sentence with it. A query's selection also stops once no remaining sentence
-aligns approximately with an uncovered keyword to within the margin of the
-coverage threshold: then no sentence can cover anything new.
+exact score of a sentence is the sum over the uncovered keywords of idf
+times the best cosine against the sentence's tokens, clamped at 0; the
+rescore computes it from the prepared unit rows, so the selection and its
+scores equal scoring every sentence exactly. A query's selection also stops
+once no remaining sentence aligns approximately with an uncovered keyword to
+within the margin of the coverage threshold: then no sentence can cover
+anything new.
 """
 
 from __future__ import annotations
@@ -91,45 +93,18 @@ def _unit_rows(tokens: Iterable[str], vectors: WordVectorTable) -> np.ndarray:
     return _unit(_vector_rows(tokens, vectors))
 
 
-def _best_alignments(
-    keywords: list[str], sentence_tokens: list[str], vectors: WordVectorTable
-) -> np.ndarray:
-    """Best cosine against the sentence for each keyword (unclamped)."""
-    if not keywords or not sentence_tokens:
-        return np.zeros(len(keywords))
-    q = _unit_rows(keywords, vectors)
-    s = _unit_rows(sentence_tokens, vectors)
-    return (q @ s.T).max(axis=1)
-
-
-def alignment_score(
-    keywords: Iterable[str],
-    sentence_tokens: list[str],
-    vectors: WordVectorTable,
-    idf: IdfTable,
-) -> float:
-    """Sum over keywords of idf(t) times its best within-sentence cosine.
-
-    Negative per-keyword maxima clamp to zero, so an unrelated sentence never
-    scores below the empty sentence.
-    """
-    ordered = sorted(set(keywords))
-    best = np.maximum(_best_alignments(ordered, sentence_tokens, vectors), 0.0)
-    weights = np.array([idf.value(t) for t in ordered])
-    return float((weights * best).sum())
-
-
 @dataclass(frozen=True)
 class _PreparedEntry:
     """A manual entry's sentences as unit rows, one row per distinct token.
 
-    Sentence ``i``'s tokens, in order, have the rows
-    ``occurrences[bounds[i]:bounds[i + 1]]``. ``starts[j]`` is the first
-    occurrence of sentence ``nonempty[j]``, the j-th sentence with tokens;
-    ``reach`` is the largest row norm. The distinct tokens' word vectors,
+    ``tokens[j]`` is the token of row ``j``. Sentence ``i``'s tokens, in
+    order, have the rows ``occurrences[bounds[i]:bounds[i + 1]]``.
+    ``starts[j]`` is the first occurrence of sentence ``nonempty[j]``, the
+    j-th sentence with tokens; ``reach`` is the largest row norm. The distinct tokens' word vectors,
     vocabulary mask and idf weights give each sentence's encoder ``Part``.
     """
 
+    tokens: tuple[str, ...]
     rows: np.ndarray
     vectors: np.ndarray
     known: np.ndarray
@@ -142,6 +117,11 @@ class _PreparedEntry:
 
     def sentence_rows(self, index: int) -> np.ndarray:
         return self.rows[self.occurrences[self.bounds[index] : self.bounds[index + 1]]]
+
+    def token_set(self, index: int) -> set[str]:
+        """The distinct tokens of sentence ``index``."""
+        occurrences = self.occurrences[self.bounds[index] : self.bounds[index + 1]]
+        return {self.tokens[j] for j in occurrences.tolist()}
 
     def part(self, index: int) -> Part:
         """``PooledEncoder.part`` of sentence ``index``'s tokens."""
@@ -169,9 +149,9 @@ class KeySentenceRetriever:
     """Binds vector, idf and stopword tables to the retrieval procedure.
 
     The first retrieval from a manual entry tokenizes its sentences (unless
-    ``prepare`` was given their tokens) and keeps their vector rows, keyed by
-    the entry; ``evidence_parts`` reads the selected sentences' encoder parts
-    from them.
+    ``prepare`` was given their tokens) and keeps their distinct tokens and
+    vector rows, keyed by the entry; ``evidence_parts`` reads the selected
+    sentences' encoder parts from them.
     """
 
     def __init__(
@@ -212,6 +192,7 @@ class KeySentenceRetriever:
             rows = _unit(vectors)
             bounds = np.concatenate(([0], np.cumsum(lengths)))
             prepared = self._entries[entry] = _PreparedEntry(
+                tokens=tuple(distinct),
                 rows=rows,
                 vectors=vectors,
                 known=np.array([t in self.vectors for t in distinct], dtype=bool),
@@ -259,11 +240,11 @@ class KeySentenceRetriever:
         Each step scores every unselected sentence against the currently
         uncovered keywords only and takes the argmax (ties to the lowest
         sentence index). Only the sentences within the prefilter margin of the
-        best approximate score are scored exactly, to the bits of
-        ``alignment_score``. A keyword counts as covered once its best cosine
-        within a selected sentence reaches the coverage threshold. Selection
-        stops when all keywords are covered, the argmax sentence would cover
-        nothing new (it is not taken), or ``max_sentences`` is reached.
+        best approximate score are scored exactly. A keyword counts as covered
+        once its best cosine within a selected sentence reaches the coverage
+        threshold. Selection stops when all keywords are covered, the argmax
+        sentence would cover nothing new (it is not taken), or
+        ``max_sentences`` is reached.
 
         The approximate alignments of all queries come from one matrix
         product; each query's selection then runs on its own columns.
@@ -321,7 +302,7 @@ class KeySentenceRetriever:
             for index, approximate_score in zip(remaining, approximate):
                 if approximate_score < cut:
                     continue
-                # alignment_score's arithmetic, on the prepared rows.
+                # The exact score, on the prepared rows.
                 sentence_rows = prepared.sentence_rows(index)
                 if len(sentence_rows):
                     alignments = (rows @ sentence_rows.T).max(axis=1)

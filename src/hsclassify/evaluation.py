@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .classifier import top_k
 from .corpus import DecisionCase, ManualEntry
@@ -28,10 +28,6 @@ def top_k_accuracy(ranked: Sequence[Sequence[str]], gold: Sequence[str], k: int)
         raise EmptyInput("nothing to evaluate")
     hits = sum(1 for predictions, label in zip(ranked, gold) if label in list(predictions)[:k])
     return hits / len(ranked)
-
-
-def _token_set(sentence: str) -> set[str]:
-    return set(tokenize(sentence))
 
 
 def _overlap_f1(a: set[str], b: set[str]) -> float:
@@ -64,12 +60,25 @@ def retrieval_precision_recall(
     outcome. With empty gold evidence the recall is undefined (None); with
     nothing retrieved the precision is reported as 0.0 and flagged.
     """
-    retrieved_sets = [(_token_set(s), s, i) for i, s in enumerate(retrieved)]
-    gold_sets = [_token_set(s) for s in gold_evidence]
+    return _match_evidence(
+        [(set(tokenize(s)), s) for s in retrieved],
+        [set(tokenize(s)) for s in gold_evidence],
+        threshold,
+    )
 
+
+def _match_evidence(
+    retrieved: Sequence[tuple[set[str], str]],
+    gold_sets: Sequence[set[str]],
+    threshold: float = MATCH_F1_THRESHOLD,
+) -> PrecisionRecall:
+    """``retrieval_precision_recall`` from token sets.
+
+    ``retrieved`` holds each retrieved sentence's token set and text.
+    """
     pairs = []
     for g_idx, g_set in enumerate(gold_sets):
-        for r_set, r_text, r_idx in retrieved_sets:
+        for r_idx, (r_set, r_text) in enumerate(retrieved):
             f1 = _overlap_f1(g_set, r_set)
             if f1 >= threshold:
                 pairs.append((-f1, g_idx, r_text, r_idx))
@@ -91,28 +100,27 @@ def retrieval_precision_recall(
     else:
         precision = 0.0
         precision_defined = False
-    recall = matches / len(gold_evidence) if gold_evidence else None
+    recall = matches / len(gold_sets) if gold_sets else None
     return PrecisionRecall(
         precision=precision, recall=recall, matches=matches, precision_defined=precision_defined
     )
 
 
-def _manual_token_sets(manuals: Mapping[str, ManualEntry]) -> dict[str, set[str]]:
+def _manual_token_sets(
+    manuals: Mapping[str, ManualEntry], tokens_of: Callable[[ManualEntry], Iterable[str]]
+) -> dict[str, set[str]]:
     """Each heading's manual tokens, in ascending heading order."""
     if not manuals:
         raise EmptyInput("no manual entries")
-    return {
-        heading: {t for sentence in manuals[heading].sentences for t in tokenize(sentence)}
-        for heading in sorted(manuals)
-    }
+    return {heading: set(tokens_of(manuals[heading])) for heading in sorted(manuals)}
 
 
 def _rank_by_word_matching(
-    description: str,
+    description_tokens: Sequence[str],
     token_sets: Mapping[str, set[str]],
     stopwords: frozenset[str] | set[str],
 ) -> list[tuple[str, float]]:
-    content = {t for t in tokenize(description) if t not in stopwords}
+    content = {t for t in description_tokens if t not in stopwords}
     scores = [
         (heading, len(content & tokens) / len(content) if content else 0.0)
         for heading, tokens in token_sets.items()
@@ -130,7 +138,10 @@ def word_matching_baseline(
 
     Ties (including the all-zero case) order by ascending heading.
     """
-    return _rank_by_word_matching(description, _manual_token_sets(manuals), stopwords)
+    token_sets = _manual_token_sets(
+        manuals, lambda entry: (t for sentence in entry.sentences for t in tokenize(sentence))
+    )
+    return _rank_by_word_matching(tokenize(description), token_sets, stopwords)
 
 
 @dataclass
@@ -226,7 +237,15 @@ def evaluate_pipeline(
     Evidence precision/recall compares the top-1 heading candidate's key
     sentences against each case's gold evidence, averaged over the cases that
     carry gold evidence. The ablation variant is reported when the model has
-    a second stage-3 head.
+    a second stage-3 head; the word-matching baseline ranks ``manuals``
+    (default: the model's).
+
+    The metrics read the rankings and the top heading's key sentences only,
+    so each case is inferred with one retrieval and no candidate report is
+    built: the similar cases of a report are never read. Each description is
+    tokenized once, for the inference and the baseline; manual sentences'
+    tokens come from the retriever's prepared entries (an entry of
+    ``manuals`` that the retriever has not prepared is prepared and kept).
     """
     if not test_cases:
         raise EmptyInput("no test cases")
@@ -243,16 +262,16 @@ def evaluate_pipeline(
     recalls: list[float] = []
 
     has_ablation = model.ablation_classifier is not None
-    manual_tokens = _manual_token_sets(manuals)
-    stopwords = model.retriever.stopwords
-    traces = model.infer_many([case.description for case in test_cases], headings=max_k)
+    retriever = model.retriever
+    manual_tokens = _manual_token_sets(manuals, lambda entry: retriever.prepare(entry).tokens)
+    traces = model.infer_many([case.description for case in test_cases], headings=1)
     for case, trace in zip(test_cases, traces):
-        report = model.report(trace, max_k)
-        headings = [c.heading for c in report.heading_candidates]
-        subheadings = [c.subheading for c in report.subheading_candidates]
+        ranked_headings, ranked_subheadings = model.rankings(trace, max_k)
+        headings = [heading for heading, _ in ranked_headings]
+        subheadings = [subheading for subheading, _ in ranked_subheadings]
         heading_ranked.append(headings)
         subheading_ranked.append(subheadings)
-        baseline = _rank_by_word_matching(case.description, manual_tokens, stopwords)
+        baseline = _rank_by_word_matching(trace.tokens, manual_tokens, retriever.stopwords)
         baseline_ranked.append([h for h, _ in baseline[:max_k]])
         if has_ablation:
             probs = model.ablation_scaler.probabilities(trace.ablation_logits)
@@ -267,9 +286,13 @@ def evaluate_pipeline(
             predicted_subheadings=subheadings,
         )
         if case.gold_evidence:
-            outcome = retrieval_precision_recall(
-                report.heading_candidates[0].key_sentences, list(case.gold_evidence)
-            )
+            result = trace.retrievals[0]
+            retrieved = []
+            if result is not None:
+                entry = model.manuals[model.label_space.headings[trace.ranked_headings[0]]]
+                prepared = retriever.prepare(entry)
+                retrieved = [(prepared.token_set(s.index), s.text) for s in result.sentences]
+            outcome = _match_evidence(retrieved, [set(tokenize(s)) for s in case.gold_evidence])
             record.retrieval_precision = outcome.precision
             record.retrieval_recall = outcome.recall
             precisions.append(outcome.precision)

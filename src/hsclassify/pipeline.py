@@ -149,13 +149,14 @@ class FitReport:
 class InferenceTrace:
     """Every stage's output for one description, each computed once.
 
-    ``retrievals[i]`` holds the key sentences from the manual entry of the
-    heading ``ranked_headings[i]`` (None when it has no entry). Stage 3, the
-    ablation head and the similar-case query all read the top heading's
-    evidence.
+    ``tokens`` are the description's tokens. ``retrievals[i]`` holds the key
+    sentences from the manual entry of the heading ``ranked_headings[i]``
+    (None when it has no entry). Stage 3, the ablation head and the
+    similar-case query all read the top heading's evidence.
     """
 
     description: str
+    tokens: list[str]
     heading_logits: np.ndarray
     heading_probabilities: np.ndarray
     ranked_headings: list[int]
@@ -299,6 +300,7 @@ class PipelineModel:
         return [
             InferenceTrace(
                 description=description,
+                tokens=tokens[i],
                 heading_logits=heading_logits[i],
                 heading_probabilities=heading_probs[i],
                 ranked_headings=ranked[i].tolist(),
@@ -320,22 +322,34 @@ class PipelineModel:
             raise BadK(f"k={k} must be >= 1")
         return self.report(self.infer(description, headings=k), k)
 
+    def rankings(
+        self, trace: InferenceTrace, k: int
+    ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
+        """A trace's top-k headings and top-k subheadings, each with its score."""
+        space = self.label_space
+        headings = [
+            (space.headings[index], float(trace.heading_probabilities[index]))
+            for index in trace.ranked_headings[:k]
+        ]
+        ranked = top_k(trace.subheading_probabilities, min(k, len(space.subheadings)))
+        subheadings = [(space.subheadings[index], score) for index, score in ranked]
+        return headings, subheadings
+
     def report(self, trace: InferenceTrace, k: int) -> CandidateReport:
         """The top-k candidate report of a trace inferred with ``headings >= k``."""
-        space = self.label_space
+        headings, subheadings = self.rankings(trace, k)
         heading_candidates = [
             HeadingCandidate(
-                heading=space.headings[index],
-                score=float(trace.heading_probabilities[index]),
+                heading=heading,
+                score=score,
                 key_sentences=result.sentence_texts() if result is not None else [],
                 manual_missing=result is None,
             )
-            for index, result in zip(trace.ranked_headings[:k], trace.retrievals)
+            for (heading, score), result in zip(headings, trace.retrievals)
         ]
 
         subheading_candidates = []
-        for index, score in top_k(trace.subheading_probabilities, min(k, len(space.subheadings))):
-            subheading = space.subheadings[index]
+        for subheading, score in subheadings:
             neighbours = similar_cases(
                 self.case_index,
                 trace.stage3_vector,

@@ -7,10 +7,12 @@ consistent with the selection rules.
 
 The reference copies at the end are the plain whole-array expressions of
 the training loss, its gradient, validation accuracy, the calibration NLL
-and the token-by-token pooled encoding, the scalar retrieval loop, and the
-per-description inference the batched ``infer_many`` replaced. The package
-computes the same floats in one buffer, from prepared parts or for many
-descriptions at once, and the exactness tests compare the two bit for bit.
+and the token-by-token pooled encoding, the scalar retrieval loop with its
+sentence score ``alignment_score``, the per-description inference the
+batched ``infer_many`` replaced, and the report-based evaluation. The
+package computes the same floats in one buffer, from prepared parts or for
+many descriptions at once, and the exactness tests compare the two bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,13 +28,20 @@ from hsclassify.alignment import (
     KeySentenceRetriever,
     RetrievalResult,
     RetrievedSentence,
-    _best_alignments,
-    alignment_score,
+    _unit_rows,
 )
-from hsclassify.corpus import ManualEntry
+from hsclassify.classifier import top_k
+from hsclassify.corpus import DecisionCase, ManualEntry
 from hsclassify.encoder import Part
+from hsclassify.evaluation import (
+    CaseRecord,
+    MetricsReport,
+    retrieval_precision_recall,
+    top_k_accuracy,
+    word_matching_baseline,
+)
 from hsclassify.pipeline import InferenceTrace, PipelineModel
-from hsclassify.textproc import tokenize
+from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
 
 
 def oracle_cosine(u: list[float], v: list[float]) -> float:
@@ -225,6 +235,35 @@ def joined_encode_with_evidence(vectors, idf, description: str, sentences) -> np
     return scalar_encode(vectors, idf, " ‖ ".join([description, *sentences]))
 
 
+def _best_alignments(
+    keywords: list[str], sentence_tokens: list[str], vectors: WordVectorTable
+) -> np.ndarray:
+    """Best cosine against the sentence for each keyword (unclamped)."""
+    if not keywords or not sentence_tokens:
+        return np.zeros(len(keywords))
+    q = _unit_rows(keywords, vectors)
+    s = _unit_rows(sentence_tokens, vectors)
+    return (q @ s.T).max(axis=1)
+
+
+def alignment_score(
+    keywords: Iterable[str],
+    sentence_tokens: list[str],
+    vectors: WordVectorTable,
+    idf: IdfTable,
+) -> float:
+    """Sum over keywords of idf(t) times its best within-sentence cosine.
+
+    Negative per-keyword maxima clamp to zero, so an unrelated sentence never
+    scores below the empty sentence. The retriever's exact rescore computes
+    these bits from its prepared unit rows.
+    """
+    ordered = sorted(set(keywords))
+    best = np.maximum(_best_alignments(ordered, sentence_tokens, vectors), 0.0)
+    weights = np.array([idf.value(t) for t in ordered])
+    return float((weights * best).sum())
+
+
 def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: ManualEntry):
     """The loop the prefilter replaces: ``alignment_score`` on every remaining sentence."""
     keywords = retriever.query_keywords(description)
@@ -345,6 +384,7 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
 
     trace = InferenceTrace(
         description=description,
+        tokens=tokens,
         heading_logits=heading_logits,
         heading_probabilities=heading_probs,
         ranked_headings=ranked,
@@ -358,3 +398,71 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
     if model.ablation_classifier is not None:
         trace.ablation_logits = logits(model.ablation_classifier, trace.ablation_vector)
     return trace
+
+
+def reference_evaluate(
+    model: PipelineModel,
+    test_cases: Sequence[DecisionCase],
+    manuals: Mapping[str, ManualEntry] | None = None,
+    ks: Sequence[int] = (1, 3, 5),
+) -> MetricsReport:
+    """``evaluate_pipeline`` from each case's full top-``max(ks)`` candidate report.
+
+    The public word-matching baseline and ``retrieval_precision_recall``
+    tokenize their texts; the key sentences are the report's top heading's.
+    """
+    if manuals is None:
+        manuals = model.manuals
+    max_k = max(ks)
+    has_ablation = model.ablation_classifier is not None
+    ranked = {"heading": [], "subheading": [], "ablation": [], "baseline": []}
+    records = []
+    precisions = []
+    recalls = []
+    traces = model.infer_many([case.description for case in test_cases], headings=max_k)
+    for case, trace in zip(test_cases, traces):
+        report = model.report(trace, max_k)
+        headings = [c.heading for c in report.heading_candidates]
+        subheadings = [c.subheading for c in report.subheading_candidates]
+        ranked["heading"].append(headings)
+        ranked["subheading"].append(subheadings)
+        baseline = word_matching_baseline(case.description, manuals, model.retriever.stopwords)
+        ranked["baseline"].append([h for h, _ in baseline[:max_k]])
+        if has_ablation:
+            probs = model.ablation_scaler.probabilities(trace.ablation_logits)
+            order = top_k(probs, min(max_k, len(probs)))
+            ranked["ablation"].append([model.label_space.subheadings[i] for i, _ in order])
+        record = CaseRecord(
+            case_id=case.id,
+            gold_heading=case.label.heading,
+            gold_subheading=case.label.subheading,
+            predicted_headings=headings,
+            predicted_subheadings=subheadings,
+        )
+        if case.gold_evidence:
+            outcome = retrieval_precision_recall(
+                report.heading_candidates[0].key_sentences, list(case.gold_evidence)
+            )
+            record.retrieval_precision = outcome.precision
+            record.retrieval_recall = outcome.recall
+            precisions.append(outcome.precision)
+            if outcome.recall is not None:
+                recalls.append(outcome.recall)
+        records.append(record)
+
+    gold_headings = [c.label.heading for c in test_cases]
+    gold_subheadings = [c.label.subheading for c in test_cases]
+
+    def accuracy(name, gold):
+        return {k: top_k_accuracy(ranked[name], gold, k) for k in ks}
+
+    return MetricsReport(
+        n_cases=len(test_cases),
+        heading_top_k=accuracy("heading", gold_headings),
+        subheading_top_k=accuracy("subheading", gold_subheadings),
+        baseline_heading_top_k=accuracy("baseline", gold_headings),
+        ablation_subheading_top_k=accuracy("ablation", gold_subheadings) if has_ablation else None,
+        retrieval_precision=(sum(precisions) / len(precisions)) if precisions else None,
+        retrieval_recall=(sum(recalls) / len(recalls)) if recalls else None,
+        per_case=records,
+    )

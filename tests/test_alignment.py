@@ -8,17 +8,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hsclassify.alignment import (
-    KeySentenceRetriever,
-    RetrievalConfig,
-    _unit_rows,
-    alignment_score,
-)
+from hsclassify.alignment import KeySentenceRetriever, RetrievalConfig, _unit_rows
 from hsclassify.corpus import ManualEntry
 from hsclassify.errors import EmptyManual
 from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
 
-from oracles import oracle_alignment_score, oracle_retrieve, scalar_retrieve
+from oracles import (
+    alignment_score,
+    oracle_alignment_score,
+    oracle_retrieve,
+    scalar_retrieve,
+)
 
 NO_STOPWORDS: frozenset[str] = frozenset()
 
@@ -376,8 +376,7 @@ class TestPrefilterIsExact:
 
             return counted
 
-        for name in ("_unit_rows", "alignment_score"):
-            monkeypatch.setattr(alignment, name, counting(name))
+        monkeypatch.setattr(alignment, "_unit_rows", counting("_unit_rows"))
         second = retriever.retrieve(description, entry)
         assert calls == {"_unit_rows": 1}
         assert second.sentences == first.sentences
@@ -388,6 +387,10 @@ class TestPrefilterIsExact:
         texts = tuple(" ".join(s) for s in sentences) + ("--",)
         prepared = retriever.prepare(ManualEntry(heading="8541", sentences=texts))
         assert len(prepared.rows) == len({t for s in sentences for t in s})
+        # Row j is the unit row of token j.
+        want = _unit_rows(prepared.tokens, retriever.vectors)
+        assert prepared.rows.tobytes() == want.tobytes()
         for index, text in enumerate(texts):
             want = _unit_rows(tokenize(text), retriever.vectors)
             assert prepared.sentence_rows(index).tobytes() == want.tobytes()
+            assert prepared.token_set(index) == set(tokenize(text))

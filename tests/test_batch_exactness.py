@@ -95,6 +95,7 @@ def retrieval_key(result):
 
 def assert_same_trace(got, want):
     assert got.description == want.description
+    assert got.tokens == want.tokens
     for name in (
         "heading_logits",
         "heading_probabilities",

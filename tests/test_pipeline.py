@@ -24,11 +24,12 @@ from hsclassify.errors import (
     MissingManualWarning,
     UntrainedModel,
 )
-from hsclassify import alignment, case_retrieval, encoder, pipeline
+from hsclassify import alignment, case_retrieval, encoder, evaluation, pipeline
 from hsclassify.evaluation import evaluate_pipeline
 from hsclassify.pipeline import (
     CandidateReport,
     PipelineConfig,
+    PipelineModel,
     fit,
     load_pipeline,
     refit_temperatures,
@@ -457,21 +458,50 @@ class TestSinglePass:
     def test_evaluate_with_ablation_head(self, ablation_model, small_corpus, calls):
         _, split = small_corpus
         cases = list(split.test)
-        traces = list(ablation_model.infer_many([c.description for c in cases], headings=5))
+        traces = list(ablation_model.infer_many([c.description for c in cases]))
         with_evidence = sum(1 for trace in traces if trace.retrievals[0].sentences)
+        top_headings = {trace.ranked_headings[0] for trace in traces}
         calls.clear()
         evaluate_pipeline(ablation_model, cases, ablation_model.manuals)
-        # One batch: each stage runs once for all cases, and each manual entry
-        # (one per heading) is retrieved from once, for every case that ranks it.
+        # One batch: each stage runs once for all cases, and each top heading's
+        # manual entry is retrieved from once, for every case it tops.
         assert len(cases) <= pipeline.CHUNK_ROWS
         assert calls == {
-            "retrieve_many": len(ablation_model.label_space.headings),
-            "queries": 5 * len(cases),
+            "retrieve_many": len(top_headings),
+            "queries": len(cases),
             "pool_many": 2,
             "pooled": len(cases) + with_evidence,
             "logits4": 1,
             "logits6": 2,
         }
+
+    def test_evaluate_tokenizes_each_text_once_and_builds_no_report(
+        self, model, small_corpus, monkeypatch
+    ):
+        _, split = small_corpus
+        cases = list(split.test)
+        gold = [s for c in cases for s in c.gold_evidence or ()]
+        assert gold
+        calls = Counter()
+        tokenized = Counter()
+        for module in (pipeline, alignment, encoder, evaluation):
+            original = module.tokenize
+            monkeypatch.setattr(
+                module, "tokenize", lambda text, f=original: tokenized.update([text]) or f(text)
+            )
+        similar = pipeline.similar_cases
+        monkeypatch.setattr(
+            pipeline, "similar_cases", lambda *a: calls.update(["similar_cases"]) or similar(*a)
+        )
+        report = PipelineModel.report
+        monkeypatch.setattr(
+            PipelineModel, "report", lambda *a: calls.update(["report"]) or report(*a)
+        )
+        # The fitted model prepared every manual entry, so manual sentences
+        # are not tokenized; a description once, a gold evidence sentence once.
+        evaluate_pipeline(model, cases, model.manuals)
+        assert tokenized == Counter([c.description for c in cases] + gold)
+        assert calls == {}
 
     def test_refit_temperatures(self, model, small_corpus, calls):
         _, split = small_corpus
