@@ -19,7 +19,7 @@ from .corpus import (
     load_manual,
     parse_hs_code,
 )
-from .encoder import DescriptionEncoder, PooledEncoder
+from .encoder import PooledEncoder
 from .evaluation import (
     MetricsReport,
     evaluate_pipeline,
@@ -59,7 +59,6 @@ __all__ = [
     "DatasetSplit",
     "DecisionCase",
     "DEFAULT_STOPWORDS",
-    "DescriptionEncoder",
     "evaluate_pipeline",
     "fit",
     "fit_temperature",

@@ -49,7 +49,6 @@ PREFILTER_MARGIN = 1e-9
 class RetrievalConfig:
     max_sentences: int = 7
     coverage_threshold: float = 0.95
-    min_keyword_idf: float = 0.0
 
     def __post_init__(self):
         if self.max_sentences < 1:
@@ -215,7 +214,7 @@ class KeySentenceRetriever:
 
     def query(self, tokens: list[str]) -> Query:
         """The query of a description with ``tokens``."""
-        keywords = content_keywords(tokens, self.idf, self.stopwords, self.config.min_keyword_idf)
+        keywords = content_keywords(tokens, self.stopwords)
         ordered = sorted(keywords)
         rows = _unit_rows(ordered, self.vectors)
         return Query(

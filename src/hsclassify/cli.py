@@ -15,7 +15,7 @@ import click
 
 from .alignment import RetrievalConfig
 from .classifier import TrainConfig
-from .corpus import chronological_split, load_cases, load_manual
+from .corpus import DatasetSplit, chronological_split, load_cases, load_manual
 from .errors import HsClassifyError
 from .evaluation import evaluate_pipeline
 from .pipeline import (
@@ -106,9 +106,18 @@ def _load_checkpoint(directory: Path) -> PipelineModel:
         raise click.ClickException(str(exc))
 
 
-def _load_inputs(config: CliConfig):
+def _load_split(config: CliConfig) -> DatasetSplit:
+    """The chronological split of the cases file: all that ``evaluate`` and ``calibrate`` read."""
     try:
         cases = load_cases(_require_file(config.cases, "cases"))
+        return chronological_split(cases, config.validation_months, config.test_months)
+    except HsClassifyError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _load_training_inputs(config: CliConfig):
+    """The manual, word vectors and stopwords that ``train`` reads besides the cases."""
+    try:
         manuals = load_manual(_require_file(config.manual, "manual"))
         vectors = WordVectorTable.load(_require_file(config.vectors, "vectors"))
     except HsClassifyError as exc:
@@ -117,7 +126,7 @@ def _load_inputs(config: CliConfig):
         stopwords = load_stopwords(_require_file(config.stopwords, "stopwords"))
     else:
         stopwords = DEFAULT_STOPWORDS
-    return cases, manuals, vectors, stopwords
+    return manuals, vectors, stopwords
 
 
 @click.group()
@@ -154,11 +163,8 @@ def _ctx_config(ctx: click.Context) -> CliConfig:
 def train(ctx: click.Context, no_evidence: bool, with_ablation: bool):
     """Fit the full pipeline and write a checkpoint directory."""
     config = _ctx_config(ctx)
-    cases, manuals, vectors, stopwords = _load_inputs(config)
-    try:
-        split = chronological_split(cases, config.validation_months, config.test_months)
-    except HsClassifyError as exc:
-        raise click.UsageError(str(exc))
+    split = _load_split(config)
+    manuals, vectors, stopwords = _load_training_inputs(config)
 
     pipeline_config = config.pipeline
     if no_evidence:
@@ -225,11 +231,10 @@ def predict(ctx: click.Context, description: str | None, input_file: str | None,
 def evaluate(ctx: click.Context, output_dir: str | None):
     """Evaluate the checkpoint on the chronological test split."""
     config = _ctx_config(ctx)
-    cases, manuals, _, _ = _load_inputs(config)
+    split = _load_split(config)
     model = _load_checkpoint(config.checkpoint_dir)
     try:
-        split = chronological_split(cases, config.validation_months, config.test_months)
-        metrics = evaluate_pipeline(model, split.test, manuals)
+        metrics = evaluate_pipeline(model, split.test)
     except HsClassifyError as exc:
         raise click.UsageError(str(exc))
 
@@ -253,10 +258,9 @@ def evaluate(ctx: click.Context, output_dir: str | None):
 def calibrate(ctx: click.Context):
     """Refit the per-stage temperatures on the validation split."""
     config = _ctx_config(ctx)
-    cases, _, _, _ = _load_inputs(config)
+    split = _load_split(config)
     model = _load_checkpoint(config.checkpoint_dir)
     try:
-        split = chronological_split(cases, config.validation_months, config.test_months)
         refit_temperatures(model, list(split.validation))
     except HsClassifyError as exc:
         raise click.UsageError(str(exc))

@@ -1,29 +1,18 @@
-"""Text-to-vector encoders behind a pluggable contract.
+"""The text-to-vector encoder: an idf-weighted mean of word vectors.
 
-``DescriptionEncoder`` (``encode(text)`` and ``output_dimension``) is the
-contract the classifiers and the case index consume. The pipeline also
-builds each text's ``Part`` once and pools descriptions with their evidence
-sentences from parts, many at a time, so it needs ``PooledEncoder``'s
-``part`` and ``pool_many``.
+The pipeline builds each text's ``Part`` once and pools descriptions with
+their evidence sentences from parts, many at a time, through
+``PooledEncoder``'s ``part`` and ``pool_many``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .textproc import IdfTable, WordVectorTable, tokenize
-
-
-@runtime_checkable
-class DescriptionEncoder(Protocol):
-    """Deterministic map from text to a fixed-dimension real vector."""
-
-    output_dimension: int
-
-    def encode(self, text: str) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)

@@ -167,8 +167,6 @@ class MetricsReport:
     retrieval_precision: float | None = None
     retrieval_recall: float | None = None
     per_case: list[CaseRecord] = field(default_factory=list)
-    # Slot for externally measured baselines to display alongside.
-    external_baselines: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         data = {"n_cases": self.n_cases}
@@ -183,7 +181,6 @@ class MetricsReport:
                 data[f"ablation_hs6_top{k}"] = v
         data["retrieval_precision"] = self.retrieval_precision
         data["retrieval_recall"] = self.retrieval_recall
-        data["external_baselines"] = self.external_baselines
         data["per_case"] = [asdict(r) for r in self.per_case]
         return data
 
@@ -203,9 +200,6 @@ class MetricsReport:
             return cells
 
         rows.append(row("word matching", self.baseline_heading_top_k.get(1), None))
-        for name, metrics in self.external_baselines.items():
-            hs6 = {k: metrics[f"hs6_top{k}"] for k in ks if f"hs6_top{k}" in metrics}
-            rows.append(row(name, metrics.get("hs4_top1"), hs6))
         if self.ablation_subheading_top_k is not None:
             rows.append(
                 row(
@@ -229,7 +223,6 @@ class MetricsReport:
 def evaluate_pipeline(
     model: PipelineModel,
     test_cases: Sequence[DecisionCase],
-    manuals: Mapping[str, ManualEntry] | None = None,
     ks: Sequence[int] = (1, 3, 5),
 ) -> MetricsReport:
     """Aggregate top-k accuracy, baseline, and evidence quality over a split.
@@ -237,20 +230,18 @@ def evaluate_pipeline(
     Evidence precision/recall compares the top-1 heading candidate's key
     sentences against each case's gold evidence, averaged over the cases that
     carry gold evidence. The ablation variant is reported when the model has
-    a second stage-3 head; the word-matching baseline ranks ``manuals``
-    (default: the model's).
+    a second stage-3 head; the word-matching baseline ranks the model's
+    manual entries, the ones the pipeline retrieves from.
 
     The metrics read the rankings and the top heading's key sentences only,
     so each case is inferred with one retrieval and no candidate report is
     built: the similar cases of a report are never read. Each description is
     tokenized once, for the inference and the baseline; manual sentences'
-    tokens come from the retriever's prepared entries (an entry of
-    ``manuals`` that the retriever has not prepared is prepared and kept).
+    tokens come from the retriever's prepared entries, so the retriever
+    keeps no entry beyond the model's own.
     """
     if not test_cases:
         raise EmptyInput("no test cases")
-    if manuals is None:
-        manuals = model.manuals
     max_k = max(ks)
 
     heading_ranked: list[list[str]] = []
@@ -263,7 +254,7 @@ def evaluate_pipeline(
 
     has_ablation = model.ablation_classifier is not None
     retriever = model.retriever
-    manual_tokens = _manual_token_sets(manuals, lambda entry: retriever.prepare(entry).tokens)
+    manual_tokens = _manual_token_sets(model.manuals, lambda entry: retriever.prepare(entry).tokens)
     traces = model.infer_many([case.description for case in test_cases], headings=1)
     for case, trace in zip(test_cases, traces):
         ranked_headings, ranked_subheadings = model.rankings(trace, max_k)

@@ -2,8 +2,7 @@
 
 Training retrieves evidence from each case's gold heading's manual entry;
 inference retrieves from the predicted heading's entry. The subheading head
-ranges over the full subheading label space (no heading constraint) unless
-the mask-to-heading-children mode is switched on.
+ranges over the full subheading label space, with no heading constraint.
 
 ``PipelineModel.infer_many`` is the one inference path: it runs each stage
 once per description, for a chunk of descriptions at a time, and records the
@@ -44,7 +43,7 @@ from .errors import BadK, DimensionMismatch, EmptyInput, HsClassifyError, Untrai
 from .errors import MissingManualWarning
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, compute_idf, tokenize
 
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 # Descriptions per batch of the inference path and of fit's encoding passes.
 # A batch pools from a zero-padded (tokens x rows x (d + 1)) array, so this
@@ -60,14 +59,9 @@ class PipelineConfig:
     retrieval: RetrievalConfig = RetrievalConfig()
     use_evidence: bool = True
     train_ablation: bool = False
-    mask_to_heading: bool = False
-    evidence_per_candidate: bool = False
     similar_cases_per_candidate: int = 3
-    idf_documents: str = "cases+manual"
 
     def __post_init__(self):
-        if self.idf_documents not in ("cases", "manual", "cases+manual"):
-            raise ValueError(f"unknown idf_documents mode {self.idf_documents!r}")
         if self.similar_cases_per_candidate < 0:
             raise ValueError("similar_cases_per_candidate must be >= 0")
 
@@ -219,9 +213,9 @@ class PipelineModel:
         """Run every stage once for each description; yields their traces in order.
 
         Key sentences are retrieved only where read: for the top ``headings``
-        headings (a report), the top heading when stage 3 or the ablation head
-        uses evidence, and the top three for the evidence-per-candidate mixture.
-        Descriptions are tokenized and inferred ``CHUNK_ROWS`` at a time.
+        headings (a report), and the top heading when stage 3 or the ablation
+        head uses evidence. Descriptions are tokenized and inferred
+        ``CHUNK_ROWS`` at a time.
         """
         for start in range(0, len(descriptions), CHUNK_ROWS):
             chunk = descriptions[start : start + CHUNK_ROWS]
@@ -241,7 +235,6 @@ class PipelineModel:
         """
         config = self.config
         space = self.label_space
-        n = len(descriptions)
         parts = [self.encoder.part(t) for t in tokens]
         x = description_vectors
         if x is None:
@@ -250,50 +243,22 @@ class PipelineModel:
         heading_probs = self.heading_scaler.probabilities(heading_logits)
         ranked = np.argsort(-heading_probs, axis=1, kind="stable")
 
-        if config.use_evidence or config.train_ablation:
-            mixture = config.use_evidence and config.evidence_per_candidate
-            headings = max(headings, 3 if mixture else 1)
+        reads_evidence = config.use_evidence or config.train_ablation
+        if reads_evidence:
+            headings = max(headings, 1)
         entries = [[self.manuals.get(space.headings[h]) for h in row[:headings]] for row in ranked]
         retrievals = _retrieve(self.retriever, tokens, entries)
-
-        def vectors(position: int, with_evidence: bool) -> np.ndarray:
-            if not with_evidence:
-                return x
-            return _with_evidence(
+        evidence = x
+        if reads_evidence:
+            evidence = _with_evidence(
                 self.encoder, self.retriever, parts, x,
-                [row[position] for row in entries], [row[position] for row in retrievals],
+                [row[0] for row in entries], [row[0] for row in retrievals],
             )
 
-        stage3 = vectors(0, config.use_evidence)
+        stage3, other = (evidence, x) if config.use_evidence else (x, evidence)
+        ablation_vectors = other if config.train_ablation else None
         subheading_logits = self.subheading_classifier.logits(stage3)
         probs = self.subheading_scaler.probabilities(subheading_logits)
-        if config.evidence_per_candidate:
-            # Mixture over the top three headings, weighted by calibrated score.
-            candidate_probs = [probs] + [
-                self.subheading_scaler.probabilities(
-                    self.subheading_classifier.logits(vectors(position, config.use_evidence))
-                )
-                for position in range(1, min(3, len(space.headings)))
-            ]
-            mixed = np.zeros(probs.shape)
-            weight_sum = np.zeros(n)
-            for position, candidate in enumerate(candidate_probs):
-                weight = heading_probs[np.arange(n), ranked[:, position]]
-                mixed += weight[:, None] * candidate
-                weight_sum += weight
-            probs = mixed / weight_sum[:, None]
-
-        if config.mask_to_heading:
-            mask = np.array(
-                [[s.startswith(space.headings[row[0]]) for s in space.subheadings] for row in ranked],
-                dtype=float,
-            )
-            masked = probs * mask
-            totals = masked.sum(axis=1)
-            kept = totals > 0
-            probs[kept] = masked[kept] / totals[kept, None]
-
-        ablation_vectors = vectors(0, not config.use_evidence) if config.train_ablation else None
         ablation_logits = None
         if self.ablation_classifier is not None:
             ablation_logits = self.ablation_classifier.logits(ablation_vectors)
@@ -424,18 +389,6 @@ def _with_evidence(
 # -- fitting ----------------------------------------------------------------
 
 
-def _idf_documents(
-    case_tokens: Sequence[list[str]], manual_tokens: Mapping[str, list[list[str]]], mode: str
-) -> list[list[str]]:
-    documents: list[list[str]] = []
-    if mode in ("cases", "cases+manual"):
-        documents.extend(case_tokens)
-    if mode in ("manual", "cases+manual"):
-        for sentence_tokens in manual_tokens.values():
-            documents.extend(sentence_tokens)
-    return documents
-
-
 def _pool_descriptions(encoder: PooledEncoder, tokens: Sequence[list[str]]) -> np.ndarray:
     """The description vector of each token list, ``CHUNK_ROWS`` at a time."""
     vectors = np.zeros((len(tokens), encoder.output_dimension))
@@ -468,16 +421,17 @@ def fit(
 ) -> PipelineModel:
     """Train both stages, fit per-stage temperatures, build the case index.
 
-    Each description and each manual sentence is tokenized once: a
-    description for the idf table, its encoding and its retrieval query; a
-    sentence for the idf table and its entry's prepared rows. Training cases
-    are encoded one gold heading at a time, ``CHUNK_ROWS`` at a time: each
-    once, and once more with the key sentences of its gold heading's manual
-    when stage 3 or the ablation head reads evidence; a case without
-    evidence reuses its description vector (a missing manual warns once per
-    heading). The case index holds the stage-3 training vectors; stage-3
-    validation inputs come from the inference path, which reuses each
-    validation description's tokens and vector.
+    The idf table counts each training and validation description and each
+    manual sentence as one document. Each is tokenized once: a description
+    for the idf table, its encoding and its retrieval query; a sentence for
+    the idf table and its entry's prepared rows. Training cases are encoded
+    one gold heading at a time, ``CHUNK_ROWS`` at a time: each once, and
+    once more with the key sentences of its gold heading's manual when stage
+    3 or the ablation head reads evidence; a case without evidence reuses
+    its description vector (a missing manual warns once per heading). The
+    case index holds the stage-3 training vectors; stage-3 validation inputs
+    come from the inference path, which reuses each validation description's
+    tokens and vector.
     """
     if not train_cases:
         raise EmptyInput("no training cases")
@@ -485,16 +439,13 @@ def fit(
     label_space = build_label_space(list(train_cases))
     train_tokens = [tokenize(c.description) for c in train_cases]
     val_tokens = [tokenize(c.description) for c in validation_cases]
-    manual_tokens = {}
-    if config.idf_documents != "cases":
-        manual_tokens = {h: [tokenize(s) for s in e.sentences] for h, e in manuals.items()}
-    idf = compute_idf(
-        _idf_documents([*train_tokens, *val_tokens], manual_tokens, config.idf_documents)
-    )
+    manual_tokens = {h: [tokenize(s) for s in e.sentences] for h, e in manuals.items()}
+    sentence_tokens = [t for sentences in manual_tokens.values() for t in sentences]
+    idf = compute_idf([*train_tokens, *val_tokens, *sentence_tokens])
     encoder = PooledEncoder(vectors, idf)
     retriever = KeySentenceRetriever(vectors, idf, stopwords, config.retrieval)
     for heading in label_space.headings:
-        if heading in manual_tokens:
+        if heading in manuals:
             retriever.prepare(manuals[heading], manual_tokens[heading])
 
     for heading in sorted({c.label.heading for c in train_cases} - manuals.keys()):

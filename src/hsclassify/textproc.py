@@ -155,10 +155,7 @@ def cosine(u, v, u_norm: float | None = None) -> float:
 
 
 def content_keywords(
-    tokens: list[str],
-    idf: IdfTable,
-    stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
-    min_idf: float = 0.0,
+    tokens: list[str], stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS
 ) -> set[str]:
-    """Unique non-stopword tokens whose idf reaches ``min_idf``."""
-    return {t for t in tokens if t not in stopwords and idf.value(t) >= min_idf}
+    """Unique non-stopword tokens."""
+    return {t for t in tokens if t not in stopwords}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -341,46 +341,23 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
     ranked = np.argsort(-heading_probs, kind="stable").tolist()
 
     if config.use_evidence or config.train_ablation:
-        mixture = config.use_evidence and config.evidence_per_candidate
-        headings = max(headings, 3 if mixture else 1)
+        headings = max(headings, 1)
     entries = [model.manuals.get(space.headings[index]) for index in ranked[:headings]]
     retrievals = [
         scalar_retrieve(model.retriever, description, entry) if entry is not None else None
         for entry in entries
     ]
 
-    def vector(position: int, with_evidence: bool) -> np.ndarray:
-        result = retrievals[position] if with_evidence else None
+    def vector(with_evidence: bool) -> np.ndarray:
+        result = retrievals[0] if with_evidence else None
         if result is None or not result.sentences:
             return description_vector
         evidence = [encoder.part(tokenize(s.text)) for s in result.sentences]
         return scalar_pool([part, *evidence], dimension)
 
-    stage3_vector = vector(0, config.use_evidence)
+    stage3_vector = vector(config.use_evidence)
     subheading_logits = logits(model.subheading_classifier, stage3_vector)
     probs = probabilities(model.subheading_scaler, subheading_logits)
-    if config.evidence_per_candidate:
-        candidate_probs = [probs] + [
-            probabilities(
-                model.subheading_scaler,
-                logits(model.subheading_classifier, vector(position, config.use_evidence)),
-            )
-            for position in range(1, min(3, len(ranked)))
-        ]
-        mixed = np.zeros(len(space.subheadings))
-        weight_sum = 0.0
-        for index, candidate in zip(ranked, candidate_probs):
-            weight = float(heading_probs[index])
-            mixed += weight * candidate
-            weight_sum += weight
-        probs = mixed / weight_sum
-
-    if config.mask_to_heading:
-        top_heading = space.headings[ranked[0]]
-        mask = np.array([s.startswith(top_heading) for s in space.subheadings], dtype=float)
-        masked = probs * mask
-        if masked.sum() > 0:
-            probs = masked / masked.sum()
 
     trace = InferenceTrace(
         description=description,
@@ -394,7 +371,7 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
         subheading_probabilities=probs,
     )
     if config.train_ablation:
-        trace.ablation_vector = vector(0, not config.use_evidence)
+        trace.ablation_vector = vector(not config.use_evidence)
     if model.ablation_classifier is not None:
         trace.ablation_logits = logits(model.ablation_classifier, trace.ablation_vector)
     return trace
@@ -403,16 +380,14 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
 def reference_evaluate(
     model: PipelineModel,
     test_cases: Sequence[DecisionCase],
-    manuals: Mapping[str, ManualEntry] | None = None,
     ks: Sequence[int] = (1, 3, 5),
 ) -> MetricsReport:
     """``evaluate_pipeline`` from each case's full top-``max(ks)`` candidate report.
 
-    The public word-matching baseline and ``retrieval_precision_recall``
-    tokenize their texts; the key sentences are the report's top heading's.
+    The public word-matching baseline ranks the model's manual entries;
+    it and ``retrieval_precision_recall`` tokenize their texts. The key
+    sentences are the report's top heading's.
     """
-    if manuals is None:
-        manuals = model.manuals
     max_k = max(ks)
     has_ablation = model.ablation_classifier is not None
     ranked = {"heading": [], "subheading": [], "ablation": [], "baseline": []}
@@ -426,7 +401,9 @@ def reference_evaluate(
         subheadings = [c.subheading for c in report.subheading_candidates]
         ranked["heading"].append(headings)
         ranked["subheading"].append(subheadings)
-        baseline = word_matching_baseline(case.description, manuals, model.retriever.stopwords)
+        baseline = word_matching_baseline(
+            case.description, model.manuals, model.retriever.stopwords
+        )
         ranked["baseline"].append([h for h, _ in baseline[:max_k]])
         if has_ablation:
             probs = model.ablation_scaler.probabilities(trace.ablation_logits)

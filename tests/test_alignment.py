@@ -221,38 +221,31 @@ class TestRetrievalConfig:
             RetrievalConfig(coverage_threshold=1.5)
 
 
-class TestMinKeywordIdf:
-    def test_floor_drops_a_keyword_that_would_be_covered(self):
+class TestZeroIdfKeywords:
+    """A token in every idf document has idf ln(N/N) = 0 and stays a keyword."""
+
+    def test_zero_idf_keyword_is_kept_and_covered(self):
         axes = np.eye(3)
         vectors = {"k0": axes[0], "m0": axes[0], "k1": axes[1], "m1": axes[1], "junk": axes[2]}
-        idf_values = {"k0": 0.2, "k1": 1.0, "m0": 1.0, "m1": 1.0, "junk": 1.0}
+        idf_values = {"k0": 0.0, "k1": 1.0, "m0": 1.0, "m1": 1.0, "junk": 1.0}
         entry = ManualEntry(heading="8541", sentences=("m0 junk", "m1"))
-        unfloored = make_retriever(vectors, idf_values).retrieve("k0 k1", entry)
-        assert [s.index for s in unfloored.sentences] == [1, 0]
-        result = make_retriever(vectors, idf_values, min_keyword_idf=0.5).retrieve("k0 k1", entry)
-        assert result.query_keywords == {"k1"}
-        assert "k0" not in result.covered_keywords | result.uncovered_keywords
-        assert [s.index for s in result.sentences] == [1]
+        result = make_retriever(vectors, idf_values).retrieve("k0 k1", entry)
+        assert result.query_keywords == {"k0", "k1"}
+        # k1's sentence scores first; k0 adds no score, yet the sentence that
+        # aligns with it is still selected to cover it.
+        assert [s.index for s in result.sentences] == [1, 0]
+        assert [s.score for s in result.sentences] == [1.0, 0.0]
+        assert result.covered_keywords == {"k0", "k1"}
+        assert result.uncovered_keywords == set()
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_matches_oracle_on_the_filtered_keywords(self, seed):
+    def test_matches_oracle_with_zero_idf_keywords(self, seed):
         vectors, idf_values, sentences, keywords = random_instance(seed)
-        floor = float(np.median([idf_values[k] for k in keywords]))
-        kept = {k for k in keywords if idf_values[k] >= floor}
-        retriever = make_retriever(vectors, idf_values, min_keyword_idf=floor)
-        entry = ManualEntry(heading="8541", sentences=tuple(" ".join(s) for s in sentences))
-        result = retriever.retrieve(" ".join(sorted(keywords)), entry)
-        expected = oracle_retrieve(
-            keywords=kept,
-            sentences=sentences,
-            vectors={k: list(map(float, v)) for k, v in vectors.items()},
-            idf=idf_values,
-            default_idf=math.log(4),
-            dim=3,
-            max_sentences=7,
-            coverage_threshold=0.95,
-        )
-        assert result.query_keywords == kept
+        median = float(np.median([idf_values[k] for k in keywords]))
+        idf_values = {w: 0.0 if v <= median else v for w, v in idf_values.items()}
+        assert any(idf_values[k] == 0.0 for k in keywords)
+        result, expected = run_both(vectors, idf_values, sentences, keywords)
+        assert result.query_keywords == keywords
         assert [s.index for s in result.sentences] == expected.indices
         assert result.covered_keywords == expected.covered
         assert result.uncovered_keywords == expected.uncovered

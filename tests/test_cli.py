@@ -239,6 +239,26 @@ class TestCalibrateCommand:
         )
 
 
+class TestCasesAreTheOnlyInput:
+    def test_evaluate_and_calibrate_without_manual_and_vectors(self, runner, trained_dir, tmp_path):
+        # Both read the checkpoint and the cases file, never the manual or the vectors.
+        missing = {"manual": str(tmp_path / "none.jsonl"), "vectors": str(tmp_path / "none.txt")}
+        outputs = {}
+        for name, changes in (("normal", {}), ("missing", missing)):
+            checkpoint = tmp_path / name
+            shutil.copytree(trained_dir / "checkpoint", checkpoint)
+            config = write_config(
+                trained_dir, tmp_path / f"{name}.json", checkpoint_dir=str(checkpoint), **changes
+            )
+            for command in (["evaluate", "--output-dir", str(checkpoint)], ["calibrate"]):
+                result = runner.invoke(main, ["--config", str(config), *command])
+                assert result.exit_code == 0, result.output
+            manifest = json.loads((checkpoint / "manifest.json").read_text())
+            temperatures = [manifest[f"{stage}_temperature"] for stage in ("heading", "subheading")]
+            outputs[name] = (checkpoint / "metrics.json").read_bytes(), temperatures
+        assert outputs["missing"] == outputs["normal"]
+
+
 class TestPhotovoltaicFixture:
     """A hand-built English corpus where solar-cell items map to 854140."""
 
@@ -388,6 +408,17 @@ def downgrade_to_format_2(checkpoint: Path) -> None:
     path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 2}))
 
 
+def downgrade_to_format_3(checkpoint: Path) -> None:
+    """A format-3 manifest: its config has the keys format 4 dropped."""
+    path = checkpoint / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["format_version"] = 3
+    config = manifest["config"]
+    config.update(mask_to_heading=False, evidence_per_candidate=False, idf_documents="cases+manual")
+    config["retrieval"]["min_keyword_idf"] = 0.0
+    path.write_text(json.dumps(manifest))
+
+
 def delete_idf(checkpoint: Path) -> None:
     (checkpoint / "idf.json").unlink()
 
@@ -404,6 +435,7 @@ class TestExitCodes:
             (delete_heading_temperature, "manifest.json"),
             (downgrade_to_format_1, "manifest.json: unsupported checkpoint format 1; retrain"),
             (downgrade_to_format_2, "manifest.json: unsupported checkpoint format 2; retrain"),
+            (downgrade_to_format_3, "manifest.json: unsupported checkpoint format 3; retrain"),
         ],
     )
     def test_corrupt_checkpoint_exit_1(self, runner, trained_dir, tmp_path, corrupt, bad_file):
@@ -441,7 +473,11 @@ class TestExitCodes:
             ("pipeline", "use_evidnce", True),
             ("heading_train", "epochs", 0),
             ("retrieval", "coverage_threshold", 2),
-            ("pipeline", "idf_documents", "bogus"),
+            # Keys of removed modes: an old config file is refused, not half-read.
+            ("pipeline", "idf_documents", "cases+manual"),
+            ("pipeline", "mask_to_heading", False),
+            ("pipeline", "evidence_per_candidate", False),
+            ("retrieval", "min_keyword_idf", 0.0),
         ],
     )
     def test_bad_config_value_exit_2(self, runner, corpus_dir, tmp_path, section, key, value):

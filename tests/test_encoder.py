@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsclassify.encoder import DescriptionEncoder, PooledEncoder
+from hsclassify.encoder import PooledEncoder
 from hsclassify.textproc import IdfTable, WordVectorTable
 
 from conftest import encode_with_evidence
@@ -34,8 +34,7 @@ def encoder(toy_vectors, uniform_idf) -> PooledEncoder:
 
 
 class TestPooledEncoder:
-    def test_satisfies_contract(self, encoder):
-        assert isinstance(encoder, DescriptionEncoder)
+    def test_output_dimension(self, encoder):
         assert encoder.output_dimension == 3
 
     def test_all_oov_is_zero_vector(self, encoder):

@@ -4,10 +4,11 @@
 heading's key sentences from one trace inferred with a single retrieval;
 ``oracles.reference_evaluate`` builds every case's full candidate report and
 tokenizes every text again. Both must give the same ``metrics.json``, in
-every pipeline mode, for any ``ks``, with the manuals passed as the model's,
-as an equal dict loaded from file, or upper-cased (only the baseline reads
-the passed manuals). The traces go through BLAS, so CI also runs this file
-with ``OPENBLAS_NUM_THREADS=1``.
+every pipeline mode, for any ``ks``, on the model as fitted, with its
+manual replaced by an equal one loaded from file, loaded from a checkpoint,
+or with its manual upper-cased; and evaluating prepares the model's own
+manual entries and no other. The traces go through BLAS, so CI also runs
+this file with ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from dataclasses import replace
 import pytest
 
 import oracles
+from hsclassify.alignment import KeySentenceRetriever
 from hsclassify.corpus import load_manual
 from hsclassify.evaluation import evaluate_pipeline
+from hsclassify.pipeline import load_pipeline, save_pipeline
 
 # The corpus and one fitted model per pipeline mode, as the batch tests use.
 from test_batch_exactness import corpus, mode  # noqa: F401 (fixtures)
@@ -54,32 +57,57 @@ def metrics_json(metrics) -> str:
     return json.dumps(metrics.to_dict(), sort_keys=True)
 
 
+def model_from(model, source, tmp_path):
+    """The mode's model as fitted, or rebuilt with its manual from ``source``.
+
+    ``file`` keeps the fitted retriever, whose prepared entries an equal
+    manual loaded from file must hit; ``checkpoint`` and ``upper`` start
+    from a retriever with no prepared entry.
+    """
+    if source == "model":
+        return model
+    if source == "checkpoint":
+        save_pipeline(model, tmp_path / "checkpoint")
+        return load_pipeline(tmp_path / "checkpoint")
+    path = tmp_path / "manual.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"heading": heading, "sentences": list(entry.sentences)}) + "\n"
+            for heading, entry in model.manuals.items()
+        )
+    )
+    manuals = load_manual(path)
+    assert manuals == model.manuals and manuals is not model.manuals
+    if source == "file":
+        return replace(model, manuals=manuals)
+    retriever = model.retriever
+    return replace(
+        model,
+        manuals={h: replace(e, sentences=tuple(s.upper() for s in e.sentences))
+                 for h, e in manuals.items()},
+        retriever=KeySentenceRetriever(
+            retriever.vectors, retriever.idf, retriever.stopwords, retriever.config
+        ),
+    )
+
+
 @pytest.mark.parametrize("ks", KS)
-@pytest.mark.parametrize("source", ["default", "model", "file", "upper"])
+@pytest.mark.parametrize("source", ["model", "file", "checkpoint", "upper"])
 def test_evaluate_equals_the_report_based_reference(mode, cases, ks, source, tmp_path):
     name, model = mode
-    manuals = {"default": None, "model": model.manuals}.get(source)
-    if source in ("file", "upper"):
-        path = tmp_path / "manual.jsonl"
-        path.write_text(
-            "".join(
-                json.dumps({"heading": heading, "sentences": list(entry.sentences)}) + "\n"
-                for heading, entry in model.manuals.items()
-            )
-        )
-        manuals = load_manual(path)
-        assert manuals == model.manuals and manuals is not model.manuals
-    if source == "upper":
-        manuals = {h: replace(e, sentences=tuple(s.upper() for s in e.sentences))
-                   for h, e in manuals.items()}
-    prepared = len(model.retriever._entries)
+    model = model_from(model, source, tmp_path)
+    entries = model.retriever._entries
+    before = set(entries)
+    assert bool(before) == (source in ("model", "file"))
 
-    got = evaluate_pipeline(model, cases, manuals, ks)
-    want = oracles.reference_evaluate(model, cases, manuals, ks)
+    got = evaluate_pipeline(model, cases, ks)
+    # Evaluating prepares the model's own manual entries and keeps no other;
+    # fitting prepared them already, so equal entries add none.
+    assert set(entries) == before | set(model.manuals.values())
+    if before:
+        assert set(entries) == before
+    want = oracles.reference_evaluate(model, cases, ks)
     assert metrics_json(got) == metrics_json(want)
-    if source != "upper":
-        # Equal manual entries read the prepared entries fitting made.
-        assert len(model.retriever._entries) == prepared
 
     if name == "heading_without_manual":
         missing = set(model.label_space.headings) - set(model.manuals)

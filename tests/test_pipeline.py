@@ -263,7 +263,7 @@ class TestCheckpoint:
             "manual.jsonl",
         }
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert manifest["format_version"] == 3
+        assert manifest["format_version"] == 4
         assert set(manifest["files"]) == names - {"manifest.json"}
         assert "config_hashes" not in manifest
 
@@ -462,7 +462,7 @@ class TestSinglePass:
         with_evidence = sum(1 for trace in traces if trace.retrievals[0].sentences)
         top_headings = {trace.ranked_headings[0] for trace in traces}
         calls.clear()
-        evaluate_pipeline(ablation_model, cases, ablation_model.manuals)
+        evaluate_pipeline(ablation_model, cases)
         # One batch: each stage runs once for all cases, and each top heading's
         # manual entry is retrieved from once, for every case it tops.
         assert len(cases) <= pipeline.CHUNK_ROWS
@@ -499,7 +499,7 @@ class TestSinglePass:
         )
         # The fitted model prepared every manual entry, so manual sentences
         # are not tokenized; a description once, a gold evidence sentence once.
-        evaluate_pipeline(model, cases, model.manuals)
+        evaluate_pipeline(model, cases)
         assert tokenized == Counter([c.description for c in cases] + gold)
         assert calls == {}
 
@@ -554,8 +554,7 @@ class TestSinglePass:
         assert calls["pool_many"] == 2 * len(model.label_space.headings) + 2
         assert calls["encode"] == calls["retrieve"] == 0
 
-    @pytest.mark.parametrize("idf_documents", ["cases+manual", "manual"])
-    def test_fit_tokenizes_each_description_once(self, small_corpus, monkeypatch, idf_documents):
+    def test_fit_tokenizes_each_description_once(self, small_corpus, monkeypatch):
         corpus, split = small_corpus
         tokenized = Counter()
         for module in (pipeline, alignment, encoder):
@@ -563,7 +562,7 @@ class TestSinglePass:
             monkeypatch.setattr(
                 module, "tokenize", lambda text, f=original: tokenized.update([text]) or f(text)
             )
-        config = PipelineConfig(**FAST_TRAIN, idf_documents=idf_documents, train_ablation=True)
+        config = PipelineConfig(**FAST_TRAIN, train_ablation=True)
         fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
         descriptions = Counter(c.description for c in [*split.train, *split.validation])
         assert {text: tokenized[text] for text in descriptions} == descriptions
@@ -612,12 +611,12 @@ class TestSinglePass:
 class TestEvaluate:
     def test_memorization_on_train_split(self, model, small_corpus):
         _, split = small_corpus
-        metrics = evaluate_pipeline(model, list(split.train[:40]), model.manuals)
+        metrics = evaluate_pipeline(model, list(split.train[:40]))
         assert metrics.heading_top_k[1] == 1.0
 
     def test_topk_monotone_both_levels(self, model, small_corpus):
         _, split = small_corpus
-        metrics = evaluate_pipeline(model, list(split.test), model.manuals)
+        metrics = evaluate_pipeline(model, list(split.test))
         assert metrics.heading_top_k[1] <= metrics.heading_top_k[3] <= metrics.heading_top_k[5]
         assert (
             metrics.subheading_top_k[1]
@@ -627,7 +626,7 @@ class TestEvaluate:
 
     def test_schema_keys_for_requested_ks(self, model, small_corpus):
         _, split = small_corpus
-        metrics = evaluate_pipeline(model, list(split.test), model.manuals)
+        metrics = evaluate_pipeline(model, list(split.test))
         data = metrics.to_dict()
         for key in ("hs4_top1", "hs6_top1", "hs6_top3", "hs6_top5", "baseline_hs4_top1"):
             assert key in data
@@ -635,7 +634,7 @@ class TestEvaluate:
 
     def test_gold_evidence_produces_mean_precision_recall(self, model, small_corpus):
         _, split = small_corpus
-        metrics = evaluate_pipeline(model, list(split.test), model.manuals)
+        metrics = evaluate_pipeline(model, list(split.test))
         assert metrics.retrieval_precision is not None
         assert 0.0 <= metrics.retrieval_precision <= 1.0
         assert 0.0 <= metrics.retrieval_recall <= 1.0
@@ -646,7 +645,7 @@ class TestEvaluate:
         # a balanced corpus).
         _, split = small_corpus
         uniform = fitted_with_zero_heads(model)
-        metrics = evaluate_pipeline(uniform, list(split.test), model.manuals)
+        metrics = evaluate_pipeline(uniform, list(split.test))
         first_heading = uniform.label_space.headings[0]
         expected = sum(1 for c in split.test if c.label.heading == first_heading) / len(split.test)
         assert metrics.heading_top_k[1] == pytest.approx(expected)
@@ -669,9 +668,19 @@ class TestEvaluate:
                 assert probs.min() >= 0.0
                 assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_evaluate_keeps_no_entry_beyond_the_models_manual(self, model, small_corpus, tmp_path):
+        # A loaded model prepares manual entries on first use, and only its own.
+        _, split = small_corpus
+        save_pipeline(model, tmp_path)
+        loaded = load_pipeline(tmp_path)
+        assert not loaded.retriever._entries
+        for _ in range(2):
+            evaluate_pipeline(loaded, list(split.test))
+            assert set(loaded.retriever._entries) == set(loaded.manuals.values())
+
     def test_empty_test_rejected(self, model):
         with pytest.raises(EmptyInput):
-            evaluate_pipeline(model, [], model.manuals)
+            evaluate_pipeline(model, [])
 
 
 def fitted_with_zero_heads(model):
@@ -699,7 +708,7 @@ def ablation_model(small_corpus):
 class TestVariants:
     def test_ablation_head_reported(self, ablation_model, small_corpus):
         _, split = small_corpus
-        metrics = evaluate_pipeline(ablation_model, list(split.test), ablation_model.manuals)
+        metrics = evaluate_pipeline(ablation_model, list(split.test))
         assert metrics.ablation_subheading_top_k is not None
         data = metrics.to_dict()
         assert "ablation_hs6_top1" in data
@@ -713,22 +722,3 @@ class TestVariants:
         case = split.train[0]
         report = pipeline.predict(case.description, k=3)
         assert case.label.subheading in [c.subheading for c in report.subheading_candidates]
-
-    def test_mask_to_heading_restricts_candidates(self, small_corpus):
-        corpus, split = small_corpus
-        config = PipelineConfig(**FAST_TRAIN, mask_to_heading=True)
-        pipeline = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        report = pipeline.predict(split.test[0].description, k=2)
-        top_heading = report.heading_candidates[0].heading
-        assert all(c.subheading.startswith(top_heading) for c in report.subheading_candidates)
-
-    def test_evidence_per_candidate_mode_is_valid_distribution(self, small_corpus):
-        corpus, split = small_corpus
-        config = PipelineConfig(**FAST_TRAIN, evidence_per_candidate=True)
-        pipeline = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        probs = pipeline.infer(split.test[0].description).subheading_probabilities
-        assert probs.min() >= 0.0
-        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-        report = pipeline.predict(split.test[0].description, k=3)
-        scores = [c.score for c in report.subheading_candidates]
-        assert scores == sorted(scores, reverse=True)

@@ -122,25 +122,28 @@ class TestCosine:
 
 
 class TestContentKeywords:
-    def test_all_stopwords(self, uniform_idf):
-        assert content_keywords(["the", "of", "and"], uniform_idf) == set()
+    def test_all_stopwords(self):
+        assert content_keywords(["the", "of", "and"]) == set()
 
-    def test_stopword_removed(self, uniform_idf):
-        assert content_keywords(["solar", "panel", "the"], uniform_idf) == {"solar", "panel"}
+    def test_stopword_removed(self):
+        assert content_keywords(["solar", "panel", "the"]) == {"solar", "panel"}
 
-    def test_photovoltaic_description_keywords(self, uniform_idf):
+    def test_photovoltaic_description_keywords(self):
         tokens = tokenize(
             "Photovoltaic cell panel silicon embedded in plastic and assembled a layer of "
             "glass and fiberglass with an aluminum frame"
         )
-        keywords = content_keywords(tokens, uniform_idf)
+        keywords = content_keywords(tokens)
         assert {"and", "with", "of", "in", "a", "an"}.isdisjoint(keywords)
         assert {"photovoltaic", "cell", "panel", "silicon", "glass"} <= keywords
 
-    def test_idf_floor_drops_common_tokens(self):
-        idf = compute_idf([["everywhere", "rare"], ["everywhere"], ["everywhere"]])
-        keywords = content_keywords(["everywhere", "rare"], idf, min_idf=0.5)
-        assert keywords == {"rare"}
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(["the", "of", "solar", "panel", "everywhere"]), max_size=8))
+    def test_only_stopwords_are_dropped(self, tokens):
+        # A token in every idf document (idf 0) is still a keyword.
+        idf = compute_idf([["everywhere", "solar"], ["everywhere"], ["everywhere", "panel"]])
+        assert idf.value("everywhere") == 0.0
+        assert content_keywords(tokens) == set(tokens) - DEFAULT_STOPWORDS
 
 
 class TestWordVectorTable:
