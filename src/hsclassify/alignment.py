@@ -6,16 +6,15 @@ idf-weighted alignments. Sentences are selected greedily against the still
 uncovered keywords until every keyword is covered, a selection would cover
 nothing new, or the sentence budget runs out.
 
-Each greedy step ranks every sentence approximately from one keyword x
-sentence matrix (one matrix product for all queries of an entry) and rescores
-exactly only the sentences within ``PREFILTER_MARGIN`` of the best. The
-exact score of a sentence is the sum over the uncovered keywords of idf
-times the best cosine against the sentence's tokens, clamped at 0; the
-rescore computes it from the prepared unit rows, so the selection and its
-scores equal scoring every sentence exactly. A query's selection also stops
-once no remaining sentence aligns approximately with an uncovered keyword to
-within the margin of the coverage threshold: then no sentence can cover
-anything new.
+Every score is a fixed function of the entry, the query and its uncovered
+keywords, computed the same way whatever else is in the call. A keyword's
+cosines with an entry's distinct tokens are one ``(1, d) @ (d, T)`` product
+against their unit rows, and its best alignment in a sentence is the
+maximum over the sentence's tokens. A sentence's step score is one
+``np.add.reduceat`` segment, over the query's sorted keywords, of
+``uncovered * max(best, 0) * idf``. So a query selects the same sentences
+with the same score bits alone or among others, and the greedy steps of all
+queries of an entry run together.
 """
 
 from __future__ import annotations
@@ -30,19 +29,6 @@ from .corpus import ManualEntry
 from .encoder import Part
 from .errors import EmptyManual
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, content_keywords, tokenize
-
-
-# The prefilter and the exact rescore use the same unit rows (``_unit_rows``
-# is row-wise), so their scores of a sentence differ only in the rounding of
-# the dot products and of the idf-weighted sum: by at most (2d + 2k + 2)uR
-# times the summed |idf| of the k uncovered keywords (u = 2**-53, d the vector
-# dimension, R >= 1 bounding |keyword row| * |token row|, which exceeds 1 only
-# for vectors whose squared components are subnormal). The dot-product bound
-# with Cauchy-Schwarz gives this; the max over tokens and the clamp at 0 keep
-# it. It is below PREFILTER_MARGIN times R and the summed |idf| for d + k
-# under four million. A single alignment (one dot product, then the max)
-# differs by at most 2duR, below PREFILTER_MARGIN times R.
-PREFILTER_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,7 +85,7 @@ class _PreparedEntry:
     ``tokens[j]`` is the token of row ``j``. Sentence ``i``'s tokens, in
     order, have the rows ``occurrences[bounds[i]:bounds[i + 1]]``.
     ``starts[j]`` is the first occurrence of sentence ``nonempty[j]``, the
-    j-th sentence with tokens; ``reach`` is the largest row norm. The distinct tokens' word vectors,
+    j-th sentence with tokens. The distinct tokens' word vectors,
     vocabulary mask and idf weights give each sentence's encoder ``Part``.
     """
 
@@ -112,10 +98,21 @@ class _PreparedEntry:
     bounds: np.ndarray
     nonempty: np.ndarray
     starts: np.ndarray
-    reach: float
 
-    def sentence_rows(self, index: int) -> np.ndarray:
-        return self.rows[self.occurrences[self.bounds[index] : self.bounds[index + 1]]]
+    def best_alignments(self, keyword_rows: np.ndarray) -> np.ndarray:
+        """Keyword x sentence best cosines; 0 for a sentence without tokens.
+
+        Each keyword's cosines with the distinct tokens are a ``(1, d)`` stack
+        item's product with ``rows.T``: one matrix-vector call per keyword,
+        whatever the other keywords.
+        """
+        best = np.zeros((len(keyword_rows), len(self.bounds) - 1))
+        if len(self.nonempty):
+            alignments = (keyword_rows[:, None, :] @ self.rows.T)[:, 0, :]
+            best[:, self.nonempty] = np.maximum.reduceat(
+                alignments[:, self.occurrences], self.starts, axis=1
+            )
+        return best
 
     def token_set(self, index: int) -> set[str]:
         """The distinct tokens of sentence ``index``."""
@@ -133,15 +130,13 @@ class _PreparedEntry:
 class Query:
     """A description's keywords, sorted, with their unit rows and idf weights.
 
-    Built once per description and shared by every entry retrieved from;
-    ``reach`` is the largest row norm.
+    Built once per description and shared by every entry retrieved from.
     """
 
     keywords: set[str]
     ordered: list[str]
     rows: np.ndarray
     weights: np.ndarray
-    reach: float
 
 
 class KeySentenceRetriever:
@@ -200,7 +195,6 @@ class KeySentenceRetriever:
                 bounds=bounds,
                 nonempty=np.flatnonzero(lengths),
                 starts=bounds[:-1][lengths > 0],
-                reach=float(np.linalg.norm(rows, axis=1).max(initial=0.0)),
             )
         return prepared
 
@@ -209,21 +203,26 @@ class KeySentenceRetriever:
         prepared = self.prepare(manual_entry)
         return [prepared.part(sentence.index) for sentence in result.sentences]
 
-    def query_keywords(self, description: str) -> set[str]:
-        return self.query(tokenize(description)).keywords
-
     def query(self, tokens: list[str]) -> Query:
         """The query of a description with ``tokens``."""
-        keywords = content_keywords(tokens, self.stopwords)
-        ordered = sorted(keywords)
-        rows = _unit_rows(ordered, self.vectors)
-        return Query(
-            keywords=keywords,
-            ordered=ordered,
-            rows=rows,
-            weights=np.array([self.idf.value(t) for t in ordered]),
-            reach=float(np.linalg.norm(rows, axis=1).max(initial=0.0)),
-        )
+        return self.queries([tokens])[0]
+
+    def queries(self, token_lists: Sequence[list[str]]) -> list[Query]:
+        """The query of each description's tokens.
+
+        All keywords' unit rows come from one ``_unit_rows`` call, which is
+        row-wise, so each query gets the rows it gets alone.
+        """
+        keyword_sets = [content_keywords(tokens, self.stopwords) for tokens in token_lists]
+        orders = [sorted(keywords) for keywords in keyword_sets]
+        words = list(chain.from_iterable(orders))
+        rows = _unit_rows(words, self.vectors)
+        weights = np.array([self.idf.value(t) for t in words], dtype=float)
+        ends = accumulate(len(order) for order in orders)
+        return [
+            Query(keywords, order, rows[end - len(order) : end], weights[end - len(order) : end])
+            for keywords, order, end in zip(keyword_sets, orders, ends)
+        ]
 
     def retrieve(self, description: str | Query, manual_entry: ManualEntry) -> RetrievalResult:
         """``retrieve_many`` of one query; ``description`` is the text or its ``query``."""
@@ -236,95 +235,65 @@ class KeySentenceRetriever:
     ) -> list[RetrievalResult]:
         """Greedy iterative selection of manual sentences, for each query.
 
-        Each step scores every unselected sentence against the currently
-        uncovered keywords only and takes the argmax (ties to the lowest
-        sentence index). Only the sentences within the prefilter margin of the
-        best approximate score are scored exactly. A keyword counts as covered
-        once its best cosine within a selected sentence reaches the coverage
-        threshold. Selection stops when all keywords are covered, the argmax
-        sentence would cover nothing new (it is not taken), or
-        ``max_sentences`` is reached.
-
-        The approximate alignments of all queries come from one matrix
-        product; each query's selection then runs on its own columns.
+        Each step scores every unselected sentence against the query's
+        currently uncovered keywords only and takes the argmax (ties to the
+        lowest sentence index). A keyword counts as covered once its best
+        cosine within a selected sentence reaches the coverage threshold.
+        Selection stops when all keywords are covered, the argmax sentence
+        would cover nothing new (it is not taken), or ``max_sentences`` is
+        reached; a query whose keywords no sentence covers stops before the
+        first step. The queries that go on take each step together.
         """
         if not manual_entry.sentences:
             raise EmptyManual(f"manual entry {manual_entry.heading} has no sentences")
         prepared = self.prepare(manual_entry)
-        if not queries:
-            return []
-
-        # Sentence x keyword best cosines, for the keywords of every query.
-        keyword_rows = np.concatenate([q.rows for q in queries])
-        best = np.zeros((len(manual_entry.sentences), len(keyword_rows)))
-        if len(keyword_rows) and len(prepared.nonempty):
-            best[prepared.nonempty] = np.maximum.reduceat(
-                (prepared.rows @ keyword_rows.T)[prepared.occurrences], prepared.starts, axis=0
-            )
-        ends = accumulate(len(query.ordered) for query in queries)
-        return [
-            self._select(query, prepared, manual_entry, best[:, end - len(query.ordered) : end])
-            for query, end in zip(queries, ends)
+        results = [
+            RetrievalResult(query_keywords=set(q.keywords), uncovered_keywords=set(q.keywords))
+            for q in queries
         ]
+        ids = [i for i, query in enumerate(queries) if query.ordered]
+        if not ids:
+            return results
+        best = prepared.best_alignments(np.concatenate([queries[i].rows for i in ids]))
+        covers = best >= self.config.coverage_threshold
+        if not covers.any():
+            return results
+        lengths = np.array([len(queries[i].ordered) for i in ids])
+        weights = np.concatenate([queries[i].weights for i in ids])
+        weighted = np.maximum(best, 0.0) * weights[:, None]
 
-    def _select(
-        self, query: Query, prepared: _PreparedEntry, manual_entry: ManualEntry, best: np.ndarray
-    ) -> RetrievalResult:
-        """One query's greedy selection, from its sentence x keyword best cosines."""
-        keywords, ordered = query.keywords, query.ordered
-        keyword_rows, weights = query.rows, query.weights
-        threshold = self.config.coverage_threshold
-
-        # Idf-weighted clamped best cosines. Summed over the uncovered
-        # keywords, a row is within PREFILTER_MARGIN times max(1, their summed
-        # error scales) of the exact score.
-        weighted = np.maximum(best, 0.0) * weights
-        reach = max(1.0, prepared.reach * query.reach)
-        error_scale = np.abs(weights) * reach
-        # Sentence x keyword pairs whose exact alignment may reach the
-        # threshold; a selected sentence's row is cleared.
-        coverable = best >= threshold - PREFILTER_MARGIN * reach
-
-        result = RetrievalResult(query_keywords=set(keywords), uncovered_keywords=set(keywords))
-        remaining = list(range(len(manual_entry.sentences)))
-        uncovered = np.ones(len(ordered), dtype=bool)
-
-        while uncovered.any() and remaining and len(result.sentences) < self.config.max_sentences:
-            if not coverable[:, uncovered].any():
-                break  # the argmax sentence would cover nothing new
-            mask = uncovered.astype(float)
-            approximate = weighted[remaining] @ mask
-            cut = approximate.max() - PREFILTER_MARGIN * max(1.0, float(error_scale @ mask))
-            rows = keyword_rows[uncovered]
-            uncovered_weights = weights[uncovered]
-            best_index, best_score = -1, -np.inf
-            for index, approximate_score in zip(remaining, approximate):
-                if approximate_score < cut:
-                    continue
-                # The exact score, on the prepared rows.
-                sentence_rows = prepared.sentence_rows(index)
-                if len(sentence_rows):
-                    alignments = (rows @ sentence_rows.T).max(axis=1)
-                else:
-                    alignments = np.zeros(len(rows))
-                score = float((uncovered_weights * np.maximum(alignments, 0.0)).sum())
-                if score > best_score:
-                    best_index, best_score, best_alignments = index, score, alignments
-
-            newly_covered = np.flatnonzero(uncovered)[best_alignments >= threshold]
-            if not len(newly_covered):
+        # Query j's keywords are the segment starting at starts[j] of the
+        # keyword axis, in sorted order; keyword k belongs to query owner[k].
+        starts = np.cumsum(lengths) - lengths
+        owner = np.repeat(np.arange(len(ids)), lengths)
+        keyword_index = np.arange(len(owner))
+        uncovered = np.ones(len(owner))
+        taken = np.zeros((len(ids), len(manual_entry.sentences)), dtype=bool)
+        going = np.logical_or.reduceat(covers.any(axis=1), starts)
+        for _ in range(min(self.config.max_sentences, len(manual_entry.sentences))):
+            if not going.any():
                 break
-
-            result.sentences.append(
-                RetrievedSentence(
-                    text=manual_entry.sentences[best_index], index=best_index, score=best_score
+            scores = np.add.reduceat(weighted * uncovered[:, None], starts, axis=0)
+            scores[taken] = -np.inf
+            picks = scores.argmax(axis=1)
+            gained = covers[keyword_index, picks[owner]] & (uncovered > 0.0)
+            going &= np.logical_or.reduceat(gained, starts)
+            stepping = np.flatnonzero(going)
+            picked = picks[stepping]
+            for j, index, score in zip(
+                stepping.tolist(), picked.tolist(), scores[stepping, picked].tolist()
+            ):
+                results[ids[j]].sentences.append(
+                    RetrievedSentence(text=manual_entry.sentences[index], index=index, score=score)
                 )
-            )
-            remaining.remove(best_index)
-            coverable[best_index] = False
-            uncovered[newly_covered] = False
-            covered = {ordered[i] for i in newly_covered}
-            result.covered_keywords |= covered
-            result.uncovered_keywords -= covered
+            taken[stepping, picked] = True
+            uncovered[gained & going[owner]] = 0.0
+            going &= np.logical_or.reduceat(uncovered > 0.0, starts)
 
-        return result
+        flags = uncovered.tolist()
+        for i, start in zip(ids, starts.tolist()):
+            ordered = queries[i].ordered
+            covered = {t for t, flag in zip(ordered, flags[start : start + len(ordered)]) if not flag}
+            results[i].covered_keywords = covered
+            results[i].uncovered_keywords -= covered
+        return results

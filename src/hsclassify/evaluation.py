@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .classifier import top_k
 from .corpus import DecisionCase, ManualEntry
 from .errors import BadK, EmptyInput
@@ -106,27 +108,36 @@ def _match_evidence(
     )
 
 
-def _manual_token_sets(
+def _word_index(
     manuals: Mapping[str, ManualEntry], tokens_of: Callable[[ManualEntry], Iterable[str]]
-) -> dict[str, set[str]]:
-    """Each heading's manual tokens, in ascending heading order."""
+) -> tuple[list[str], dict[str, list[int]]]:
+    """The headings in ascending order, and each manual token's positions among them."""
     if not manuals:
         raise EmptyInput("no manual entries")
-    return {heading: set(tokens_of(manuals[heading])) for heading in sorted(manuals)}
+    headings = sorted(manuals)
+    postings: dict[str, list[int]] = {}
+    for position, heading in enumerate(headings):
+        for token in set(tokens_of(manuals[heading])):
+            postings.setdefault(token, []).append(position)
+    return headings, postings
 
 
 def _rank_by_word_matching(
     description_tokens: Sequence[str],
-    token_sets: Mapping[str, set[str]],
+    postings: Mapping[str, list[int]],
+    heading_count: int,
     stopwords: frozenset[str] | set[str],
-) -> list[tuple[str, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heading positions by descending score, ties ascending, and each heading's score.
+
+    A heading's score is the share of the description's distinct content
+    tokens that its manual holds.
+    """
     content = {t for t in description_tokens if t not in stopwords}
-    scores = [
-        (heading, len(content & tokens) / len(content) if content else 0.0)
-        for heading, tokens in token_sets.items()
-    ]
-    scores.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scores
+    hits = [position for t in content for position in postings.get(t, ())]
+    counts = np.bincount(np.array(hits, dtype=np.intp), minlength=heading_count)
+    scores = counts / len(content) if content else np.zeros(heading_count)
+    return np.argsort(-scores, kind="stable"), scores
 
 
 def word_matching_baseline(
@@ -138,10 +149,14 @@ def word_matching_baseline(
 
     Ties (including the all-zero case) order by ascending heading.
     """
-    token_sets = _manual_token_sets(
+    headings, postings = _word_index(
         manuals, lambda entry: (t for sentence in entry.sentences for t in tokenize(sentence))
     )
-    return _rank_by_word_matching(tokenize(description), token_sets, stopwords)
+    order, scores = _rank_by_word_matching(
+        tokenize(description), postings, len(headings), stopwords
+    )
+    scores = scores.tolist()
+    return [(headings[i], scores[i]) for i in order.tolist()]
 
 
 @dataclass
@@ -238,7 +253,8 @@ def evaluate_pipeline(
     built: the similar cases of a report are never read. Each description is
     tokenized once, for the inference and the baseline; manual sentences'
     tokens come from the retriever's prepared entries, so the retriever
-    keeps no entry beyond the model's own.
+    keeps no entry beyond the model's own. The baseline counts each
+    heading's matches through one inverted index of those tokens.
     """
     if not test_cases:
         raise EmptyInput("no test cases")
@@ -254,7 +270,9 @@ def evaluate_pipeline(
 
     has_ablation = model.ablation_classifier is not None
     retriever = model.retriever
-    manual_tokens = _manual_token_sets(model.manuals, lambda entry: retriever.prepare(entry).tokens)
+    manual_headings, postings = _word_index(
+        model.manuals, lambda entry: retriever.prepare(entry).tokens
+    )
     traces = model.infer_many([case.description for case in test_cases], headings=1)
     for case, trace in zip(test_cases, traces):
         ranked_headings, ranked_subheadings = model.rankings(trace, max_k)
@@ -262,8 +280,10 @@ def evaluate_pipeline(
         subheadings = [subheading for subheading, _ in ranked_subheadings]
         heading_ranked.append(headings)
         subheading_ranked.append(subheadings)
-        baseline = _rank_by_word_matching(trace.tokens, manual_tokens, retriever.stopwords)
-        baseline_ranked.append([h for h, _ in baseline[:max_k]])
+        order, _ = _rank_by_word_matching(
+            trace.tokens, postings, len(manual_headings), retriever.stopwords
+        )
+        baseline_ranked.append([manual_headings[i] for i in order[:max_k].tolist()])
         if has_ablation:
             probs = model.ablation_scaler.probabilities(trace.ablation_logits)
             order = top_k(probs, min(max_k, len(probs)))

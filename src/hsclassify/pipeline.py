@@ -343,19 +343,16 @@ def _retrieve(
 ) -> list[list[RetrievalResult | None]]:
     """``retrievals[i][j]``: description i's key sentences from ``entries[i][j]``.
 
-    A description with any entry builds one query; each entry is retrieved
-    from once, for all the descriptions that need it.
+    The descriptions with any entry get their queries from one call; each
+    entry is retrieved from once, for all the descriptions that need it.
     """
     requests: dict[ManualEntry, list[tuple[int, int]]] = {}
     for i, row in enumerate(entries):
         for position, entry in enumerate(row):
             if entry is not None:
                 requests.setdefault(entry, []).append((i, position))
-    queries = {
-        i: retriever.query(tokens[i])
-        for i, row in enumerate(entries)
-        if any(entry is not None for entry in row)
-    }
+    needing = [i for i, row in enumerate(entries) if any(entry is not None for entry in row)]
+    queries = dict(zip(needing, retriever.queries([tokens[i] for i in needing])))
     retrievals: list[list[RetrievalResult | None]] = [[None] * len(row) for row in entries]
     for entry, slots in requests.items():
         results = retriever.retrieve_many([queries[i] for i, _ in slots], entry)
@@ -474,7 +471,7 @@ def fit(
             if reads_evidence:
                 results = [None] * len(rows)
                 if entry is not None:
-                    queries = [retriever.query(train_tokens[i]) for i in rows]
+                    queries = retriever.queries([train_tokens[i] for i in rows])
                     results = retriever.retrieve_many(queries, entry)
                 evidence_train[rows] = _with_evidence(
                     encoder, retriever, parts, x1, [entry] * len(rows), results

@@ -7,12 +7,13 @@ consistent with the selection rules.
 
 The reference copies at the end are the plain whole-array expressions of
 the training loss, its gradient, validation accuracy, the calibration NLL
-and the token-by-token pooled encoding, the scalar retrieval loop with its
-sentence score ``alignment_score``, the per-description inference the
-batched ``infer_many`` replaced, and the report-based evaluation. The
-package computes the same floats in one buffer, from prepared parts or for
-many descriptions at once, and the exactness tests compare the two bit for
-bit.
+and the token-by-token pooled encoding, the scalar retrieval loop on each
+keyword's own alignment product (``alignment_score`` scores one sentence
+the same way), the per-description inference the batched ``infer_many``
+replaced, the report-based evaluation and the set-intersection
+word-matching baseline. The package computes the same floats in one
+buffer, from prepared parts or for many descriptions at once, and the
+exactness tests compare the two bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from hsclassify.evaluation import (
     top_k_accuracy,
     word_matching_baseline,
 )
+from hsclassify.errors import EmptyInput
 from hsclassify.pipeline import InferenceTrace, PipelineModel
-from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
+from hsclassify.textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, tokenize
 
 
 def oracle_cosine(u: list[float], v: list[float]) -> float:
@@ -235,15 +237,20 @@ def joined_encode_with_evidence(vectors, idf, description: str, sentences) -> np
     return scalar_encode(vectors, idf, " ‖ ".join([description, *sentences]))
 
 
-def _best_alignments(
-    keywords: list[str], sentence_tokens: list[str], vectors: WordVectorTable
-) -> np.ndarray:
-    """Best cosine against the sentence for each keyword (unclamped)."""
-    if not keywords or not sentence_tokens:
-        return np.zeros(len(keywords))
-    q = _unit_rows(keywords, vectors)
-    s = _unit_rows(sentence_tokens, vectors)
-    return (q @ s.T).max(axis=1)
+def canonical_alignments(keywords: list[str], rows: np.ndarray, vectors: WordVectorTable):
+    """Keyword x row cosines: one ``(1, d) @ (d, T)`` product per keyword."""
+    alignments = np.zeros((len(keywords), len(rows)))
+    for k, keyword in enumerate(keywords):
+        alignments[k] = (_unit_rows([keyword], vectors) @ rows.T)[0]
+    return alignments
+
+
+def step_score(terms: np.ndarray) -> float:
+    """The sum of a step score's terms, in keyword order: one ``np.add.reduceat`` segment.
+
+    That is the first term plus numpy's pairwise sum of the others.
+    """
+    return float(np.add.reduceat(terms, [0])[0]) if len(terms) else 0.0
 
 
 def alignment_score(
@@ -252,40 +259,59 @@ def alignment_score(
     vectors: WordVectorTable,
     idf: IdfTable,
 ) -> float:
-    """Sum over keywords of idf(t) times its best within-sentence cosine.
+    """Sum over the sorted keywords of idf(t) times its best within-sentence cosine.
 
     Negative per-keyword maxima clamp to zero, so an unrelated sentence never
-    scores below the empty sentence. The retriever's exact rescore computes
-    these bits from its prepared unit rows.
+    scores below the empty sentence. The cosines are the canonical
+    alignments against the sentence's distinct tokens.
     """
     ordered = sorted(set(keywords))
-    best = np.maximum(_best_alignments(ordered, sentence_tokens, vectors), 0.0)
+    distinct = list(dict.fromkeys(sentence_tokens))
+    best = np.zeros(len(ordered))
+    if distinct:
+        best = canonical_alignments(ordered, _unit_rows(distinct, vectors), vectors).max(axis=1)
     weights = np.array([idf.value(t) for t in ordered])
-    return float((weights * best).sum())
+    return step_score(np.maximum(best, 0.0) * weights)
 
 
 def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: ManualEntry):
-    """The loop the prefilter replaces: ``alignment_score`` on every remaining sentence."""
-    keywords = retriever.query_keywords(description)
-    sentence_tokens = [tokenize(s) for s in entry.sentences]
+    """The greedy loop one sentence at a time, from the canonical alignments.
+
+    Each keyword's cosines with the entry's distinct tokens are its own
+    product against ``prepare(entry).rows``; a sentence's best alignment per
+    keyword is the maximum over its tokens (0 without tokens), and its step
+    score the sum over the keywords of ``uncovered * max(best, 0) * idf``.
+    """
+    keywords = sorted(retriever.query(tokenize(description)).keywords)
+    prepared = retriever.prepare(entry)
+    alignments = canonical_alignments(keywords, prepared.rows, retriever.vectors)
+    column = {token: j for j, token in enumerate(prepared.tokens)}
+    best = []
+    for sentence in entry.sentences:
+        columns = [column[token] for token in tokenize(sentence)]
+        best.append(
+            alignments[:, columns].max(axis=1) if columns else np.zeros(len(keywords))
+        )
+    weights = np.array([retriever.idf.value(t) for t in keywords])
+    threshold = retriever.config.coverage_threshold
+
     result = RetrievalResult(query_keywords=set(keywords), uncovered_keywords=set(keywords))
-    remaining = list(range(len(sentence_tokens)))
+    uncovered = np.ones(len(keywords))
+    remaining = list(range(len(entry.sentences)))
     while (
-        result.uncovered_keywords
+        uncovered.any()
         and remaining
         and len(result.sentences) < retriever.config.max_sentences
     ):
-        uncovered = sorted(result.uncovered_keywords)
-        best_index, best_score = -1, -1.0
+        best_index, best_score = -1, -math.inf
         for index in remaining:
-            score = alignment_score(
-                uncovered, sentence_tokens[index], retriever.vectors, retriever.idf
-            )
+            score = step_score(uncovered * np.maximum(best[index], 0.0) * weights)
             if score > best_score:
                 best_index, best_score = index, score
-        alignments = _best_alignments(uncovered, sentence_tokens[best_index], retriever.vectors)
         newly_covered = {
-            t for t, a in zip(uncovered, alignments) if a >= retriever.config.coverage_threshold
+            t
+            for t, flag, alignment in zip(keywords, uncovered, best[best_index])
+            if flag and alignment >= threshold
         }
         if not newly_covered:
             break
@@ -293,9 +319,27 @@ def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: Ma
             RetrievedSentence(entry.sentences[best_index], best_index, best_score)
         )
         remaining.remove(best_index)
+        uncovered[[k for k, t in enumerate(keywords) if t in newly_covered]] = 0.0
         result.covered_keywords |= newly_covered
         result.uncovered_keywords -= newly_covered
     return result
+
+
+def word_matching_reference(
+    description: str,
+    manuals: dict[str, ManualEntry],
+    stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
+) -> list[tuple[str, float]]:
+    """``word_matching_baseline`` by set intersection with each heading's manual tokens."""
+    if not manuals:
+        raise EmptyInput("no manual entries")
+    content = {t for t in tokenize(description) if t not in stopwords}
+    scores = []
+    for heading in sorted(manuals):
+        tokens = {t for sentence in manuals[heading].sentences for t in tokenize(sentence)}
+        scores.append((heading, len(content & tokens) / len(content) if content else 0.0))
+    scores.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scores
 
 
 def scalar_pool(parts: list[Part], dimension: int) -> np.ndarray:

@@ -254,7 +254,7 @@ class TestZeroIdfKeywords:
 def assert_same_retrieval(retriever, description, entry):
     got = retriever.retrieve(description, entry)
     want = scalar_retrieve(retriever, description, entry)
-    # Scores compare with ==: the prefilter must return the reference's very bits.
+    # Scores compare with ==: the lockstep selection must return the scalar loop's very bits.
     assert [(s.index, s.score, s.text) for s in got.sentences] == [
         (s.index, s.score, s.text) for s in want.sentences
     ]
@@ -265,8 +265,8 @@ def assert_same_retrieval(retriever, description, entry):
     return got
 
 
-class TestPrefilterIsExact:
-    """The matrix prefilter plus ``alignment_score`` rescoring equals the scalar loop."""
+class TestRetrievalIsExact:
+    """The lockstep selection equals the scalar loop on the canonical alignments."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_manuals(self, seed):
@@ -310,8 +310,9 @@ class TestPrefilterIsExact:
     @pytest.mark.parametrize("seed", [10, 54, 200])
     def test_scaled_copies_of_one_vector_near_tie(self, seed):
         # Half the words are scaled copies of one vector, so many sentences tie
-        # in exact arithmetic; on these seeds the matrix product and
-        # ``alignment_score`` rank the tied sentences differently.
+        # in exact arithmetic and their computed scores differ by rounding; on
+        # these seeds a whole-matrix product and a per-sentence one rank the
+        # tied sentences differently.
         rng = np.random.default_rng(seed)
         dim = int(rng.choice([16, 50]))
         vocab = [f"w{i}" for i in range(20)]
@@ -350,7 +351,7 @@ class TestPrefilterIsExact:
         assert calls[len(sentences) + 1:] == [description]
         assert second.sentences == first.sentences
 
-    def test_repeat_retrieval_rescores_from_the_prepared_rows(self, monkeypatch):
+    def test_repeat_retrieval_reuses_the_prepared_rows(self, monkeypatch):
         from hsclassify import alignment
 
         vectors, idf_values, sentences, keywords = random_instance(3)
@@ -385,5 +386,50 @@ class TestPrefilterIsExact:
         assert prepared.rows.tobytes() == want.tobytes()
         for index, text in enumerate(texts):
             want = _unit_rows(tokenize(text), retriever.vectors)
-            assert prepared.sentence_rows(index).tobytes() == want.tobytes()
+            occurrences = prepared.occurrences[prepared.bounds[index] : prepared.bounds[index + 1]]
+            assert prepared.rows[occurrences].tobytes() == want.tobytes()
             assert prepared.token_set(index) == set(tokenize(text))
+
+
+def retrieval_bits(result):
+    sentences = [(s.index, s.score.hex(), s.text) for s in result.sentences]
+    return sentences, result.covered_keywords, result.uncovered_keywords, result.query_keywords
+
+
+class TestBatchInvariance:
+    """A query's retrieval is the same alone and among up to 70 others."""
+
+    @pytest.mark.parametrize("dim", [3, 16, 50, 300])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_alone_and_in_one_call(self, dim, seed):
+        rng = np.random.default_rng([67, dim, seed])
+        vocab = [f"w{i}" for i in range(40)]
+        # Scaled copies of a few directions tie exactly in the true cosine.
+        directions = rng.normal(size=(3, dim))
+        vectors = {}
+        for word in vocab[:-4]:  # the last four words have no vector
+            if rng.random() < 0.5:
+                vectors[word] = directions[int(rng.integers(0, 3))] * rng.uniform(0.3, 3.0)
+            else:
+                vectors[word] = rng.normal(size=dim)
+        idf_values = {w: float(rng.choice([0.5, 1.0, rng.uniform(0.1, 3.0)])) for w in vocab}
+        sentences = tuple(
+            " ".join(rng.choice(vocab, size=int(rng.integers(0, 12))).tolist()) or "--"
+            for _ in range(int(rng.integers(1, 16)))
+        )
+        retriever = make_retriever(
+            vectors,
+            idf_values,
+            max_sentences=int(rng.integers(1, 8)),
+            coverage_threshold=float(rng.choice([0.5, 0.95, 1.0])),
+        )
+        entry = ManualEntry(heading="8541", sentences=sentences)
+        texts = [
+            " ".join(rng.choice(vocab, size=int(rng.integers(0, 14)), replace=False))
+            for _ in range(int(rng.integers(40, 71)))
+        ]
+        texts[int(rng.integers(0, len(texts)))] = ""
+        batched = retriever.retrieve_many(retriever.queries([tokenize(t) for t in texts]), entry)
+        assert len(batched) == len(texts)
+        for text, got in zip(texts, batched):
+            assert retrieval_bits(got) == retrieval_bits(retriever.retrieve(text, entry))

@@ -256,34 +256,34 @@ class TestRetrieveMany:
         ]
         assert_retrieves_like_the_scalar_loop(retriever, texts, entry)
 
-    def test_alignment_rounded_below_the_threshold_by_the_prefilter(self):
-        # The coverage threshold is a keyword's exact best alignment with a
-        # sentence, in an instance where the batched prefilter product rounds
-        # that alignment below it. The sentence covers the keyword, so the
-        # early stop must not fire: it allows for the margin.
+    def test_alignment_at_the_threshold_covers_and_the_next_float_below_does_not(self):
+        # k0 aligns with s0 at about 0.95 and with no other token near it. A
+        # threshold equal to that alignment covers k0 with sentence 0; one a
+        # float above it leaves the alignment the next float below the
+        # threshold, and then no sentence covers k0.
         entry = ManualEntry(heading="8541", sentences=("s0 s1", "s2 s3", "s4 s5"))
         texts = ["k0", *(f"k{i} k{i + 1} k{i + 2}" for i in range(1, 12))]
-        for seed in range(200):
-            rng = np.random.default_rng([53, seed])
-            words = [*(f"s{i}" for i in range(6)), *(f"k{i}" for i in range(14))]
-            vectors = {w: rng.normal(size=50) for w in words}
-            vectors["k0"] = vectors["s0"] + 0.3 * rng.normal(size=50)
-            idf_values = dict.fromkeys(words, 1.0)
-            probe = make_retriever(vectors, idf_values)
-            queries = [probe.query(tokenize(text)) for text in texts]
-            prepared = probe.prepare(entry)
-            approximate = (prepared.rows @ np.concatenate([q.rows for q in queries]).T)[
-                prepared.occurrences[:2], 0
-            ].max()
-            exact = (queries[0].rows @ prepared.sentence_rows(0).T).max()
-            if approximate < exact:
-                break
-        else:
-            pytest.fail("no instance where the prefilter rounds the alignment down")
-        retriever = make_retriever(vectors, idf_values, coverage_threshold=float(exact))
+        rng = np.random.default_rng(53)
+        words = [*(f"s{i}" for i in range(6)), *(f"k{i}" for i in range(14))]
+        vectors = {w: rng.normal(size=50) for w in words}
+        vectors["k0"] = vectors["s0"] + 0.3 * rng.normal(size=50)
+        idf_values = dict.fromkeys(words, 1.0)
+        probe = make_retriever(vectors, idf_values)
+        prepared = probe.prepare(entry)
+        alignments = oracles.canonical_alignments(["k0"], prepared.rows, probe.vectors)[0]
+        at = float(alignments[prepared.occurrences[:2]].max())
+        assert 0.5 < at < 1.0 and alignments[prepared.occurrences[2:]].max() < 0.5
+
+        retriever = make_retriever(vectors, idf_values, coverage_threshold=at)
         results = assert_retrieves_like_the_scalar_loop(retriever, texts, entry)
         assert [s.index for s in results[0].sentences] == [0]
         assert results[0].covered_keywords == {"k0"}
+
+        above = float(np.nextafter(at, 2.0))
+        retriever = make_retriever(vectors, idf_values, coverage_threshold=above)
+        results = assert_retrieves_like_the_scalar_loop(retriever, texts, entry)
+        assert results[0].sentences == []
+        assert results[0].uncovered_keywords == {"k0"}
 
     def test_empty_query_list(self):
         retriever = make_retriever({"a": [1.0, 0.0]}, {})

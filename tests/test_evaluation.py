@@ -14,6 +14,8 @@ from hsclassify.evaluation import (
     word_matching_baseline,
 )
 
+from oracles import word_matching_reference
+
 
 class TestTopKAccuracy:
     def test_gold_always_first(self):
@@ -169,3 +171,22 @@ class TestWordMatchingBaseline:
     def test_empty_manuals(self):
         with pytest.raises(EmptyInput):
             word_matching_baseline("anything", {})
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ranks_like_the_set_intersection_reference(self, seed):
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(25)] + ["the", "and", "of"]
+        manuals = {}
+        for _ in range(rng.randint(1, 12)):
+            heading = f"{rng.randint(1000, 9999)}"
+            sentences = tuple(
+                " ".join(rng.choices(vocab, k=rng.randint(0, 8))) or "--"
+                for _ in range(rng.randint(1, 4))
+            )
+            manuals[heading] = ManualEntry(heading, sentences)
+        for _ in range(20):
+            words = rng.choices(vocab + ["zz", "qq"], k=rng.randint(0, 12))
+            description = " ".join(words)
+            got = word_matching_baseline(description, manuals)
+            assert got == word_matching_reference(description, manuals)
+            assert all(type(score) is float for _, score in got)
