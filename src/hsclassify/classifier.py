@@ -41,6 +41,8 @@ class TrainConfig:
 class TrainReport:
     """Per-epoch training curve and the selected epoch.
 
+    ``losses[e]`` is the mean of each row's cross-entropy at the parameters
+    its epoch-``e`` step began from, plus (l2/2)*||W||^2 at the epoch's end.
     ``best_epoch`` is the argmax of validation top-1 accuracy with ties going
     to the earliest epoch; when no validation data was supplied the final
     epoch is kept and all accuracies read 0.0.
@@ -51,12 +53,12 @@ class TrainReport:
     best_epoch: int = 0
 
 
-# Each n x C pass computes its logits into one array and works on it in
-# place. The operations and their order are those of the plain expressions
-# (``x @ W + b``, ``exp(z - max) / sum``), so every float is the same. The
-# passes are not split into row chunks: BLAS may round a chunk's rows of
-# ``x @ W`` differently from the same rows of the whole product (a one-row
-# chunk goes to a matrix-vector kernel, and threads split rows elsewhere).
+# Each mini-batch softmax and validation pass computes its logits into one
+# array and works on it in place, in the plain expressions' order (``x @ W +
+# b``, ``exp(z - max) / sum``), so every float is the same. Passes are not
+# split into row chunks: BLAS may round a chunk's rows of ``x @ W`` otherwise
+# than the same rows of the whole product (a one-row chunk goes to a
+# matrix-vector kernel, and threads split rows elsewhere).
 
 
 def _logits(weights, bias, inputs) -> np.ndarray:
@@ -99,20 +101,16 @@ def cross_entropy(true_label_index: int, probabilities) -> float:
     return float(-np.log(max(probabilities[true_label_index], _LOG_FLOOR)))
 
 
-def _mean_loss(weights, bias, inputs, label_indices, l2_penalty) -> float:
-    """Mean cross-entropy + (l2/2)*||W||^2."""
-    picked = picked_probabilities(_logits(weights, bias, inputs), label_indices)
-    return mean_log_loss(picked) + 0.5 * l2_penalty * float((weights**2).sum())
-
-
-def _gradient(weights, bias, inputs, label_indices, l2_penalty) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``_mean_loss`` w.r.t. W and bias."""
-    n = inputs.shape[0]
+def _gradient(weights, bias, inputs, label_indices, l2_penalty):
+    """Gradients (W, b) of mean cross-entropy + (l2/2)*||W||^2, and the summed cross-entropy."""
+    rows = np.arange(inputs.shape[0])
     delta = softmax_inplace(_logits(weights, bias, inputs))
-    delta[np.arange(n), label_indices] -= 1.0
-    grad_w = inputs.T @ delta / n + l2_penalty * weights
+    picked = delta[rows, label_indices]  # a copy, taken before the one-hot subtraction
+    loss_sum = -float(np.log(np.maximum(picked, _LOG_FLOOR, out=picked), out=picked).sum())
+    delta[rows, label_indices] -= 1.0
+    grad_w = inputs.T @ delta / rows.size + l2_penalty * weights
     grad_b = delta.mean(axis=0)
-    return grad_w, grad_b
+    return grad_w, grad_b, loss_sum
 
 
 class SoftmaxClassifier:
@@ -211,24 +209,29 @@ def train(
     else:
         xv = np.zeros((0, dim))
         yv = np.zeros(0, dtype=int)
+    for split, array in (("training", x), ("validation", xv)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{split} inputs must be finite")
 
     rng = np.random.default_rng(config.seed)
     weights = np.zeros((dim, num_classes))
     bias = np.zeros(num_classes)
 
     report = TrainReport()
-    best_acc = -1.0
-    best = (weights.copy(), bias.copy())
+    best_acc, best = -1.0, (weights.copy(), bias.copy())
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(x))
+        loss_sum = 0.0
         for start in range(0, len(x), config.batch_size):
             batch = order[start : start + config.batch_size]
-            grad_w, grad_b = _gradient(weights, bias, x[batch], y[batch], config.l2_penalty)
+            grad_w, grad_b, loss = _gradient(weights, bias, x[batch], y[batch], config.l2_penalty)
             weights -= config.learning_rate * grad_w
             bias -= config.learning_rate * grad_b
+            loss_sum += loss
 
-        report.losses.append(_mean_loss(weights, bias, x, y, config.l2_penalty))
+        penalty = 0.5 * config.l2_penalty * float((weights**2).sum())
+        report.losses.append(loss_sum / len(x) + penalty)
         accuracy = _top1_accuracy(weights, bias, xv, yv) if has_val else 0.0
         report.val_accuracies.append(accuracy)
         if has_val and accuracy > best_acc:
@@ -237,8 +240,5 @@ def train(
             report.best_epoch = epoch
 
     if not has_val:
-        best = (weights.copy(), bias.copy())
-        report.best_epoch = config.epochs - 1
-
-    classifier = SoftmaxClassifier(best[0], best[1], class_labels)
-    return classifier, report
+        best, report.best_epoch = (weights, bias), config.epochs - 1
+    return SoftmaxClassifier(best[0], best[1], class_labels), report

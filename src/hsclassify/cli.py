@@ -177,16 +177,16 @@ def train(ctx: click.Context, no_evidence: bool, with_ablation: bool):
 
     report = model.fit_report
     click.echo(f"cases: {len(split.train)} train / {len(split.validation)} validation")
-    for stage, stage_report in (("heading", report.heading), ("subheading", report.subheading)):
+    for stage in ("heading", "subheading", "ablation"):
+        stage_report = getattr(report, stage)
+        if stage_report is None:  # no ablation head
+            continue
         best = stage_report.best_epoch
         click.echo(
             f"{stage}: best epoch {best + 1}/{len(stage_report.losses)}"
             f"  val top-1 {stage_report.val_accuracies[best]:.4f}"
-            f"  loss {stage_report.losses[best]:.4f}"
+            f"  epoch-mean train loss {stage_report.losses[best]:.4f}"
         )
-    if report.ablation is not None:
-        best = report.ablation.best_epoch
-        click.echo(f"ablation: best epoch {best + 1}  val top-1 {report.ablation.val_accuracies[best]:.4f}")
     if report.missing_manual_cases:
         click.echo(f"warning: {report.missing_manual_cases} cases lack a gold-heading manual entry")
     click.echo(

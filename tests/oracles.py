@@ -174,12 +174,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def mean_loss(weights, bias, inputs, label_indices, l2_penalty) -> float:
-    """Mean cross-entropy + (l2/2)*||W||^2, with a fresh array per step."""
+    """Mean cross-entropy + (l2/2)*||W||^2 over all rows: the objective the
+    mini-batch steps descend, which the finite-difference checks differentiate."""
     n = inputs.shape[0]
     probs = softmax(inputs @ weights + bias)
     picked = probs[np.arange(n), label_indices]
     loss = float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
     return loss + 0.5 * l2_penalty * float((weights**2).sum())
+
+
+def summed_cross_entropy(weights, bias, inputs, label_indices) -> float:
+    """Sum over the rows of -ln max(p_y, 1e-12), with a fresh array per step."""
+    probs = softmax(inputs @ weights + bias)
+    picked = probs[np.arange(inputs.shape[0]), label_indices]
+    return float(-np.log(np.maximum(picked, LOG_FLOOR)).sum())
 
 
 def gradient(weights, bias, inputs, label_indices, l2_penalty) -> tuple[np.ndarray, np.ndarray]:
@@ -191,11 +199,10 @@ def gradient(weights, bias, inputs, label_indices, l2_penalty) -> tuple[np.ndarr
     return grad_w, grad_b
 
 
-def mean_loss_and_gradient(weights, bias, inputs, label_indices, l2_penalty):
-    """The training objective and its gradients w.r.t. W and bias."""
-    loss = mean_loss(weights, bias, inputs, label_indices, l2_penalty)
+def gradient_and_loss_sum(weights, bias, inputs, label_indices, l2_penalty):
+    """``_gradient``'s outputs: the gradients w.r.t. W and bias and the summed cross-entropy."""
     grad_w, grad_b = gradient(weights, bias, inputs, label_indices, l2_penalty)
-    return loss, grad_w, grad_b
+    return grad_w, grad_b, summed_cross_entropy(weights, bias, inputs, label_indices)
 
 
 def top1_accuracy(weights, bias, inputs, label_indices) -> float:

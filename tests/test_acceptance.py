@@ -95,7 +95,7 @@ class TestCriterion3GradientCorrectness:
             inputs = rng.normal(size=(n, d))
             labels = rng.integers(0, c, size=n)
             l2 = float(rng.uniform(0.0, 0.1))
-            grad_w, grad_b = _gradient(weights, bias, inputs, labels, l2)
+            grad_w, grad_b, _ = _gradient(weights, bias, inputs, labels, l2)
             fd_w, fd_b = finite_difference_gradients(weights, bias, inputs, labels, l2)
             worst = max(worst, relative_error(grad_w, fd_w), relative_error(grad_b, fd_b))
         announce(3, worst < 1e-4, f"max relative gradient error {worst:.2e} (<1e-4)")

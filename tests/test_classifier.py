@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from hsclassify import classifier
 from hsclassify.classifier import (
     SoftmaxClassifier,
     TrainConfig,
     _gradient,
-    _mean_loss,
     cross_entropy,
     top_k,
     train,
@@ -20,10 +21,10 @@ from hsclassify.errors import BadK, DimensionMismatch, EmptyInput, IndexOutOfRan
 
 
 def finite_difference_gradients(weights, bias, inputs, labels, l2, h=1e-5):
-    """Central-difference gradients of the training objective ``train`` evaluates."""
+    """Central-difference gradients of the training objective ``train`` descends."""
 
     def loss_at(w, b):
-        return _mean_loss(w, b, inputs, labels, l2)
+        return oracles.mean_loss(w, b, inputs, labels, l2)
 
     grad_w = np.zeros_like(weights)
     for i in range(weights.shape[0]):
@@ -158,31 +159,31 @@ class TestGradient:
             inputs = rng.normal(size=(n, d))
             labels = rng.integers(0, c, size=n)
             l2 = float(rng.uniform(0.0, 0.1))
-            grad_w, grad_b = _gradient(weights, bias, inputs, labels, l2)
+            grad_w, grad_b, _ = _gradient(weights, bias, inputs, labels, l2)
             fd_w, fd_b = finite_difference_gradients(weights, bias, inputs, labels, l2)
             assert relative_error(grad_w, fd_w) < 1e-4
             assert relative_error(grad_b, fd_b) < 1e-4
 
 
-def reference_loss_and_gradient(weights, bias, inputs, label_indices, l2_penalty):
-    """The fused loss and gradient that ``train`` called before its step was split."""
+def reference_step(weights, bias, inputs, label_indices, l2_penalty):
+    """One mini-batch step's gradients and summed cross-entropy from one plain softmax."""
     n = inputs.shape[0]
     logits = inputs @ weights + bias
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=-1, keepdims=True)
     picked = probs[np.arange(n), label_indices]
-    loss = float(-np.log(np.maximum(picked, 1e-12)).mean())
-    loss += 0.5 * l2_penalty * float((weights**2).sum())
+    loss_sum = float(-np.log(np.maximum(picked, 1e-12)).sum())
     delta = probs
     delta[np.arange(n), label_indices] -= 1.0
     grad_w = inputs.T @ delta / n + l2_penalty * weights
     grad_b = delta.mean(axis=0)
-    return loss, grad_w, grad_b
+    return grad_w, grad_b, loss_sum
 
 
 def reference_train(inputs, labels, val_inputs, val_labels, config, num_classes):
-    """``train``'s loop with one fused loss-and-gradient call per step and per epoch."""
+    """``train``'s loop: each epoch's loss is the steps' summed cross-entropy over n,
+    plus the L2 penalty at the epoch's final weights."""
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(labels, dtype=int)
     has_val = len(val_inputs) > 0
@@ -193,15 +194,16 @@ def reference_train(inputs, labels, val_inputs, val_labels, config, num_classes)
     best_acc, best, best_epoch = -1.0, (weights.copy(), bias.copy()), 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(x))
+        total = 0.0
         for start in range(0, len(x), config.batch_size):
             batch = order[start : start + config.batch_size]
-            _, grad_w, grad_b = reference_loss_and_gradient(
+            grad_w, grad_b, loss_sum = reference_step(
                 weights, bias, x[batch], y[batch], config.l2_penalty
             )
             weights -= config.learning_rate * grad_w
             bias -= config.learning_rate * grad_b
-        loss, _, _ = reference_loss_and_gradient(weights, bias, x, y, config.l2_penalty)
-        losses.append(loss)
+            total += loss_sum
+        losses.append(total / len(x) + 0.5 * config.l2_penalty * float((weights**2).sum()))
         accuracy = 0.0
         if has_val:
             xv = np.asarray(val_inputs, dtype=float)
@@ -215,10 +217,10 @@ def reference_train(inputs, labels, val_inputs, val_labels, config, num_classes)
     return best[0], best[1], losses, accuracies, best_epoch
 
 
-class TestSplitStepMatchesFusedReference:
-    """``train``, ``_mean_loss`` and ``_gradient`` keep the fused step's very bits."""
+class TestStepMatchesPlainReference:
+    """``train`` and ``_gradient`` keep the bits of the plain one-softmax step."""
 
-    def test_mean_loss_and_gradient(self):
+    def test_gradient_and_loss_sum(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             d, c, n = (int(v) for v in rng.integers(1, 9, size=3))
@@ -229,16 +231,22 @@ class TestSplitStepMatchesFusedReference:
                 rng.integers(0, c, size=n),
                 float(rng.uniform(0.0, 0.1)),
             )
-            loss = _mean_loss(*args)
-            grad_w, grad_b = _gradient(*args)
-            want_loss, want_w, want_b = reference_loss_and_gradient(*args)
-            assert loss.hex() == want_loss.hex()
+            grad_w, grad_b, loss_sum = _gradient(*args)
+            want_w, want_b, want_loss = reference_step(*args)
             assert grad_w.tobytes() == want_w.tobytes()
             assert grad_b.tobytes() == want_b.tobytes()
+            assert loss_sum.hex() == want_loss.hex()
 
     @pytest.mark.parametrize(
         "case",
-        ["batch_does_not_divide_n", "no_validation", "sentinel_validation", "single_class"],
+        [
+            "batch_does_not_divide_n",
+            "no_validation",
+            "sentinel_validation",
+            "single_class",
+            "batch_size_one",
+            "batch_larger_than_n",
+        ],
     )
     def test_train(self, case):
         rng = np.random.default_rng(17)
@@ -247,13 +255,20 @@ class TestSplitStepMatchesFusedReference:
         labels = [int(v) for v in rng.integers(0, classes, size=n)]
         val_inputs = list(rng.normal(size=(9, d)))
         val_labels = [int(v) for v in rng.integers(0, classes, size=9)]
+        batch_size = 8
         if case == "no_validation":
             val_inputs, val_labels = [], []
         elif case == "sentinel_validation":
             val_labels[::2] = [-1] * len(val_labels[::2])
         elif case == "single_class":
             classes, labels, val_labels = 1, [0] * n, [0] * 9
-        config = TrainConfig(epochs=12, learning_rate=0.5, batch_size=8, seed=4, l2_penalty=1e-3)
+        elif case == "batch_size_one":
+            batch_size = 1
+        elif case == "batch_larger_than_n":
+            batch_size = n + 5
+        config = TrainConfig(
+            epochs=12, learning_rate=0.5, batch_size=batch_size, seed=4, l2_penalty=1e-3
+        )
         clf, report = train(
             inputs, labels, val_inputs, val_labels, config, [f"c{i}" for i in range(classes)]
         )
@@ -316,6 +331,45 @@ class TestTrain:
             inputs, labels, inputs[:4], [-1, -1, -1, -1], TrainConfig(epochs=3), ["a", "b"]
         )
         assert report.val_accuracies == [0.0, 0.0, 0.0]
+
+    def test_epoch_loss_is_the_objective_when_the_parameters_stay_put(self):
+        inputs, labels = separable_blobs(seed=4)
+        config = TrainConfig(epochs=3, learning_rate=0.0, batch_size=7)
+        _, report = train(inputs, labels, [], [], config, ["a", "b"])
+        x, y = np.asarray(inputs), np.asarray(labels)
+        want = oracles.mean_loss(np.zeros((2, 2)), np.zeros(2), x, y, config.l2_penalty)
+        assert report.losses == pytest.approx([want] * 3, rel=1e-15)
+        assert want == pytest.approx(math.log(2), rel=1e-15)
+
+    def test_full_batch_loss_is_the_objective_at_the_epoch_start(self):
+        """With one step per epoch the cross-entropy part is measured before the update."""
+        inputs, labels = separable_blobs(seed=6)
+        config = TrainConfig(epochs=4, batch_size=len(inputs), l2_penalty=0.0)
+        x, y = np.asarray(inputs), np.asarray(labels)
+        weights, bias = np.zeros((2, 2)), np.zeros(2)
+        want = []
+        for _ in range(config.epochs):
+            want.append(oracles.mean_loss(weights, bias, x, y, 0.0))
+            grad_w, grad_b, _ = _gradient(weights, bias, x, y, 0.0)
+            weights = weights - config.learning_rate * grad_w
+            bias = bias - config.learning_rate * grad_b
+        _, report = train(inputs, labels, [], [], config, ["a", "b"])
+        assert report.losses == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_inputs_fail_before_the_first_epoch(self, split, bad, monkeypatch):
+        inputs, labels = separable_blobs(seed=2)
+        val_inputs, val_labels = separable_blobs(seed=3, per_class=2)
+        target = inputs if split == "training" else val_inputs
+        target[1] = np.array([0.5, bad])
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(classifier, "_gradient", no_step)
+        with pytest.raises(ValueError, match=f"^{split} inputs must be finite$"):
+            train(inputs, labels, val_inputs, val_labels, TrainConfig(epochs=2), ["a", "b"])
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -361,6 +362,7 @@ class TestTrainVariants:
         assert result.exit_code == 0, result.output
         manifest = json.loads((tmp_path / "ckpt-noev" / "manifest.json").read_text())
         assert manifest["config"]["use_evidence"] is False
+        assert "ablation:" not in result.output
 
     def test_with_ablation_flag(self, runner, corpus_dir, tmp_path):
         config = json.loads((corpus_dir / "config.json").read_text())
@@ -377,6 +379,18 @@ class TestTrainVariants:
         assert (tmp_path / "ckpt-abl" / "ablation_classifier.npz").exists()
         manifest = json.loads((tmp_path / "ckpt-abl" / "manifest.json").read_text())
         assert "ablation_classifier.npz" in manifest["files"]
+        epochs = {}
+        for stage in ("heading", "subheading", "ablation"):
+            line = re.search(
+                rf"^{stage}: best epoch (\d+)/(\d+)  val top-1 [01]\.\d{{4}}"
+                rf"  epoch-mean train loss \d+\.\d{{4}}$",
+                result.output,
+                re.MULTILINE,
+            )
+            assert line, result.output
+            assert 1 <= int(line[1]) <= int(line[2])
+            epochs[stage] = int(line[2])
+        assert epochs["ablation"] == epochs["subheading"]
 
 
 def truncate_case_index(checkpoint: Path) -> None:

@@ -17,7 +17,7 @@ import oracles
 from hsclassify import calibration
 from hsclassify.alignment import KeySentenceRetriever, RetrievalResult, RetrievedSentence
 from hsclassify.calibration import _mean_nll, fit_temperature
-from hsclassify.classifier import _gradient, _mean_loss, _top1_accuracy
+from hsclassify.classifier import _gradient, _top1_accuracy
 from hsclassify.encoder import PooledEncoder
 from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
 
@@ -54,11 +54,11 @@ class TestBufferedPasses:
     def test_loss_gradient_and_accuracy(self, n, classes):
         weights, bias, inputs, labels = passes_instance(n, classes)
         args = (weights, bias, inputs, labels, 1e-3)
-        want_loss, want_w, want_b = oracles.mean_loss_and_gradient(*args)
-        assert _mean_loss(*args).hex() == want_loss.hex()
-        grad_w, grad_b = _gradient(*args)
+        want_w, want_b, want_loss = oracles.gradient_and_loss_sum(*args)
+        grad_w, grad_b, loss_sum = _gradient(*args)
         assert grad_w.tobytes() == want_w.tobytes()
         assert grad_b.tobytes() == want_b.tobytes()
+        assert loss_sum.hex() == want_loss.hex()
         validation = labels.copy()
         validation[::3] = -1  # gold label outside the class list
         got = _top1_accuracy(weights, bias, inputs, validation)
@@ -68,9 +68,9 @@ class TestBufferedPasses:
     def test_extreme_logits_hit_the_log_floor(self, classes):
         n = K + 1
         logits, labels = extreme_logits(n, classes)
-        weights = np.eye(classes)
-        want = oracles.mean_loss(weights, np.zeros(classes), logits, labels, 0.0)
-        assert _mean_loss(weights, np.zeros(classes), logits, labels, 0.0).hex() == want.hex()
+        args = (np.eye(classes), np.zeros(classes), logits, labels)
+        want = oracles.summed_cross_entropy(*args)
+        assert _gradient(*args, 0.0)[2].hex() == want.hex()
         for temperature in (0.05, 1.0, 20.0):
             got = _mean_nll(logits, labels, temperature)
             assert got.hex() == oracles.mean_nll(logits, labels, temperature).hex()
