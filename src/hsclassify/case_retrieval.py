@@ -94,7 +94,7 @@ def build_index(cases: Sequence[DecisionCase], embeddings: Sequence[np.ndarray])
         [cases[i].label.subheading for i in order],
         [cases[i].id for i in order],
         [_snippet(cases[i].description) for i in order],
-        np.array([embeddings[i] for i in order]),
+        np.asarray(embeddings)[order],
     )
 
 

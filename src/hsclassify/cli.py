@@ -153,26 +153,21 @@ def _ctx_config(ctx: click.Context) -> CliConfig:
 
 
 @main.command()
-@click.option("--no-evidence", is_flag=True, help="Train the stage-3 head on descriptions alone.")
 @click.option(
     "--with-ablation",
     is_flag=True,
-    help="Additionally train the opposite stage-3 variant for side-by-side evaluation.",
+    help="Also train a description-only stage-3 head for side-by-side evaluation.",
 )
 @click.pass_context
-def train(ctx: click.Context, no_evidence: bool, with_ablation: bool):
+def train(ctx: click.Context, with_ablation: bool):
     """Fit the full pipeline and write a checkpoint directory."""
     config = _ctx_config(ctx)
     split = _load_split(config)
     manuals, vectors, stopwords = _load_training_inputs(config)
 
-    pipeline_config = config.pipeline
-    if no_evidence:
-        pipeline_config = replace(pipeline_config, use_evidence=False)
     if with_ablation:
-        pipeline_config = replace(pipeline_config, train_ablation=True)
-
-    model = fit(split.train, split.validation, manuals, vectors, stopwords, pipeline_config)
+        config.pipeline = replace(config.pipeline, train_ablation=True)
+    model = fit(split.train, split.validation, manuals, vectors, stopwords, config.pipeline)
     save_pipeline(model, config.checkpoint_dir)
 
     report = model.fit_report

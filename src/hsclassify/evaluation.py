@@ -11,7 +11,7 @@ from .classifier import top_k
 from .corpus import DecisionCase, ManualEntry
 from .errors import BadK, EmptyInput
 from .pipeline import PipelineModel
-from .textproc import DEFAULT_STOPWORDS, tokenize
+from .textproc import DEFAULT_STOPWORDS, content_keywords, tokenize
 
 MATCH_F1_THRESHOLD = 0.6
 
@@ -133,7 +133,7 @@ def _rank_by_word_matching(
     A heading's score is the share of the description's distinct content
     tokens that its manual holds.
     """
-    content = {t for t in description_tokens if t not in stopwords}
+    content = content_keywords(description_tokens, stopwords)
     hits = [position for t in content for position in postings.get(t, ())]
     counts = np.bincount(np.array(hits, dtype=np.intp), minlength=heading_count)
     scores = counts / len(content) if content else np.zeros(heading_count)

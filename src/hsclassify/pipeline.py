@@ -43,7 +43,7 @@ from .errors import BadK, DimensionMismatch, EmptyInput, HsClassifyError, Untrai
 from .errors import MissingManualWarning
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, compute_idf, tokenize
 
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 
 # Descriptions per batch of the inference path and of fit's encoding passes.
 # A batch pools from a zero-padded (tokens x rows x (d + 1)) array, so this
@@ -57,7 +57,6 @@ class PipelineConfig:
     heading_train: TrainConfig = TrainConfig(seed=0)
     subheading_train: TrainConfig = TrainConfig(seed=1)
     retrieval: RetrievalConfig = RetrievalConfig()
-    use_evidence: bool = True
     train_ablation: bool = False
     similar_cases_per_candidate: int = 3
 
@@ -145,8 +144,9 @@ class InferenceTrace:
 
     ``tokens`` are the description's tokens. ``retrievals[i]`` holds the key
     sentences from the manual entry of the heading ``ranked_headings[i]``
-    (None when it has no entry). Stage 3, the ablation head and the
-    similar-case query all read the top heading's evidence.
+    (None when it has no entry). Stage 3 and the similar-case query read
+    the description pooled with the top heading's evidence, the ablation
+    head the description vector alone.
     """
 
     description: str
@@ -158,7 +158,6 @@ class InferenceTrace:
     stage3_vector: np.ndarray
     subheading_logits: np.ndarray
     subheading_probabilities: np.ndarray
-    ablation_vector: np.ndarray | None = None
     ablation_logits: np.ndarray | None = None
 
 
@@ -212,9 +211,9 @@ class PipelineModel:
     def infer_many(self, descriptions: Sequence[str], headings: int = 0) -> Iterator[InferenceTrace]:
         """Run every stage once for each description; yields their traces in order.
 
-        Key sentences are retrieved only where read: for the top ``headings``
-        headings (a report), and the top heading when stage 3 or the ablation
-        head uses evidence. Descriptions are tokenized and inferred
+        Key sentences are retrieved for the top ``max(headings, 1)``
+        headings: the top heading's are stage 3's evidence, the others are
+        read by a report. Descriptions are tokenized and inferred
         ``CHUNK_ROWS`` at a time.
         """
         for start in range(0, len(descriptions), CHUNK_ROWS):
@@ -233,7 +232,6 @@ class PipelineModel:
         Every retrieval of a description shares one query, and every evidence
         vector pools the description's part followed by its sentences' parts.
         """
-        config = self.config
         space = self.label_space
         parts = [self.encoder.part(t) for t in tokens]
         x = description_vectors
@@ -243,25 +241,18 @@ class PipelineModel:
         heading_probs = self.heading_scaler.probabilities(heading_logits)
         ranked = np.argsort(-heading_probs, axis=1, kind="stable")
 
-        reads_evidence = config.use_evidence or config.train_ablation
-        if reads_evidence:
-            headings = max(headings, 1)
+        headings = max(headings, 1)
         entries = [[self.manuals.get(space.headings[h]) for h in row[:headings]] for row in ranked]
         retrievals = _retrieve(self.retriever, tokens, entries)
-        evidence = x
-        if reads_evidence:
-            evidence = _with_evidence(
-                self.encoder, self.retriever, parts, x,
-                [row[0] for row in entries], [row[0] for row in retrievals],
-            )
-
-        stage3, other = (evidence, x) if config.use_evidence else (x, evidence)
-        ablation_vectors = other if config.train_ablation else None
+        stage3 = _with_evidence(
+            self.encoder, self.retriever, parts, x,
+            [row[0] for row in entries], [row[0] for row in retrievals],
+        )
         subheading_logits = self.subheading_classifier.logits(stage3)
         probs = self.subheading_scaler.probabilities(subheading_logits)
         ablation_logits = None
         if self.ablation_classifier is not None:
-            ablation_logits = self.ablation_classifier.logits(ablation_vectors)
+            ablation_logits = self.ablation_classifier.logits(x)
         return [
             InferenceTrace(
                 description=description,
@@ -273,7 +264,6 @@ class PipelineModel:
                 stage3_vector=stage3[i],
                 subheading_logits=subheading_logits[i],
                 subheading_probabilities=probs[i],
-                ablation_vector=None if ablation_vectors is None else ablation_vectors[i],
                 ablation_logits=None if ablation_logits is None else ablation_logits[i],
             )
             for i, description in enumerate(descriptions)
@@ -423,12 +413,12 @@ def fit(
     for the idf table, its encoding and its retrieval query; a sentence for
     the idf table and its entry's prepared rows. Training cases are encoded
     one gold heading at a time, ``CHUNK_ROWS`` at a time: each once, and
-    once more with the key sentences of its gold heading's manual when stage
-    3 or the ablation head reads evidence; a case without evidence reuses
-    its description vector (a missing manual warns once per heading). The
-    case index holds the stage-3 training vectors; stage-3 validation inputs
-    come from the inference path, which reuses each validation description's
-    tokens and vector.
+    once more with the key sentences of its gold heading's manual; a case
+    without evidence reuses its description vector (a missing manual warns
+    once per heading). The case index holds the stage-3 training vectors;
+    stage-3 validation inputs come from the inference path, which reuses
+    each validation description's tokens and vector. The ablation head, when
+    trained, reads the description vectors of stage 1.
     """
     if not train_cases:
         raise EmptyInput("no training cases")
@@ -453,12 +443,10 @@ def fit(
             stacklevel=2,
         )
 
-    # Stage 1 reads each training description's vector; stage 3 (or the
-    # ablation head) the same description pooled with the key sentences of
-    # its gold heading's manual.
-    reads_evidence = config.use_evidence or config.train_ablation
+    # Stage 1 reads each training description's vector; stage 3 the same
+    # description pooled with the key sentences of its gold heading's manual.
     x1_train = np.zeros((len(train_cases), encoder.output_dimension))
-    evidence_train = np.zeros_like(x1_train) if reads_evidence else x1_train
+    x3_train = np.zeros_like(x1_train)
     by_heading: dict[str, list[int]] = {}
     for i, case in enumerate(train_cases):
         by_heading.setdefault(case.label.heading, []).append(i)
@@ -466,16 +454,13 @@ def fit(
         entry = manuals.get(heading)
         for start in range(0, len(members), CHUNK_ROWS):
             rows = members[start : start + CHUNK_ROWS]
-            parts = [encoder.part(train_tokens[i]) for i in rows]
+            tokens = [train_tokens[i] for i in rows]
+            parts = [encoder.part(t) for t in tokens]
             x1_train[rows] = x1 = encoder.pool_many([[part] for part in parts])
-            if reads_evidence:
-                results = [None] * len(rows)
-                if entry is not None:
-                    queries = retriever.queries([train_tokens[i] for i in rows])
-                    results = retriever.retrieve_many(queries, entry)
-                evidence_train[rows] = _with_evidence(
-                    encoder, retriever, parts, x1, [entry] * len(rows), results
-                )
+            results = [row[0] for row in _retrieve(retriever, tokens, [[entry]] * len(rows))]
+            x3_train[rows] = _with_evidence(
+                encoder, retriever, parts, x1, [entry] * len(rows), results
+            )
 
     y1_train = _label_indices(train_cases, label_space.heading_index, "heading")
     x1_val = _pool_descriptions(encoder, val_tokens)
@@ -485,9 +470,6 @@ def fit(
     )
     heading_scaler = _fit_scaler(heading_clf.logits(x1_val), y1_val)
 
-    x3_train, xa_train = (
-        (evidence_train, x1_train) if config.use_evidence else (x1_train, evidence_train)
-    )
     case_index = build_index(list(train_cases), x3_train)
 
     # The model so far, with an untrained (uniform) subheading head, infers
@@ -510,7 +492,6 @@ def fit(
         config=config,
     )
     x3_val = np.zeros_like(x1_val)
-    xa_val = np.zeros_like(x1_val)
     for start in range(0, len(validation_cases), CHUNK_ROWS):
         stop = start + CHUNK_ROWS
         traces = model._infer_chunk(
@@ -521,8 +502,6 @@ def fit(
         )
         for i, trace in enumerate(traces, start):
             x3_val[i] = trace.stage3_vector
-            if config.train_ablation:
-                xa_val[i] = trace.ablation_vector
 
     y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")
     y3_val = _label_indices(validation_cases, label_space.subheading_index, "subheading")
@@ -535,11 +514,11 @@ def fit(
     ablation_report = None
     if config.train_ablation:
         ablation_clf, ablation_report = train(
-            xa_train, y3_train, xa_val, y3_val, config.subheading_train, subheadings
+            x1_train, y3_train, x1_val, y3_val, config.subheading_train, subheadings
         )
         ablation = dict(
             ablation_classifier=ablation_clf,
-            ablation_scaler=_fit_scaler(ablation_clf.logits(xa_val), y3_val),
+            ablation_scaler=_fit_scaler(ablation_clf.logits(x1_val), y3_val),
         )
 
     return replace(
@@ -608,9 +587,16 @@ _UTF8 = ("utf-8", "surrogatepass")
 
 
 def _arrays(data: bytes, *names: str) -> list:
-    """The named arrays of ``.npz`` bytes; str arrays come back as lists of str."""
-    arrays = np.load(io.BytesIO(data), allow_pickle=False)
-    return [a.tolist() if a.dtype.kind == "U" else a for a in map(arrays.__getitem__, names)]
+    """The named arrays of ``.npz`` bytes; str arrays come back as lists of str.
+
+    A float array with a NaN or infinite value is refused.
+    """
+    loaded = np.load(io.BytesIO(data), allow_pickle=False)
+    arrays = {name: loaded[name] for name in names}
+    for name, array in arrays.items():
+        if array.dtype.kind == "f" and not np.isfinite(array).all():
+            raise ValueError(f"array {name!r} holds a non-finite value")
+    return [a.tolist() if a.dtype.kind == "U" else a for a in arrays.values()]
 
 
 def save_pipeline(model: PipelineModel, directory: str | Path) -> None:

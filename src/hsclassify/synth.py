@@ -266,7 +266,7 @@ def write_corpus(corpus: SynthCorpus, directory: str | Path, config: SynthConfig
         "heading_train": {"epochs": 50, "learning_rate": 0.5, "batch_size": 32},
         "subheading_train": {"epochs": 50, "learning_rate": 0.5, "batch_size": 32},
         "retrieval": {"max_sentences": 7, "coverage_threshold": 0.95},
-        "pipeline": {"use_evidence": True},
+        "pipeline": {},
     }
     with open(config_path, "w", encoding="utf-8") as handle:
         json.dump(cli_config, handle, indent=2, sort_keys=True)

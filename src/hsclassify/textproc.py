@@ -109,6 +109,8 @@ class IdfTable:
     def __init__(self, document_count: int, values: dict[str, float]):
         if document_count < 1:
             raise EmptyInput("document count must be positive")
+        if not np.isfinite(np.fromiter(values.values(), float, len(values))).all():
+            raise ValueError("idf values must be finite")
         self.document_count = document_count
         self._values = dict(values)
         self._default = math.log(document_count)

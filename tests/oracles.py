@@ -373,7 +373,6 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
     rankings a stable argsort, pooling ``scalar_pool`` and retrieval
     ``scalar_retrieve``.
     """
-    config = model.config
     space = model.label_space
     encoder = model.encoder
     dimension = encoder.output_dimension
@@ -391,22 +390,16 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
     heading_probs = probabilities(model.heading_scaler, heading_logits)
     ranked = np.argsort(-heading_probs, kind="stable").tolist()
 
-    if config.use_evidence or config.train_ablation:
-        headings = max(headings, 1)
-    entries = [model.manuals.get(space.headings[index]) for index in ranked[:headings]]
+    entries = [model.manuals.get(space.headings[index]) for index in ranked[: max(headings, 1)]]
     retrievals = [
         scalar_retrieve(model.retriever, description, entry) if entry is not None else None
         for entry in entries
     ]
 
-    def vector(with_evidence: bool) -> np.ndarray:
-        result = retrievals[0] if with_evidence else None
-        if result is None or not result.sentences:
-            return description_vector
-        evidence = [encoder.part(tokenize(s.text)) for s in result.sentences]
-        return scalar_pool([part, *evidence], dimension)
-
-    stage3_vector = vector(config.use_evidence)
+    stage3_vector = description_vector
+    if retrievals[0] is not None and retrievals[0].sentences:
+        evidence = [encoder.part(tokenize(s.text)) for s in retrievals[0].sentences]
+        stage3_vector = scalar_pool([part, *evidence], dimension)
     subheading_logits = logits(model.subheading_classifier, stage3_vector)
     probs = probabilities(model.subheading_scaler, subheading_logits)
 
@@ -421,10 +414,8 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
         subheading_logits=subheading_logits,
         subheading_probabilities=probs,
     )
-    if config.train_ablation:
-        trace.ablation_vector = vector(not config.use_evidence)
     if model.ablation_classifier is not None:
-        trace.ablation_logits = logits(model.ablation_classifier, trace.ablation_vector)
+        trace.ablation_logits = logits(model.ablation_classifier, description_vector)
     return trace
 
 

@@ -7,13 +7,14 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from hsclassify.cli import main
 from hsclassify.pipeline import CandidateReport
 
-from conftest import edit_checkpoint_arrays
+from conftest import edit_checkpoint_arrays, rehash_checkpoint
 
 SMALL_SYNTH = [
     "--headings", "4",
@@ -350,19 +351,14 @@ class TestPhotovoltaicFixture:
 
 
 class TestTrainVariants:
-    def test_no_evidence_flag(self, runner, corpus_dir, tmp_path):
-        config = json.loads((corpus_dir / "config.json").read_text())
-        config["cases"] = str(corpus_dir / "cases.jsonl")
-        config["manual"] = str(corpus_dir / "manual.jsonl")
-        config["vectors"] = str(corpus_dir / "vectors.txt")
-        config["checkpoint_dir"] = str(tmp_path / "ckpt-noev")
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        result = runner.invoke(main, ["--config", str(path), "--seed", "13", "train", "--no-evidence"])
-        assert result.exit_code == 0, result.output
-        manifest = json.loads((tmp_path / "ckpt-noev" / "manifest.json").read_text())
-        assert manifest["config"]["use_evidence"] is False
-        assert "ablation:" not in result.output
+    def test_no_evidence_flag_exit_2(self, runner, corpus_dir, tmp_path):
+        # Stage 3 always reads key sentences; --with-ablation trains the
+        # description-only head.
+        path = write_config(corpus_dir, tmp_path / "config.json", checkpoint_dir="ckpt-noev")
+        result = runner.invoke(main, ["--config", str(path), "train", "--no-evidence"])
+        assert result.exit_code == 2, result.output
+        assert "--no-evidence" in result.output
+        assert not (tmp_path / "ckpt-noev").exists()
 
     def test_with_ablation_flag(self, runner, corpus_dir, tmp_path):
         config = json.loads((corpus_dir / "config.json").read_text())
@@ -433,6 +429,39 @@ def downgrade_to_format_3(checkpoint: Path) -> None:
     path.write_text(json.dumps(manifest))
 
 
+def downgrade_to_format_4(checkpoint: Path) -> None:
+    """A format-4 manifest: its config has the key format 5 dropped."""
+    path = checkpoint / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["format_version"] = 4
+    manifest["config"]["use_evidence"] = True
+    path.write_text(json.dumps(manifest))
+
+
+def nan_first_vector(checkpoint: Path) -> None:
+    def edit(arrays):
+        arrays["vectors"][0, 0] = np.nan
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "vectors.npz", edit)
+
+
+def nan_first_case_embedding(checkpoint: Path) -> None:
+    def edit(arrays):
+        arrays["embeddings"][0, 0] = np.nan
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "case_index.npz", edit)
+
+
+def nan_first_idf_value(checkpoint: Path) -> None:
+    path = checkpoint / "idf.json"
+    idf = json.loads(path.read_text())
+    idf["values"][next(iter(idf["values"]))] = float("nan")  # written as NaN
+    path.write_text(json.dumps(idf))
+    rehash_checkpoint(checkpoint)
+
+
 def delete_idf(checkpoint: Path) -> None:
     (checkpoint / "idf.json").unlink()
 
@@ -450,6 +479,10 @@ class TestExitCodes:
             (downgrade_to_format_1, "manifest.json: unsupported checkpoint format 1; retrain"),
             (downgrade_to_format_2, "manifest.json: unsupported checkpoint format 2; retrain"),
             (downgrade_to_format_3, "manifest.json: unsupported checkpoint format 3; retrain"),
+            (downgrade_to_format_4, "manifest.json: unsupported checkpoint format 4; retrain"),
+            (nan_first_vector, "vectors.npz"),
+            (nan_first_case_embedding, "case_index.npz"),
+            (nan_first_idf_value, "idf.json"),
         ],
     )
     def test_corrupt_checkpoint_exit_1(self, runner, trained_dir, tmp_path, corrupt, bad_file):
@@ -491,6 +524,7 @@ class TestExitCodes:
             ("pipeline", "idf_documents", "cases+manual"),
             ("pipeline", "mask_to_heading", False),
             ("pipeline", "evidence_per_candidate", False),
+            ("pipeline", "use_evidence", True),
             ("retrieval", "min_keyword_idf", 0.0),
         ],
     )

@@ -115,6 +115,6 @@ def test_evaluate_equals_the_report_based_reference(mode, cases, ks, source, tmp
             r.predicted_headings[0] in missing and r.retrieval_precision is not None
             for r in got.per_case
         )
-    if name in ("ablation", "ablation_reads_evidence"):
+    if name == "ablation":
         assert got.ablation_subheading_top_k is not None
     assert got.retrieval_precision is not None

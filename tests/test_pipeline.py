@@ -263,7 +263,7 @@ class TestCheckpoint:
             "manual.jsonl",
         }
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert manifest["format_version"] == 4
+        assert manifest["format_version"] == 5
         assert set(manifest["files"]) == names - {"manifest.json"}
         assert "config_hashes" not in manifest
 
@@ -571,20 +571,7 @@ class TestSinglePass:
         assert len(set(sentences)) == len(sentences)
         assert {tokenized[s] for s in sentences} == {1}
 
-    def test_fit_without_evidence_retrieves_nothing(self, small_corpus, calls):
-        corpus, split = small_corpus
-        config = PipelineConfig(**FAST_TRAIN, use_evidence=False)
-        model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        assert calls["queries"] == calls["retrieve_many"] == 0
-        assert calls["pooled"] == len(split.train) + len(split.validation)
-        assert calls["pool_many"] == len(model.label_space.headings) + 1
-        refit_temperatures(model, list(split.validation))
-        assert calls["queries"] == 0
-
-    @pytest.mark.parametrize("use_evidence", [True, False])
-    def test_case_index_holds_stage3_training_vectors(
-        self, small_corpus, monkeypatch, use_evidence
-    ):
+    def test_case_index_holds_stage3_training_vectors(self, small_corpus, monkeypatch):
         corpus, split = small_corpus
         inputs_by_label_length = {}
 
@@ -595,7 +582,7 @@ class TestSinglePass:
 
         train = pipeline.train
         monkeypatch.setattr(pipeline, "train", recording_train)
-        config = PipelineConfig(**FAST_TRAIN, use_evidence=use_evidence)
+        config = PipelineConfig(**FAST_TRAIN)
         model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
         stage3_inputs = dict(
             zip((c.id for c in split.train), inputs_by_label_length[6], strict=True)
@@ -606,6 +593,23 @@ class TestSinglePass:
         # The bytes the subheading head trained on, stacked bucket by bucket.
         stacked = np.concatenate([bucket.embeddings for bucket in buckets])
         assert stacked.tobytes() == np.array([stage3_inputs[i] for i in ids]).tobytes()
+
+    def test_ablation_head_trains_on_the_description_vectors(self, small_corpus, monkeypatch):
+        corpus, split = small_corpus
+        inputs = []  # (training, validation) inputs of each head, in training order
+
+        def recording_train(x, y, x_val, *rest):
+            inputs.append((x, x_val))
+            return train(x, y, x_val, *rest)
+
+        train = pipeline.train
+        monkeypatch.setattr(pipeline, "train", recording_train)
+        config = PipelineConfig(**FAST_TRAIN, train_ablation=True)
+        fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
+        (heading_x, heading_val), (stage3_x, _), (ablation_x, ablation_val) = inputs
+        assert ablation_x.tobytes() == heading_x.tobytes()
+        assert ablation_val.tobytes() == heading_val.tobytes()
+        assert stage3_x.tobytes() != heading_x.tobytes()
 
 
 class TestEvaluate:
@@ -714,11 +718,3 @@ class TestVariants:
         assert "ablation_hs6_top1" in data
         table = metrics.render_table()
         assert "pipeline (ablation)" in table
-
-    def test_no_evidence_variant_trains(self, small_corpus):
-        corpus, split = small_corpus
-        config = PipelineConfig(**FAST_TRAIN, use_evidence=False)
-        pipeline = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        case = split.train[0]
-        report = pipeline.predict(case.description, k=3)
-        assert case.label.subheading in [c.subheading for c in report.subheading_candidates]
