@@ -49,11 +49,21 @@ MODES = {
     "evidence": {},
     "ablation": dict(train_ablation=True),
     "heading_without_manual": {},
+    # Stage 3 falls back to the description vector where the top heading has
+    # no manual, while the ablation head reads it for every description.
+    "ablation_heading_without_manual": dict(train_ablation=True),
+    # The stage-3 vector differs from the ablation head's input by one
+    # pooled sentence.
+    "ablation_one_sentence": dict(
+        train_ablation=True, retrieval=RetrievalConfig(max_sentences=1)
+    ),
     # Retrieval settings: a one-sentence cap, and a threshold that many more
     # alignments reach, so the batched early stop ends loops elsewhere.
     "one_sentence": dict(retrieval=RetrievalConfig(max_sentences=1)),
     "loose_coverage": dict(retrieval=RetrievalConfig(coverage_threshold=0.5)),
 }
+# Modes whose first heading's manual entry is deleted before fitting.
+WITHOUT_MANUAL = {"heading_without_manual", "ablation_heading_without_manual"}
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +76,7 @@ def corpus():
 def mode(request, corpus):
     corpus, split = corpus
     manuals = dict(corpus.manual)
-    if request.param == "heading_without_manual":
+    if request.param in WITHOUT_MANUAL:
         del manuals[sorted(manuals)[0]]
     config = PipelineConfig(**TRAIN, **MODES[request.param])
     with warnings.catch_warnings():
@@ -130,8 +140,10 @@ class TestInferMany:
 
         retrievals = [r for trace in reference for r in trace.retrievals]
         assert any(r is not None and r.sentences for r in retrievals)
-        if name == "heading_without_manual":
+        if name in WITHOUT_MANUAL:
             assert None in retrievals
+        if MODES[name].get("train_ablation"):
+            assert all(trace.ablation_logits is not None for trace in reference)
 
     def test_empty_batch(self, mode):
         assert list(mode[1].infer_many([])) == []

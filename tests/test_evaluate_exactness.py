@@ -25,7 +25,7 @@ from hsclassify.evaluation import evaluate_pipeline
 from hsclassify.pipeline import load_pipeline, save_pipeline
 
 # The corpus and one fitted model per pipeline mode, as the batch tests use.
-from test_batch_exactness import corpus, mode  # noqa: F401 (fixtures)
+from test_batch_exactness import MODES, WITHOUT_MANUAL, corpus, mode  # noqa: F401 (fixtures)
 
 # The last k exceeds both the heading (6) and the subheading (12) count.
 KS = [(1, 3, 5), (1,), (2, 20)]
@@ -109,12 +109,12 @@ def test_evaluate_equals_the_report_based_reference(mode, cases, ks, source, tmp
     want = oracles.reference_evaluate(model, cases, ks)
     assert metrics_json(got) == metrics_json(want)
 
-    if name == "heading_without_manual":
+    if name in WITHOUT_MANUAL:
         missing = set(model.label_space.headings) - set(model.manuals)
         assert any(
             r.predicted_headings[0] in missing and r.retrieval_precision is not None
             for r in got.per_case
         )
-    if name == "ablation":
+    if MODES[name].get("train_ablation"):
         assert got.ablation_subheading_top_k is not None
     assert got.retrieval_precision is not None
