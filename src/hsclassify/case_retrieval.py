@@ -1,10 +1,9 @@
 """Per-subheading index of prior-case embeddings for similar-case lookup.
 
 Each subheading's cases form one bucket: an ``n x d`` embedding matrix with
-the case ids and snippets beside it. A lookup ranks the whole bucket with
-one matrix-vector product, then recomputes with ``cosine`` only the cases
-that can still reach the top m, so its result equals ranking every case
-with ``cosine``.
+the case ids, snippets and row norms beside it. A lookup scores every case
+once with ``cosine``'s own expression, one stacked dot product per row, so
+its ranking and similarities equal ranking every case with ``cosine``.
 """
 
 from __future__ import annotations
@@ -15,20 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DecisionCase
-from .errors import DimensionMismatch, DuplicateId, EmptyInput
-from .textproc import cosine
+from .errors import BadK, DimensionMismatch, DuplicateId, EmptyInput
+from .textproc import RESCALE_BELOW, cosine
 
 SNIPPET_LENGTH = 80
-
-# With norms in NORM_RANGE nothing overflows and underflow is negligible, so
-# the prefilter and ``cosine`` each compute a cosine to within (2d + 4)u of the
-# true value (u = 2**-53, d the dimension: the dot-product bound with
-# Cauchy-Schwarz, plus the roundings of the norms, their product and the
-# division). They differ by at most (4d + 8)u, 1.3e-13 at d = 300 and below
-# PREFILTER_MARGIN for d under two million. Other rows are always rescored.
-NORM_RANGE = (1e-150, 1e150)
-PREFILTER_MARGIN = 1e-9
-
 
 @dataclass(frozen=True)
 class Bucket:
@@ -51,7 +40,7 @@ class CaseIndex:
     def from_rows(cls, subheadings: Sequence[str], ids: Sequence[str], snippets: Sequence[str],
                   embeddings: np.ndarray) -> "CaseIndex":
         """Index rows grouped by subheading; each bucket's matrix is a view of ``embeddings``."""
-        norms = np.linalg.norm(embeddings, axis=1)
+        norms = np.sqrt(_row_dots(embeddings, embeddings))
         rows = len(subheadings)
         starts = [i for i in range(rows) if i == 0 or subheadings[i] != subheadings[i - 1]]
         by_subheading: dict[str, Bucket] = {}
@@ -66,6 +55,15 @@ class CaseIndex:
                 norms[start:stop],
             )
         return cls(by_subheading, dimension=embeddings.shape[1])
+
+
+def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Each row's dot with ``other``, or with its own row of a matrix ``other``.
+
+    numpy computes each ``(1, d) @ (d, 1)`` stack item with one ``np.dot``
+    call, so a row's norm has the bits of ``np.linalg.norm(row)``.
+    """
+    return (rows[:, None, :] @ other[..., :, None])[:, 0, 0]
 
 
 def _snippet(description: str) -> str:
@@ -98,31 +96,18 @@ def build_index(cases: Sequence[DecisionCase], embeddings: Sequence[np.ndarray])
     )
 
 
-def _leaders(bucket: Bucket, query: np.ndarray, query_norm: float, m: int) -> np.ndarray:
-    """Rows that can rank in the top m by ``cosine``: the prefilter's survivors."""
-    rows = len(bucket.ids)
-    low, high = NORM_RANGE
-    if not low <= query_norm <= high:
-        return np.arange(rows)
-    outside = ~((bucket.norms >= low) & (bucket.norms <= high))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        approximate = bucket.embeddings @ query / (bucket.norms * query_norm)
-    approximate[outside] = -np.inf
-    cut = np.partition(approximate, rows - m)[rows - m]
-    return np.flatnonzero((approximate >= cut - PREFILTER_MARGIN) | outside)
-
-
 def similar_cases(
     index: CaseIndex, query_embedding: np.ndarray, subheading: str, m: int = 3
 ) -> list[tuple[str, float, str]]:
     """Top-m prior cases of ``subheading`` by cosine to the query embedding.
 
     Each is ``(case_id, similarity, snippet)``. Ties break on lexicographic
-    case id; an unknown subheading yields []. A bucket of more than m cases
-    is prefiltered with one matrix-vector product, and ``cosine`` rescores
-    every case within ``PREFILTER_MARGIN`` of the m-th best approximate score.
-    The query's norm is computed once per lookup.
+    case id; an unknown subheading yields []. Every case is scored once with
+    ``cosine``'s expression; a case or query whose norm is below
+    ``RESCALE_BELOW`` is scored by ``cosine`` itself.
     """
+    if m < 0:
+        raise BadK(f"m={m} is negative")
     bucket = index.by_subheading.get(subheading)
     if bucket is None:
         return []
@@ -134,11 +119,16 @@ def similar_cases(
     if m == 0:
         return []
     query_norm = np.linalg.norm(query)
-    rows = range(len(bucket.ids))
-    if 0 < m < len(rows):
-        rows = _leaders(bucket, query, query_norm, m)
-    scored = sorted(
-        ((bucket.ids[i], cosine(query, bucket.embeddings[i], query_norm), i) for i in rows),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return [(case_id, similarity, bucket.snippets[i]) for case_id, similarity, i in scored[:m]]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scores = _row_dots(bucket.embeddings, query) / (bucket.norms * query_norm)
+    rows = len(scores)
+    tiny = np.nonzero(bucket.norms < RESCALE_BELOW)[0]
+    for i in range(rows) if query_norm < RESCALE_BELOW else tiny:
+        scores[i] = cosine(query, bucket.embeddings[i])
+    leaders = range(rows)
+    # A NaN score (only overflowing norms give one) has no rank, so the whole
+    # bucket is sorted then, as the scalar loop sorts it.
+    if m < rows and not np.isnan(scores).any():
+        leaders = np.nonzero(scores >= np.partition(scores, rows - m)[rows - m])[0].tolist()
+    ranked = sorted(leaders, key=lambda i: (-scores[i], bucket.ids[i]))[:m]
+    return [(bucket.ids[i], float(scores[i]), bucket.snippets[i]) for i in ranked]

@@ -612,8 +612,8 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
              "ablation": model.ablation_classifier}
     buckets = sorted(model.case_index.by_subheading.items())
     snippets = [snippet for _, bucket in buckets for snippet in bucket.snippets]
-    if any("\n" in snippet for snippet in snippets):
-        raise ValueError("a case snippet contains a newline")
+    if any("\n" in text for text in [*snippets, *model.retriever.stopwords]):
+        raise ValueError("a case snippet or stopword contains a newline")
     vectors, idf = model.encoder.vectors, model.encoder.idf
     tokens = sorted(vectors.tokens())
     files = {

@@ -135,23 +135,23 @@ def compute_idf(documents: list[list[str]]) -> IdfTable:
     return IdfTable(document_count=n, values=values)
 
 
-def cosine(u, v, u_norm: float | None = None) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm.
+# ``cosine`` rescales a vector whose norm is below this: its squared
+# components are subnormal and skew the norm.
+RESCALE_BELOW = 1e-150
 
-    ``u_norm`` is ``np.linalg.norm(u)``, for a caller that compares one ``u``
-    with many vectors and computes it once.
-    """
+
+def cosine(u, v) -> float:
+    """Cosine similarity; 0.0 when either vector has zero norm."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise DimensionMismatch(f"vector lengths differ: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u) if u_norm is None else u_norm
+    nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
-    if nu < 1e-150 or nv < 1e-150:
+    if nu < RESCALE_BELOW or nv < RESCALE_BELOW:
         if nu == 0.0 or nv == 0.0:
             return 0.0
-        # Squared components this small are subnormal and skew the norm;
-        # the cosine is scale-free, so rescale and recompute.
+        # The cosine is scale-free, so rescale and recompute.
         return cosine(u / np.abs(u).max(), v / np.abs(v).max())
     return float(np.dot(u, v) / (nu * nv))
 

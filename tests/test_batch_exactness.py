@@ -26,7 +26,7 @@ from hsclassify.encoder import PooledEncoder
 from hsclassify.errors import MissingManualWarning
 from hsclassify.pipeline import CHUNK_ROWS, PipelineConfig, fit
 from hsclassify.synth import SynthConfig, generate
-from hsclassify.textproc import IdfTable, WordVectorTable, cosine, tokenize
+from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
 
 BATCH_SIZES = [1, 2, 40, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
 
@@ -321,12 +321,3 @@ def test_stacked_head_product_equals_each_row_alone(d, classes):
             alone = oracles.softmax(want / 0.7)
             assert probabilities[i].tobytes() == alone.tobytes()
             assert order[i].tolist() == np.argsort(-alone, kind="stable").tolist()
-
-
-def test_cosine_with_the_query_norm_computed_once():
-    rng = np.random.default_rng(61)
-    queries = [rng.normal(size=16), np.full(16, 3e-162), np.zeros(16), rng.normal(size=16) * 1e100]
-    rows = [rng.normal(size=16), np.full(16, 2e-162), np.zeros(16), rng.normal(size=16) * 1e-170]
-    for query in queries:
-        for row in rows:
-            assert cosine(query, row, np.linalg.norm(query)).hex() == cosine(query, row).hex()

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
-from hsclassify import case_retrieval
 from hsclassify.case_retrieval import build_index, similar_cases
 from hsclassify.encoder import PooledEncoder
-from hsclassify.errors import DimensionMismatch, DuplicateId, EmptyInput
+from hsclassify.errors import BadK, DimensionMismatch, DuplicateId, EmptyInput
 from hsclassify.textproc import IdfTable, WordVectorTable, cosine
 
 from conftest import encode_with_evidence, make_case
@@ -128,22 +125,29 @@ class TestSimilarCases:
 
 
 def scalar_reference(embeddings: dict, query, m: int) -> list[tuple[str, float]]:
-    """The loop the prefilter replaces: ``cosine`` against every case, then sort."""
+    """``cosine`` against every case, then sort: the loop the lookup must equal."""
     scored = [(cid, cosine(query, vector)) for cid, vector in embeddings.items()]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:m]
 
 
+def nan_as_nan(pairs) -> list:
+    """Pairs with each NaN similarity replaced by one marker, so NaN equals NaN."""
+    return [(cid, "nan" if np.isnan(sim) else sim) for cid, sim in pairs]
+
+
 def assert_exact(embeddings: dict, query, m: int) -> list:
     got = similar_cases(indexed(embeddings), query, "854140", m=m)
     # Floats compare with ==: the lookup must return the reference's very bits.
-    assert [(cid, sim) for cid, sim, _ in got] == scalar_reference(embeddings, query, m)
+    assert nan_as_nan((cid, sim) for cid, sim, _ in got) == nan_as_nan(
+        scalar_reference(embeddings, query, m)
+    )
     assert [snippet for _, _, snippet in got] == [f"case {cid}" for cid, _, _ in got]
     return got
 
 
-class TestPrefilterIsExact:
-    """The matrix prefilter plus ``cosine`` rescoring equals the scalar loop bit for bit."""
+class TestLookupIsExact:
+    """The one-pass lookup equals the scalar ``cosine`` loop bit for bit."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_buckets(self, seed):
@@ -197,19 +201,43 @@ class TestPrefilterIsExact:
         with pytest.raises(DimensionMismatch):
             similar_cases(indexed({"a": np.ones(3)}), np.ones(2), "854140")
 
-    def test_rescores_only_the_leaders(self, monkeypatch):
-        calls = Counter()
-        original = case_retrieval.cosine
+    def test_negative_m_rejected(self):
+        embeddings = {cid: np.array([1.0, float(i)]) for i, cid in enumerate("abcd")}
+        for m in (-1, -3):
+            with pytest.raises(BadK):
+                similar_cases(indexed(embeddings), np.array([1.0, 0.0]), "854140", m=m)
 
-        def counted(u, v, u_norm=None):
-            calls["cosine"] += 1
-            calls[u_norm] += 1
-            return original(u, v, u_norm)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unit_rows_with_near_duplicates(self, seed):
+        # Encoder outputs are unit rows; a rescaled copy of a row, normalized
+        # again, shares its direction up to rounding.
+        rng = np.random.default_rng(100 + seed)
+        vectors = rng.normal(size=(200, 300))
+        for i in rng.integers(0, 200, size=60):
+            vectors[int(rng.integers(0, 200))] = vectors[i] * rng.uniform(0.1, 10.0)
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        embeddings = {f"c{int(j):03d}": v for j, v in zip(rng.permutation(200), vectors)}
+        for query in (rng.normal(size=300), vectors[int(rng.integers(0, 200))]):
+            for m in (1, 3, 5, 199, 200):
+                assert_exact(embeddings, query, m)
 
-        monkeypatch.setattr(case_retrieval, "cosine", counted)
-        rng = np.random.default_rng(5)
-        embeddings = {f"c{i:03d}": v for i, v in enumerate(rng.normal(size=(200, 16)))}
-        query = rng.normal(size=16)
-        similar_cases(indexed(embeddings), query, "854140", m=3)
-        # Each rescore reads the query norm the lookup computed once.
-        assert calls == {"cosine": 3, np.linalg.norm(query): 3}
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(10))
+    def test_overflowing_and_subnormal_scales(self, seed):
+        # Rows and queries at 1e200 overflow their norms (NaN or 0 cosines),
+        # at 1e-160 they take cosine's rescale path.
+        rng = np.random.default_rng(200 + seed)
+        n, dim = int(rng.integers(2, 40)), int(rng.choice([3, 24]))
+        scales = rng.choice([1.0, 1e200, 1e-160, 0.0], size=(n, 1))
+        vectors = rng.normal(size=(n, dim)) * scales
+        embeddings = {f"c{int(j):02d}": v for j, v in zip(rng.permutation(n), vectors)}
+        for scale in (1.0, 1e200, 1e-160):
+            for m in (1, 3, n - 1, n):
+                assert_exact(embeddings, rng.normal(size=dim) * scale, m)
+
+    def test_bucket_norms_are_each_rows_norm(self):
+        rng = np.random.default_rng(7)
+        vectors = rng.normal(size=(500, 300)) * rng.choice([1.0, 1e-3, 1e100, 1e-160], size=(500, 1))
+        index = indexed({f"c{i:03d}": v for i, v in enumerate(vectors)})
+        bucket = index.by_subheading["854140"]
+        assert [n.hex() for n in bucket.norms] == [np.linalg.norm(r).hex() for r in vectors]

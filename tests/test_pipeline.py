@@ -318,6 +318,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="newline"):
             save_pipeline(replace(model, case_index=index), tmp_path / "ckpt")
 
+    def test_stopword_with_a_newline_is_not_saved(self, model, tmp_path):
+        # Saved newline-joined, "zzz\nthe" would load back as two stopwords.
+        saved = model.retriever
+        retriever = KeySentenceRetriever(
+            saved.vectors, saved.idf, saved.stopwords | {"zzz\nthe"}, saved.config
+        )
+        with pytest.raises(ValueError, match="newline"):
+            save_pipeline(replace(model, retriever=retriever), tmp_path / "ckpt")
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -349,6 +358,14 @@ class TestCheckpoint:
         )
         with pytest.raises(UntrainedModel, match="case_index.npz: ValueError: rows of subheading"):
             load_pipeline(tmp_path / "ckpt")
+
+    def test_case_index_norms_are_each_rows_norm(self, model, tmp_path):
+        save_pipeline(model, tmp_path / "ckpt")
+        loaded = load_pipeline(tmp_path / "ckpt").case_index.by_subheading.values()
+        for bucket in [*model.case_index.by_subheading.values(), *loaded]:
+            assert [n.hex() for n in bucket.norms] == [
+                np.linalg.norm(row).hex() for row in bucket.embeddings
+            ]
 
     def test_load_keeps_case_index_buckets_as_views(self, model, tmp_path):
         save_pipeline(model, tmp_path / "ckpt")
@@ -515,7 +532,7 @@ class TestSinglePass:
         assert calls["logits4"] == calls["logits6"] == 1
         assert calls["pool_many"] == 2
 
-    def test_repeat_predict_tokenizes_descriptions_and_rescores_leaders(
+    def test_repeat_predict_tokenizes_once_and_scores_cases_without_cosine(
         self, model, small_corpus, calls, monkeypatch
     ):
         def count(module, name):
@@ -541,7 +558,9 @@ class TestSinglePass:
         assert calls["retrieve_many"] == calls["queries"] == 3
         m = model.config.similar_cases_per_candidate
         assert all(len(c.similar_cases) == m for c in report.subheading_candidates)
-        assert calls["cosine"] <= m * len(report.subheading_candidates)
+        # Encoder rows are unit (zero only for a text with no known word), so
+        # no case here falls back to ``cosine``.
+        assert calls["cosine"] == 0
 
     def test_fit_encodes_each_training_case_at_most_twice(self, small_corpus, calls):
         # x1 and description+evidence per training case, pooled per gold
