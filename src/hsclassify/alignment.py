@@ -7,9 +7,11 @@ uncovered keywords until every keyword is covered, a selection would cover
 nothing new, or the sentence budget runs out.
 
 Every score is a fixed function of the entry, the query and its uncovered
-keywords, computed the same way whatever else is in the call. A keyword's
-cosines with an entry's distinct tokens are one ``(1, d) @ (d, T)`` product
-against their unit rows, and its best alignment in a sentence is the
+keywords, computed the same way whatever else is in the call. Keywords and
+an entry's distinct tokens read their unit rows from the vector table's one
+unit-row table, by token id (the zero row for a token without a vector).
+A keyword's cosines with the distinct tokens are one ``(1, d) @ (d, T)``
+product against their rows, and its best alignment in a sentence is the
 maximum over the sentence's tokens. A sentence's step score is one
 ``np.add.reduceat`` segment, over the query's sorted keywords, of
 ``uncovered * max(best, 0) * idf``. So a query selects the same sentences
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,37 +65,20 @@ class RetrievalResult:
         return [s.text for s in self.sentences]
 
 
-def _vector_rows(tokens: Iterable[str], vectors: WordVectorTable) -> np.ndarray:
-    rows = np.array([vectors.get(t) for t in tokens], dtype=float)
-    return rows.reshape(len(rows), vectors.dimension)
-
-
-def _unit(rows: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return rows / norms
-
-
-def _unit_rows(tokens: Iterable[str], vectors: WordVectorTable) -> np.ndarray:
-    return _unit(_vector_rows(tokens, vectors))
-
-
 @dataclass(frozen=True)
 class _PreparedEntry:
     """A manual entry's sentences as unit rows, one row per distinct token.
 
-    ``tokens[j]`` is the token of row ``j``. Sentence ``i``'s tokens, in
-    order, have the rows ``occurrences[bounds[i]:bounds[i + 1]]``.
-    ``starts[j]`` is the first occurrence of sentence ``nonempty[j]``, the
-    j-th sentence with tokens. The distinct tokens' word vectors,
-    vocabulary mask and idf weights give each sentence's encoder ``Part``.
+    ``tokens[j]`` is the token of row ``j``, gathered from the vector
+    table's unit rows. Sentence ``i``'s tokens, in order, have the rows
+    ``occurrences[bounds[i]:bounds[i + 1]]``. ``starts[j]`` is the first
+    occurrence of sentence ``nonempty[j]``, the j-th sentence with tokens.
+    ``parts[i]`` is sentence ``i``'s encoder ``Part``.
     """
 
     tokens: tuple[str, ...]
     rows: np.ndarray
-    vectors: np.ndarray
-    known: np.ndarray
-    weights: np.ndarray
+    parts: tuple[Part, ...]
     occurrences: np.ndarray
     bounds: np.ndarray
     nonempty: np.ndarray
@@ -119,12 +104,6 @@ class _PreparedEntry:
         occurrences = self.occurrences[self.bounds[index] : self.bounds[index + 1]]
         return {self.tokens[j] for j in occurrences.tolist()}
 
-    def part(self, index: int) -> Part:
-        """``PooledEncoder.part`` of sentence ``index``'s tokens."""
-        occurrences = self.occurrences[self.bounds[index] : self.bounds[index + 1]]
-        occurrences = occurrences[self.known[occurrences]]
-        return Part(rows=self.vectors[occurrences], weights=self.weights[occurrences])
-
 
 @dataclass(frozen=True, eq=False)
 class Query:
@@ -143,9 +122,9 @@ class KeySentenceRetriever:
     """Binds vector, idf and stopword tables to the retrieval procedure.
 
     The first retrieval from a manual entry tokenizes its sentences (unless
-    ``prepare`` was given their tokens) and keeps their distinct tokens and
-    vector rows, keyed by the entry; ``evidence_parts`` reads the selected
-    sentences' encoder parts from them.
+    ``prepare`` was given their tokens) and keeps their distinct tokens'
+    unit rows and each sentence's token ids, keyed by the entry;
+    ``evidence_parts`` reads the selected sentences' encoder parts from them.
     """
 
     def __init__(
@@ -182,15 +161,11 @@ class KeySentenceRetriever:
                 ],
                 dtype=np.intp,
             )
-            vectors = _vector_rows(distinct, self.vectors)
-            rows = _unit(vectors)
             bounds = np.concatenate(([0], np.cumsum(lengths)))
             prepared = self._entries[entry] = _PreparedEntry(
                 tokens=tuple(distinct),
-                rows=rows,
-                vectors=vectors,
-                known=np.array([t in self.vectors for t in distinct], dtype=bool),
-                weights=np.array([self.idf.value(t) for t in distinct], dtype=float),
+                rows=self.vectors.unit_rows_of(distinct),
+                parts=tuple(map(self.vectors.ids, sentence_tokens)),
                 occurrences=occurrences,
                 bounds=bounds,
                 nonempty=np.flatnonzero(lengths),
@@ -201,7 +176,7 @@ class KeySentenceRetriever:
     def evidence_parts(self, manual_entry: ManualEntry, result: RetrievalResult) -> list[Part]:
         """The encoder parts of ``result``'s sentences, retrieved from ``manual_entry``."""
         prepared = self.prepare(manual_entry)
-        return [prepared.part(sentence.index) for sentence in result.sentences]
+        return [prepared.parts[sentence.index] for sentence in result.sentences]
 
     def query(self, tokens: list[str]) -> Query:
         """The query of a description with ``tokens``."""
@@ -210,13 +185,13 @@ class KeySentenceRetriever:
     def queries(self, token_lists: Sequence[list[str]]) -> list[Query]:
         """The query of each description's tokens.
 
-        All keywords' unit rows come from one ``_unit_rows`` call, which is
-        row-wise, so each query gets the rows it gets alone.
+        A keyword's row is its unit row in the vector table, the zero row
+        when it has no vector; its weight is its idf value either way.
         """
         keyword_sets = [content_keywords(tokens, self.stopwords) for tokens in token_lists]
         orders = [sorted(keywords) for keywords in keyword_sets]
         words = list(chain.from_iterable(orders))
-        rows = _unit_rows(words, self.vectors)
+        rows = self.vectors.unit_rows_of(words)
         weights = np.array([self.idf.value(t) for t in words], dtype=float)
         ends = accumulate(len(order) for order in orders)
         return [

@@ -34,8 +34,11 @@ def scale(logits, temperature: float) -> np.ndarray:
     return softmax_inplace(np.asarray(logits, dtype=float) / temperature)
 
 
-def _mean_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    return mean_log_loss(picked_probabilities(logits / temperature, labels))
+def _mean_nll(
+    logits: np.ndarray, labels: np.ndarray, temperature: float, out: np.ndarray | None = None
+) -> float:
+    """Mean NLL of ``softmax(logits / temperature)``; ``logits / temperature`` goes to ``out``."""
+    return mean_log_loss(picked_probabilities(np.divide(logits, temperature, out=out), labels))
 
 
 def fit_temperature(
@@ -53,8 +56,10 @@ def fit_temperature(
     if logits.shape[0] != labels.shape[0]:
         raise EmptyInput("logits and labels lengths differ")
 
+    scaled = np.empty_like(logits)  # every step divides into this one buffer
+
     def objective(log_t: float) -> float:
-        return _mean_nll(logits, labels, math.exp(log_t))
+        return _mean_nll(logits, labels, math.exp(log_t), out=scaled)
 
     low = math.log(TEMPERATURE_BOUNDS[0])
     high = math.log(TEMPERATURE_BOUNDS[1])

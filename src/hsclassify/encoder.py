@@ -1,13 +1,14 @@
 """The text-to-vector encoder: an idf-weighted mean of word vectors.
 
-The pipeline builds each text's ``Part`` once and pools descriptions with
-their evidence sentences from parts, many at a time, through
-``PooledEncoder``'s ``part`` and ``pool_many``.
+A text's ``Part`` is the array of its in-vocabulary token ids, looked up
+once. The encoder holds one idf weight per vocabulary id and pools
+descriptions with their evidence sentences from parts, many at a time,
+through ``PooledEncoder``'s ``part`` and ``pool_many``: the vectors and
+weights of a group's tokens are gathered by id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -15,12 +16,8 @@ import numpy as np
 from .textproc import IdfTable, WordVectorTable, tokenize
 
 
-@dataclass(frozen=True)
-class Part:
-    """A text's in-vocabulary token vectors, in token order, and their idf weights."""
-
-    rows: np.ndarray
-    weights: np.ndarray
+# A text's part: the ids of its in-vocabulary tokens, in token order.
+Part = np.ndarray
 
 
 class PooledEncoder:
@@ -30,7 +27,7 @@ class PooledEncoder:
     other output has unit L2 norm, so downstream cosine similarities reduce
     to dot products.
 
-    A text is pooled from its ``Part``: tokenized and gathered once, then
+    A text is pooled from its ``Part``: tokenized and looked up once, then
     pooled alone or followed by other parts (a description by its evidence
     sentences' parts, which the retriever keeps with its prepared manual
     entry). ``pool_many`` pools many such groups at once; ``pool`` is its
@@ -41,14 +38,12 @@ class PooledEncoder:
         self.vectors = vectors
         self.idf = idf
         self.output_dimension = vectors.dimension
+        # weights[i]: the idf weight of the token with id i.
+        self.weights = np.array([idf.value(token) for token in vectors.index], dtype=float)
+        self.weights.flags.writeable = False
 
     def part(self, tokens: Iterable[str]) -> Part:
-        known = [token for token in tokens if token in self.vectors]
-        rows = np.array([self.vectors.get(token) for token in known], dtype=float)
-        return Part(
-            rows=rows.reshape(len(known), self.output_dimension),
-            weights=np.array([self.idf.value(token) for token in known], dtype=float),
-        )
+        return self.vectors.ids(tokens)
 
     def pool(self, parts: Sequence[Part]) -> np.ndarray:
         """Encode the concatenation of ``parts``' tokens; ``pool_many`` of one group."""
@@ -70,13 +65,13 @@ class PooledEncoder:
         """
         d = self.output_dimension
         n = len(groups)
-        lengths = [sum(len(part.weights) for part in group) for group in groups]
+        lengths = [sum(len(part) for part in group) for group in groups]
         width = max(lengths, default=0)
         if not width:
             return np.zeros((n, d))
-        parts = [part for group in groups for part in group]
-        weights = np.concatenate([part.weights for part in parts])[:, None]
-        terms = np.concatenate([part.rows for part in parts])
+        ids = np.concatenate([part for group in groups for part in group])
+        weights = self.weights[ids][:, None]
+        terms = self.vectors.matrix[ids]
         terms *= weights
         if n == 1:
             padded = np.concatenate((terms, weights), axis=1)[:, None]

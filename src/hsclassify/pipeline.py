@@ -411,9 +411,11 @@ def fit(
     The idf table counts each training and validation description and each
     manual sentence as one document. Each is tokenized once: a description
     for the idf table, its encoding and its retrieval query; a sentence for
-    the idf table and its entry's prepared rows. Training cases are encoded
-    one gold heading at a time, ``CHUNK_ROWS`` at a time: each once, and
-    once more with the key sentences of its gold heading's manual; a case
+    the idf table and its entry's prepared rows. The training and sentence
+    tokens are released once used; only the validation tokens outlive the
+    training encoding. Training cases are encoded one gold heading at a
+    time, ``CHUNK_ROWS`` at a time: each once, and once more with the key
+    sentences of its gold heading's manual; a case
     without evidence reuses its description vector (a missing manual warns
     once per heading). The case index holds the stage-3 training vectors;
     stage-3 validation inputs come from the inference path, which reuses
@@ -434,6 +436,7 @@ def fit(
     for heading in label_space.headings:
         if heading in manuals:
             retriever.prepare(manuals[heading], manual_tokens[heading])
+    del manual_tokens, sentence_tokens  # the prepared entries hold what retrieval reads
 
     for heading in sorted({c.label.heading for c in train_cases} - manuals.keys()):
         warnings.warn(
@@ -461,6 +464,7 @@ def fit(
             x3_train[rows] = _with_evidence(
                 encoder, retriever, parts, x1, [entry] * len(rows), results
             )
+    del train_tokens  # validation inference below reads only ``val_tokens``
 
     y1_train = _label_indices(train_cases, label_space.heading_index, "heading")
     x1_val = _pool_descriptions(encoder, val_tokens)
@@ -626,7 +630,7 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
             snippets=np.frombuffer("\n".join(snippets).encode(*_UTF8), dtype=np.uint8),
         ),
         "vectors.npz": _npz(
-            tokens=np.array(tokens), vectors=np.array([vectors.get(t) for t in tokens])
+            tokens=np.array(tokens), vectors=vectors.matrix[[vectors.index[t] for t in tokens]]
         ),
         "idf.json": _canonical(
             {"document_count": idf.document_count, "values": dict(sorted(idf.items()))}
@@ -727,13 +731,13 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
 
     def parse(name: str, parser: Callable[[bytes], object]):
         with _read(directory / name):
-            return parser(data[name])
+            return parser(data.pop(name))
 
     def classifier(name: str, labels: Sequence[str]) -> SoftmaxClassifier:
         return parse(name, lambda d: SoftmaxClassifier(*_arrays(d, "weights", "bias"), labels))
 
-    vectors = parse("vectors.npz", lambda d: WordVectorTable(
-        dict(zip(*_arrays(d, "tokens", "vectors"), strict=True))))
+    vectors = parse("vectors.npz", lambda d: WordVectorTable.from_rows(
+        *_arrays(d, "tokens", "vectors")))
     idf = parse("idf.json", lambda d: IdfTable(**json.loads(d)))
     stopwords = parse("stopwords.txt", lambda d: frozenset(d.decode().split("\n")[:-1]))
     manuals = parse("manual.jsonl", lambda d: {

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,30 +45,71 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 
 class WordVectorTable:
-    """Fixed-dimension static word vectors; unknown tokens map to zeros."""
+    """Fixed-dimension static word vectors; unknown tokens map to zeros.
 
-    def __init__(self, vectors: dict[str, np.ndarray]):
-        if not vectors:
-            raise EmptyInput("word vector table is empty")
+    Token ``t`` has the id ``index[t]``: its vector is row ``index[t]`` of
+    ``matrix`` (V x d) and its unit vector row ``index[t]`` of ``unit_rows``,
+    whose last row, id V, is the zero row of every unknown token. Both arrays
+    are read-only and built once, with the table.
+    """
+
+    def __init__(self, vectors: Mapping[str, Sequence[float]]):
         dims = {len(v) for v in vectors.values()}
-        if len(dims) != 1:
+        if len(dims) > 1:
             raise DimensionMismatch(f"inconsistent vector lengths: {sorted(dims)}")
-        self.dimension = dims.pop()
-        self._vectors = {t: np.asarray(v, dtype=float) for t, v in vectors.items()}
-        self._zero = np.zeros(self.dimension)
+        self._build(list(vectors), np.array(list(vectors.values()), dtype=float))
+
+    @classmethod
+    def from_rows(cls, tokens: Sequence[str], matrix: np.ndarray) -> "WordVectorTable":
+        """The table whose token ``tokens[i]`` has the vector ``matrix[i]``.
+
+        A float ``matrix`` is not copied: it becomes the table's read-only
+        ``matrix``. The constructor copies the vectors it is given.
+        """
+        table = cls.__new__(cls)
+        table._build(list(tokens), np.asarray(matrix, dtype=float))
+        return table
+
+    def _build(self, tokens: list[str], matrix: np.ndarray) -> None:
+        if not tokens:
+            raise EmptyInput("word vector table is empty")
+        if matrix.ndim != 2 or len(matrix) != len(tokens):
+            raise DimensionMismatch(f"{len(tokens)} tokens for vectors of shape {matrix.shape}")
+        index = {token: i for i, token in enumerate(tokens)}
+        if len(index) < len(tokens):  # a repeated token keeps its last vector
+            matrix = matrix[list(index.values())]
+            index = dict(zip(index, range(len(index))))
+        self.index = index
+        self.dimension = matrix.shape[1]
+        self.matrix = matrix
+        self.unit_rows = _unit_table(matrix)
+        self.matrix.flags.writeable = False
+        self.unit_rows.flags.writeable = False
+        self._zero = self.unit_rows[-1]
 
     def __contains__(self, token: str) -> bool:
-        return token in self._vectors
+        return token in self.index
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self.index)
 
     def get(self, token: str) -> np.ndarray:
-        """Vector for ``token``, or the zero vector when out of vocabulary."""
-        return self._vectors.get(token, self._zero)
+        """Read-only vector for ``token``, or a read-only zero vector when out of vocabulary."""
+        i = self.index.get(token)
+        return self._zero if i is None else self.matrix[i]
+
+    def ids(self, tokens: Iterable[str]) -> np.ndarray:
+        """The ids of the in-vocabulary ``tokens``, in order."""
+        ids = map(self.index.get, tokens)
+        return np.array([i for i in ids if i is not None], dtype=np.intp)
+
+    def unit_rows_of(self, tokens: Iterable[str]) -> np.ndarray:
+        """The unit rows of ``tokens``, the zero row for a token without a vector."""
+        unknown = len(self.index)
+        return self.unit_rows[[self.index.get(token, unknown) for token in tokens]]
 
     def tokens(self) -> list[str]:
-        return list(self._vectors)
+        return list(self.index)
 
     @classmethod
     def load(cls, path: str | Path) -> "WordVectorTable":
@@ -75,7 +118,9 @@ class WordVectorTable:
         An optional first line ``count dim`` (two integers) is accepted and
         skipped, matching common pretrained-vector releases.
         """
-        vectors: dict[str, np.ndarray] = {}
+        tokens: list[str] = []
+        values = array("d")  # every row's values, end to end
+        lengths: set[int] = set()
         with open(path, encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
                 parts = line.rstrip("\n").split(" ")
@@ -89,15 +134,33 @@ class WordVectorTable:
                         pass
                 token = parts[0]
                 try:
-                    values = np.array([float(x) for x in parts[1:] if x != ""])
+                    row = [float(x) for x in parts[1:] if x != ""]
                 except ValueError as exc:
                     raise ParseError(f"bad vector value: {exc}", line_no) from exc
-                if values.size == 0:
+                if not row:
                     raise ParseError(f"token {token!r} has no vector values", line_no)
-                if not np.isfinite(values).all():
+                if not all(map(math.isfinite, row)):
                     raise ParseError(f"token {token!r} has a non-finite vector value", line_no)
-                vectors[token] = values
-        return cls(vectors)
+                tokens.append(token)
+                values.extend(row)
+                lengths.add(len(row))
+        if len(lengths) > 1:
+            raise DimensionMismatch(f"inconsistent vector lengths: {sorted(lengths)}")
+        dimension = lengths.pop() if lengths else 0
+        return cls.from_rows(tokens, np.frombuffer(values).reshape(len(tokens), dimension))
+
+
+def _unit_table(matrix: np.ndarray) -> np.ndarray:
+    """Each row of ``matrix`` over its L2 norm, then one zero row.
+
+    Norms are row-wise, so a row gets the bits it gets alone; a zero-norm
+    row is kept as it is.
+    """
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    table = np.zeros((len(matrix) + 1, matrix.shape[1]))
+    np.divide(matrix, norms, out=table[:-1])
+    return table
 
 
 class IdfTable:

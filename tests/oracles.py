@@ -25,12 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from hsclassify.alignment import (
-    KeySentenceRetriever,
-    RetrievalResult,
-    RetrievedSentence,
-    _unit_rows,
-)
+from hsclassify.alignment import KeySentenceRetriever, RetrievalResult, RetrievedSentence
 from hsclassify.classifier import top_k
 from hsclassify.corpus import DecisionCase, ManualEntry
 from hsclassify.encoder import Part
@@ -212,7 +207,8 @@ def top1_accuracy(weights, bias, inputs, label_indices) -> float:
     return float((predictions == label_indices).mean())
 
 
-def mean_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
+def mean_nll(logits: np.ndarray, labels: np.ndarray, temperature: float, out=None) -> float:
+    """``calibration._mean_nll`` on a fresh array; ``out`` is accepted and left unused."""
     probs = softmax(np.asarray(logits, dtype=float) / temperature)
     picked = probs[np.arange(logits.shape[0]), labels]
     return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
@@ -244,11 +240,28 @@ def joined_encode_with_evidence(vectors, idf, description: str, sentences) -> np
     return scalar_encode(vectors, idf, " ‖ ".join([description, *sentences]))
 
 
+def unit_row(vector) -> np.ndarray:
+    """One vector over its L2 norm as a ``(1, d)`` row; a zero-norm vector is kept as it is.
+
+    The norm is ``np.linalg.norm(axis=1)`` of that row alone.
+    """
+    row = np.array(vector, dtype=float).reshape(1, -1)
+    norm = np.linalg.norm(row, axis=1, keepdims=True)
+    norm[norm == 0.0] = 1.0
+    return row / norm
+
+
+def unit_rows(tokens: Iterable[str], vectors: WordVectorTable) -> np.ndarray:
+    """Each token's ``unit_row`` (the zero row without a vector), computed token by token."""
+    rows = [unit_row(vectors.get(token)) for token in tokens]
+    return np.concatenate(rows) if rows else np.zeros((0, vectors.dimension))
+
+
 def canonical_alignments(keywords: list[str], rows: np.ndarray, vectors: WordVectorTable):
     """Keyword x row cosines: one ``(1, d) @ (d, T)`` product per keyword."""
     alignments = np.zeros((len(keywords), len(rows)))
     for k, keyword in enumerate(keywords):
-        alignments[k] = (_unit_rows([keyword], vectors) @ rows.T)[0]
+        alignments[k] = (unit_rows([keyword], vectors) @ rows.T)[0]
     return alignments
 
 
@@ -276,7 +289,7 @@ def alignment_score(
     distinct = list(dict.fromkeys(sentence_tokens))
     best = np.zeros(len(ordered))
     if distinct:
-        best = canonical_alignments(ordered, _unit_rows(distinct, vectors), vectors).max(axis=1)
+        best = canonical_alignments(ordered, unit_rows(distinct, vectors), vectors).max(axis=1)
     weights = np.array([idf.value(t) for t in ordered])
     return step_score(np.maximum(best, 0.0) * weights)
 
@@ -349,16 +362,23 @@ def word_matching_reference(
     return scores
 
 
-def scalar_pool(parts: list[Part], dimension: int) -> np.ndarray:
-    """``PooledEncoder.pool`` as a running sum over the tokens of ``parts``."""
-    pooled = np.zeros(dimension)
+def scalar_pool(encoder, parts: list[Part]) -> np.ndarray:
+    """``PooledEncoder.pool`` as a running sum over the tokens of ``parts``.
+
+    A part's ids name the tokens, whose vectors and idf weights are looked
+    up by token.
+    """
+    vectors, idf = encoder.vectors, encoder.idf
+    tokens = vectors.tokens()
+    pooled = np.zeros(vectors.dimension)
     total_weight = 0.0
     for part in parts:
-        for row, weight in zip(part.rows, part.weights):
-            pooled += weight * row
+        for token in (tokens[i] for i in part.tolist()):
+            weight = idf.value(token)
+            pooled += weight * vectors.get(token)
             total_weight += weight
     if total_weight <= 0.0:
-        return np.zeros(dimension)
+        return np.zeros(vectors.dimension)
     pooled /= total_weight
     norm = np.linalg.norm(pooled)
     if norm > 0.0:
@@ -375,7 +395,6 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
     """
     space = model.label_space
     encoder = model.encoder
-    dimension = encoder.output_dimension
 
     def logits(classifier, vector):
         return vector @ classifier.weights + classifier.bias
@@ -385,7 +404,7 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
 
     tokens = tokenize(description)
     part = encoder.part(tokens)
-    description_vector = scalar_pool([part], dimension)
+    description_vector = scalar_pool(encoder, [part])
     heading_logits = logits(model.heading_classifier, description_vector)
     heading_probs = probabilities(model.heading_scaler, heading_logits)
     ranked = np.argsort(-heading_probs, kind="stable").tolist()
@@ -399,7 +418,7 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
     stage3_vector = description_vector
     if retrievals[0] is not None and retrievals[0].sentences:
         evidence = [encoder.part(tokenize(s.text)) for s in retrievals[0].sentences]
-        stage3_vector = scalar_pool([part, *evidence], dimension)
+        stage3_vector = scalar_pool(encoder, [part, *evidence])
     subheading_logits = logits(model.subheading_classifier, stage3_vector)
     probs = probabilities(model.subheading_scaler, subheading_logits)
 

@@ -8,7 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hsclassify.alignment import KeySentenceRetriever, RetrievalConfig, _unit_rows
+from hsclassify import textproc
+from hsclassify.alignment import KeySentenceRetriever, RetrievalConfig
 from hsclassify.corpus import ManualEntry
 from hsclassify.errors import EmptyManual
 from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
@@ -18,6 +19,7 @@ from oracles import (
     oracle_alignment_score,
     oracle_retrieve,
     scalar_retrieve,
+    unit_rows,
 )
 
 NO_STOPWORDS: frozenset[str] = frozenset()
@@ -352,27 +354,20 @@ class TestRetrievalIsExact:
         assert second.sentences == first.sentences
 
     def test_repeat_retrieval_reuses_the_prepared_rows(self, monkeypatch):
-        from hsclassify import alignment
-
         vectors, idf_values, sentences, keywords = random_instance(3)
         retriever = make_retriever(vectors, idf_values)
         entry = ManualEntry(heading="8541", sentences=tuple(" ".join(s) for s in sentences))
         description = " ".join(sorted(keywords))
         first = retriever.retrieve(description, entry)
+        prepared = retriever.prepare(entry)
         calls = Counter()
-
-        def counting(name):
-            original = getattr(alignment, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return original(*args)
-
-            return counted
-
-        monkeypatch.setattr(alignment, "_unit_rows", counting("_unit_rows"))
+        build = textproc._unit_table
+        monkeypatch.setattr(textproc, "_unit_table", lambda m: calls.update(["unit"]) or build(m))
         second = retriever.retrieve(description, entry)
-        assert calls == {"_unit_rows": 1}
+        # The query's rows and the entry's rows are gathered from the unit
+        # table built with the vector table.
+        assert calls == {}
+        assert retriever.prepare(entry) is prepared
         assert second.sentences == first.sentences
 
     def test_prepared_rows_are_one_per_distinct_token(self):
@@ -382,13 +377,22 @@ class TestRetrievalIsExact:
         prepared = retriever.prepare(ManualEntry(heading="8541", sentences=texts))
         assert len(prepared.rows) == len({t for s in sentences for t in s})
         # Row j is the unit row of token j.
-        want = _unit_rows(prepared.tokens, retriever.vectors)
+        want = unit_rows(prepared.tokens, retriever.vectors)
         assert prepared.rows.tobytes() == want.tobytes()
         for index, text in enumerate(texts):
-            want = _unit_rows(tokenize(text), retriever.vectors)
+            want = unit_rows(tokenize(text), retriever.vectors)
             occurrences = prepared.occurrences[prepared.bounds[index] : prepared.bounds[index + 1]]
             assert prepared.rows[occurrences].tobytes() == want.tobytes()
             assert prepared.token_set(index) == set(tokenize(text))
+
+    def test_unknown_keyword_has_the_zero_row_and_its_idf_weight(self):
+        retriever = make_retriever({"solar": [0.6, 0.8]}, {"mystery": 0.7, "solar": 0.2})
+        query = retriever.query(["unseen", "solar", "mystery"])
+        assert query.ordered == ["mystery", "solar", "unseen"]
+        assert query.rows.tobytes() == unit_rows(query.ordered, retriever.vectors).tobytes()
+        assert query.rows.tolist() == [[0.0, 0.0], [0.6, 0.8], [0.0, 0.0]]
+        weights = [retriever.idf.value(t) for t in query.ordered]
+        assert query.weights.tolist() == weights == [0.7, 0.2, math.log(4)]
 
 
 def retrieval_bits(result):

@@ -82,9 +82,11 @@ class TestBufferedPasses:
     def test_mean_nll(self, n, classes):
         weights, bias, inputs, labels = passes_instance(n, classes, seed=1)
         logits = inputs @ weights + bias
+        scaled = np.empty_like(logits)  # one buffer for every temperature, as in the search
         for temperature in (0.05, 0.7, 1.0, 3.3, 20.0):
-            got = _mean_nll(logits, labels, temperature)
-            assert got.hex() == oracles.mean_nll(logits, labels, temperature).hex()
+            want = oracles.mean_nll(logits, labels, temperature).hex()
+            assert _mean_nll(logits, labels, temperature).hex() == want
+            assert _mean_nll(logits, labels, temperature, out=scaled).hex() == want
 
     @pytest.mark.parametrize("n", [1, K + 1, 2 * K + 1])
     def test_fit_temperature_equals_search_on_reference_objective(self, n, monkeypatch):
@@ -107,11 +109,15 @@ def retrieved_from_manual(encoder: PooledEncoder, description: str, sentences: l
         sentences=[RetrievedSentence(s, entry.sentences.index(s), 0.0) for s in sentences]
     )
     parts = retriever.evidence_parts(entry, result)
+    vectors, idf = encoder.vectors, encoder.idf
     for sentence, part in zip(sentences, parts):
-        want = encoder.part(tokenize(sentence))
-        assert part.rows.tobytes() == want.rows.tobytes()
-        assert part.rows.shape == want.rows.shape
-        assert part.weights.tobytes() == want.weights.tobytes()
+        assert part.dtype == np.intp
+        assert part.tobytes() == encoder.part(tokenize(sentence)).tobytes()
+        # The gathered rows and weights are each known token's own.
+        known = [t for t in tokenize(sentence) if t in vectors]
+        rows = np.array([vectors.get(t) for t in known]).reshape(len(known), vectors.dimension)
+        assert vectors.matrix[part].tobytes() == rows.tobytes()
+        assert encoder.weights[part].tobytes() == np.array([idf.value(t) for t in known]).tobytes()
     return encoder.pool([encoder.part(tokenize(description)), *parts])
 
 

@@ -24,7 +24,7 @@ from hsclassify.errors import (
     MissingManualWarning,
     UntrainedModel,
 )
-from hsclassify import alignment, case_retrieval, encoder, evaluation, pipeline
+from hsclassify import alignment, case_retrieval, encoder, evaluation, pipeline, textproc
 from hsclassify.evaluation import evaluate_pipeline
 from hsclassify.pipeline import (
     CandidateReport,
@@ -242,6 +242,22 @@ class TestCheckpoint:
         loaded = load_pipeline(tmp_path / "ckpt")
         for case in split.test[:4]:
             assert loaded.predict(case.description, k=3) == model.predict(case.description, k=3)
+
+    def test_load_gives_the_saved_tables(self, model, tmp_path, monkeypatch):
+        save_pipeline(model, tmp_path / "ckpt")
+        units = Counter()
+        build = textproc._unit_table
+        monkeypatch.setattr(textproc, "_unit_table", lambda m: units.update(["unit"]) or build(m))
+        loaded = load_pipeline(tmp_path / "ckpt")
+        # One unit table per model, shared by the encoder and the retriever.
+        assert units == {"unit": 1}
+        assert loaded.retriever.vectors is loaded.encoder.vectors
+        saved, table = model.encoder.vectors, loaded.encoder.vectors
+        assert table.tokens() == sorted(saved.tokens())
+        order = [saved.index[t] for t in table.tokens()]
+        assert table.matrix.tobytes() == saved.matrix[order].tobytes()
+        assert table.unit_rows.tobytes() == saved.unit_rows[[*order, -1]].tobytes()
+        assert loaded.encoder.weights.tobytes() == model.encoder.weights[order].tobytes()
 
     def test_resave_is_byte_identical(self, model, tmp_path):
         save_pipeline(model, tmp_path / "a")
@@ -550,11 +566,12 @@ class TestSinglePass:
         calls.clear()
         for module in (pipeline, alignment, encoder):
             count(module, "tokenize")
-        count(alignment, "_unit_rows")
+        count(textproc, "_unit_table")
         count(case_retrieval, "cosine")
         report = model.predict(description, k=3)
-        # One tokenization and one set of keyword rows shared by 3 retrievals.
-        assert calls["tokenize"] == calls["_unit_rows"] == 1
+        # One tokenization shared by 3 retrievals, whose keyword rows are
+        # gathered from the model's unit table: no row is normalised.
+        assert calls["tokenize"] == 1 and calls["_unit_table"] == 0
         assert calls["retrieve_many"] == calls["queries"] == 3
         m = model.config.similar_cases_per_candidate
         assert all(len(c.similar_cases) == m for c in report.subheading_candidates)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hsclassify.errors import DimensionMismatch, EmptyInput, ParseError
 from hsclassify.textproc import (
     DEFAULT_STOPWORDS,
@@ -173,6 +174,104 @@ class TestWordVectorTable:
     def test_inconsistent_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             WordVectorTable({"a": np.ones(2), "b": np.ones(3)})
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(EmptyInput):
+            WordVectorTable({})
+        with pytest.raises(EmptyInput):
+            WordVectorTable.from_rows([], np.zeros((0, 3)))
+
+    def test_from_rows_checks_the_row_count(self):
+        with pytest.raises(DimensionMismatch):
+            WordVectorTable.from_rows(["a", "b"], np.ones((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            WordVectorTable.from_rows(["a", "b"], np.ones(2))
+
+    def test_ids_index_the_matrix(self, toy_vectors):
+        ids = toy_vectors.ids(["panel", "missing", "solar", "panel"])
+        assert ids.dtype == np.intp
+        assert [toy_vectors.tokens()[i] for i in ids] == ["panel", "solar", "panel"]
+        assert toy_vectors.matrix[ids].tobytes() == np.array(
+            [toy_vectors.get(t) for t in ["panel", "solar", "panel"]]
+        ).tobytes()
+        assert toy_vectors.ids([]).shape == (0,)
+
+    def test_repeated_token_keeps_its_last_vector(self):
+        table = WordVectorTable.from_rows(["a", "b", "a"], np.array([[1.0], [2.0], [3.0]]))
+        assert table.tokens() == ["a", "b"] and len(table) == 2
+        assert table.get("a").tolist() == [3.0] and table.matrix.shape == (2, 1)
+
+    def test_load_keeps_the_last_vector_of_a_repeated_token(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1 0\nb 0 1\na 2 0\n", encoding="utf-8")
+        table = WordVectorTable.load(path)
+        assert table.tokens() == ["a", "b"]
+        assert table.get("a").tolist() == [2.0, 0.0]
+
+
+class TestWordVectorTableIsImmutable:
+    def test_constructor_copies_its_input(self):
+        vector = np.array([1.0, 2.0])
+        table = WordVectorTable({"a": vector})
+        vector[0] = 9.0
+        assert table.get("a").tolist() == [1.0, 2.0]
+
+    def test_from_rows_takes_a_float_matrix_read_only(self):
+        matrix = np.array([[1.0, 2.0]])
+        table = WordVectorTable.from_rows(["a"], matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 9.0
+        assert table.get("a").tolist() == [1.0, 2.0]
+        rows = [[1, 2]]
+        table = WordVectorTable.from_rows(["a"], rows)
+        rows[0][0] = 9
+        assert table.get("a").tolist() == [1.0, 2.0]
+
+    def test_rows_are_read_only(self, toy_vectors):
+        for array in (toy_vectors.get("solar"), toy_vectors.matrix, toy_vectors.unit_rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9.0
+        assert toy_vectors.get("solar").tolist() == [1.0, 0.0, 0.0]
+
+    def test_out_of_vocabulary_row_is_read_only(self, toy_vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            toy_vectors.get("missing")[0] = 9.0
+        assert not toy_vectors.get("other").any()
+
+
+class TestUnitRows:
+    def test_each_row_is_its_vector_normalised_alone(self):
+        tiny = 5e-324
+        vectors = {
+            "zero": [0.0, 0.0, 0.0],
+            "negzero": [-0.0, -0.0, -0.0],
+            "mixed": [-0.0, 1.0, -0.0],
+            "subnormal": [tiny, -3 * tiny, 2e-310],
+            "huge": [1e200, -3e200, 2e200],  # the squares overflow: the norm is inf
+            "plain": [0.1, 1 / 3, -2.5],
+            "small": [1e-160, 2e-160, 0.0],
+        }
+        with np.errstate(over="ignore"):
+            table = WordVectorTable(vectors)
+            for token in vectors:
+                want = oracles.unit_row(vectors[token])[0]
+                assert table.unit_rows[table.index[token]].tobytes() == want.tobytes(), token
+        assert table.unit_rows.shape == (len(vectors) + 1, 3)
+        assert table.unit_rows[-1].tobytes() == np.zeros(3).tobytes()
+        assert np.signbit(table.unit_rows[table.index["negzero"]]).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tables(self, seed):
+        rng = np.random.default_rng([5, seed])
+        d = int(rng.choice([1, 7, 8, 50, 301]))
+        tokens = [f"w{i}" for i in range(int(rng.integers(1, 200)))]
+        matrix = rng.normal(size=(len(tokens), d)) * 10.0 ** rng.integers(-300, 150, (len(tokens), 1))
+        table = WordVectorTable.from_rows(tokens, matrix)
+        want = oracles.unit_rows([*tokens, "unknown"], table)
+        assert table.unit_rows.tobytes() == want.tobytes()
+        picked = [tokens[-1], "unknown", tokens[0], tokens[-1]]
+        assert table.unit_rows_of(picked).tobytes() == oracles.unit_rows(picked, table).tobytes()
+        assert table.unit_rows_of([]).shape == (0, d)
 
     @pytest.mark.parametrize(
         "text, line",
