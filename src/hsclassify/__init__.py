@@ -5,14 +5,13 @@ __version__ = "0.1.0"
 from .alignment import KeySentenceRetriever, RetrievalConfig, RetrievalResult
 from .calibration import TemperatureScaler, fit_temperature, scale
 from .case_retrieval import CaseIndex, build_index, similar_cases
-from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, cross_entropy, top_k, train
+from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, top_k, train
 from .corpus import (
     DatasetSplit,
     DecisionCase,
     HsCode,
     LabelSpace,
     ManualEntry,
-    Origin,
     build_label_space,
     chronological_split,
     load_cases,
@@ -20,13 +19,7 @@ from .corpus import (
     parse_hs_code,
 )
 from .encoder import PooledEncoder
-from .evaluation import (
-    MetricsReport,
-    evaluate_pipeline,
-    retrieval_precision_recall,
-    top_k_accuracy,
-    word_matching_baseline,
-)
+from .evaluation import MetricsReport, evaluate_pipeline, top_k_accuracy
 from .pipeline import (
     CandidateReport,
     PipelineConfig,
@@ -55,7 +48,6 @@ __all__ = [
     "compute_idf",
     "content_keywords",
     "cosine",
-    "cross_entropy",
     "DatasetSplit",
     "DecisionCase",
     "DEFAULT_STOPWORDS",
@@ -71,14 +63,12 @@ __all__ = [
     "load_pipeline",
     "ManualEntry",
     "MetricsReport",
-    "Origin",
     "parse_hs_code",
     "PipelineConfig",
     "PipelineModel",
     "PooledEncoder",
     "RetrievalConfig",
     "RetrievalResult",
-    "retrieval_precision_recall",
     "save_pipeline",
     "scale",
     "similar_cases",
@@ -91,5 +81,4 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "WordVectorTable",
-    "word_matching_baseline",
 ]

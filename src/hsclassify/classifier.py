@@ -91,16 +91,6 @@ def mean_log_loss(picked: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, _LOG_FLOOR)).mean())
 
 
-def cross_entropy(true_label_index: int, probabilities) -> float:
-    """-ln of the true class probability, floored at 1e-12 inside the log."""
-    probabilities = np.asarray(probabilities, dtype=float)
-    if not 0 <= true_label_index < probabilities.shape[0]:
-        raise IndexOutOfRange(
-            f"label index {true_label_index} outside 0..{probabilities.shape[0] - 1}"
-        )
-    return float(-np.log(max(probabilities[true_label_index], _LOG_FLOOR)))
-
-
 def _gradient(weights, bias, inputs, label_indices, l2_penalty):
     """Gradients (W, b) of mean cross-entropy + (l2/2)*||W||^2, and the summed cross-entropy."""
     rows = np.arange(inputs.shape[0])
@@ -147,9 +137,6 @@ class SoftmaxClassifier:
                 f"input shape {x.shape} does not match d={self.input_dimension}"
             )
         return (x[..., None, :] @ self.weights)[..., 0, :] + self.bias
-
-    def predict_proba(self, x) -> np.ndarray:
-        return softmax_inplace(self.logits(x))
 
 
 def top_k(probabilities, k: int) -> list[tuple[int, float]]:

@@ -2,17 +2,17 @@
 
 File formats (both JSON Lines, one record per line):
 
-* case file:   {"id", "description", "hs_code", "date", "origin",
+* case file:   {"id", "description" (str), "hs_code", "date",
                 "revoked"? (bool), "gold_evidence"? ([str])}
 * manual file: {"heading", "sentences": [str]}
 
-Records with ``"revoked": true`` are dropped at ingestion.
+Records with ``"revoked": true`` are dropped at ingestion. Keys outside
+these (such as the ``"origin"`` older case files carry) are ignored.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import enum
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -85,11 +85,6 @@ def _parse_heading(raw: str) -> str:
     return cleaned
 
 
-class Origin(str, enum.Enum):
-    INTERNATIONAL = "international"
-    DOMESTIC = "domestic"
-
-
 @dataclass(frozen=True)
 class DecisionCase:
     """One past classification ruling: an item description and its code."""
@@ -98,7 +93,6 @@ class DecisionCase:
     description: str
     label: HsCode
     decision_date: dt.date
-    origin: Origin
     gold_evidence: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -167,10 +161,12 @@ class DatasetSplit:
 
 
 def _case_from_record(record: dict, line: int, ingestion_date: dt.date) -> DecisionCase:
-    for key in ("id", "description", "hs_code", "date", "origin"):
+    for key in ("id", "description", "hs_code", "date"):
         if key not in record:
             raise ParseError(f"missing field {key!r}", line)
-    description = str(record["description"])
+    description = record["description"]
+    if not isinstance(description, str):
+        raise ParseError("description must be a string", line)
     if not description.strip():
         raise ParseError("description is empty", line)
     try:
@@ -183,10 +179,6 @@ def _case_from_record(record: dict, line: int, ingestion_date: dt.date) -> Decis
         raise ParseError(f"bad date: {exc}", line) from exc
     if date > ingestion_date:
         raise ParseError(f"date {date.isoformat()} is after ingestion date", line)
-    try:
-        origin = Origin(record["origin"])
-    except ValueError as exc:
-        raise ParseError(f"bad origin {record['origin']!r}", line) from exc
     gold = record.get("gold_evidence")
     if gold is not None:
         if not isinstance(gold, list) or any(not isinstance(s, str) or not s.strip() for s in gold):
@@ -198,7 +190,6 @@ def _case_from_record(record: dict, line: int, ingestion_date: dt.date) -> Decis
             description=description,
             label=label,
             decision_date=date,
-            origin=origin,
             gold_evidence=gold,
         )
     except ValueError as exc:

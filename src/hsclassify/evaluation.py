@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .classifier import top_k
-from .corpus import DecisionCase, ManualEntry
+from .corpus import DecisionCase
 from .errors import BadK, EmptyInput
 from .pipeline import PipelineModel
-from .textproc import DEFAULT_STOPWORDS, content_keywords, tokenize
+from .textproc import content_keywords, tokenize
 
 MATCH_F1_THRESHOLD = 0.6
 
@@ -49,34 +49,20 @@ class PrecisionRecall:
     precision_defined: bool = True
 
 
-def retrieval_precision_recall(
-    retrieved: Sequence[str],
-    gold_evidence: Sequence[str],
-    threshold: float = MATCH_F1_THRESHOLD,
-) -> PrecisionRecall:
-    """Greedy best-first sentence matching at token-overlap F1 >= threshold.
-
-    Each gold sentence and each retrieved sentence matches at most once.
-    Candidate pairs are taken in descending F1 with ties broken on gold order
-    and retrieved text, so permuting the retrieved list never changes the
-    outcome. With empty gold evidence the recall is undefined (None); with
-    nothing retrieved the precision is reported as 0.0 and flagged.
-    """
-    return _match_evidence(
-        [(set(tokenize(s)), s) for s in retrieved],
-        [set(tokenize(s)) for s in gold_evidence],
-        threshold,
-    )
-
-
 def _match_evidence(
     retrieved: Sequence[tuple[set[str], str]],
     gold_sets: Sequence[set[str]],
     threshold: float = MATCH_F1_THRESHOLD,
 ) -> PrecisionRecall:
-    """``retrieval_precision_recall`` from token sets.
+    """Greedy best-first sentence matching at token-overlap F1 >= threshold.
 
-    ``retrieved`` holds each retrieved sentence's token set and text.
+    ``retrieved`` holds each retrieved sentence's token set and text, and
+    ``gold_sets`` each gold sentence's token set. Each gold sentence and each
+    retrieved sentence matches at most once. Candidate pairs are taken in
+    descending F1 with ties broken on gold order and retrieved text, so
+    permuting the retrieved list never changes the outcome. With empty gold
+    evidence the recall is undefined (None); with nothing retrieved the
+    precision is reported as 0.0 and flagged.
     """
     pairs = []
     for g_idx, g_set in enumerate(gold_sets):
@@ -109,15 +95,18 @@ def _match_evidence(
 
 
 def _word_index(
-    manuals: Mapping[str, ManualEntry], tokens_of: Callable[[ManualEntry], Iterable[str]]
+    manual_tokens: Mapping[str, Iterable[str]],
 ) -> tuple[list[str], dict[str, list[int]]]:
-    """The headings in ascending order, and each manual token's positions among them."""
-    if not manuals:
+    """The headings in ascending order, and each manual token's positions among them.
+
+    ``manual_tokens`` maps each heading to the tokens of its manual entry.
+    """
+    if not manual_tokens:
         raise EmptyInput("no manual entries")
-    headings = sorted(manuals)
+    headings = sorted(manual_tokens)
     postings: dict[str, list[int]] = {}
     for position, heading in enumerate(headings):
-        for token in set(tokens_of(manuals[heading])):
+        for token in set(manual_tokens[heading]):
             postings.setdefault(token, []).append(position)
     return headings, postings
 
@@ -138,25 +127,6 @@ def _rank_by_word_matching(
     counts = np.bincount(np.array(hits, dtype=np.intp), minlength=heading_count)
     scores = counts / len(content) if content else np.zeros(heading_count)
     return np.argsort(-scores, kind="stable"), scores
-
-
-def word_matching_baseline(
-    description: str,
-    manuals: Mapping[str, ManualEntry],
-    stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
-) -> list[tuple[str, float]]:
-    """Rank headings by the share of description content tokens in their manual.
-
-    Ties (including the all-zero case) order by ascending heading.
-    """
-    headings, postings = _word_index(
-        manuals, lambda entry: (t for sentence in entry.sentences for t in tokenize(sentence))
-    )
-    order, scores = _rank_by_word_matching(
-        tokenize(description), postings, len(headings), stopwords
-    )
-    scores = scores.tolist()
-    return [(headings[i], scores[i]) for i in order.tolist()]
 
 
 @dataclass
@@ -271,7 +241,7 @@ def evaluate_pipeline(
     has_ablation = model.ablation_classifier is not None
     retriever = model.retriever
     manual_headings, postings = _word_index(
-        model.manuals, lambda entry: retriever.prepare(entry).tokens
+        {heading: retriever.prepare(entry).tokens for heading, entry in model.manuals.items()}
     )
     traces = model.infer_many([case.description for case in test_cases], headings=1)
     for case, trace in zip(test_cases, traces):

@@ -98,10 +98,6 @@ class CandidateReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CandidateReport":
-        return _from_dict(cls, data)
-
     def render_text(self) -> str:
         """Plain-text report; scores shown to 4 decimal places."""
         lines = [f"Input: {self.description}", "", "Heading candidates:"]
@@ -390,11 +386,14 @@ def _label_indices(cases: Sequence[DecisionCase], index: Mapping[str, int], leve
     return [index.get(getattr(case.label, level), -1) for case in cases]
 
 
-def _fit_scaler(logits: list[np.ndarray], labels: list[int]) -> TemperatureScaler:
+def _fit_scaler(
+    logits: list[np.ndarray], labels: list[int], current: TemperatureScaler
+) -> TemperatureScaler:
+    """The scaler fitted on the cases with a known label; ``current`` if there are none."""
     usable = [(z, y) for z, y in zip(logits, labels) if y >= 0]
     if not usable:
-        warnings.warn("no usable validation cases; temperature defaults to 1.0", stacklevel=3)
-        return TemperatureScaler(1.0)
+        warnings.warn("no usable validation cases; the temperature is kept", stacklevel=3)
+        return current
     return fit_temperature([z for z, _ in usable], [y for _, y in usable])
 
 
@@ -472,7 +471,7 @@ def fit(
     heading_clf, heading_report = train(
         x1_train, y1_train, x1_val, y1_val, config.heading_train, label_space.headings
     )
-    heading_scaler = _fit_scaler(heading_clf.logits(x1_val), y1_val)
+    heading_scaler = _fit_scaler(heading_clf.logits(x1_val), y1_val, TemperatureScaler())
 
     case_index = build_index(list(train_cases), x3_train)
 
@@ -522,13 +521,13 @@ def fit(
         )
         ablation = dict(
             ablation_classifier=ablation_clf,
-            ablation_scaler=_fit_scaler(ablation_clf.logits(x1_val), y3_val),
+            ablation_scaler=_fit_scaler(ablation_clf.logits(x1_val), y3_val, TemperatureScaler()),
         )
 
     return replace(
         model,
         subheading_classifier=subheading_clf,
-        subheading_scaler=_fit_scaler(subheading_clf.logits(x3_val), y3_val),
+        subheading_scaler=_fit_scaler(subheading_clf.logits(x3_val), y3_val, TemperatureScaler()),
         **ablation,
         fit_report=FitReport(
             heading=heading_report,
@@ -540,18 +539,21 @@ def fit(
 
 
 def refit_temperatures(model: PipelineModel, validation_cases: Sequence[DecisionCase]) -> None:
-    """Refit the per-stage temperature scalers on a validation split in place."""
+    """Refit the per-stage temperature scalers on a validation split in place.
+
+    A stage without a validation case of a known label keeps its scaler.
+    """
     # A generator, so only each chunk's logits stay in memory.
     traces = model.infer_many([c.description for c in validation_cases])
     logits = [(t.heading_logits, t.subheading_logits, t.ablation_logits) for t in traces]
-    heading_labels = _label_indices(validation_cases, model.label_space.heading_index, "heading")
-    subheading_labels = _label_indices(
-        validation_cases, model.label_space.subheading_index, "subheading"
-    )
-    model.heading_scaler = _fit_scaler([z for z, _, _ in logits], heading_labels)
-    model.subheading_scaler = _fit_scaler([z for _, z, _ in logits], subheading_labels)
+    space = model.label_space
+    heading_labels = _label_indices(validation_cases, space.heading_index, "heading")
+    subheading_labels = _label_indices(validation_cases, space.subheading_index, "subheading")
+    heading, subheading, ablation = ([z[i] for z in logits] for i in range(3))
+    model.heading_scaler = _fit_scaler(heading, heading_labels, model.heading_scaler)
+    model.subheading_scaler = _fit_scaler(subheading, subheading_labels, model.subheading_scaler)
     if model.ablation_classifier is not None:
-        model.ablation_scaler = _fit_scaler([z for _, _, z in logits], subheading_labels)
+        model.ablation_scaler = _fit_scaler(ablation, subheading_labels, model.ablation_scaler)
 
 
 # -- checkpointing -----------------------------------------------------------

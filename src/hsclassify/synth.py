@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DecisionCase, ManualEntry, Origin, parse_hs_code
+from .corpus import DecisionCase, ManualEntry, parse_hs_code
 from .textproc import WordVectorTable
 
 _CONSONANTS = "bdfgklmnprstvz"
@@ -189,6 +189,7 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthCorpus:
                         "description": make_description(heading, subheading),
                         "hs_code": f"{subheading[:4]}.{subheading[4:]}",
                         "date": f"{config.year:04d}-{month:02d}-{day:02d}",
+                        # The loader ignores "origin"; it stays so seeded corpora keep their bytes.
                         "origin": ("international" if counter % 2 else "domestic"),
                     }
                     if split_name == "test":
@@ -215,7 +216,6 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthCorpus:
             description=r["description"],
             label=parse_hs_code(r["hs_code"]),
             decision_date=dt.date.fromisoformat(r["date"]),
-            origin=Origin(r["origin"]),
             gold_evidence=tuple(r["gold_evidence"]) if "gold_evidence" in r else None,
         )
         for r in records

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsclassify.corpus import DecisionCase, ManualEntry, Origin, parse_hs_code
+from hsclassify.corpus import DecisionCase, ManualEntry, parse_hs_code
 from hsclassify.encoder import PooledEncoder
 from hsclassify.textproc import IdfTable, WordVectorTable, compute_idf, tokenize
 
@@ -53,7 +53,6 @@ def make_case(
     description: str = "Photovoltaic cell panel",
     code: str = "854140",
     date: str = "2024-01-15",
-    origin: Origin = Origin.INTERNATIONAL,
     gold_evidence: tuple[str, ...] | None = None,
 ) -> DecisionCase:
     return DecisionCase(
@@ -61,7 +60,6 @@ def make_case(
         description=description,
         label=parse_hs_code(code),
         decision_date=dt.date.fromisoformat(date),
-        origin=origin,
         gold_evidence=gold_evidence,
     )
 

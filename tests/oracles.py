@@ -14,6 +14,10 @@ replaced, the report-based evaluation and the set-intersection
 word-matching baseline. The package computes the same floats in one
 buffer, from prepared parts or for many descriptions at once, and the
 exactness tests compare the two bit for bit.
+
+Two adapters give the package's private word-matching ranking and evidence
+matching a text interface: they tokenize, then call the package's helpers,
+and copy none of their logic.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ from hsclassify.classifier import top_k
 from hsclassify.corpus import DecisionCase, ManualEntry
 from hsclassify.encoder import Part
 from hsclassify.evaluation import (
+    MATCH_F1_THRESHOLD,
     CaseRecord,
     MetricsReport,
-    retrieval_precision_recall,
+    PrecisionRecall,
+    _match_evidence,
+    _rank_by_word_matching,
+    _word_index,
     top_k_accuracy,
-    word_matching_baseline,
 )
 from hsclassify.errors import EmptyInput
 from hsclassify.pipeline import InferenceTrace, PipelineModel
@@ -345,6 +352,39 @@ def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: Ma
     return result
 
 
+def word_matching_baseline(
+    description: str,
+    manuals: dict[str, ManualEntry],
+    stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
+) -> list[tuple[str, float]]:
+    """The package's word-matching ranking of ``manuals`` for one description.
+
+    Each heading's score is the share of the description's distinct content
+    tokens that its manual holds; ties order by ascending heading.
+    """
+    manual_tokens = {
+        heading: [t for sentence in entry.sentences for t in tokenize(sentence)]
+        for heading, entry in manuals.items()
+    }
+    headings, postings = _word_index(manual_tokens)
+    order, scores = _rank_by_word_matching(
+        tokenize(description), postings, len(headings), stopwords
+    )
+    scores = scores.tolist()
+    return [(headings[i], scores[i]) for i in order.tolist()]
+
+
+def retrieval_precision_recall(
+    retrieved: Sequence[str], gold_evidence: Sequence[str], threshold: float = MATCH_F1_THRESHOLD
+) -> PrecisionRecall:
+    """The package's evidence matching of retrieved and gold sentences, from their texts."""
+    return _match_evidence(
+        [(set(tokenize(s)), s) for s in retrieved],
+        [set(tokenize(s)) for s in gold_evidence],
+        threshold,
+    )
+
+
 def word_matching_reference(
     description: str,
     manuals: dict[str, ManualEntry],
@@ -445,9 +485,10 @@ def reference_evaluate(
 ) -> MetricsReport:
     """``evaluate_pipeline`` from each case's full top-``max(ks)`` candidate report.
 
-    The public word-matching baseline ranks the model's manual entries;
-    it and ``retrieval_precision_recall`` tokenize their texts. The key
-    sentences are the report's top heading's.
+    The word-matching baseline ranks the model's manual entries through
+    ``word_matching_baseline``, and evidence is matched through
+    ``retrieval_precision_recall``; both adapters tokenize their texts. The
+    key sentences are the report's top heading's.
     """
     max_k = max(ks)
     has_ablation = model.ablation_classifier is not None

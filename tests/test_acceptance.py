@@ -18,9 +18,9 @@ from click.testing import CliRunner
 from hsclassify.calibration import fit_temperature, scale
 from hsclassify.classifier import _gradient
 from hsclassify.cli import main
-from hsclassify.evaluation import retrieval_precision_recall
-from hsclassify.pipeline import CandidateReport, load_pipeline
+from hsclassify.pipeline import CandidateReport, _from_dict, load_pipeline
 
+from oracles import retrieval_precision_recall
 from test_alignment import random_instance, run_both
 from test_classifier import finite_difference_gradients, relative_error
 
@@ -247,7 +247,7 @@ class TestCriterion8EndToEndDeterminism:
             first.predict_text == second.predict_text and first.predict_json == second.predict_json
         )
 
-        report = CandidateReport.from_dict(json.loads(first.predict_json))
+        report = _from_dict(CandidateReport, json.loads(first.predict_json))
         template_ok = (
             len(report.heading_candidates) == 3
             and all(len(c.key_sentences) <= 7 for c in report.heading_candidates)

