@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .alignment import KeySentenceRetriever, RetrievalConfig, RetrievalResult
-from .calibration import TemperatureScaler, fit_temperature, scale
+from .calibration import TemperatureScaler, fit_temperature
 from .case_retrieval import CaseIndex, build_index, similar_cases
 from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, top_k, train
 from .corpus import (
@@ -70,7 +70,6 @@ __all__ = [
     "RetrievalConfig",
     "RetrievalResult",
     "save_pipeline",
-    "scale",
     "similar_cases",
     "SoftmaxClassifier",
     "TemperatureScaler",

@@ -29,7 +29,6 @@ import numpy as np
 
 from .corpus import ManualEntry
 from .encoder import Part
-from .errors import EmptyManual
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, content_keywords, tokenize
 
 
@@ -219,8 +218,6 @@ class KeySentenceRetriever:
         reached; a query whose keywords no sentence covers stops before the
         first step. The queries that go on take each step together.
         """
-        if not manual_entry.sentences:
-            raise EmptyManual(f"manual entry {manual_entry.heading} has no sentences")
         prepared = self.prepare(manual_entry)
         results = [
             RetrievalResult(query_keywords=set(q.keywords), uncovered_keywords=set(q.keywords))

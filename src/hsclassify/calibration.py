@@ -24,14 +24,8 @@ class TemperatureScaler:
             raise BadTemperature(f"temperature must be finite and positive, got {self.temperature}")
 
     def probabilities(self, logits) -> np.ndarray:
-        return scale(logits, self.temperature)
-
-
-def scale(logits, temperature: float) -> np.ndarray:
-    """softmax(logits / T); preserves the argsort of the logits for any T > 0."""
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise BadTemperature(f"temperature must be finite and positive, got {temperature}")
-    return softmax_inplace(np.asarray(logits, dtype=float) / temperature)
+        """softmax(logits / T); preserves the argsort of the logits for any T > 0."""
+        return softmax_inplace(np.asarray(logits, dtype=float) / self.temperature)
 
 
 def _mean_nll(

@@ -8,6 +8,7 @@ All commands are deterministic given the same inputs and seed.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -142,6 +143,9 @@ def _load_training_inputs(config: CliConfig):
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None, seed: int | None, output_format: str | None):
     """Hierarchical HS-code classification with evidence retrieval."""
+    # Every command prints a library warning as one "warning: <message>" line.
+    ctx.with_resource(warnings.catch_warnings())
+    warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
     ctx.ensure_object(dict)
     ctx.obj["config_path"] = config_path
     ctx.obj["seed"] = seed

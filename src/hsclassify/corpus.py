@@ -2,7 +2,7 @@
 
 File formats (both JSON Lines, one record per line):
 
-* case file:   {"id", "description" (str), "hs_code", "date",
+* case file:   {"id" (str), "description" (str), "hs_code", "date",
                 "revoked"? (bool), "gold_evidence"? ([str])}
 * manual file: {"heading", "sentences": [str]}
 
@@ -186,7 +186,7 @@ def _case_from_record(record: dict, line: int, ingestion_date: dt.date) -> Decis
         gold = tuple(gold)
     try:
         return DecisionCase(
-            id=str(record["id"]),
+            id=record["id"],
             description=description,
             label=label,
             decision_date=date,
@@ -216,7 +216,9 @@ def load_cases(path: str | Path, ingestion_date: dt.date | None = None) -> list[
                 raise ParseError(f"invalid JSON: {exc}", line_no) from exc
             if not isinstance(record, dict):
                 raise ParseError("record is not an object", line_no)
-            case_id = str(record.get("id", ""))
+            case_id = record.get("id", "")
+            if not isinstance(case_id, str):
+                raise ParseError("id must be a string", line_no)
             if case_id in seen:
                 raise DuplicateId(f"line {line_no}: duplicate case id {case_id!r}")
             if case_id:

@@ -49,10 +49,6 @@ class BadTemperature(HsClassifyError):
     """Temperature must be a finite positive real."""
 
 
-class EmptyManual(HsClassifyError):
-    """Retrieval was asked to run against a manual entry with no sentences."""
-
-
 class UntrainedModel(HsClassifyError):
     """Prediction requested from a model that has not been fitted or loaded."""
 

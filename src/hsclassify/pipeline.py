@@ -9,8 +9,9 @@ once per description, for a chunk of descriptions at a time, and records the
 outputs in one ``InferenceTrace`` per description. Stage 3 and the
 similar-case query reuse the top heading's evidence retrieved in the heading
 stage. ``infer`` and ``predict`` are its one-description case;
-``evaluate_pipeline``, ``refit_temperatures`` and the stage-3 validation
-inputs of ``fit`` read its traces.
+``evaluate_pipeline`` and ``refit_temperatures`` read its traces. ``fit``
+pools its stage-3 validation inputs with the same retrieval and pooling
+calls.
 
 Every batched step computes each description's floats with the same calls as
 for that description alone: heads and norms are stacked per-row products,
@@ -26,7 +27,7 @@ import json
 import warnings
 import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -196,6 +197,8 @@ class PipelineModel:
             raise ValueError("heading classifier is not bound to the heading label space")
         if self.subheading_classifier.labels != list(self.label_space.subheadings):
             raise ValueError("subheading classifier is not bound to the subheading label space")
+        if (self.ablation_classifier is None) != (self.ablation_scaler is None):
+            raise ValueError("an ablation head needs an ablation temperature, and the reverse")
 
     # -- inference ---------------------------------------------------------
 
@@ -210,60 +213,45 @@ class PipelineModel:
         Key sentences are retrieved for the top ``max(headings, 1)``
         headings: the top heading's are stage 3's evidence, the others are
         read by a report. Descriptions are tokenized and inferred
-        ``CHUNK_ROWS`` at a time.
-        """
-        for start in range(0, len(descriptions), CHUNK_ROWS):
-            chunk = descriptions[start : start + CHUNK_ROWS]
-            yield from self._infer_chunk(chunk, [tokenize(d) for d in chunk], headings)
-
-    def _infer_chunk(
-        self,
-        descriptions: Sequence[str],
-        tokens: Sequence[list[str]],
-        headings: int,
-        description_vectors: np.ndarray | None = None,
-    ) -> list[InferenceTrace]:
-        """The traces of tokenized descriptions; their vectors if already pooled.
-
-        Every retrieval of a description shares one query, and every evidence
-        vector pools the description's part followed by its sentences' parts.
+        ``CHUNK_ROWS`` at a time. Every retrieval of a description shares one
+        query, and every evidence vector pools the description's part
+        followed by its sentences' parts.
         """
         space = self.label_space
-        parts = [self.encoder.part(t) for t in tokens]
-        x = description_vectors
-        if x is None:
-            x = self.encoder.pool_many([[part] for part in parts])
-        heading_logits = self.heading_classifier.logits(x)
-        heading_probs = self.heading_scaler.probabilities(heading_logits)
-        ranked = np.argsort(-heading_probs, axis=1, kind="stable")
-
         headings = max(headings, 1)
-        entries = [[self.manuals.get(space.headings[h]) for h in row[:headings]] for row in ranked]
-        retrievals = _retrieve(self.retriever, tokens, entries)
-        stage3 = _with_evidence(
-            self.encoder, self.retriever, parts, x,
-            [row[0] for row in entries], [row[0] for row in retrievals],
-        )
-        subheading_logits = self.subheading_classifier.logits(stage3)
-        probs = self.subheading_scaler.probabilities(subheading_logits)
-        ablation_logits = None
-        if self.ablation_classifier is not None:
-            ablation_logits = self.ablation_classifier.logits(x)
-        return [
-            InferenceTrace(
-                description=description,
-                tokens=tokens[i],
-                heading_logits=heading_logits[i],
-                heading_probabilities=heading_probs[i],
-                ranked_headings=ranked[i].tolist(),
-                retrievals=retrievals[i],
-                stage3_vector=stage3[i],
-                subheading_logits=subheading_logits[i],
-                subheading_probabilities=probs[i],
-                ablation_logits=None if ablation_logits is None else ablation_logits[i],
+        for start in range(0, len(descriptions), CHUNK_ROWS):
+            chunk = descriptions[start : start + CHUNK_ROWS]
+            tokens = [tokenize(d) for d in chunk]
+            parts = [self.encoder.part(t) for t in tokens]
+            x = self.encoder.pool_many([[part] for part in parts])
+            heading_logits = self.heading_classifier.logits(x)
+            heading_probs = self.heading_scaler.probabilities(heading_logits)
+            ranked = np.argsort(-heading_probs, axis=1, kind="stable")
+
+            entries = [[self.manuals.get(space.headings[h]) for h in row[:headings]] for row in ranked]
+            retrievals = _retrieve(self.retriever, tokens, entries)
+            stage3 = _with_evidence(
+                self.encoder, self.retriever, parts, x,
+                [row[0] for row in entries], [row[0] for row in retrievals],
             )
-            for i, description in enumerate(descriptions)
-        ]
+            subheading_logits = self.subheading_classifier.logits(stage3)
+            probs = self.subheading_scaler.probabilities(subheading_logits)
+            ablation_logits = None
+            if self.ablation_classifier is not None:
+                ablation_logits = self.ablation_classifier.logits(x)
+            for i, description in enumerate(chunk):
+                yield InferenceTrace(
+                    description=description,
+                    tokens=tokens[i],
+                    heading_logits=heading_logits[i],
+                    heading_probabilities=heading_probs[i],
+                    ranked_headings=ranked[i].tolist(),
+                    retrievals=retrievals[i],
+                    stage3_vector=stage3[i],
+                    subheading_logits=subheading_logits[i],
+                    subheading_probabilities=probs[i],
+                    ablation_logits=None if ablation_logits is None else ablation_logits[i],
+                )
 
     # -- prediction --------------------------------------------------------
 
@@ -414,12 +402,13 @@ def fit(
     tokens are released once used; only the validation tokens outlive the
     training encoding. Training cases are encoded one gold heading at a
     time, ``CHUNK_ROWS`` at a time: each once, and once more with the key
-    sentences of its gold heading's manual; a case
-    without evidence reuses its description vector (a missing manual warns
-    once per heading). The case index holds the stage-3 training vectors;
-    stage-3 validation inputs come from the inference path, which reuses
-    each validation description's tokens and vector. The ablation head, when
-    trained, reads the description vectors of stage 1.
+    sentences of its gold heading's manual; a case without evidence reuses
+    its description vector (a missing manual warns once per heading). The
+    case index holds the stage-3 training vectors. A validation case's
+    stage-3 input is what inference would pool for it: its description
+    with the key sentences of its top heading's manual, ranked by the
+    heading logits the heading temperature is fitted on. The ablation head,
+    when trained, reads the description vectors of stage 1.
     """
     if not train_cases:
         raise EmptyInput("no training cases")
@@ -463,7 +452,7 @@ def fit(
             x3_train[rows] = _with_evidence(
                 encoder, retriever, parts, x1, [entry] * len(rows), results
             )
-    del train_tokens  # validation inference below reads only ``val_tokens``
+    del train_tokens  # the validation inputs below read only ``val_tokens``
 
     y1_train = _label_indices(train_cases, label_space.heading_index, "heading")
     x1_val = _pool_descriptions(encoder, val_tokens)
@@ -471,44 +460,27 @@ def fit(
     heading_clf, heading_report = train(
         x1_train, y1_train, x1_val, y1_val, config.heading_train, label_space.headings
     )
-    heading_scaler = _fit_scaler(heading_clf.logits(x1_val), y1_val, TemperatureScaler())
+    heading_logits = heading_clf.logits(x1_val)
+    heading_scaler = _fit_scaler(heading_logits, y1_val, TemperatureScaler())
 
-    case_index = build_index(list(train_cases), x3_train)
-
-    # The model so far, with an untrained (uniform) subheading head, infers
-    # the stage-3 validation inputs.
-    subheadings = list(label_space.subheadings)
-    model = PipelineModel(
-        encoder=encoder,
-        heading_classifier=heading_clf,
-        subheading_classifier=SoftmaxClassifier(
-            np.zeros((encoder.output_dimension, len(subheadings))),
-            np.zeros(len(subheadings)),
-            subheadings,
-        ),
-        manuals=dict(manuals),
-        retriever=retriever,
-        heading_scaler=heading_scaler,
-        subheading_scaler=TemperatureScaler(),
-        label_space=label_space,
-        case_index=case_index,
-        config=config,
-    )
+    # Stage 3 validates on what inference gives it: each validation
+    # description pooled with the key sentences of its top heading's manual.
+    top_headings = heading_scaler.probabilities(heading_logits).argmax(axis=1)
     x3_val = np.zeros_like(x1_val)
     for start in range(0, len(validation_cases), CHUNK_ROWS):
         stop = start + CHUNK_ROWS
-        traces = model._infer_chunk(
-            [c.description for c in validation_cases[start:stop]],
-            val_tokens[start:stop],
-            0,
-            x1_val[start:stop],
+        tokens = val_tokens[start:stop]
+        entries = [manuals.get(label_space.headings[h]) for h in top_headings[start:stop]]
+        results = [row[0] for row in _retrieve(retriever, tokens, [[e] for e in entries])]
+        x3_val[start:stop] = _with_evidence(
+            encoder, retriever, [encoder.part(t) for t in tokens], x1_val[start:stop],
+            entries, results,
         )
-        for i, trace in enumerate(traces, start):
-            x3_val[i] = trace.stage3_vector
 
     y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")
     y3_val = _label_indices(validation_cases, label_space.subheading_index, "subheading")
 
+    subheadings = list(label_space.subheadings)
     subheading_clf, subheading_report = train(
         x3_train, y3_train, x3_val, y3_val, config.subheading_train, subheadings
     )
@@ -524,10 +496,17 @@ def fit(
             ablation_scaler=_fit_scaler(ablation_clf.logits(x1_val), y3_val, TemperatureScaler()),
         )
 
-    return replace(
-        model,
+    return PipelineModel(
+        encoder=encoder,
+        heading_classifier=heading_clf,
         subheading_classifier=subheading_clf,
+        manuals=dict(manuals),
+        retriever=retriever,
+        heading_scaler=heading_scaler,
         subheading_scaler=_fit_scaler(subheading_clf.logits(x3_val), y3_val, TemperatureScaler()),
+        label_space=label_space,
+        case_index=build_index(list(train_cases), x3_train),
+        config=config,
         **ablation,
         fit_report=FitReport(
             heading=heading_report,

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DecisionCase, ManualEntry, parse_hs_code
+from .corpus import DecisionCase, ManualEntry, _case_from_record
 from .textproc import WordVectorTable
 
 _CONSONANTS = "bdfgklmnprstvz"
@@ -210,19 +210,12 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthCorpus:
             }
         )
 
-    cases = [
-        DecisionCase(
-            id=r["id"],
-            description=r["description"],
-            label=parse_hs_code(r["hs_code"]),
-            decision_date=dt.date.fromisoformat(r["date"]),
-            gold_evidence=tuple(r["gold_evidence"]) if "gold_evidence" in r else None,
-        )
-        for r in records
-        if not r.get("revoked")
-    ]
     return SynthCorpus(
-        cases=cases,
+        cases=[
+            _case_from_record(record, line, dt.date.max)
+            for line, record in enumerate(records, start=1)
+            if not record.get("revoked")
+        ],
         manual=manual,
         vectors=WordVectorTable(vectors),
         raw_case_records=records,

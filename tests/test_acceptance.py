@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hsclassify.calibration import fit_temperature, scale
+from hsclassify.calibration import TemperatureScaler, fit_temperature
 from hsclassify.classifier import _gradient
 from hsclassify.cli import main
 from hsclassify.pipeline import CandidateReport, _from_dict, load_pipeline
@@ -115,13 +115,13 @@ class TestCriterion4Calibration:
         scaler = fit_temperature(scaled, labels)
 
         def nll(temperature: float) -> float:
-            picked = scale(scaled, temperature)[np.arange(n), labels]
+            picked = TemperatureScaler(temperature).probabilities(scaled)[np.arange(n), labels]
             return float(-np.log(np.maximum(picked, 1e-12)).mean())
 
         in_range = 2.4 <= scaler.temperature <= 3.75
         not_worse = nll(scaler.temperature) <= nll(1.0) + 1e-12
         preserved = all(
-            scale(z, scaler.temperature)[int(np.argmax(z))] == scale(z, scaler.temperature).max()
+            scaler.probabilities(z)[int(np.argmax(z))] == scaler.probabilities(z).max()
             for z in scaled
         )
         ok = in_range and not_worse and preserved

@@ -11,7 +11,6 @@ import pytest
 from hsclassify import textproc
 from hsclassify.alignment import KeySentenceRetriever, RetrievalConfig
 from hsclassify.corpus import ManualEntry
-from hsclassify.errors import EmptyManual
 from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
 
 from oracles import (
@@ -192,14 +191,6 @@ class TestRetrieve:
         assert result.covered_keywords | result.uncovered_keywords == result.query_keywords
         assert result.covered_keywords & result.uncovered_keywords == set()
         assert all(s.text == entry.sentences[s.index] for s in result.sentences)
-
-    def test_empty_manual_raises(self, toy_vectors, toy_idf):
-        retriever = KeySentenceRetriever(toy_vectors, toy_idf)
-        entry = ManualEntry.__new__(ManualEntry)  # bypass validation
-        object.__setattr__(entry, "heading", "8541")
-        object.__setattr__(entry, "sentences", ())
-        with pytest.raises(EmptyManual):
-            retriever.retrieve("solar", entry)
 
     def test_stopwords_removed_from_query(self, toy_vectors, toy_idf):
         retriever = KeySentenceRetriever(toy_vectors, toy_idf, frozenset({"the"}))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsclassify.calibration import TemperatureScaler, fit_temperature, scale
+from hsclassify.calibration import TemperatureScaler, fit_temperature
 from hsclassify.errors import BadTemperature, EmptyInput
 
 
@@ -24,7 +24,7 @@ def sample_self_consistent_logits(n: int, classes: int, seed: int, spread: float
 
 
 def mean_nll(logits, labels, temperature):
-    probs = scale(logits, temperature)
+    probs = TemperatureScaler(temperature).probabilities(logits)
     picked = probs[np.arange(len(labels)), labels]
     return float(-np.log(np.maximum(picked, 1e-12)).mean())
 
@@ -33,25 +33,26 @@ class TestScale:
     def test_unit_temperature_is_plain_softmax(self):
         logits = np.array([0.5, -1.0, 2.0])
         expected = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(scale(logits, 1.0), expected, atol=1e-12)
+        probs = TemperatureScaler(1.0).probabilities(logits)
+        np.testing.assert_allclose(probs, expected, atol=1e-12)
 
     def test_huge_temperature_flattens_to_uniform(self):
-        probs = scale(np.array([3.0, 0.0, -2.0, 1.0]), 1e6)
+        probs = TemperatureScaler(1e6).probabilities(np.array([3.0, 0.0, -2.0, 1.0]))
         np.testing.assert_allclose(probs, 0.25, atol=1e-4)
 
     def test_halved_logits_match_half_temperature(self):
-        got = scale(np.array([2.0, 0.0]), 2.0)
+        got = TemperatureScaler(2.0).probabilities(np.array([2.0, 0.0]))
         assert got[0] == pytest.approx(0.7311, abs=1e-4)
         assert got[1] == pytest.approx(0.2689, abs=1e-4)
 
     def test_bad_temperature(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(BadTemperature):
-                scale(np.zeros(2), bad)
+                TemperatureScaler(bad).probabilities(np.zeros(2))
 
     def test_output_is_simplex(self):
         rng = np.random.default_rng(3)
-        probs = scale(rng.normal(size=7), 0.37)
+        probs = TemperatureScaler(0.37).probabilities(rng.normal(size=7))
         assert probs.min() >= 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -64,7 +65,7 @@ class TestScale:
         # Tie-tolerant: the original argmax must attain the scaled maximum
         # (near-equal logits may collapse to exact ties in float).
         logits = np.array(logits)
-        probs = scale(logits, temperature)
+        probs = TemperatureScaler(temperature).probabilities(logits)
         assert probs[int(np.argmax(logits))] == probs.max()
 
 
@@ -73,11 +74,6 @@ class TestTemperatureScaler:
         for bad in (0.0, -2.0, math.inf):
             with pytest.raises(BadTemperature):
                 TemperatureScaler(bad)
-
-    def test_probabilities_delegates_to_scale(self):
-        scaler = TemperatureScaler(2.0)
-        logits = np.array([2.0, 0.0])
-        np.testing.assert_allclose(scaler.probabilities(logits), scale(logits, 2.0))
 
 
 class TestFitTemperature:

@@ -121,6 +121,24 @@ class TestTrainCommand:
         for name in first:
             assert first[name] == second[name], name
 
+    def test_missing_manual_entry_warns_in_one_line(self, runner, corpus_dir, tmp_path):
+        records = (corpus_dir / "manual.jsonl").read_text().splitlines()
+        assert json.loads(records[0])["heading"] == "8501"
+        (tmp_path / "manual.jsonl").write_text("".join(r + "\n" for r in records[1:]))
+        config = write_config(
+            corpus_dir,
+            tmp_path / "config.json",
+            manual=str(tmp_path / "manual.jsonl"),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        result = runner.invoke(main, ["--config", str(config), "train"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == [
+            "warning: no manual entry for gold heading 8501; affected cases train on "
+            "description alone"
+        ]
+        assert "cli.py:" not in result.output
+
     def test_no_config_exit_2(self, runner):
         result = runner.invoke(main, ["train"])
         assert result.exit_code == 2
@@ -259,9 +277,13 @@ class TestCalibrateCommand:
             checkpoint_dir=str(checkpoint),
         )
         before = json.loads((checkpoint / "manifest.json").read_text())
-        with pytest.warns(UserWarning, match="no usable validation cases"):
-            result = runner.invoke(main, ["--config", str(config), "calibrate"])
+        result = runner.invoke(main, ["--config", str(config), "calibrate"])
         assert result.exit_code == 0, result.output
+        # Python prints a warning once per message and source line.
+        assert result.stderr.splitlines() == [
+            "warning: no usable validation cases; the temperature is kept"
+        ]
+        assert "cli.py:" not in result.output
         after = json.loads((checkpoint / "manifest.json").read_text())
         for stage in ("heading", "subheading"):
             assert before[f"{stage}_temperature"] != 1.0
@@ -489,6 +511,12 @@ def nan_first_idf_value(checkpoint: Path) -> None:
     rehash_checkpoint(checkpoint)
 
 
+def ablation_temperature_without_head(checkpoint: Path) -> None:
+    path = checkpoint / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "ablation_temperature": 1.0}))
+    rehash_checkpoint(checkpoint)
+
+
 def delete_idf(checkpoint: Path) -> None:
     (checkpoint / "idf.json").unlink()
 
@@ -510,6 +538,7 @@ class TestExitCodes:
             (nan_first_vector, "vectors.npz"),
             (nan_first_case_embedding, "case_index.npz"),
             (nan_first_idf_value, "idf.json"),
+            (ablation_temperature_without_head, "ckpt: ValueError: an ablation head needs"),
         ],
     )
     def test_corrupt_checkpoint_exit_1(self, runner, trained_dir, tmp_path, corrupt, bad_file):

@@ -12,6 +12,7 @@ from hsclassify.corpus import (
     DatasetSplit,
     HsCode,
     LabelSpace,
+    ManualEntry,
     build_label_space,
     chronological_split,
     load_cases,
@@ -152,6 +153,22 @@ class TestLoadCases:
         with pytest.raises(DuplicateId):
             load_cases(path)
 
+    @pytest.mark.parametrize("case_id", [None, ["a"], 7])
+    def test_non_string_id_names_line(self, tmp_path, case_id):
+        # A revoked record is checked too, before its id counts as seen.
+        record = {"description": "x", "hs_code": "854140", "date": "2024-01-01"}
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(
+            path,
+            [
+                {**record, "id": "a"},
+                {**record, "id": case_id, "revoked": True},
+                {**record, "id": case_id},
+            ],
+        )
+        with pytest.raises(ParseError, match="line 2: id must be a string"):
+            load_cases(path)
+
     def test_revoked_records_dropped(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         write_jsonl(
@@ -212,6 +229,11 @@ class TestLoadManual:
         write_jsonl(path, [{"heading": "8541", "sentences": []}])
         with pytest.raises(ParseError):
             load_manual(path)
+
+    def test_entry_without_sentences_refused(self):
+        # So key-sentence retrieval never meets an entry with nothing to select.
+        with pytest.raises(ValueError, match="manual entry 8541 has no sentences"):
+            ManualEntry(heading="8541", sentences=())
 
     def test_dotted_heading_normalized(self, tmp_path):
         path = tmp_path / "manual.jsonl"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -39,7 +40,7 @@ from hsclassify.pipeline import (
 from hsclassify.synth import SynthConfig, generate
 
 import oracles
-from conftest import edit_checkpoint_arrays, make_case
+from conftest import edit_checkpoint_arrays, make_case, rehash_checkpoint
 
 SMALL = SynthConfig(
     headings=6,
@@ -427,6 +428,22 @@ class TestCheckpoint:
         with pytest.raises(UntrainedModel, match="manifest.json"):
             load_pipeline(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("head", ["without", "with"])
+    def test_ablation_head_and_temperature_load_together(
+        self, model, ablation_model, tmp_path, head
+    ):
+        # A re-signed manifest whose ablation temperature disagrees with its head files.
+        checkpoint = tmp_path / "ckpt"
+        save_pipeline(ablation_model if head == "with" else model, checkpoint)
+        path = checkpoint / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["ablation_temperature"] = None if head == "with" else 1.0
+        path.write_text(json.dumps(manifest))
+        rehash_checkpoint(checkpoint)
+        message = f"{re.escape(str(checkpoint))}: ValueError: an ablation head needs"
+        with pytest.raises(UntrainedModel, match=message):
+            load_pipeline(checkpoint)
+
     def test_mismatched_assembly_rejected(self, model):
         bad = SoftmaxClassifier(
             np.zeros((model.heading_classifier.input_dimension + 1, 2)),
@@ -662,6 +679,28 @@ class TestSinglePass:
         assert ablation_x.tobytes() == heading_x.tobytes()
         assert ablation_val.tobytes() == heading_val.tobytes()
         assert stage3_x.tobytes() != heading_x.tobytes()
+
+    def test_subheading_head_validates_on_the_inference_vectors(self, small_corpus, monkeypatch):
+        corpus, split = small_corpus
+        val_inputs = {}  # each head's validation inputs, by label length
+
+        def recording_train(x, y, x_val, *rest):
+            val_inputs[len(rest[-1][0])] = x_val
+            return train(x, y, x_val, *rest)
+
+        train = pipeline.train
+        monkeypatch.setattr(pipeline, "train", recording_train)
+        # A barely trained heading head, so that it misranks some validation case.
+        config = PipelineConfig(
+            heading_train=TrainConfig(epochs=1, learning_rate=0.01),
+            subheading_train=FAST_TRAIN["subheading_train"],
+        )
+        model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
+        traces = [model.infer(case.description) for case in split.validation]
+        gold = [model.label_space.heading_index[c.label.heading] for c in split.validation]
+        assert any(t.ranked_headings[0] != g for t, g in zip(traces, gold))
+        stage3 = np.array([trace.stage3_vector for trace in traces])
+        assert val_inputs[6].tobytes() == stage3.tobytes()
 
 
 class TestEvaluate:
