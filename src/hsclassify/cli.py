@@ -130,6 +130,17 @@ def _load_training_inputs(config: CliConfig):
     return manuals, vectors, stopwords
 
 
+def _echo_temperatures(model: PipelineModel) -> None:
+    """One line with each stage's temperature; the ablation head's when there is one."""
+    line = (
+        f"temperatures: heading {model.heading_scaler.temperature:.4f}"
+        f"  subheading {model.subheading_scaler.temperature:.4f}"
+    )
+    if model.ablation_scaler is not None:
+        line += f"  ablation {model.ablation_scaler.temperature:.4f}"
+    click.echo(line)
+
+
 @click.group()
 @click.option("--config", "config_path", type=str, default=None, help="Path to a JSON config file.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
@@ -188,10 +199,7 @@ def train(ctx: click.Context, with_ablation: bool):
         )
     if report.missing_manual_cases:
         click.echo(f"warning: {report.missing_manual_cases} cases lack a gold-heading manual entry")
-    click.echo(
-        f"temperatures: heading {model.heading_scaler.temperature:.4f}"
-        f"  subheading {model.subheading_scaler.temperature:.4f}"
-    )
+    _echo_temperatures(model)
     click.echo(f"checkpoint written to {config.checkpoint_dir}")
 
 
@@ -264,10 +272,7 @@ def calibrate(ctx: click.Context):
     except HsClassifyError as exc:
         raise click.UsageError(str(exc))
     save_pipeline(model, config.checkpoint_dir)
-    click.echo(
-        f"temperatures: heading {model.heading_scaler.temperature:.4f}"
-        f"  subheading {model.subheading_scaler.temperature:.4f}"
-    )
+    _echo_temperatures(model)
 
 
 @main.command()

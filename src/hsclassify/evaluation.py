@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import top_k
 from .corpus import DecisionCase
 from .errors import BadK, EmptyInput
-from .pipeline import PipelineModel
+from .pipeline import CHUNK_ROWS, PipelineModel
 from .textproc import content_keywords, tokenize
 
 MATCH_F1_THRESHOLD = 0.6
@@ -94,39 +93,32 @@ def _match_evidence(
     )
 
 
-def _word_index(
-    manual_tokens: Mapping[str, Iterable[str]],
-) -> tuple[list[str], dict[str, list[int]]]:
-    """The headings in ascending order, and each manual token's positions among them.
-
-    ``manual_tokens`` maps each heading to the tokens of its manual entry.
-    """
-    if not manual_tokens:
-        raise EmptyInput("no manual entries")
-    headings = sorted(manual_tokens)
-    postings: dict[str, list[int]] = {}
-    for position, heading in enumerate(headings):
-        for token in set(manual_tokens[heading]):
-            postings.setdefault(token, []).append(position)
-    return headings, postings
-
-
-def _rank_by_word_matching(
-    description_tokens: Sequence[str],
-    postings: Mapping[str, list[int]],
+def _word_matching_rankings(
+    token_lists: Sequence[Sequence[str]],
+    postings: Mapping[str, Sequence[int]],
     heading_count: int,
     stopwords: frozenset[str] | set[str],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Heading positions by descending score, ties ascending, and each heading's score.
+    """Each row's heading positions by descending score, ties ascending, and its scores.
 
-    A heading's score is the share of the description's distinct content
-    tokens that its manual holds.
+    Row i ranks the headings for ``token_lists[i]``. A heading's score is the
+    share of the description's distinct content tokens that its manual
+    holds; with no content token, every score is 0. The rows' match counts
+    are one ``np.bincount`` and their orders one stable argsort, whose
+    permutation of a row depends on that row's values alone.
     """
-    content = content_keywords(description_tokens, stopwords)
-    hits = [position for t in content for position in postings.get(t, ())]
-    counts = np.bincount(np.array(hits, dtype=np.intp), minlength=heading_count)
-    scores = counts / len(content) if content else np.zeros(heading_count)
-    return np.argsort(-scores, kind="stable"), scores
+    hits: list[int] = []
+    lengths = []
+    for row, tokens in enumerate(token_lists):
+        content = content_keywords(tokens, stopwords)
+        lengths.append(len(content))
+        offset = row * heading_count
+        hits += [offset + position for t in content for position in postings.get(t, ())]
+    shape = (len(token_lists), heading_count)
+    counts = np.bincount(np.array(hits, dtype=np.intp), minlength=shape[0] * shape[1])
+    lengths = np.array(lengths, dtype=np.intp)[:, None]
+    scores = np.divide(counts.reshape(shape), lengths, out=np.zeros(shape), where=lengths > 0)
+    return np.argsort(-scores, axis=1, kind="stable"), scores
 
 
 @dataclass
@@ -216,22 +208,31 @@ def evaluate_pipeline(
     sentences against each case's gold evidence, averaged over the cases that
     carry gold evidence. The ablation variant is reported when the model has
     a second stage-3 head; the word-matching baseline ranks the model's
-    manual entries, the ones the pipeline retrieves from.
+    manual entries, the ones the pipeline retrieves from. ``ks`` must hold
+    one or more ints of at least 1; anything else raises ``BadK`` before
+    any case is inferred.
 
     The metrics read the rankings and the top heading's key sentences only,
     so each case is inferred with one retrieval and no candidate report is
-    built: the similar cases of a report are never read. Each description is
-    tokenized once, for the inference and the baseline; manual sentences'
-    tokens come from the retriever's prepared entries, so the retriever
-    keeps no entry beyond the model's own. The baseline counts each
-    heading's matches through one inverted index of those tokens.
+    built: the similar cases of a report are never read. Cases are ranked
+    one inference chunk (``CHUNK_ROWS`` cases) at a time: the subheadings,
+    the ablation head's subheadings and the baseline's headings each by one
+    row-wise stable argsort, which orders each row as ``top_k`` orders it
+    alone. Each description is tokenized once, for the inference and the
+    baseline, and each distinct gold evidence sentence once per call;
+    manual sentences' tokens come from the retriever's prepared entries, so
+    the retriever keeps no entry beyond the model's own. The baseline counts
+    matches through the model's ``word_index``, built once per model.
     """
+    if not ks:
+        raise BadK("no k to evaluate")
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise BadK(f"k={k!r} must be an int >= 1")
     if not test_cases:
         raise EmptyInput("no test cases")
     max_k = max(ks)
 
-    heading_ranked: list[list[str]] = []
-    subheading_ranked: list[list[str]] = []
     ablation_ranked: list[list[str]] = []
     baseline_ranked: list[list[str]] = []
     records: list[CaseRecord] = []
@@ -239,48 +240,60 @@ def evaluate_pipeline(
     recalls: list[float] = []
 
     has_ablation = model.ablation_classifier is not None
+    space = model.label_space
     retriever = model.retriever
-    manual_headings, postings = _word_index(
-        {heading: retriever.prepare(entry).tokens for heading, entry in model.manuals.items()}
-    )
-    traces = model.infer_many([case.description for case in test_cases], headings=1)
-    for case, trace in zip(test_cases, traces):
-        ranked_headings, ranked_subheadings = model.rankings(trace, max_k)
-        headings = [heading for heading, _ in ranked_headings]
-        subheadings = [subheading for subheading, _ in ranked_subheadings]
-        heading_ranked.append(headings)
-        subheading_ranked.append(subheadings)
-        order, _ = _rank_by_word_matching(
-            trace.tokens, postings, len(manual_headings), retriever.stopwords
+    manual_headings, postings = model.word_index
+    gold_token_sets: dict[str, set[str]] = {}
+
+    def token_set(text: str) -> set[str]:
+        tokens = gold_token_sets.get(text)
+        if tokens is None:
+            tokens = gold_token_sets[text] = set(tokenize(text))
+        return tokens
+
+    def ranked(probabilities: np.ndarray, labels: Sequence[str]) -> list[list[str]]:
+        order = np.argsort(-probabilities, axis=1, kind="stable")[:, :max_k]
+        return [[labels[i] for i in row] for row in order.tolist()]
+
+    for start in range(0, len(test_cases), CHUNK_ROWS):
+        chunk = test_cases[start : start + CHUNK_ROWS]
+        traces = list(model.infer_many([case.description for case in chunk], headings=1))
+        subheadings = ranked(
+            np.stack([t.subheading_probabilities for t in traces]), space.subheadings
         )
-        baseline_ranked.append([manual_headings[i] for i in order[:max_k].tolist()])
+        order, _ = _word_matching_rankings(
+            [t.tokens for t in traces], postings, len(manual_headings), retriever.stopwords
+        )
+        baseline_ranked += [[manual_headings[i] for i in row] for row in order[:, :max_k].tolist()]
         if has_ablation:
-            probs = model.ablation_scaler.probabilities(trace.ablation_logits)
-            order = top_k(probs, min(max_k, len(probs)))
-            ablation_ranked.append([model.label_space.subheadings[i] for i, _ in order])
+            logits = np.stack([t.ablation_logits for t in traces])
+            ablation_ranked += ranked(model.ablation_scaler.probabilities(logits), space.subheadings)
 
-        record = CaseRecord(
-            case_id=case.id,
-            gold_heading=case.label.heading,
-            gold_subheading=case.label.subheading,
-            predicted_headings=headings,
-            predicted_subheadings=subheadings,
-        )
-        if case.gold_evidence:
-            result = trace.retrievals[0]
-            retrieved = []
-            if result is not None:
-                entry = model.manuals[model.label_space.headings[trace.ranked_headings[0]]]
-                prepared = retriever.prepare(entry)
-                retrieved = [(prepared.token_set(s.index), s.text) for s in result.sentences]
-            outcome = _match_evidence(retrieved, [set(tokenize(s)) for s in case.gold_evidence])
-            record.retrieval_precision = outcome.precision
-            record.retrieval_recall = outcome.recall
-            precisions.append(outcome.precision)
-            if outcome.recall is not None:
-                recalls.append(outcome.recall)
-        records.append(record)
+        for case, trace, case_subheadings in zip(chunk, traces, subheadings):
+            record = CaseRecord(
+                case_id=case.id,
+                gold_heading=case.label.heading,
+                gold_subheading=case.label.subheading,
+                predicted_headings=[space.headings[i] for i in trace.ranked_headings[:max_k]],
+                predicted_subheadings=case_subheadings,
+            )
+            if case.gold_evidence:
+                result = trace.retrievals[0]
+                retrieved = []
+                if result is not None:
+                    entry = model.manuals[space.headings[trace.ranked_headings[0]]]
+                    prepared = retriever.prepare(entry)
+                    retrieved = [(prepared.token_set(s.index), s.text) for s in result.sentences]
+                outcome = _match_evidence(retrieved, [token_set(s) for s in case.gold_evidence])
+                record.retrieval_precision = outcome.precision
+                record.retrieval_recall = outcome.recall
+                precisions.append(outcome.precision)
+                if outcome.recall is not None:
+                    recalls.append(outcome.recall)
+            records.append(record)
 
+    heading_ranked = [r.predicted_headings for r in records]
+    subheading_ranked = [r.predicted_subheadings for r in records]
     gold_headings = [c.label.heading for c in test_cases]
     gold_subheadings = [c.label.subheading for c in test_cases]
     return MetricsReport(

@@ -28,6 +28,7 @@ import warnings
 import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -200,6 +201,18 @@ class PipelineModel:
         if (self.ablation_classifier is None) != (self.ablation_scaler is None):
             raise ValueError("an ablation head needs an ablation temperature, and the reverse")
 
+    @cached_property
+    def word_index(self) -> tuple[list[str], dict[str, list[int]]]:
+        """The word-matching baseline's index of the manual, built on first use.
+
+        The headings with a manual entry in ascending order, and each token of
+        their prepared entries mapped to its headings' positions. A
+        ``dataclasses.replace`` copy builds its own; checkpoints hold none.
+        An in-place change to ``manuals`` after the first use is not seen.
+        """
+        retriever = self.retriever
+        return _word_index({h: retriever.prepare(e).tokens for h, e in self.manuals.items()})
+
     # -- inference ---------------------------------------------------------
 
     def infer(self, description: str, headings: int = 0) -> InferenceTrace:
@@ -310,6 +323,23 @@ class PipelineModel:
         )
 
 
+def _word_index(
+    manual_tokens: Mapping[str, Sequence[str]],
+) -> tuple[list[str], dict[str, list[int]]]:
+    """The headings in ascending order, and each manual token's positions among them.
+
+    ``manual_tokens`` maps each heading to the tokens of its manual entry.
+    """
+    if not manual_tokens:
+        raise EmptyInput("no manual entries")
+    headings = sorted(manual_tokens)
+    postings: dict[str, list[int]] = {}
+    for position, heading in enumerate(headings):
+        for token in set(manual_tokens[heading]):
+            postings.setdefault(token, []).append(position)
+    return headings, postings
+
+
 def _retrieve(
     retriever: KeySentenceRetriever,
     tokens: Sequence[list[str]],
@@ -375,12 +405,17 @@ def _label_indices(cases: Sequence[DecisionCase], index: Mapping[str, int], leve
 
 
 def _fit_scaler(
-    logits: list[np.ndarray], labels: list[int], current: TemperatureScaler
+    logits: list[np.ndarray], labels: list[int], current: TemperatureScaler, stage: str
 ) -> TemperatureScaler:
-    """The scaler fitted on the cases with a known label; ``current`` if there are none."""
+    """The scaler fitted on the cases with a known label; ``current`` if there are none.
+
+    ``stage`` names the head in the warning that ``current`` is kept.
+    """
     usable = [(z, y) for z, y in zip(logits, labels) if y >= 0]
     if not usable:
-        warnings.warn("no usable validation cases; the temperature is kept", stacklevel=3)
+        warnings.warn(
+            f"{stage} stage: no usable validation cases; the temperature is kept", stacklevel=3
+        )
         return current
     return fit_temperature([z for z, _ in usable], [y for _, y in usable])
 
@@ -461,7 +496,7 @@ def fit(
         x1_train, y1_train, x1_val, y1_val, config.heading_train, label_space.headings
     )
     heading_logits = heading_clf.logits(x1_val)
-    heading_scaler = _fit_scaler(heading_logits, y1_val, TemperatureScaler())
+    heading_scaler = _fit_scaler(heading_logits, y1_val, TemperatureScaler(), "heading")
 
     # Stage 3 validates on what inference gives it: each validation
     # description pooled with the key sentences of its top heading's manual.
@@ -493,7 +528,9 @@ def fit(
         )
         ablation = dict(
             ablation_classifier=ablation_clf,
-            ablation_scaler=_fit_scaler(ablation_clf.logits(x1_val), y3_val, TemperatureScaler()),
+            ablation_scaler=_fit_scaler(
+                ablation_clf.logits(x1_val), y3_val, TemperatureScaler(), "ablation"
+            ),
         )
 
     return PipelineModel(
@@ -503,7 +540,9 @@ def fit(
         manuals=dict(manuals),
         retriever=retriever,
         heading_scaler=heading_scaler,
-        subheading_scaler=_fit_scaler(subheading_clf.logits(x3_val), y3_val, TemperatureScaler()),
+        subheading_scaler=_fit_scaler(
+            subheading_clf.logits(x3_val), y3_val, TemperatureScaler(), "subheading"
+        ),
         label_space=label_space,
         case_index=build_index(list(train_cases), x3_train),
         config=config,
@@ -529,10 +568,14 @@ def refit_temperatures(model: PipelineModel, validation_cases: Sequence[Decision
     heading_labels = _label_indices(validation_cases, space.heading_index, "heading")
     subheading_labels = _label_indices(validation_cases, space.subheading_index, "subheading")
     heading, subheading, ablation = ([z[i] for z in logits] for i in range(3))
-    model.heading_scaler = _fit_scaler(heading, heading_labels, model.heading_scaler)
-    model.subheading_scaler = _fit_scaler(subheading, subheading_labels, model.subheading_scaler)
+    model.heading_scaler = _fit_scaler(heading, heading_labels, model.heading_scaler, "heading")
+    model.subheading_scaler = _fit_scaler(
+        subheading, subheading_labels, model.subheading_scaler, "subheading"
+    )
     if model.ablation_classifier is not None:
-        model.ablation_scaler = _fit_scaler(ablation, subheading_labels, model.ablation_scaler)
+        model.ablation_scaler = _fit_scaler(
+            ablation, subheading_labels, model.ablation_scaler, "ablation"
+        )
 
 
 # -- checkpointing -----------------------------------------------------------

@@ -39,12 +39,11 @@ from hsclassify.evaluation import (
     MetricsReport,
     PrecisionRecall,
     _match_evidence,
-    _rank_by_word_matching,
-    _word_index,
+    _word_matching_rankings,
     top_k_accuracy,
 )
 from hsclassify.errors import EmptyInput
-from hsclassify.pipeline import InferenceTrace, PipelineModel
+from hsclassify.pipeline import InferenceTrace, PipelineModel, _word_index
 from hsclassify.textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, tokenize
 
 
@@ -367,11 +366,11 @@ def word_matching_baseline(
         for heading, entry in manuals.items()
     }
     headings, postings = _word_index(manual_tokens)
-    order, scores = _rank_by_word_matching(
-        tokenize(description), postings, len(headings), stopwords
+    order, scores = _word_matching_rankings(
+        [tokenize(description)], postings, len(headings), stopwords
     )
-    scores = scores.tolist()
-    return [(headings[i], scores[i]) for i in order.tolist()]
+    scores = scores[0].tolist()
+    return [(headings[i], scores[i]) for i in order[0].tolist()]
 
 
 def retrieval_precision_recall(

@@ -260,6 +260,26 @@ class TestCalibrateCommand:
         )
 
     def test_no_usable_validation_case_keeps_temperatures(self, runner, trained_dir, tmp_path):
+        self.check_every_stage_keeps_its_temperature(
+            runner, trained_dir, trained_dir / "checkpoint", tmp_path, ("heading", "subheading")
+        )
+
+    def test_ablation_head_keeps_and_reports_its_temperature(
+        self, runner, trained_dir, tmp_path
+    ):
+        checkpoint = tmp_path / "ablation-checkpoint"
+        config = write_config(trained_dir, tmp_path / "train.json", checkpoint_dir=str(checkpoint))
+        result = runner.invoke(
+            main, ["--config", str(config), "--seed", "13", "train", "--with-ablation"]
+        )
+        assert result.exit_code == 0, result.output
+        assert re.search(r"^temperatures: .*  ablation \d+\.\d{4}$", result.output, re.MULTILINE)
+        self.check_every_stage_keeps_its_temperature(
+            runner, trained_dir, checkpoint, tmp_path, ("heading", "subheading", "ablation")
+        )
+
+    @staticmethod
+    def check_every_stage_keeps_its_temperature(runner, trained_dir, source, tmp_path, stages):
         # Every validation case gets a code the model never saw, so no stage can be refitted.
         cases_file = trained_dir / "cases.jsonl"
         validation = {c.id for c in chronological_split(load_cases(cases_file)).validation}
@@ -269,7 +289,7 @@ class TestCalibrateCommand:
                 record["hs_code"] = "9999.99"
         write_jsonl(tmp_path / "cases.jsonl", records)
         checkpoint = tmp_path / "checkpoint"
-        shutil.copytree(trained_dir / "checkpoint", checkpoint)
+        shutil.copytree(source, checkpoint)
         config = write_config(
             trained_dir,
             tmp_path / "config.json",
@@ -279,15 +299,21 @@ class TestCalibrateCommand:
         before = json.loads((checkpoint / "manifest.json").read_text())
         result = runner.invoke(main, ["--config", str(config), "calibrate"])
         assert result.exit_code == 0, result.output
-        # Python prints a warning once per message and source line.
+        # Python prints a warning once per message and source line; each
+        # stage's message names the stage, so each is printed.
         assert result.stderr.splitlines() == [
-            "warning: no usable validation cases; the temperature is kept"
+            f"warning: {stage} stage: no usable validation cases; the temperature is kept"
+            for stage in stages
         ]
         assert "cli.py:" not in result.output
         after = json.loads((checkpoint / "manifest.json").read_text())
-        for stage in ("heading", "subheading"):
+        for stage in stages:
             assert before[f"{stage}_temperature"] != 1.0
             assert after[f"{stage}_temperature"] == before[f"{stage}_temperature"]
+        summary = "temperatures: " + "  ".join(
+            f"{stage} {before[f'{stage}_temperature']:.4f}" for stage in stages
+        )
+        assert summary in result.stdout.splitlines()
 
 
 class TestCasesAreTheOnlyInput:

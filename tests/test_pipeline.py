@@ -547,7 +547,8 @@ class TestSinglePass:
         _, split = small_corpus
         cases = list(split.test)
         gold = [s for c in cases for s in c.gold_evidence or ()]
-        assert gold
+        # A manual sentence is gold evidence for many cases.
+        assert len(set(gold)) < len(gold)
         calls = Counter()
         tokenized = Counter()
         for module in (pipeline, alignment, encoder, evaluation):
@@ -564,9 +565,10 @@ class TestSinglePass:
             PipelineModel, "report", lambda *a: calls.update(["report"]) or report(*a)
         )
         # The fitted model prepared every manual entry, so manual sentences
-        # are not tokenized; a description once, a gold evidence sentence once.
+        # are not tokenized; a description once, each distinct gold evidence
+        # sentence once, however many cases it is gold for.
         evaluate_pipeline(model, cases)
-        assert tokenized == Counter([c.description for c in cases] + gold)
+        assert tokenized == Counter([c.description for c in cases] + list(set(gold)))
         assert calls == {}
 
     def test_refit_temperatures(self, model, small_corpus, calls):
@@ -776,6 +778,18 @@ class TestEvaluate:
     def test_empty_test_rejected(self, model):
         with pytest.raises(EmptyInput):
             evaluate_pipeline(model, [])
+
+    @pytest.mark.parametrize("ks", [(), (1, -2), (3.5,), (0,), (1, True)])
+    def test_bad_ks_rejected_before_inference(self, model, small_corpus, monkeypatch, ks):
+        _, split = small_corpus
+        inferred = []
+        original = PipelineModel.infer_many
+        monkeypatch.setattr(
+            PipelineModel, "infer_many", lambda *a, **kw: inferred.append(1) or original(*a, **kw)
+        )
+        with pytest.raises(BadK):
+            evaluate_pipeline(model, list(split.test), ks)
+        assert not inferred
 
 
 def fitted_with_zero_heads(model):
