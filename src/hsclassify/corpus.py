@@ -160,7 +160,19 @@ class DatasetSplit:
                 raise ValueError("split partitions are not chronologically ordered")
 
 
-def _case_from_record(record: dict, line: int, ingestion_date: dt.date) -> DecisionCase:
+def _case_from_record(
+    record: dict,
+    line: int,
+    ingestion_date: dt.date,
+    codes: dict[str, HsCode],
+    dates: dict[str, dt.date],
+) -> DecisionCase:
+    """The case of ``record``, which sits on ``line``; ParseError names the line.
+
+    ``codes`` and ``dates`` map each raw code and date string already parsed
+    in this load to its value, so each distinct string is parsed once. Both
+    values are immutable, so cases share them.
+    """
     for key in ("id", "description", "hs_code", "date"):
         if key not in record:
             raise ParseError(f"missing field {key!r}", line)
@@ -169,14 +181,20 @@ def _case_from_record(record: dict, line: int, ingestion_date: dt.date) -> Decis
         raise ParseError("description must be a string", line)
     if not description.strip():
         raise ParseError("description is empty", line)
-    try:
-        label = parse_hs_code(str(record["hs_code"]))
-    except MalformedCode as exc:
-        raise ParseError(f"bad hs_code: {exc}", line) from exc
-    try:
-        date = dt.date.fromisoformat(str(record["date"]))
-    except ValueError as exc:
-        raise ParseError(f"bad date: {exc}", line) from exc
+    raw_code = str(record["hs_code"])
+    label = codes.get(raw_code)
+    if label is None:
+        try:
+            label = codes[raw_code] = parse_hs_code(raw_code)
+        except MalformedCode as exc:
+            raise ParseError(f"bad hs_code: {exc}", line) from exc
+    raw_date = str(record["date"])
+    date = dates.get(raw_date)
+    if date is None:
+        try:
+            date = dates[raw_date] = dt.date.fromisoformat(raw_date)
+        except ValueError as exc:
+            raise ParseError(f"bad date: {exc}", line) from exc
     if date > ingestion_date:
         raise ParseError(f"date {date.isoformat()} is after ingestion date", line)
     gold = record.get("gold_evidence")
@@ -206,7 +224,9 @@ def load_cases(path: str | Path, ingestion_date: dt.date | None = None) -> list[
         ingestion_date = dt.date.today()
     cases: list[DecisionCase] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    codes: dict[str, HsCode] = {}
+    dates: dict[str, dt.date] = {}
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -225,7 +245,7 @@ def load_cases(path: str | Path, ingestion_date: dt.date | None = None) -> list[
                 seen.add(case_id)
             if record.get("revoked"):
                 continue
-            cases.append(_case_from_record(record, line_no, ingestion_date))
+            cases.append(_case_from_record(record, line_no, ingestion_date, codes, dates))
     return cases
 
 
@@ -236,7 +256,7 @@ def load_manual(path: str | Path) -> dict[str, ManualEntry]:
     are equivalent); sentence order is preserved as given.
     """
     entries: dict[str, ManualEntry] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ def top_k_accuracy(ranked: Sequence[Sequence[str]], gold: Sequence[str], k: int)
         raise EmptyInput(f"{len(ranked)} ranked lists vs {len(gold)} gold labels")
     if not ranked:
         raise EmptyInput("nothing to evaluate")
-    hits = sum(1 for predictions, label in zip(ranked, gold) if label in list(predictions)[:k])
+    hits = sum(1 for predictions, label in zip(ranked, gold) if label in islice(predictions, k))
     return hits / len(ranked)
 
 

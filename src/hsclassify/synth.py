@@ -210,9 +210,10 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthCorpus:
             }
         )
 
+    codes, dates = {}, {}
     return SynthCorpus(
         cases=[
-            _case_from_record(record, line, dt.date.max)
+            _case_from_record(record, line, dt.date.max, codes, dates)
             for line, record in enumerate(records, start=1)
             if not record.get("revoked")
         ],

@@ -40,7 +40,7 @@ def tokenize(text: str) -> list[str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file, one token per line; blank lines ignored."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return frozenset(w.strip().lower() for w in handle if w.strip())
 
 
@@ -116,34 +116,51 @@ class WordVectorTable:
         """Parse a text vector file: ``token v1 ... vd`` per line.
 
         An optional first line ``count dim`` (two integers) is accepted and
-        skipped, matching common pretrained-vector releases.
+        skipped, matching common pretrained-vector releases. A value is any
+        string Python's ``float()`` reads. Each line's values are converted
+        in one call and streamed into one buffer, 8 bytes per value, which
+        is checked for non-finite values once, at the end. The first fault
+        in file order is reported: a bad value, a token with no values or a
+        non-finite value, and after those, inconsistent lengths.
         """
         tokens: list[str] = []
         values = array("d")  # every row's values, end to end
-        lengths: set[int] = set()
-        with open(path, encoding="utf-8") as handle:
+        ends = array("q")  # where each row ends in values
+        lines = array("q")  # each row's line number
+        fault = None  # the line that stopped the read
+        with open(path, encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, start=1):
-                parts = line.rstrip("\n").split(" ")
+                token, *fields = line.rstrip("\n").split(" ")
                 if not line.strip():
                     continue
-                if line_no == 1 and len(parts) == 2:
+                if line_no == 1 and len(fields) == 1:
                     try:
-                        int(parts[0]), int(parts[1])
+                        int(token), int(fields[0])
                         continue  # header line
                     except ValueError:
                         pass
-                token = parts[0]
+                if "" in fields:  # from repeated or trailing spaces
+                    fields = [x for x in fields if x != ""]
                 try:
-                    row = [float(x) for x in parts[1:] if x != ""]
+                    row = np.array(fields, dtype=float)
                 except ValueError as exc:
-                    raise ParseError(f"bad vector value: {exc}", line_no) from exc
-                if not row:
-                    raise ParseError(f"token {token!r} has no vector values", line_no)
-                if not all(map(math.isfinite, row)):
-                    raise ParseError(f"token {token!r} has a non-finite vector value", line_no)
+                    fault = ParseError(f"bad vector value: {exc}", line_no)
+                    break
+                if not fields:
+                    fault = ParseError(f"token {token!r} has no vector values", line_no)
+                    break
                 tokens.append(token)
-                values.extend(row)
-                lengths.add(len(row))
+                lines.append(line_no)
+                values.frombytes(row.tobytes())
+                ends.append(len(values))
+        # Every row read precedes the fault, so a non-finite value is reported first.
+        non_finite = np.flatnonzero(~np.isfinite(values))
+        if non_finite.size:
+            i = int(np.searchsorted(ends, non_finite[0], side="right"))
+            raise ParseError(f"token {tokens[i]!r} has a non-finite vector value", lines[i])
+        if fault is not None:
+            raise fault
+        lengths = set(np.diff(ends, prepend=0).tolist())
         if len(lengths) > 1:
             raise DimensionMismatch(f"inconsistent vector lengths: {sorted(lengths)}")
         dimension = lengths.pop() if lengths else 0

@@ -216,6 +216,57 @@ class TestLoadCases:
         with pytest.raises(ParseError, match="line 1"):
             load_cases(path)
 
+    def test_shared_codes_and_dates_load_as_parsed_from_scratch(self, tmp_path):
+        codes, dates = ["8541.40", "854140", 854140, "8528.59-10"], ["2024-01-01", "2024-02-01"]
+        records = [
+            {"id": f"c{i}", "description": f"item {i}", "hs_code": codes[i % 4], "date": dates[i % 2]}
+            for i in range(40)
+        ]
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(path, records)
+        cases = load_cases(path)
+        assert cases == [
+            make_case(r["id"], r["description"], str(r["hs_code"]), r["date"]) for r in records
+        ]
+        # Each distinct raw string is parsed once; its value is shared.
+        assert cases[0].label is cases[4].label and cases[0].label is not cases[1].label
+        assert cases[0].decision_date is cases[2].decision_date
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("hs_code", "85x140", "bad hs_code: non-digit"),
+            ("hs_code", "8541", "bad hs_code: need at least 6 digits"),
+            ("date", "2024-13-01", "bad date"),
+            ("date", "2025-01-01", "date 2025-01-01 is after ingestion date"),
+        ],
+    )
+    def test_bad_code_or_date_names_the_line_it_first_appears_on(
+        self, tmp_path, field, value, match
+    ):
+        record = {"description": "x", "hs_code": "854140", "date": "2024-01-01"}
+        records = [{**record, "id": f"c{i}"} for i in range(5)]
+        records[2][field] = records[4][field] = value
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(path, records)
+        with pytest.raises(ParseError, match=f"line 3: {match}") as info:
+            load_cases(path, ingestion_date=dt.date(2024, 12, 31))
+        assert info.value.line == 3
+
+    def test_crlf_line_endings(self, tmp_path):
+        record = {"id": "a", "description": "x", "hs_code": "854140", "date": "2024-01-01"}
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        write_jsonl(lf, [record, {**record, "id": "b"}])
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_cases(crlf) == load_cases(lf)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        record = {"id": "a", "description": "x", "hs_code": "854140", "date": "2024-01-01"}
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        write_jsonl(plain, [record, {**record, "id": "b"}])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_cases(marked) == load_cases(plain)
+
 
 class TestLoadManual:
     def test_sentence_count_preserved(self, tmp_path):
@@ -263,6 +314,12 @@ class TestLoadManual:
         )
         with pytest.raises(DuplicateHeading):
             load_manual(path)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        write_jsonl(plain, [{"heading": "8541", "sentences": ["a"]}])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_manual(marked) == load_manual(plain)
 
 
 class TestChronologicalSplit:

@@ -52,6 +52,19 @@ class TestTopKAccuracy:
         values = [top_k_accuracy(ranked, gold, k) for k in (1, 3, 5)]
         assert values[0] <= values[1] <= values[2]
 
+    def test_tuple_rankings(self):
+        ranked = [("a", "b", "c"), ("x", "a", "y"), ("x", "y", "a")]
+        gold = ["a"] * 3
+        assert [top_k_accuracy(ranked, gold, k) for k in (1, 2, 3)] == [1 / 3, 2 / 3, 1.0]
+        assert top_k_accuracy(ranked, gold, 2) == top_k_accuracy([list(r) for r in ranked], gold, 2)
+
+    def test_rankings_shorter_than_k(self):
+        ranked = [["a"], ("b", "a"), [], ("b",)]
+        gold = ["a"] * 4
+        assert top_k_accuracy(ranked, gold, 1) == 0.25
+        assert top_k_accuracy(ranked, gold, 2) == 0.5
+        assert top_k_accuracy(ranked, gold, 10) == 0.5
+
     def test_bad_k(self):
         with pytest.raises(BadK):
             top_k_accuracy([["a"]], ["a"], 0)

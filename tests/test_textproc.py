@@ -208,6 +208,50 @@ class TestWordVectorTable:
         assert table.tokens() == ["a", "b"]
         assert table.get("a").tolist() == [2.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "text, vectors",
+        [
+            ("foo 1 0\r\nbar 0 1\r\n", {"foo": [1.0, 0.0], "bar": [0.0, 1.0]}),
+            ("foo  1 0 \nbar 0  1\n", {"foo": [1.0, 0.0], "bar": [0.0, 1.0]}),
+            ("foo 1_0 \u0661\u0662 .5 -1e-400\n", {"foo": [10.0, 12.0, 0.5, -0.0]}),
+        ],
+    )
+    def test_load_reads_values_as_float_does(self, tmp_path, text, vectors):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        table = WordVectorTable.load(path)
+        assert {t: table.get(t).tolist() for t in table.tokens()} == vectors
+
+    @pytest.mark.parametrize(
+        "text, error, match, line",
+        [
+            ("foo 1 0\nbar\n", ParseError, "token 'bar' has no vector values", 2),
+            ("foo 1 0\nbar \nbaz 1 2 3\n", ParseError, "token 'bar' has no vector values", 2),
+            (
+                "foo 1 0\nbar 1 x\nbaz 1 2 3\n",
+                ParseError,
+                "bad vector value: could not convert string to float: 'x'",
+                2,
+            ),
+            ("foo 1 0\nbar 1 0 0\nbaz 1 y\n", ParseError, "could not convert string to float: 'y'", 3),
+            ("foo 1 0\nbar 1 2 3\n", DimensionMismatch, r"inconsistent vector lengths: \[2, 3\]", None),
+        ],
+    )
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, text, error, match, line):
+        # Per-line faults in file order, then inconsistent lengths.
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error, match=match) as info:
+            WordVectorTable.load(path)
+        assert getattr(info.value, "line", None) == line
+
+    @pytest.mark.parametrize("header", ["", "2 3\n"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, header):
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"\ufeff{header}foo 1 0 0\nbar 0 1 0\n", encoding="utf-8")
+        table = WordVectorTable.load(path)
+        assert table.tokens() == ["foo", "bar"] and table.dimension == 3
+
 
 class TestWordVectorTableIsImmutable:
     def test_constructor_copies_its_input(self):
@@ -279,6 +323,9 @@ class TestUnitRows:
             ("foo 1 0 0\nbar 0 nan 0\n", 2),
             ("foo 1 0 0\nbar 0 1 0\nbaz inf 0 0\n", 3),
             ("foo -Infinity 0 0\n", 1),
+            ("foo 1 0 0\nbar 0 nan 0\nbaz x 0 0\n", 2),
+            ("foo 1 0 0\nbar 0 1e400\nbaz x 0 0\nqux 1\n", 2),
+            ("foo 1\nbar 1 2 3\n\nbaz 1 nan\nqux 1 inf\n", 4),
         ],
     )
     def test_non_finite_values_rejected_with_line(self, tmp_path, text, line):
@@ -293,6 +340,12 @@ def test_load_stopwords(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("The\nof\n\nwith\n", encoding="utf-8")
     assert load_stopwords(path) == {"the", "of", "with"}
+
+
+def test_load_stopwords_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("\ufeffThe\nof\n", encoding="utf-8")
+    assert load_stopwords(path) == {"the", "of"}
 
 
 def test_default_stopword_list_is_small_english():
