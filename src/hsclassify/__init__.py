@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .alignment import KeySentenceRetriever, RetrievalConfig, RetrievalResult
 from .calibration import TemperatureScaler, fit_temperature
 from .case_retrieval import CaseIndex, build_index, similar_cases
-from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, top_k, train
+from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, train
 from .corpus import (
     DatasetSplit,
     DecisionCase,
@@ -74,7 +74,6 @@ __all__ = [
     "SoftmaxClassifier",
     "TemperatureScaler",
     "tokenize",
-    "top_k",
     "top_k_accuracy",
     "train",
     "TrainConfig",

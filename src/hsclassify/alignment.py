@@ -120,10 +120,13 @@ class Query:
 class KeySentenceRetriever:
     """Binds vector, idf and stopword tables to the retrieval procedure.
 
-    The first retrieval from a manual entry tokenizes its sentences (unless
-    ``prepare`` was given their tokens) and keeps their distinct tokens'
-    unit rows and each sentence's token ids, keyed by the entry;
-    ``evidence_parts`` reads the selected sentences' encoder parts from them.
+    ``queries`` builds each description's ``Query`` once, and
+    ``retrieve_many`` selects key sentences from one manual entry for many
+    queries at a time. The first retrieval from an entry tokenizes its
+    sentences (unless ``prepare`` was given their tokens) and keeps their
+    distinct tokens' unit rows and each sentence's token ids, keyed by the
+    entry; ``evidence_parts`` reads the selected sentences' encoder parts
+    from them.
     """
 
     def __init__(
@@ -177,10 +180,6 @@ class KeySentenceRetriever:
         prepared = self.prepare(manual_entry)
         return [prepared.parts[sentence.index] for sentence in result.sentences]
 
-    def query(self, tokens: list[str]) -> Query:
-        """The query of a description with ``tokens``."""
-        return self.queries([tokens])[0]
-
     def queries(self, token_lists: Sequence[list[str]]) -> list[Query]:
         """The query of each description's tokens.
 
@@ -197,12 +196,6 @@ class KeySentenceRetriever:
             Query(keywords, order, rows[end - len(order) : end], weights[end - len(order) : end])
             for keywords, order, end in zip(keyword_sets, orders, ends)
         ]
-
-    def retrieve(self, description: str | Query, manual_entry: ManualEntry) -> RetrievalResult:
-        """``retrieve_many`` of one query; ``description`` is the text or its ``query``."""
-        if not isinstance(description, Query):
-            description = self.query(tokenize(description))
-        return self.retrieve_many([description], manual_entry)[0]
 
     def retrieve_many(
         self, queries: Sequence[Query], manual_entry: ManualEntry

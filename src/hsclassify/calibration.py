@@ -12,6 +12,7 @@ from .classifier import mean_log_loss, picked_probabilities, softmax_inplace
 from .errors import BadTemperature, EmptyInput
 
 TEMPERATURE_BOUNDS = (0.05, 20.0)
+SEARCH_TOLERANCE = 1e-4  # on the ln T scale
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -36,12 +37,12 @@ def _mean_nll(
 
 
 def fit_temperature(
-    validation_logits: Sequence[np.ndarray], labels: Sequence[int], tolerance: float = 1e-4
+    validation_logits: Sequence[np.ndarray], labels: Sequence[int]
 ) -> TemperatureScaler:
     """Pick T minimizing validation NLL by golden-section search on ln T.
 
-    The search runs over ln T in [ln 0.05, ln 20] down to ``tolerance`` on the
-    log scale, so the bracket always contains T = 1.
+    The search runs over ln T in [ln 0.05, ln 20] down to ``SEARCH_TOLERANCE``,
+    so the bracket always contains T = 1.
     """
     if len(validation_logits) == 0:
         raise EmptyInput("no validation logits to fit a temperature")
@@ -62,7 +63,7 @@ def fit_temperature(
     f_low = objective(inner_low)
     f_high = objective(inner_high)
     # <= prefers the lower segment on plateaus, e.g. NLL underflowing to 0.
-    while high - low > tolerance:
+    while high - low > SEARCH_TOLERANCE:
         if f_low <= f_high:
             high, inner_high, f_high = inner_high, inner_low, f_low
             inner_low = high - _INV_PHI * (high - low)

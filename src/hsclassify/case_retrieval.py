@@ -104,7 +104,7 @@ def similar_cases(
     Each is ``(case_id, similarity, snippet)``. Ties break on lexicographic
     case id; an unknown subheading yields []. Every case is scored once with
     ``cosine``'s expression; a case or query whose norm is below
-    ``RESCALE_BELOW`` is scored by ``cosine`` itself.
+    ``RESCALE_BELOW`` or inf is scored by ``cosine`` itself.
     """
     if m < 0:
         raise BadK(f"m={m} is negative")
@@ -118,16 +118,17 @@ def similar_cases(
         )
     if m == 0:
         return []
-    query_norm = np.linalg.norm(query)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        query_norm = np.linalg.norm(query)
         scores = _row_dots(bucket.embeddings, query) / (bucket.norms * query_norm)
     rows = len(scores)
-    tiny = np.nonzero(bucket.norms < RESCALE_BELOW)[0]
-    for i in range(rows) if query_norm < RESCALE_BELOW else tiny:
+    rescaled = np.nonzero((bucket.norms < RESCALE_BELOW) | (bucket.norms == np.inf))[0]
+    for i in range(rows) if query_norm < RESCALE_BELOW or query_norm == np.inf else rescaled:
         scores[i] = cosine(query, bucket.embeddings[i])
     leaders = range(rows)
-    # A NaN score (only overflowing norms give one) has no rank, so the whole
-    # bucket is sorted then, as the scalar loop sorts it.
+    # A NaN score (only an overflowing dot product or a non-finite value
+    # gives one) has no rank, so the whole bucket is sorted then, as the
+    # scalar loop sorts it.
     if m < rows and not np.isnan(scores).any():
         leaders = np.nonzero(scores >= np.partition(scores, rows - m)[rows - m])[0].tolist()
     ranked = sorted(leaders, key=lambda i: (-scores[i], bucket.ids[i]))[:m]

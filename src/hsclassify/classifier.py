@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadK, DimensionMismatch, EmptyInput, IndexOutOfRange
+from .errors import DimensionMismatch, EmptyInput, IndexOutOfRange
 
 _LOG_FLOOR = 1e-12
 
@@ -137,15 +137,6 @@ class SoftmaxClassifier:
                 f"input shape {x.shape} does not match d={self.input_dimension}"
             )
         return (x[..., None, :] @ self.weights)[..., 0, :] + self.bias
-
-
-def top_k(probabilities, k: int) -> list[tuple[int, float]]:
-    """k classes by descending probability; exact ties go to the lower index."""
-    probabilities = np.asarray(probabilities, dtype=float)
-    if not 1 <= k <= probabilities.shape[0]:
-        raise BadK(f"k={k} outside 1..{probabilities.shape[0]}")
-    order = np.argsort(-probabilities, kind="stable")[:k]
-    return [(int(i), float(probabilities[i])) for i in order]
 
 
 def _top1_accuracy(weights, bias, inputs, label_indices) -> float:

@@ -28,7 +28,7 @@ from .pipeline import (
     save_pipeline,
 )
 from .synth import SynthConfig, generate, write_corpus
-from .textproc import DEFAULT_STOPWORDS, WordVectorTable, load_stopwords
+from .textproc import DEFAULT_STOPWORDS, WordVectorTable, load_stopwords, open_text
 
 
 @dataclass
@@ -121,12 +121,11 @@ def _load_training_inputs(config: CliConfig):
     try:
         manuals = load_manual(_require_file(config.manual, "manual"))
         vectors = WordVectorTable.load(_require_file(config.vectors, "vectors"))
+        stopwords = DEFAULT_STOPWORDS
+        if config.stopwords is not None:
+            stopwords = load_stopwords(_require_file(config.stopwords, "stopwords"))
     except HsClassifyError as exc:
         raise click.UsageError(str(exc))
-    if config.stopwords is not None:
-        stopwords = load_stopwords(_require_file(config.stopwords, "stopwords"))
-    else:
-        stopwords = DEFAULT_STOPWORDS
     return manuals, vectors, stopwords
 
 
@@ -212,8 +211,11 @@ def predict(ctx: click.Context, description: str | None, input_file: str | None,
     """Render a candidate report for one item description."""
     config = _ctx_config(ctx)
     if input_file is not None:
-        path = _require_file(Path(input_file), "description")
-        description = path.read_text(encoding="utf-8")
+        try:
+            with open_text(_require_file(Path(input_file), "description")) as handle:
+                description = handle.read()
+        except HsClassifyError as exc:
+            raise click.UsageError(str(exc))
     if description is None or not description.strip():
         raise click.UsageError("provide a non-empty item description (argument or --input-file)")
     model = _load_checkpoint(config.checkpoint_dir)

@@ -26,6 +26,7 @@ from .errors import (
     MalformedCode,
     ParseError,
 )
+from .textproc import open_text
 
 _SEPARATORS = str.maketrans("", "", ".- \t")
 
@@ -226,7 +227,7 @@ def load_cases(path: str | Path, ingestion_date: dt.date | None = None) -> list[
     seen: set[str] = set()
     codes: dict[str, HsCode] = {}
     dates: dict[str, dt.date] = {}
-    with open(path, encoding="utf-8-sig") as handle:
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -256,7 +257,7 @@ def load_manual(path: str | Path) -> dict[str, ManualEntry]:
     are equivalent); sentence order is preserved as given.
     """
     entries: dict[str, ManualEntry] = {}
-    with open(path, encoding="utf-8-sig") as handle:
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

@@ -1,10 +1,11 @@
 """The text-to-vector encoder: an idf-weighted mean of word vectors.
 
 A text's ``Part`` is the array of its in-vocabulary token ids, looked up
-once. The encoder holds one idf weight per vocabulary id and pools
-descriptions with their evidence sentences from parts, many at a time,
-through ``PooledEncoder``'s ``part`` and ``pool_many``: the vectors and
-weights of a group's tokens are gathered by id.
+once (``PooledEncoder.part``). The encoder holds one idf weight per
+vocabulary id and pools groups of parts, many groups at a time
+(``PooledEncoder.pool_many``): a description alone, or followed by its
+evidence sentences' parts. The vectors and weights of a group's tokens are
+gathered by id.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .textproc import IdfTable, WordVectorTable, tokenize
+from .textproc import IdfTable, WordVectorTable
 
 
 # A text's part: the ids of its in-vocabulary tokens, in token order.
@@ -30,8 +31,7 @@ class PooledEncoder:
     A text is pooled from its ``Part``: tokenized and looked up once, then
     pooled alone or followed by other parts (a description by its evidence
     sentences' parts, which the retriever keeps with its prepared manual
-    entry). ``pool_many`` pools many such groups at once; ``pool`` is its
-    one-group case.
+    entry). ``pool_many`` pools many such groups at once.
     """
 
     def __init__(self, vectors: WordVectorTable, idf: IdfTable):
@@ -45,15 +45,11 @@ class PooledEncoder:
     def part(self, tokens: Iterable[str]) -> Part:
         return self.vectors.ids(tokens)
 
-    def pool(self, parts: Sequence[Part]) -> np.ndarray:
-        """Encode the concatenation of ``parts``' tokens; ``pool_many`` of one group."""
-        return self.pool_many([parts])[0]
-
     def pool_many(self, groups: Sequence[Sequence[Part]]) -> np.ndarray:
         """Row i: the encoding of the concatenation of ``groups[i]``'s tokens.
 
-        Equal to ``encode`` of the group's texts joined by a separator the
-        tokenizer drops, computed token by token from +0.0 as a running sum:
+        The idf-weighted mean of the group's token vectors at unit length,
+        computed token by token from +0.0 as a running sum:
         ``pooled += w * v`` and ``total += w``. Each token's ``w * v`` and
         ``w`` form one row of ``d + 1`` terms. Token j of group i goes to
         ``padded[j, i]`` of a zero-padded ``(tokens, groups, d + 1)`` array,
@@ -89,7 +85,4 @@ class PooledEncoder:
         norms = np.sqrt(pooled[:, None, :] @ pooled[:, :, None])[:, 0]
         np.divide(pooled, norms, out=pooled, where=norms > 0.0)
         return pooled
-
-    def encode(self, text: str) -> np.ndarray:
-        return self.pool([self.part(tokenize(text))])
 

@@ -59,3 +59,7 @@ class MissingManualWarning(UserWarning):
 
 class DegenerateSplitWarning(UserWarning):
     """A chronological split produced an empty train or validation partition."""
+
+
+class TemperatureBoundWarning(UserWarning):
+    """A fitted temperature sits at an end of the search range."""

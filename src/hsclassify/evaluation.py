@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import DecisionCase
 from .errors import BadK, EmptyInput
-from .pipeline import CHUNK_ROWS, PipelineModel
+from .pipeline import CHUNK_ROWS, PipelineModel, _ranked
 from .textproc import content_keywords, tokenize
 
 MATCH_F1_THRESHOLD = 0.6
@@ -82,15 +82,11 @@ def _match_evidence(
         used_retrieved.add(r_idx)
         matches += 1
 
-    if retrieved:
-        precision = matches / len(retrieved)
-        precision_defined = True
-    else:
-        precision = 0.0
-        precision_defined = False
-    recall = matches / len(gold_sets) if gold_sets else None
     return PrecisionRecall(
-        precision=precision, recall=recall, matches=matches, precision_defined=precision_defined
+        precision=matches / len(retrieved) if retrieved else 0.0,
+        recall=matches / len(gold_sets) if gold_sets else None,
+        matches=matches,
+        precision_defined=bool(retrieved),
     )
 
 
@@ -105,8 +101,7 @@ def _word_matching_rankings(
     Row i ranks the headings for ``token_lists[i]``. A heading's score is the
     share of the description's distinct content tokens that its manual
     holds; with no content token, every score is 0. The rows' match counts
-    are one ``np.bincount`` and their orders one stable argsort, whose
-    permutation of a row depends on that row's values alone.
+    are one ``np.bincount`` and their orders one ``_ranked`` call.
     """
     hits: list[int] = []
     lengths = []
@@ -119,7 +114,7 @@ def _word_matching_rankings(
     counts = np.bincount(np.array(hits, dtype=np.intp), minlength=shape[0] * shape[1])
     lengths = np.array(lengths, dtype=np.intp)[:, None]
     scores = np.divide(counts.reshape(shape), lengths, out=np.zeros(shape), where=lengths > 0)
-    return np.argsort(-scores, axis=1, kind="stable"), scores
+    return _ranked(scores), scores
 
 
 @dataclass
@@ -148,15 +143,13 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         data = {"n_cases": self.n_cases}
-        for k, v in self.heading_top_k.items():
-            data[f"hs4_top{k}"] = v
-        for k, v in self.subheading_top_k.items():
-            data[f"hs6_top{k}"] = v
-        for k, v in self.baseline_heading_top_k.items():
-            data[f"baseline_hs4_top{k}"] = v
-        if self.ablation_subheading_top_k is not None:
-            for k, v in self.ablation_subheading_top_k.items():
-                data[f"ablation_hs6_top{k}"] = v
+        for prefix, accuracies in [
+            ("hs4", self.heading_top_k),
+            ("hs6", self.subheading_top_k),
+            ("baseline_hs4", self.baseline_heading_top_k),
+            ("ablation_hs6", self.ablation_subheading_top_k or {}),
+        ]:
+            data.update((f"{prefix}_top{k}", v) for k, v in accuracies.items())
         data["retrieval_precision"] = self.retrieval_precision
         data["retrieval_recall"] = self.retrieval_recall
         data["per_case"] = [asdict(r) for r in self.per_case]
@@ -177,16 +170,11 @@ class MetricsReport:
             cells += [fmt(hs6.get(k) if hs6 else None).rjust(9) for k in ks]
             return cells
 
+        hs4 = self.heading_top_k.get(1)
         rows.append(row("word matching", self.baseline_heading_top_k.get(1), None))
         if self.ablation_subheading_top_k is not None:
-            rows.append(
-                row(
-                    "pipeline (ablation)",
-                    self.heading_top_k.get(1),
-                    self.ablation_subheading_top_k,
-                )
-            )
-        rows.append(row("pipeline", self.heading_top_k.get(1), self.subheading_top_k))
+            rows.append(row("pipeline (ablation)", hs4, self.ablation_subheading_top_k))
+        rows.append(row("pipeline", hs4, self.subheading_top_k))
 
         lines = ["  ".join(cells) for cells in rows]
         if self.retrieval_precision is not None:
@@ -218,11 +206,11 @@ def evaluate_pipeline(
     built: the similar cases of a report are never read. Cases are ranked
     one inference chunk (``CHUNK_ROWS`` cases) at a time: the subheadings,
     the ablation head's subheadings and the baseline's headings each by one
-    row-wise stable argsort, which orders each row as ``top_k`` orders it
-    alone. Each description is tokenized once, for the inference and the
-    baseline, and each distinct gold evidence sentence once per call;
-    manual sentences' tokens come from the retriever's prepared entries, so
-    the retriever keeps no entry beyond the model's own. The baseline counts
+    ``_ranked`` call, which orders each row as ``report`` orders it alone.
+    Each description is tokenized once, for the inference and the baseline,
+    and each distinct gold evidence sentence once per call; manual
+    sentences' tokens come from the retriever's prepared entries, so the
+    retriever keeps no entry beyond the model's own. The baseline counts
     matches through the model's ``word_index``, built once per model.
     """
     if not ks:
@@ -252,31 +240,26 @@ def evaluate_pipeline(
             tokens = gold_token_sets[text] = set(tokenize(text))
         return tokens
 
-    def ranked(probabilities: np.ndarray, labels: Sequence[str]) -> list[list[str]]:
-        order = np.argsort(-probabilities, axis=1, kind="stable")[:, :max_k]
-        return [[labels[i] for i in row] for row in order.tolist()]
-
     for start in range(0, len(test_cases), CHUNK_ROWS):
         chunk = test_cases[start : start + CHUNK_ROWS]
         traces = list(model.infer_many([case.description for case in chunk], headings=1))
-        subheadings = ranked(
-            np.stack([t.subheading_probabilities for t in traces]), space.subheadings
-        )
+        subheadings = _ranked(np.stack([t.subheading_probabilities for t in traces]))[:, :max_k]
         order, _ = _word_matching_rankings(
             [t.tokens for t in traces], postings, len(manual_headings), retriever.stopwords
         )
         baseline_ranked += [[manual_headings[i] for i in row] for row in order[:, :max_k].tolist()]
         if has_ablation:
             logits = np.stack([t.ablation_logits for t in traces])
-            ablation_ranked += ranked(model.ablation_scaler.probabilities(logits), space.subheadings)
+            order = _ranked(model.ablation_scaler.probabilities(logits))[:, :max_k]
+            ablation_ranked += [[space.subheadings[i] for i in row] for row in order.tolist()]
 
-        for case, trace, case_subheadings in zip(chunk, traces, subheadings):
+        for case, trace, top in zip(chunk, traces, subheadings.tolist()):
             record = CaseRecord(
                 case_id=case.id,
                 gold_heading=case.label.heading,
                 gold_subheading=case.label.subheading,
                 predicted_headings=[space.headings[i] for i in trace.ranked_headings[:max_k]],
-                predicted_subheadings=case_subheadings,
+                predicted_subheadings=[space.subheadings[i] for i in top],
             )
             if case.gold_evidence:
                 result = trace.retrievals[0]

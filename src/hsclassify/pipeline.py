@@ -8,7 +8,7 @@ ranges over the full subheading label space, with no heading constraint.
 once per description, for a chunk of descriptions at a time, and records the
 outputs in one ``InferenceTrace`` per description. Stage 3 and the
 similar-case query reuse the top heading's evidence retrieved in the heading
-stage. ``infer`` and ``predict`` are its one-description case;
+stage. ``predict`` is its one-description case;
 ``evaluate_pipeline`` and ``refit_temperatures`` read its traces. ``fit``
 pools its stage-3 validation inputs with the same retrieval and pooling
 calls.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import warnings
 import zipfile
 from contextlib import contextmanager
@@ -36,13 +37,13 @@ import numpy as np
 
 from . import __version__
 from .alignment import KeySentenceRetriever, RetrievalConfig, RetrievalResult
-from .calibration import TemperatureScaler, fit_temperature
+from .calibration import SEARCH_TOLERANCE, TEMPERATURE_BOUNDS, TemperatureScaler, fit_temperature
 from .case_retrieval import CaseIndex, build_index, similar_cases
-from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, top_k, train
+from .classifier import SoftmaxClassifier, TrainConfig, TrainReport, train
 from .corpus import DecisionCase, LabelSpace, ManualEntry, build_label_space
 from .encoder import Part, PooledEncoder
 from .errors import BadK, DimensionMismatch, EmptyInput, HsClassifyError, UntrainedModel
-from .errors import MissingManualWarning
+from .errors import MissingManualWarning, TemperatureBoundWarning
 from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, compute_idf, tokenize
 
 CHECKPOINT_FORMAT = 5
@@ -215,11 +216,6 @@ class PipelineModel:
 
     # -- inference ---------------------------------------------------------
 
-    def infer(self, description: str, headings: int = 0) -> InferenceTrace:
-        """``infer_many`` of one description."""
-        (trace,) = self.infer_many([description], headings)
-        return trace
-
     def infer_many(self, descriptions: Sequence[str], headings: int = 0) -> Iterator[InferenceTrace]:
         """Run every stage once for each description; yields their traces in order.
 
@@ -239,7 +235,7 @@ class PipelineModel:
             x = self.encoder.pool_many([[part] for part in parts])
             heading_logits = self.heading_classifier.logits(x)
             heading_probs = self.heading_scaler.probabilities(heading_logits)
-            ranked = np.argsort(-heading_probs, axis=1, kind="stable")
+            ranked = _ranked(heading_probs)
 
             entries = [[self.manuals.get(space.headings[h]) for h in row[:headings]] for row in ranked]
             retrievals = _retrieve(self.retriever, tokens, entries)
@@ -272,36 +268,25 @@ class PipelineModel:
         """Rank headings and subheadings with evidence; k clamps to the label space."""
         if k < 1:
             raise BadK(f"k={k} must be >= 1")
-        return self.report(self.infer(description, headings=k), k)
-
-    def rankings(
-        self, trace: InferenceTrace, k: int
-    ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
-        """A trace's top-k headings and top-k subheadings, each with its score."""
-        space = self.label_space
-        headings = [
-            (space.headings[index], float(trace.heading_probabilities[index]))
-            for index in trace.ranked_headings[:k]
-        ]
-        ranked = top_k(trace.subheading_probabilities, min(k, len(space.subheadings)))
-        subheadings = [(space.subheadings[index], score) for index, score in ranked]
-        return headings, subheadings
+        (trace,) = self.infer_many([description], headings=k)
+        return self.report(trace, k)
 
     def report(self, trace: InferenceTrace, k: int) -> CandidateReport:
         """The top-k candidate report of a trace inferred with ``headings >= k``."""
-        headings, subheadings = self.rankings(trace, k)
+        space = self.label_space
         heading_candidates = [
             HeadingCandidate(
-                heading=heading,
-                score=score,
+                heading=space.headings[index],
+                score=float(trace.heading_probabilities[index]),
                 key_sentences=result.sentence_texts() if result is not None else [],
                 manual_missing=result is None,
             )
-            for (heading, score), result in zip(headings, trace.retrievals)
+            for index, result in zip(trace.ranked_headings[:k], trace.retrievals)
         ]
-
+        probabilities = trace.subheading_probabilities
         subheading_candidates = []
-        for subheading, score in subheadings:
+        for index in _ranked(probabilities)[:k].tolist():
+            subheading = space.subheadings[index]
             neighbours = similar_cases(
                 self.case_index,
                 trace.stage3_vector,
@@ -311,7 +296,7 @@ class PipelineModel:
             subheading_candidates.append(
                 SubheadingCandidate(
                     subheading=subheading,
-                    score=score,
+                    score=float(probabilities[index]),
                     similar_cases=[SimilarCase(*neighbour) for neighbour in neighbours],
                 )
             )
@@ -321,6 +306,11 @@ class PipelineModel:
             heading_candidates=heading_candidates,
             subheading_candidates=subheading_candidates,
         )
+
+
+def _ranked(probabilities: np.ndarray) -> np.ndarray:
+    """Indices by descending probability on the last axis, ties to the lower index, row by row."""
+    return np.argsort(-probabilities, axis=-1, kind="stable")
 
 
 def _word_index(
@@ -409,7 +399,8 @@ def _fit_scaler(
 ) -> TemperatureScaler:
     """The scaler fitted on the cases with a known label; ``current`` if there are none.
 
-    ``stage`` names the head in the warning that ``current`` is kept.
+    ``stage`` names the head in the warning that ``current`` is kept, or
+    that the fitted temperature is at an end of ``TEMPERATURE_BOUNDS``.
     """
     usable = [(z, y) for z, y in zip(logits, labels) if y >= 0]
     if not usable:
@@ -417,7 +408,14 @@ def _fit_scaler(
             f"{stage} stage: no usable validation cases; the temperature is kept", stacklevel=3
         )
         return current
-    return fit_temperature([z for z, _ in usable], [y for _, y in usable])
+    scaler = fit_temperature([z for z, _ in usable], [y for _, y in usable])
+    for bound in TEMPERATURE_BOUNDS:
+        if abs(math.log(scaler.temperature / bound)) <= SEARCH_TOLERANCE:
+            warnings.warn(
+                f"{stage} stage: the fitted temperature {scaler.temperature:.4f} is at the "
+                f"search bound {bound}", TemperatureBoundWarning, stacklevel=3,
+            )
+    return scaler
 
 
 def fit(

@@ -9,8 +9,9 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -38,9 +39,30 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text, a leading byte-order mark skipped.
+
+    A byte that is not UTF-8 raises ``ParseError`` naming the file and its
+    line, found only then, by reading the file again as bytes.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]  # lines end at "\n", "\r\n" or "\r", as in text mode
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ParseError(f"{path}: not UTF-8 ({exc.reason})", line) from None
+        raise
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file, one token per line; blank lines ignored."""
-    with open(path, encoding="utf-8-sig") as handle:
+    with open_text(path) as handle:
         return frozenset(w.strip().lower() for w in handle if w.strip())
 
 
@@ -128,7 +150,7 @@ class WordVectorTable:
         ends = array("q")  # where each row ends in values
         lines = array("q")  # each row's line number
         fault = None  # the line that stopped the read
-        with open(path, encoding="utf-8-sig") as handle:
+        with open_text(path) as handle:
             for line_no, line in enumerate(handle, start=1):
                 token, *fields = line.rstrip("\n").split(" ")
                 if not line.strip():
@@ -171,12 +193,18 @@ def _unit_table(matrix: np.ndarray) -> np.ndarray:
     """Each row of ``matrix`` over its L2 norm, then one zero row.
 
     Norms are row-wise, so a row gets the bits it gets alone; a zero-norm
-    row is kept as it is.
+    row is kept as it is. A row whose norm overflows to inf is divided by
+    its largest absolute value first, then by the norm of the result.
     """
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     table = np.zeros((len(matrix) + 1, matrix.shape[1]))
     np.divide(matrix, norms, out=table[:-1])
+    huge = np.flatnonzero(norms == np.inf)
+    if huge.size:
+        rows = matrix[huge] / np.abs(matrix[huge]).max(axis=1, keepdims=True)
+        table[huge] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     return table
 
 
@@ -215,8 +243,8 @@ def compute_idf(documents: list[list[str]]) -> IdfTable:
     return IdfTable(document_count=n, values=values)
 
 
-# ``cosine`` rescales a vector whose norm is below this: its squared
-# components are subnormal and skew the norm.
+# ``cosine`` rescales a vector whose norm is below this (its squared
+# components are subnormal and skew the norm) or overflows to inf.
 RESCALE_BELOW = 1e-150
 
 
@@ -226,9 +254,10 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise DimensionMismatch(f"vector lengths differ: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < RESCALE_BELOW or nv < RESCALE_BELOW:
+    with np.errstate(over="ignore"):
+        nu = np.linalg.norm(u)
+        nv = np.linalg.norm(v)
+    if nu < RESCALE_BELOW or nv < RESCALE_BELOW or nu == np.inf or nv == np.inf:
         if nu == 0.0 or nv == 0.0:
             return 0.0
         # The cosine is scale-free, so rescale and recompute.

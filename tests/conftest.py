@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hsclassify.alignment import KeySentenceRetriever, RetrievalResult
 from hsclassify.corpus import DecisionCase, ManualEntry, parse_hs_code
 from hsclassify.encoder import PooledEncoder
 from hsclassify.textproc import IdfTable, WordVectorTable, compute_idf, tokenize
@@ -70,7 +71,20 @@ def make_manual_entry(heading: str, sentences: list[str]) -> ManualEntry:
 
 def encode_with_evidence(encoder: PooledEncoder, description: str, sentences) -> np.ndarray:
     """A description pooled with its evidence sentences, in order, from their parts."""
-    return encoder.pool([encoder.part(tokenize(text)) for text in [description, *sentences]])
+    parts = [encoder.part(tokenize(text)) for text in [description, *sentences]]
+    return encoder.pool_many([parts])[0]
+
+
+def encode(encoder: PooledEncoder, text: str) -> np.ndarray:
+    """One text pooled alone from its part."""
+    return encoder.pool_many([[encoder.part(tokenize(text))]])[0]
+
+
+def retrieve(
+    retriever: KeySentenceRetriever, description: str, entry: ManualEntry
+) -> RetrievalResult:
+    """The key sentences of one description, retrieved alone from ``entry``."""
+    return retriever.retrieve_many(retriever.queries([tokenize(description)]), entry)[0]
 
 
 def write_jsonl(path, records) -> None:

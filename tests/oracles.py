@@ -30,7 +30,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from hsclassify.alignment import KeySentenceRetriever, RetrievalResult, RetrievedSentence
-from hsclassify.classifier import top_k
 from hsclassify.corpus import DecisionCase, ManualEntry
 from hsclassify.encoder import Part
 from hsclassify.evaluation import (
@@ -44,7 +43,13 @@ from hsclassify.evaluation import (
 )
 from hsclassify.errors import EmptyInput
 from hsclassify.pipeline import InferenceTrace, PipelineModel, _word_index
-from hsclassify.textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, tokenize
+from hsclassify.textproc import (
+    DEFAULT_STOPWORDS,
+    IdfTable,
+    WordVectorTable,
+    content_keywords,
+    tokenize,
+)
 
 
 def oracle_cosine(u: list[float], v: list[float]) -> float:
@@ -249,10 +254,15 @@ def joined_encode_with_evidence(vectors, idf, description: str, sentences) -> np
 def unit_row(vector) -> np.ndarray:
     """One vector over its L2 norm as a ``(1, d)`` row; a zero-norm vector is kept as it is.
 
-    The norm is ``np.linalg.norm(axis=1)`` of that row alone.
+    The norm is ``np.linalg.norm(axis=1)`` of that row alone. A row whose
+    norm overflows to inf is first divided by its largest absolute value.
     """
     row = np.array(vector, dtype=float).reshape(1, -1)
-    norm = np.linalg.norm(row, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(row, axis=1, keepdims=True)
+    if np.isinf(norm).all():
+        row = row / np.abs(row).max()
+        norm = np.linalg.norm(row, axis=1, keepdims=True)
     norm[norm == 0.0] = 1.0
     return row / norm
 
@@ -308,7 +318,7 @@ def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: Ma
     keyword is the maximum over its tokens (0 without tokens), and its step
     score the sum over the keywords of ``uncovered * max(best, 0) * idf``.
     """
-    keywords = sorted(retriever.query(tokenize(description)).keywords)
+    keywords = sorted(content_keywords(tokenize(description), retriever.stopwords))
     prepared = retriever.prepare(entry)
     alignments = canonical_alignments(keywords, prepared.rows, retriever.vectors)
     column = {token: j for j, token in enumerate(prepared.tokens)}
@@ -507,9 +517,9 @@ def reference_evaluate(
         )
         ranked["baseline"].append([h for h, _ in baseline[:max_k]])
         if has_ablation:
-            probs = model.ablation_scaler.probabilities(trace.ablation_logits)
-            order = top_k(probs, min(max_k, len(probs)))
-            ranked["ablation"].append([model.label_space.subheadings[i] for i, _ in order])
+            probs = model.ablation_scaler.probabilities(trace.ablation_logits).tolist()
+            order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))[:max_k]
+            ranked["ablation"].append([model.label_space.subheadings[i] for i in order])
         record = CaseRecord(
             case_id=case.id,
             gold_heading=case.label.heading,

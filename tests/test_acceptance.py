@@ -192,8 +192,8 @@ class TestCriterion7MetricInvariants:
         worst = 0.0
         for description in descriptions:
             for probs in (
-                model.infer(description).heading_probabilities,
-                model.infer(description).subheading_probabilities,
+                next(model.infer_many([description])).heading_probabilities,
+                next(model.infer_many([description])).subheading_probabilities,
             ):
                 worst = max(worst, abs(float(probs.sum()) - 1.0))
                 assert probs.min() >= 0.0

@@ -28,6 +28,8 @@ from hsclassify.pipeline import CHUNK_ROWS, PipelineConfig, fit
 from hsclassify.synth import SynthConfig, generate
 from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
 
+from conftest import retrieve
+
 BATCH_SIZES = [1, 2, 40, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
 
 SMALL = SynthConfig(
@@ -136,7 +138,8 @@ class TestInferMany:
             for got, want in zip(traces, reference):
                 assert_same_trace(got, want)
         for position in (1, 39):  # an empty and an all-out-of-vocabulary description alone
-            assert_same_trace(model.infer(texts[position], headings), reference[position])
+            (alone,) = model.infer_many([texts[position]], headings)
+            assert_same_trace(alone, reference[position])
 
         retrievals = [r for trace in reference for r in trace.retrievals]
         assert any(r is not None and r.sentences for r in retrievals)
@@ -204,10 +207,8 @@ class TestPoolMany:
         assert not np.signbit(pooled[0]).any()
         assert not pooled[3].any() and not pooled[4].any()
 
-    def test_pool_is_the_one_group_case(self):
+    def test_no_group_pools_to_no_row(self):
         encoder = random_encoder(np.random.default_rng(5), 7)
-        parts = [encoder.part(["w1", "w2", "neg"]), encoder.part(["w3", "oov"])]
-        assert encoder.pool(parts).tobytes() == encoder.pool_many([parts])[0].tobytes()
         assert encoder.pool_many([]).shape == (0, 7)
 
 
@@ -224,13 +225,12 @@ def make_retriever(vectors: dict, idf_values: dict, **config) -> KeySentenceRetr
 
 
 def assert_retrieves_like_the_scalar_loop(retriever, texts, entry):
-    queries = [retriever.query(tokenize(text)) for text in texts]
-    results = retriever.retrieve_many(queries, entry)
+    results = retriever.retrieve_many(retriever.queries([tokenize(t) for t in texts]), entry)
     assert len(results) == len(texts)
     for text, got in zip(texts, results):
         want = oracles.scalar_retrieve(retriever, text, entry)
         assert retrieval_key(got) == retrieval_key(want)
-        assert retrieval_key(retriever.retrieve(text, entry)) == retrieval_key(want)
+        assert retrieval_key(retrieve(retriever, text, entry)) == retrieval_key(want)
     return results
 
 

@@ -1,4 +1,4 @@
-"""Softmax head: loss, gradients, training dynamics, top-k, checkpointing."""
+"""Softmax head: loss, gradients, training dynamics, checkpointing."""
 
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ from hsclassify.classifier import (
     TrainConfig,
     _gradient,
     softmax_inplace,
-    top_k,
     train,
 )
-from hsclassify.errors import BadK, DimensionMismatch, EmptyInput, IndexOutOfRange
+from hsclassify.errors import DimensionMismatch, EmptyInput, IndexOutOfRange
 
 
 def finite_difference_gradients(weights, bias, inputs, labels, l2, h=1e-5):
@@ -93,47 +92,6 @@ class TestSoftmaxOfLogits:
         clf = SoftmaxClassifier(np.zeros((3, 2)), np.zeros(2), ["a", "b"])
         with pytest.raises(DimensionMismatch):
             probabilities(clf, [1.0, 2.0])
-
-
-class TestTopK:
-    def test_full_k_is_permutation(self):
-        result = top_k([0.2, 0.5, 0.3], 3)
-        assert [i for i, _ in result] == [1, 2, 0]
-
-    def test_example_ordering(self):
-        assert top_k([0.1, 0.6, 0.3], 2) == [(1, 0.6), (2, 0.3)]
-
-    def test_tie_breaks_to_lower_index(self):
-        probs = [0.1, 0.2, 0.25, 0.2, 0.25]
-        assert [i for i, _ in top_k(probs, 2)] == [2, 4]
-        assert [i for i, _ in top_k(probs, 4)] == [2, 4, 1, 3]
-
-    def test_prefix_consistency(self):
-        rng = np.random.default_rng(11)
-        probs = rng.dirichlet(np.ones(6))
-        one = [i for i, _ in top_k(probs, 1)]
-        three = [i for i, _ in top_k(probs, 3)]
-        five = [i for i, _ in top_k(probs, 5)]
-        assert three[:1] == one
-        assert five[:3] == three
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_sorted_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 40))
-        # Few distinct values, zeros among them, so exact ties are common.
-        probs = rng.choice([0.0, 0.125, 0.25, float(rng.uniform())], size=n)
-        reference = sorted(range(n), key=lambda i: (-probs[i], i))
-        for k in sorted({1, int(rng.integers(1, n + 1)), n}):
-            got = top_k(probs, k)
-            assert got == [(i, float(probs[i])) for i in reference[:k]]
-            assert all(type(i) is int for i, _ in got)
-
-    def test_bad_k(self):
-        with pytest.raises(BadK):
-            top_k([0.5, 0.5], 3)
-        with pytest.raises(BadK):
-            top_k([0.5, 0.5], 0)
 
 
 class TestGradient:

@@ -133,9 +133,12 @@ class TestTrainCommand:
         )
         result = runner.invoke(main, ["--config", str(config), "train"])
         assert result.exit_code == 0, result.output
+        # The toy corpus's classes separate, so both temperatures fit at the lower bound.
         assert result.stderr.splitlines() == [
             "warning: no manual entry for gold heading 8501; affected cases train on "
-            "description alone"
+            "description alone",
+            *(f"warning: {stage} stage: the fitted temperature 0.0500 is at the search bound 0.05"
+              for stage in ("heading", "subheading")),
         ]
         assert "cli.py:" not in result.output
 
@@ -200,13 +203,39 @@ class TestPredictCommand:
         description = json.loads((trained_dir / "cases.jsonl").read_text().splitlines()[0])[
             "description"
         ]
+        config = str(trained_dir / "config.json")
+        reports = []
+        # A leading byte-order mark is skipped, as the corpus loaders skip it.
+        for name, mark in [("item.txt", b""), ("marked.txt", b"\xef\xbb\xbf")]:
+            source = tmp_path / name
+            source.write_bytes(mark + description.encode("utf-8"))
+            result = runner.invoke(
+                main, ["--config", config, "--format", "structured", "predict", "--input-file",
+                       str(source)],
+            )
+            assert result.exit_code == 0, result.output
+            reports.append(json.loads(result.stdout))
+        assert reports[0]["description"] == description.strip()
+        assert reports[1] == reports[0]
+
+    def test_input_that_is_not_utf8_exits_2_naming_the_file(self, runner, trained_dir, tmp_path):
         source = tmp_path / "item.txt"
-        source.write_text(description, encoding="utf-8")
+        source.write_bytes(b"steel bolts\xff\n")
+        config = trained_dir / "config.json"
         result = runner.invoke(
-            main,
-            ["--config", str(trained_dir / "config.json"), "predict", "--input-file", str(source)],
+            main, ["--config", str(config), "predict", "--input-file", str(source)]
         )
-        assert result.exit_code == 0
+        assert result.exit_code == 2
+        assert f"line 1: {source}: not UTF-8 (invalid start byte)" in result.output
+        # ``train`` reads the stopword file among its inputs.
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_bytes(b"the\n\xe9t\xe9\n")
+        config = write_config(trained_dir, tmp_path / "config.json", stopwords=str(stopwords),
+                              checkpoint_dir=str(tmp_path / "checkpoint"))
+        result = runner.invoke(main, ["--config", str(config), "train"])
+        assert result.exit_code == 2
+        assert f"line 2: {stopwords}: not UTF-8" in result.output
+        assert not (tmp_path / "checkpoint").exists()
 
     def test_missing_checkpoint_exit_2(self, runner, corpus_dir, tmp_path):
         config = json.loads((corpus_dir / "config.json").read_text())

@@ -267,6 +267,17 @@ class TestLoadCases:
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert load_cases(marked) == load_cases(plain)
 
+    def test_bytes_that_are_not_utf8_are_refused_with_the_file_and_line(self, tmp_path):
+        # Past the first block that text mode decodes, so the line is counted
+        # in the whole file.
+        record = {"id": "a", "description": "x", "hs_code": "854140", "date": "2024-01-01"}
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(path, [{**record, "id": f"c{i}"} for i in range(400)])
+        path.write_bytes(path.read_bytes() + b'{"id": "\xff"}\n')
+        with pytest.raises(ParseError, match="cases.jsonl: not UTF-8") as info:
+            load_cases(path)
+        assert info.value.line == 401
+
 
 class TestLoadManual:
     def test_sentence_count_preserved(self, tmp_path):
@@ -320,6 +331,17 @@ class TestLoadManual:
         write_jsonl(plain, [{"heading": "8541", "sentences": ["a"]}])
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert load_manual(marked) == load_manual(plain)
+
+    def test_bytes_that_are_not_utf8_are_refused_with_the_file_and_line(self, tmp_path):
+        # Lines end at "\r\n" or a lone "\r" too, as text mode reads them.
+        path = tmp_path / "manual.jsonl"
+        path.write_bytes(
+            b'\xef\xbb\xbf{"heading": "8541", "sentences": ["a"]}\r\n\r'
+            b'{"heading": "8542", "sentences": ["caf\xe9"]}\r\n'
+        )
+        with pytest.raises(ParseError, match="manual.jsonl: not UTF-8") as info:
+            load_manual(path)
+        assert info.value.line == 3
 
 
 class TestChronologicalSplit:

@@ -21,7 +21,7 @@ from hsclassify.classifier import _gradient, _top1_accuracy
 from hsclassify.encoder import PooledEncoder
 from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
 
-from conftest import encode_with_evidence, make_manual_entry
+from conftest import encode, encode_with_evidence, make_manual_entry
 
 # One row, which BLAS routes to a matrix-vector kernel, and counts on either
 # side of 1,024 rows and twice that.
@@ -118,12 +118,12 @@ def retrieved_from_manual(encoder: PooledEncoder, description: str, sentences: l
         rows = np.array([vectors.get(t) for t in known]).reshape(len(known), vectors.dimension)
         assert vectors.matrix[part].tobytes() == rows.tobytes()
         assert encoder.weights[part].tobytes() == np.array([idf.value(t) for t in known]).tobytes()
-    return encoder.pool([encoder.part(tokenize(description)), *parts])
+    return encoder.pool_many([[encoder.part(tokenize(description)), *parts]])[0]
 
 
 def assert_pools_exactly(encoder: PooledEncoder, description: str, sentences: list[str]):
     vectors, idf = encoder.vectors, encoder.idf
-    assert encoder.encode(description).tobytes() == (
+    assert encode(encoder, description).tobytes() == (
         oracles.scalar_encode(vectors, idf, description).tobytes()
     )
     want = oracles.joined_encode_with_evidence(vectors, idf, description, sentences)
@@ -171,7 +171,7 @@ class TestPoolingIsExact:
         encoder = encoder_of({"x": [-0.0, 1.0, -0.0], "y": [-0.0, -2.0, 0.0]}, {})
         assert_pools_exactly(encoder, "x", ["y"])
         assert_pools_exactly(encoder, "x y x", ["x", "y"])
-        assert np.signbit(encoder.encode("x")).tolist() == [False, False, False]
+        assert np.signbit(encode(encoder, "x")).tolist() == [False, False, False]
 
     def test_subnormal_vectors(self):
         tiny = 5e-324
@@ -184,5 +184,5 @@ class TestPoolingIsExact:
     def test_all_zero_idf_weights_give_the_zero_vector(self):
         encoder = encoder_of({"x": [1.0, 2.0], "y": [0.5, -1.0]}, {"x": 0.0, "y": 0.0})
         assert_pools_exactly(encoder, "x y", ["y", "x x"])
-        assert not encoder.encode("x y").any()
+        assert not encode(encoder, "x y").any()
         assert not encode_with_evidence(encoder, "x", ["y"]).any()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hsclassify.alignment import KeySentenceRetriever
+from hsclassify.calibration import TEMPERATURE_BOUNDS, TemperatureScaler
 from hsclassify.case_retrieval import CaseIndex, _snippet
 from hsclassify.classifier import SoftmaxClassifier, TrainConfig
 from hsclassify.corpus import ManualEntry, chronological_split, parse_hs_code
@@ -23,15 +24,18 @@ from hsclassify.errors import (
     DimensionMismatch,
     EmptyInput,
     MissingManualWarning,
+    TemperatureBoundWarning,
     UntrainedModel,
 )
-from hsclassify import alignment, case_retrieval, encoder, evaluation, pipeline, textproc
+from hsclassify import alignment, case_retrieval, evaluation, pipeline, textproc
 from hsclassify.evaluation import evaluate_pipeline
 from hsclassify.pipeline import (
     CandidateReport,
     PipelineConfig,
     PipelineModel,
+    _fit_scaler,
     _from_dict,
+    _ranked,
     fit,
     load_pipeline,
     refit_temperatures,
@@ -40,7 +44,7 @@ from hsclassify.pipeline import (
 from hsclassify.synth import SynthConfig, generate
 
 import oracles
-from conftest import edit_checkpoint_arrays, make_case, rehash_checkpoint
+from conftest import edit_checkpoint_arrays, make_case, rehash_checkpoint, retrieve
 
 SMALL = SynthConfig(
     headings=6,
@@ -134,11 +138,11 @@ class TestFit:
         }
         for case in split.train:
             entry = model.manuals[case.label.heading]
-            evidence = model.retriever.retrieve(case.description, entry).sentence_texts()
+            evidence = retrieve(model.retriever, case.description, entry).sentence_texts()
             want = oracles.joined_encode_with_evidence(vectors, idf, case.description, evidence)
             assert index[case.id].tobytes() == want.tobytes()
         for case in split.test:
-            trace = model.infer(case.description)
+            trace = next(model.infer_many([case.description]))
             evidence = trace.retrievals[0].sentence_texts()
             want = oracles.joined_encode_with_evidence(vectors, idf, case.description, evidence)
             assert trace.stage3_vector.tobytes() == want.tobytes()
@@ -205,7 +209,7 @@ class TestPredict:
     def test_calibration_preserves_ranking(self, model, small_corpus):
         _, split = small_corpus
         description = split.test[2].description
-        logits = model.infer(description).heading_logits
+        logits = next(model.infer_many([description])).heading_logits
         raw_order = list(np.argsort(-logits, kind="stable"))
         report = model.predict(description, k=3)
         calibrated = [model.label_space.heading_index[c.heading] for c in report.heading_candidates]
@@ -235,6 +239,36 @@ class TestCandidateReport:
         assert "Subheading candidates:" in text
         for candidate in report.heading_candidates:
             assert f"{candidate.score:.4f}" in text
+
+
+class TestRanked:
+    """The one ranking rule: descending probability, ties to the lower index."""
+
+    def test_full_k_is_permutation(self):
+        assert _ranked(np.array([0.2, 0.5, 0.3])).tolist() == [1, 2, 0]
+
+    def test_example_ordering(self):
+        assert _ranked(np.array([0.1, 0.6, 0.3]))[:2].tolist() == [1, 2]
+
+    def test_tie_breaks_to_lower_index(self):
+        probs = np.array([0.1, 0.2, 0.25, 0.2, 0.25])
+        assert _ranked(probs).tolist() == [2, 4, 1, 3, 0]
+
+    def test_a_chunk_ranks_each_row_as_alone(self):
+        rng = np.random.default_rng(11)
+        chunk = rng.choice([0.0, 0.125, 0.25], size=(9, 6))
+        ranked = _ranked(chunk)
+        for row, order in zip(chunk, ranked):
+            assert order.tolist() == _ranked(row).tolist()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_sorted_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        # Few distinct values, zeros among them, so exact ties are common.
+        probs = rng.choice([0.0, 0.125, 0.25, float(rng.uniform())], size=n)
+        reference = sorted(range(n), key=lambda i: (-probs[i], i))
+        assert _ranked(probs).tolist() == reference
 
 
 class TestCheckpoint:
@@ -486,6 +520,23 @@ class TestRefitTemperatures:
             refit_temperatures(refitted, cases)
         assert [getattr(refitted, stage).temperature for stage in stages] == fitted
 
+    # Right labels with a margin want T -> 0, wrong ones T -> infinity.
+    @pytest.mark.parametrize("labels, bound", [([0, 1], 0.05), ([1, 0], 20.0)])
+    def test_a_temperature_at_a_search_bound_warns(self, labels, bound):
+        assert bound in TEMPERATURE_BOUNDS
+        logits = [np.array([4.0, 0.0]), np.array([0.0, 4.0])]
+        match = rf"^subheading stage: the fitted temperature [\d.]+ is at the search bound {bound}$"
+        with pytest.warns(TemperatureBoundWarning, match=match):
+            scaler = _fit_scaler(logits, labels, TemperatureScaler(), "subheading")
+        assert scaler.temperature == pytest.approx(bound, rel=1e-4)
+
+    def test_a_temperature_inside_the_bounds_is_silent(self):
+        logits = [np.array([2.0, 0.0]), np.array([2.0, 0.0]), np.array([0.0, 2.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaler = _fit_scaler(logits, [0, 1, 1], TemperatureScaler(), "heading")
+        assert TEMPERATURE_BOUNDS[0] * 1.01 < scaler.temperature < TEMPERATURE_BOUNDS[1] / 1.01
+
 
 class TestSinglePass:
     """Each stage runs once per batch of descriptions, pinned by counting calls."""
@@ -505,9 +556,7 @@ class TestSinglePass:
 
             monkeypatch.setattr(owner, name, counted)
 
-        count(KeySentenceRetriever, "retrieve", lambda _: "retrieve")
         count(KeySentenceRetriever, "retrieve_many", lambda _: "retrieve_many", "queries")
-        count(PooledEncoder, "encode", lambda _: "encode")
         count(PooledEncoder, "pool_many", lambda _: "pool_many", "pooled")
         # Heading labels have 4 digits, subheading labels 6.
         count(SoftmaxClassifier, "logits", lambda clf: f"logits{len(clf.labels[0])}")
@@ -551,7 +600,7 @@ class TestSinglePass:
         assert len(set(gold)) < len(gold)
         calls = Counter()
         tokenized = Counter()
-        for module in (pipeline, alignment, encoder, evaluation):
+        for module in (pipeline, alignment, evaluation):
             original = module.tokenize
             monkeypatch.setattr(
                 module, "tokenize", lambda text, f=original: tokenized.update([text]) or f(text)
@@ -599,7 +648,7 @@ class TestSinglePass:
         description = split.test[0].description
         model.predict(description, k=3)  # the first retrieval from an entry tokenizes it
         calls.clear()
-        for module in (pipeline, alignment, encoder):
+        for module in (pipeline, alignment):
             count(module, "tokenize")
         count(textproc, "_unit_table")
         count(case_retrieval, "cosine")
@@ -623,12 +672,11 @@ class TestSinglePass:
         model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
         assert calls["pooled"] <= 2 * len(split.train) + 2 * len(split.validation)
         assert calls["pool_many"] == 2 * len(model.label_space.headings) + 2
-        assert calls["encode"] == calls["retrieve"] == 0
 
     def test_fit_tokenizes_each_description_once(self, small_corpus, monkeypatch):
         corpus, split = small_corpus
         tokenized = Counter()
-        for module in (pipeline, alignment, encoder):
+        for module in (pipeline, alignment):
             original = module.tokenize
             monkeypatch.setattr(
                 module, "tokenize", lambda text, f=original: tokenized.update([text]) or f(text)
@@ -698,7 +746,7 @@ class TestSinglePass:
             subheading_train=FAST_TRAIN["subheading_train"],
         )
         model = fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
-        traces = [model.infer(case.description) for case in split.validation]
+        traces = [next(model.infer_many([case.description])) for case in split.validation]
         gold = [model.label_space.heading_index[c.label.heading] for c in split.validation]
         assert any(t.ranked_headings[0] != g for t, g in zip(traces, gold))
         stage3 = np.array([trace.stage3_vector for trace in traces])
@@ -759,8 +807,8 @@ class TestEvaluate:
         _, split = small_corpus
         for case in split.test[:10]:
             for probs in (
-                model.infer(case.description).heading_probabilities,
-                model.infer(case.description).subheading_probabilities,
+                next(model.infer_many([case.description])).heading_probabilities,
+                next(model.infer_many([case.description])).subheading_probabilities,
             ):
                 assert probs.min() >= 0.0
                 assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -823,3 +871,32 @@ class TestVariants:
         assert "ablation_hs6_top1" in data
         table = metrics.render_table()
         assert "pipeline (ablation)" in table
+
+    def test_tied_subheadings_rank_the_lower_index_first(self, ablation_model, small_corpus):
+        # Both stage-3 heads give every description the same logits, equal
+        # (so the probabilities tie exactly) for two subheadings a < b. No
+        # case is of subheading b, so top-1 accuracy tells the order apart.
+        _, split = small_corpus
+        labels = ablation_model.label_space.subheadings
+        a, b = sorted({labels.index(c.label.subheading) for c in split.test})[:2]
+        cases = [c for c in split.test if c.label.subheading != labels[b]]
+        gold = Counter(labels.index(c.label.subheading) for c in cases)
+        bias = np.zeros(len(labels))
+        bias[[a, b]] = 1.0
+        head = SoftmaxClassifier(np.zeros((ablation_model.encoder.output_dimension, len(labels))),
+                                 bias, labels)
+        tied = replace(ablation_model, subheading_classifier=head, ablation_classifier=head)
+        want = [labels[i] for i in [a, b, *(i for i in range(len(labels)) if i not in (a, b))]]
+
+        report = tied.predict(cases[0].description, k=len(labels))
+        assert [c.subheading for c in report.subheading_candidates] == want
+        scores = [c.score for c in report.subheading_candidates]
+        assert scores[0] == scores[1] > scores[2] == scores[-1]
+
+        metrics = evaluate_pipeline(tied, cases, ks=(1, 3))
+        assert all(record.predicted_subheadings == want[:3] for record in metrics.per_case)
+        share = gold[a] / len(cases)
+        assert metrics.subheading_top_k[1] == metrics.ablation_subheading_top_k[1] == share
+        reference = oracles.reference_evaluate(tied, cases, ks=(1, 3))
+        assert reference.ablation_subheading_top_k[1] == share
+        assert json.dumps(reference.to_dict()) == json.dumps(metrics.to_dict())

@@ -111,6 +111,12 @@ class TestCosine:
         assert cosine([3.3341784415318333e-162], [1.0]) == 1.0
         assert cosine([3e-162, -3e-162], [-1.0, 1.0]) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_huge_norm_is_rescaled(self):
+        # Squaring 1e200 overflows, so the naive norm is inf and the cosine 0.
+        assert cosine([1e200, -3e200], [1.0, -3.0]) == pytest.approx(1.0, abs=1e-12)
+        assert cosine([1e300, 1e300], [-2e-160, -2e-160]) == pytest.approx(-1.0, abs=1e-12)
+        assert cosine([1e200, 0.0], [0.0, 2e300]) == 0.0
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
@@ -252,6 +258,13 @@ class TestWordVectorTable:
         table = WordVectorTable.load(path)
         assert table.tokens() == ["foo", "bar"] and table.dimension == 3
 
+    def test_bytes_that_are_not_utf8_are_refused_with_the_file_and_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(b"2 3\nfoo 1 0 0\nbar 0 1 0\n\xff")
+        with pytest.raises(ParseError, match="vectors.txt: not UTF-8") as info:
+            WordVectorTable.load(path)
+        assert info.value.line == 4
+
 
 class TestWordVectorTableIsImmutable:
     def test_constructor_copies_its_input(self):
@@ -291,15 +304,16 @@ class TestUnitRows:
             "negzero": [-0.0, -0.0, -0.0],
             "mixed": [-0.0, 1.0, -0.0],
             "subnormal": [tiny, -3 * tiny, 2e-310],
-            "huge": [1e200, -3e200, 2e200],  # the squares overflow: the norm is inf
+            "huge": [1e200, -3e200, 2e200],  # the squares overflow: rescaled first
             "plain": [0.1, 1 / 3, -2.5],
             "small": [1e-160, 2e-160, 0.0],
         }
-        with np.errstate(over="ignore"):
-            table = WordVectorTable(vectors)
-            for token in vectors:
-                want = oracles.unit_row(vectors[token])[0]
-                assert table.unit_rows[table.index[token]].tobytes() == want.tobytes(), token
+        table = WordVectorTable(vectors)
+        for token in vectors:
+            want = oracles.unit_row(vectors[token])[0]
+            assert table.unit_rows[table.index[token]].tobytes() == want.tobytes(), token
+        huge = table.unit_rows[table.index["huge"]]
+        np.testing.assert_allclose(huge, np.array([1.0, -3.0, 2.0]) / np.sqrt(14.0), rtol=1e-15)
         assert table.unit_rows.shape == (len(vectors) + 1, 3)
         assert table.unit_rows[-1].tobytes() == np.zeros(3).tobytes()
         assert np.signbit(table.unit_rows[table.index["negzero"]]).all()
@@ -346,6 +360,14 @@ def test_load_stopwords_skips_a_leading_byte_order_mark(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("\ufeffThe\nof\n", encoding="utf-8")
     assert load_stopwords(path) == {"the", "of"}
+
+
+def test_load_stopwords_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_bytes(b"the\nof\n\nna\xc3\xafve\nd\xe9j\xe0\n")
+    with pytest.raises(ParseError, match="stop.txt: not UTF-8") as info:
+        load_stopwords(path)
+    assert info.value.line == 5
 
 
 def test_default_stopword_list_is_small_english():
