@@ -17,6 +17,11 @@ maximum over the sentence's tokens. A sentence's step score is one
 ``uncovered * max(best, 0) * idf``. So a query selects the same sentences
 with the same score bits alone or among others, and the greedy steps of all
 queries of an entry run together.
+
+The retriever is built on the ``PooledEncoder`` and reads its vector and idf
+tables, so retrieval and pooling see one set of tables. A prepared entry
+keeps each sentence's encoder part, which pools key sentences with their
+description.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import ManualEntry
-from .encoder import Part
-from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, content_keywords, tokenize
+from .encoder import Part, PooledEncoder
+from .textproc import DEFAULT_STOPWORDS, content_keywords, tokenize
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,6 @@ class RetrievalResult:
     sentences: list[RetrievedSentence] = field(default_factory=list)
     covered_keywords: set[str] = field(default_factory=set)
     uncovered_keywords: set[str] = field(default_factory=set)
-    query_keywords: set[str] = field(default_factory=set)
 
     def sentence_texts(self) -> list[str]:
         return [s.text for s in self.sentences]
@@ -111,33 +115,29 @@ class Query:
     Built once per description and shared by every entry retrieved from.
     """
 
-    keywords: set[str]
     ordered: list[str]
     rows: np.ndarray
     weights: np.ndarray
 
 
 class KeySentenceRetriever:
-    """Binds vector, idf and stopword tables to the retrieval procedure.
+    """Binds an encoder's vector and idf tables and a stopword set to the retrieval procedure.
 
     ``queries`` builds each description's ``Query`` once, and
     ``retrieve_many`` selects key sentences from one manual entry for many
     queries at a time. The first retrieval from an entry tokenizes its
     sentences (unless ``prepare`` was given their tokens) and keeps their
-    distinct tokens' unit rows and each sentence's token ids, keyed by the
-    entry; ``evidence_parts`` reads the selected sentences' encoder parts
-    from them.
+    distinct tokens' unit rows and each sentence's encoder part, keyed by
+    the entry.
     """
 
     def __init__(
         self,
-        vectors: WordVectorTable,
-        idf: IdfTable,
+        encoder: PooledEncoder,
         stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
         config: RetrievalConfig = RetrievalConfig(),
     ):
-        self.vectors = vectors
-        self.idf = idf
+        self.encoder = encoder
         self.stopwords = frozenset(stopwords)
         self.config = config
         self._entries: dict[ManualEntry, _PreparedEntry] = {}
@@ -166,8 +166,8 @@ class KeySentenceRetriever:
             bounds = np.concatenate(([0], np.cumsum(lengths)))
             prepared = self._entries[entry] = _PreparedEntry(
                 tokens=tuple(distinct),
-                rows=self.vectors.unit_rows_of(distinct),
-                parts=tuple(map(self.vectors.ids, sentence_tokens)),
+                rows=self.encoder.vectors.unit_rows_of(distinct),
+                parts=tuple(map(self.encoder.part, sentence_tokens)),
                 occurrences=occurrences,
                 bounds=bounds,
                 nonempty=np.flatnonzero(lengths),
@@ -175,26 +175,20 @@ class KeySentenceRetriever:
             )
         return prepared
 
-    def evidence_parts(self, manual_entry: ManualEntry, result: RetrievalResult) -> list[Part]:
-        """The encoder parts of ``result``'s sentences, retrieved from ``manual_entry``."""
-        prepared = self.prepare(manual_entry)
-        return [prepared.parts[sentence.index] for sentence in result.sentences]
-
     def queries(self, token_lists: Sequence[list[str]]) -> list[Query]:
         """The query of each description's tokens.
 
         A keyword's row is its unit row in the vector table, the zero row
         when it has no vector; its weight is its idf value either way.
         """
-        keyword_sets = [content_keywords(tokens, self.stopwords) for tokens in token_lists]
-        orders = [sorted(keywords) for keywords in keyword_sets]
+        orders = [sorted(content_keywords(tokens, self.stopwords)) for tokens in token_lists]
         words = list(chain.from_iterable(orders))
-        rows = self.vectors.unit_rows_of(words)
-        weights = np.array([self.idf.value(t) for t in words], dtype=float)
+        rows = self.encoder.vectors.unit_rows_of(words)
+        weights = np.array([self.encoder.idf.value(t) for t in words], dtype=float)
         ends = accumulate(len(order) for order in orders)
         return [
-            Query(keywords, order, rows[end - len(order) : end], weights[end - len(order) : end])
-            for keywords, order, end in zip(keyword_sets, orders, ends)
+            Query(order, rows[end - len(order) : end], weights[end - len(order) : end])
+            for order, end in zip(orders, ends)
         ]
 
     def retrieve_many(
@@ -212,10 +206,7 @@ class KeySentenceRetriever:
         first step. The queries that go on take each step together.
         """
         prepared = self.prepare(manual_entry)
-        results = [
-            RetrievalResult(query_keywords=set(q.keywords), uncovered_keywords=set(q.keywords))
-            for q in queries
-        ]
+        results = [RetrievalResult(uncovered_keywords=set(q.ordered)) for q in queries]
         ids = [i for i, query in enumerate(queries) if query.ordered]
         if not ids:
             return results

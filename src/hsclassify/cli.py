@@ -52,9 +52,7 @@ class CliConfig:
 def _load_config(config_path: str | None, seed: int | None, output_format: str | None) -> CliConfig:
     if config_path is None:
         raise click.UsageError("a --config file is required for this command")
-    path = Path(config_path)
-    if not path.exists():
-        raise click.UsageError(f"config file not found: {path}")
+    path = _require_file(Path(config_path), "config")
 
     def resolve(key: str, required: bool = True) -> Path | None:
         value = data.get(key)
@@ -92,8 +90,9 @@ def _load_config(config_path: str | None, seed: int | None, output_format: str |
 
 
 def _require_file(path: Path, label: str) -> Path:
-    if not path.exists():
-        raise click.UsageError(f"{label} file not found: {path}")
+    """``path``, if it names a regular file; a usage error otherwise."""
+    if not path.is_file():
+        raise click.UsageError(f"{label} file not found or not a regular file: {path}")
     return path
 
 

@@ -6,6 +6,9 @@ vocabulary id and pools groups of parts, many groups at a time
 (``PooledEncoder.pool_many``): a description alone, or followed by its
 evidence sentences' parts. The vectors and weights of a group's tokens are
 gathered by id.
+
+The encoder owns the vector and idf tables of a fitted pipeline: the
+key-sentence retriever is built on it and reads both through it.
 """
 
 from __future__ import annotations

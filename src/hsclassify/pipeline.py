@@ -9,9 +9,13 @@ once per description, for a chunk of descriptions at a time, and records the
 outputs in one ``InferenceTrace`` per description. Stage 3 and the
 similar-case query reuse the top heading's evidence retrieved in the heading
 stage. ``predict`` is its one-description case;
-``evaluate_pipeline`` and ``refit_temperatures`` read its traces. ``fit``
-pools its stage-3 validation inputs with the same retrieval and pooling
-calls.
+``evaluate_pipeline`` and ``refit_temperatures`` read its traces.
+
+The path from a description to its stage-3 vector is written once, in two
+helpers that ``infer_many`` and both of ``fit``'s encoding passes call:
+``_describe`` pools each description alone, and ``_evidence`` retrieves its
+key sentences and pools it with those of its first entry. The retriever
+holds the one ``PooledEncoder``; retrieval and pooling read its tables.
 
 Every batched step computes each description's floats with the same calls as
 for that description alone: heads and norms are stacked per-row products,
@@ -162,9 +166,8 @@ class InferenceTrace:
 
 @dataclass
 class PipelineModel:
-    """A fitted pipeline: encoder, heads, retriever, scalers, case index."""
+    """A fitted pipeline: heads, retriever (which holds the encoder), scalers, case index."""
 
-    encoder: PooledEncoder
     heading_classifier: SoftmaxClassifier
     subheading_classifier: SoftmaxClassifier
     manuals: dict[str, ManualEntry]
@@ -179,7 +182,7 @@ class PipelineModel:
     fit_report: FitReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        dimension = self.encoder.output_dimension
+        dimension = self.retriever.encoder.output_dimension
         heads = [self.heading_classifier, self.subheading_classifier, self.ablation_classifier]
         for classifier in filter(None, heads):
             if classifier.input_dimension != dimension:
@@ -187,9 +190,6 @@ class PipelineModel:
                     f"encoder dimension {dimension} does not match "
                     f"classifier input {classifier.input_dimension}"
                 )
-        retriever, encoder = self.retriever, self.encoder
-        if retriever.vectors is not encoder.vectors or retriever.idf is not encoder.idf:
-            raise ValueError("the encoder and the retriever must share their vector and idf tables")
         if self.case_index.dimension != dimension:
             raise DimensionMismatch(
                 f"encoder dimension {dimension} does not match "
@@ -222,27 +222,20 @@ class PipelineModel:
         Key sentences are retrieved for the top ``max(headings, 1)``
         headings: the top heading's are stage 3's evidence, the others are
         read by a report. Descriptions are tokenized and inferred
-        ``CHUNK_ROWS`` at a time. Every retrieval of a description shares one
-        query, and every evidence vector pools the description's part
-        followed by its sentences' parts.
+        ``CHUNK_ROWS`` at a time, through ``_describe`` and ``_evidence``.
         """
         space = self.label_space
         headings = max(headings, 1)
         for start in range(0, len(descriptions), CHUNK_ROWS):
             chunk = descriptions[start : start + CHUNK_ROWS]
             tokens = [tokenize(d) for d in chunk]
-            parts = [self.encoder.part(t) for t in tokens]
-            x = self.encoder.pool_many([[part] for part in parts])
+            parts, x = _describe(self.retriever.encoder, tokens)
             heading_logits = self.heading_classifier.logits(x)
             heading_probs = self.heading_scaler.probabilities(heading_logits)
             ranked = _ranked(heading_probs)
 
             entries = [[self.manuals.get(space.headings[h]) for h in row[:headings]] for row in ranked]
-            retrievals = _retrieve(self.retriever, tokens, entries)
-            stage3 = _with_evidence(
-                self.encoder, self.retriever, parts, x,
-                [row[0] for row in entries], [row[0] for row in retrievals],
-            )
+            retrievals, stage3 = _evidence(self.retriever, tokens, parts, x, entries)
             subheading_logits = self.subheading_classifier.logits(stage3)
             probs = self.subheading_scaler.probabilities(subheading_logits)
             ablation_logits = None
@@ -330,15 +323,34 @@ def _word_index(
     return headings, postings
 
 
-def _retrieve(
+def _describe(encoder: PooledEncoder, tokens: Sequence[list[str]]) -> tuple[list[Part], np.ndarray]:
+    """Each token list's part, and its description vector: the part pooled alone.
+
+    The vectors are pooled ``CHUNK_ROWS`` at a time.
+    """
+    parts = [encoder.part(t) for t in tokens]
+    x = np.zeros((len(parts), encoder.output_dimension))
+    for start in range(0, len(parts), CHUNK_ROWS):
+        chunk = parts[start : start + CHUNK_ROWS]
+        x[start : start + len(chunk)] = encoder.pool_many([[part] for part in chunk])
+    return parts, x
+
+
+def _evidence(
     retriever: KeySentenceRetriever,
     tokens: Sequence[list[str]],
+    parts: Sequence[Part],
+    x: np.ndarray,
     entries: Sequence[Sequence[ManualEntry | None]],
-) -> list[list[RetrievalResult | None]]:
-    """``retrievals[i][j]``: description i's key sentences from ``entries[i][j]``.
+) -> tuple[list[list[RetrievalResult | None]], np.ndarray]:
+    """Each description's key sentences from each of its entries, and its stage-3 rows.
 
-    The descriptions with any entry get their queries from one call; each
-    entry is retrieved from once, for all the descriptions that need it.
+    ``retrievals[i][j]`` holds description i's key sentences from
+    ``entries[i][j]`` (None for no entry). The descriptions with any entry
+    get their queries from one call; each entry is retrieved from once, for
+    all the descriptions that need it. Stage-3 row i is ``parts[i]`` pooled
+    with the parts of its key sentences from ``entries[i][0]``; a row
+    without such sentences is its description vector ``x[i]``.
     """
     requests: dict[ManualEntry, list[tuple[int, int]]] = {}
     for i, row in enumerate(entries):
@@ -352,41 +364,18 @@ def _retrieve(
         results = retriever.retrieve_many([queries[i] for i, _ in slots], entry)
         for (i, position), result in zip(slots, results):
             retrievals[i][position] = result
-    return retrievals
 
-
-def _with_evidence(
-    encoder: PooledEncoder,
-    retriever: KeySentenceRetriever,
-    parts: Sequence[Part],
-    vectors: np.ndarray,
-    entries: Sequence[ManualEntry | None],
-    results: Sequence[RetrievalResult | None],
-) -> np.ndarray:
-    """``vectors`` where row i is ``parts[i]`` pooled with its key sentences' parts.
-
-    A row without key sentences keeps its description vector.
-    """
-    chosen = [i for i, result in enumerate(results) if result is not None and result.sentences]
-    if not chosen:
-        return vectors
-    pooled = vectors.copy()
-    pooled[chosen] = encoder.pool_many(
-        [[parts[i], *retriever.evidence_parts(entries[i], results[i])] for i in chosen]
-    )
-    return pooled
+    chosen = [i for i, row in enumerate(retrievals) if row[0] is not None and row[0].sentences]
+    groups = []
+    for i in chosen:
+        prepared = retriever.prepare(entries[i][0])
+        groups.append([parts[i], *(prepared.parts[s.index] for s in retrievals[i][0].sentences)])
+    stage3 = x.copy()
+    stage3[chosen] = retriever.encoder.pool_many(groups)
+    return retrievals, stage3
 
 
 # -- fitting ----------------------------------------------------------------
-
-
-def _pool_descriptions(encoder: PooledEncoder, tokens: Sequence[list[str]]) -> np.ndarray:
-    """The description vector of each token list, ``CHUNK_ROWS`` at a time."""
-    vectors = np.zeros((len(tokens), encoder.output_dimension))
-    for start in range(0, len(tokens), CHUNK_ROWS):
-        chunk = tokens[start : start + CHUNK_ROWS]
-        vectors[start : start + len(chunk)] = encoder.pool_many([[encoder.part(t)] for t in chunk])
-    return vectors
 
 
 def _label_indices(cases: Sequence[DecisionCase], index: Mapping[str, int], level: str) -> list[int]:
@@ -429,19 +418,24 @@ def fit(
     """Train both stages, fit per-stage temperatures, build the case index.
 
     The idf table counts each training and validation description and each
-    manual sentence as one document. Each is tokenized once: a description
-    for the idf table, its encoding and its retrieval query; a sentence for
-    the idf table and its entry's prepared rows. The training and sentence
-    tokens are released once used; only the validation tokens outlive the
-    training encoding. Training cases are encoded one gold heading at a
-    time, ``CHUNK_ROWS`` at a time: each once, and once more with the key
-    sentences of its gold heading's manual; a case without evidence reuses
-    its description vector (a missing manual warns once per heading). The
-    case index holds the stage-3 training vectors. A validation case's
-    stage-3 input is what inference would pool for it: its description
-    with the key sentences of its top heading's manual, ranked by the
-    heading logits the heading temperature is fitted on. The ablation head,
-    when trained, reads the description vectors of stage 1.
+    manual sentence as one document. One encoder holds the vector and idf
+    tables, and the retriever is built on it. Each text is tokenized once:
+    a description for the idf table, its encoding and its retrieval query;
+    a sentence for the idf table and its entry's prepared rows. The
+    training and sentence tokens are released once used; only the
+    validation tokens and parts outlive the training encoding.
+
+    Every stage-3 input goes the way inference's does: ``_describe`` gives
+    the description vectors, ``_evidence`` the key sentences and the
+    description pooled with them. Training cases go one gold heading at a
+    time, ``CHUNK_ROWS`` at a time, with the key sentences of their gold
+    heading's manual; a case without evidence reuses its description
+    vector (a missing manual warns once per heading). The case index holds
+    the stage-3 training vectors. A validation case's stage-3 input is what
+    inference would pool for it: its description with the key sentences of
+    its top heading's manual, ranked by the heading logits the heading
+    temperature is fitted on. The ablation head, when trained, reads the
+    description vectors of stage 1.
     """
     if not train_cases:
         raise EmptyInput("no training cases")
@@ -453,7 +447,7 @@ def fit(
     sentence_tokens = [t for sentences in manual_tokens.values() for t in sentences]
     idf = compute_idf([*train_tokens, *val_tokens, *sentence_tokens])
     encoder = PooledEncoder(vectors, idf)
-    retriever = KeySentenceRetriever(vectors, idf, stopwords, config.retrieval)
+    retriever = KeySentenceRetriever(encoder, stopwords, config.retrieval)
     for heading in label_space.headings:
         if heading in manuals:
             retriever.prepare(manuals[heading], manual_tokens[heading])
@@ -479,16 +473,13 @@ def fit(
         for start in range(0, len(members), CHUNK_ROWS):
             rows = members[start : start + CHUNK_ROWS]
             tokens = [train_tokens[i] for i in rows]
-            parts = [encoder.part(t) for t in tokens]
-            x1_train[rows] = x1 = encoder.pool_many([[part] for part in parts])
-            results = [row[0] for row in _retrieve(retriever, tokens, [[entry]] * len(rows))]
-            x3_train[rows] = _with_evidence(
-                encoder, retriever, parts, x1, [entry] * len(rows), results
-            )
+            parts, x1 = _describe(encoder, tokens)
+            x1_train[rows] = x1
+            _, x3_train[rows] = _evidence(retriever, tokens, parts, x1, [[entry]] * len(rows))
     del train_tokens  # the validation inputs below read only ``val_tokens``
 
     y1_train = _label_indices(train_cases, label_space.heading_index, "heading")
-    x1_val = _pool_descriptions(encoder, val_tokens)
+    val_parts, x1_val = _describe(encoder, val_tokens)
     y1_val = _label_indices(validation_cases, label_space.heading_index, "heading")
     heading_clf, heading_report = train(
         x1_train, y1_train, x1_val, y1_val, config.heading_train, label_space.headings
@@ -502,12 +493,9 @@ def fit(
     x3_val = np.zeros_like(x1_val)
     for start in range(0, len(validation_cases), CHUNK_ROWS):
         stop = start + CHUNK_ROWS
-        tokens = val_tokens[start:stop]
-        entries = [manuals.get(label_space.headings[h]) for h in top_headings[start:stop]]
-        results = [row[0] for row in _retrieve(retriever, tokens, [[e] for e in entries])]
-        x3_val[start:stop] = _with_evidence(
-            encoder, retriever, [encoder.part(t) for t in tokens], x1_val[start:stop],
-            entries, results,
+        entries = [[manuals.get(label_space.headings[h])] for h in top_headings[start:stop]]
+        _, x3_val[start:stop] = _evidence(
+            retriever, val_tokens[start:stop], val_parts[start:stop], x1_val[start:stop], entries
         )
 
     y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")
@@ -532,7 +520,6 @@ def fit(
         )
 
     return PipelineModel(
-        encoder=encoder,
         heading_classifier=heading_clf,
         subheading_classifier=subheading_clf,
         manuals=dict(manuals),
@@ -640,7 +627,7 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
     snippets = [snippet for _, bucket in buckets for snippet in bucket.snippets]
     if any("\n" in text for text in [*snippets, *model.retriever.stopwords]):
         raise ValueError("a case snippet or stopword contains a newline")
-    vectors, idf = model.encoder.vectors, model.encoder.idf
+    vectors, idf = model.retriever.encoder.vectors, model.retriever.encoder.idf
     tokens = sorted(vectors.tokens())
     files = {
         **{f"{stage}_classifier.npz": _npz(weights=head.weights, bias=head.bias)
@@ -773,9 +760,8 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
     case_index = parse("case_index.npz", _case_index)
     with _read(directory):
         return PipelineModel(
-            encoder=PooledEncoder(vectors, idf),
             manuals=manuals,
-            retriever=KeySentenceRetriever(vectors, idf, stopwords, config.retrieval),
+            retriever=KeySentenceRetriever(PooledEncoder(vectors, idf), stopwords, config.retrieval),
             label_space=label_space,
             case_index=case_index,
             config=config,

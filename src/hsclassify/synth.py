@@ -61,6 +61,8 @@ class SynthConfig:
             raise ValueError("subheadings_per_heading must be in 1..9")
         if min(self.train_per_subheading, self.validation_per_subheading, self.test_per_subheading) < 1:
             raise ValueError("per-subheading case counts must be >= 1")
+        if self.vector_dimension < 1:
+            raise ValueError("vector_dimension must be >= 1")
 
 
 @dataclass

@@ -189,22 +189,31 @@ class WordVectorTable:
         return cls.from_rows(tokens, np.frombuffer(values).reshape(len(tokens), dimension))
 
 
+# ``cosine`` and ``_unit_table`` rescale a nonzero vector whose norm is below
+# this (its squared components are subnormal and skew the norm) or overflows
+# to inf.
+RESCALE_BELOW = 1e-150
+
+
 def _unit_table(matrix: np.ndarray) -> np.ndarray:
     """Each row of ``matrix`` over its L2 norm, then one zero row.
 
-    Norms are row-wise, so a row gets the bits it gets alone; a zero-norm
-    row is kept as it is. A row whose norm overflows to inf is divided by
-    its largest absolute value first, then by the norm of the result.
+    Norms are row-wise, so a row gets the bits it gets alone; a row of
+    zeros is kept as it is. A nonzero row whose norm ``cosine`` would
+    rescale (below ``RESCALE_BELOW`` or inf) is divided by its largest
+    absolute value first, then by the norm of the result.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    rescaled = np.flatnonzero(
+        ((norms < RESCALE_BELOW) | (norms == np.inf))[:, 0] & matrix.any(axis=1)
+    )
     norms[norms == 0.0] = 1.0
     table = np.zeros((len(matrix) + 1, matrix.shape[1]))
     np.divide(matrix, norms, out=table[:-1])
-    huge = np.flatnonzero(norms == np.inf)
-    if huge.size:
-        rows = matrix[huge] / np.abs(matrix[huge]).max(axis=1, keepdims=True)
-        table[huge] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    if rescaled.size:
+        rows = matrix[rescaled] / np.abs(matrix[rescaled]).max(axis=1, keepdims=True)
+        table[rescaled] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     return table
 
 
@@ -243,13 +252,8 @@ def compute_idf(documents: list[list[str]]) -> IdfTable:
     return IdfTable(document_count=n, values=values)
 
 
-# ``cosine`` rescales a vector whose norm is below this (its squared
-# components are subnormal and skew the norm) or overflows to inf.
-RESCALE_BELOW = 1e-150
-
-
 def cosine(u, v) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
+    """Cosine similarity; 0.0 when either vector is all zeros."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
@@ -258,7 +262,7 @@ def cosine(u, v) -> float:
         nu = np.linalg.norm(u)
         nv = np.linalg.norm(v)
     if nu < RESCALE_BELOW or nv < RESCALE_BELOW or nu == np.inf or nv == np.inf:
-        if nu == 0.0 or nv == 0.0:
+        if not (u.any() and v.any()):
             return 0.0
         # The cosine is scale-free, so rescale and recompute.
         return cosine(u / np.abs(u).max(), v / np.abs(v).max())

@@ -45,6 +45,7 @@ from hsclassify.errors import EmptyInput
 from hsclassify.pipeline import InferenceTrace, PipelineModel, _word_index
 from hsclassify.textproc import (
     DEFAULT_STOPWORDS,
+    RESCALE_BELOW,
     IdfTable,
     WordVectorTable,
     content_keywords,
@@ -252,19 +253,20 @@ def joined_encode_with_evidence(vectors, idf, description: str, sentences) -> np
 
 
 def unit_row(vector) -> np.ndarray:
-    """One vector over its L2 norm as a ``(1, d)`` row; a zero-norm vector is kept as it is.
+    """One vector over its L2 norm as a ``(1, d)`` row; a vector of zeros is kept as it is.
 
-    The norm is ``np.linalg.norm(axis=1)`` of that row alone. A row whose
-    norm overflows to inf is first divided by its largest absolute value.
+    The norm is ``np.linalg.norm(axis=1)`` of that row alone. A nonzero row
+    whose norm is below ``RESCALE_BELOW`` or overflows to inf is first
+    divided by its largest absolute value, as ``cosine`` rescales it.
     """
     row = np.array(vector, dtype=float).reshape(1, -1)
+    if not row.any():
+        return row
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(row, axis=1, keepdims=True)
-    if np.isinf(norm).all():
+        (norm,) = np.linalg.norm(row, axis=1)
+    if norm < RESCALE_BELOW or norm == np.inf:
         row = row / np.abs(row).max()
-        norm = np.linalg.norm(row, axis=1, keepdims=True)
-    norm[norm == 0.0] = 1.0
-    return row / norm
+    return row / np.linalg.norm(row, axis=1, keepdims=True)
 
 
 def unit_rows(tokens: Iterable[str], vectors: WordVectorTable) -> np.ndarray:
@@ -320,7 +322,7 @@ def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: Ma
     """
     keywords = sorted(content_keywords(tokenize(description), retriever.stopwords))
     prepared = retriever.prepare(entry)
-    alignments = canonical_alignments(keywords, prepared.rows, retriever.vectors)
+    alignments = canonical_alignments(keywords, prepared.rows, retriever.encoder.vectors)
     column = {token: j for j, token in enumerate(prepared.tokens)}
     best = []
     for sentence in entry.sentences:
@@ -328,10 +330,10 @@ def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: Ma
         best.append(
             alignments[:, columns].max(axis=1) if columns else np.zeros(len(keywords))
         )
-    weights = np.array([retriever.idf.value(t) for t in keywords])
+    weights = np.array([retriever.encoder.idf.value(t) for t in keywords])
     threshold = retriever.config.coverage_threshold
 
-    result = RetrievalResult(query_keywords=set(keywords), uncovered_keywords=set(keywords))
+    result = RetrievalResult(uncovered_keywords=set(keywords))
     uncovered = np.ones(len(keywords))
     remaining = list(range(len(entry.sentences)))
     while (
@@ -443,7 +445,7 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
     ``scalar_retrieve``.
     """
     space = model.label_space
-    encoder = model.encoder
+    encoder = model.retriever.encoder
 
     def logits(classifier, vector):
         return vector @ classifier.weights + classifier.bias

@@ -11,6 +11,7 @@ import pytest
 from hsclassify import textproc
 from hsclassify.alignment import KeySentenceRetriever, RetrievalConfig
 from hsclassify.corpus import ManualEntry
+from hsclassify.encoder import PooledEncoder
 from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
 
 from conftest import retrieve
@@ -27,8 +28,10 @@ NO_STOPWORDS: frozenset[str] = frozenset()
 
 def make_retriever(vectors: dict, idf_values: dict, n_docs: int = 4, **config) -> KeySentenceRetriever:
     return KeySentenceRetriever(
-        WordVectorTable({k: np.asarray(v, dtype=float) for k, v in vectors.items()}),
-        IdfTable(document_count=n_docs, values=idf_values),
+        PooledEncoder(
+            WordVectorTable({k: np.asarray(v, dtype=float) for k, v in vectors.items()}),
+            IdfTable(document_count=n_docs, values=idf_values),
+        ),
         stopwords=NO_STOPWORDS,
         config=RetrievalConfig(**config),
     )
@@ -102,7 +105,7 @@ class TestAlignmentScore:
         idf_values = {"a": 1.5, "b": 0.7, "x": 0.4, "y": 1.1, "z": 0.9}
         retriever = make_retriever(vectors, idf_values)
         sentence = ["x", "y", "z"]
-        got = alignment_score({"a", "b"}, sentence, retriever.vectors, retriever.idf)
+        got = alignment_score({"a", "b"}, sentence, retriever.encoder.vectors, retriever.encoder.idf)
         expected = oracle_alignment_score(
             {"a", "b"}, sentence, vectors, idf_values, math.log(4), dim=3
         )
@@ -111,7 +114,7 @@ class TestAlignmentScore:
 
 class TestRetrieve:
     def test_single_sentence_covers_everything(self, toy_vectors, toy_idf):
-        retriever = KeySentenceRetriever(toy_vectors, toy_idf, NO_STOPWORDS)
+        retriever = KeySentenceRetriever(PooledEncoder(toy_vectors, toy_idf), NO_STOPWORDS)
         entry = ManualEntry(heading="8541", sentences=("solar panel cell", "glass diode"))
         result = retrieve(retriever, "solar panel", entry)
         assert [s.index for s in result.sentences] == [0]
@@ -119,7 +122,7 @@ class TestRetrieve:
         assert result.covered_keywords == {"solar", "panel"}
 
     def test_synonym_vectors_cover_keywords(self, toy_vectors, toy_idf):
-        retriever = KeySentenceRetriever(toy_vectors, toy_idf, NO_STOPWORDS)
+        retriever = KeySentenceRetriever(PooledEncoder(toy_vectors, toy_idf), NO_STOPWORDS)
         entry = ManualEntry(heading="8541", sentences=("sunlight collectors",))
         result = retrieve(retriever, "solar", entry)
         assert [s.index for s in result.sentences] == [0]
@@ -127,12 +130,12 @@ class TestRetrieve:
 
     def test_nothing_aligns_returns_empty(self, toy_idf):
         vectors = WordVectorTable({"solar": [1.0, 0.0], "iron": [0.0, 1.0]})
-        retriever = KeySentenceRetriever(vectors, toy_idf, NO_STOPWORDS)
+        retriever = KeySentenceRetriever(PooledEncoder(vectors, toy_idf), NO_STOPWORDS)
         entry = ManualEntry(heading="7201", sentences=("iron iron", "iron"))
         result = retrieve(retriever, "solar", entry)
         assert result.sentences == []
         assert result.uncovered_keywords == {"solar"}
-        assert result.query_keywords == {"solar"}
+        assert result.covered_keywords == set()
 
     def test_planted_multi_step_selection(self):
         # Synonym pairs k_i ~ m_i; idf makes s0 win, then s1/s2 tie -> s1.
@@ -188,16 +191,16 @@ class TestRetrieve:
         indices = [s.index for s in result.sentences]
         assert len(indices) == len(set(indices))
         assert all(0 <= i < len(entry.sentences) for i in indices)
-        assert len(result.sentences) <= len(result.query_keywords)
-        assert result.covered_keywords | result.uncovered_keywords == result.query_keywords
+        assert len(result.sentences) <= len(keywords)
+        assert result.covered_keywords | result.uncovered_keywords == keywords
         assert result.covered_keywords & result.uncovered_keywords == set()
         assert all(s.text == entry.sentences[s.index] for s in result.sentences)
 
     def test_stopwords_removed_from_query(self, toy_vectors, toy_idf):
-        retriever = KeySentenceRetriever(toy_vectors, toy_idf, frozenset({"the"}))
+        retriever = KeySentenceRetriever(PooledEncoder(toy_vectors, toy_idf), frozenset({"the"}))
         entry = ManualEntry(heading="8541", sentences=("solar panel",))
         result = retrieve(retriever, "the solar", entry)
-        assert result.query_keywords == {"solar"}
+        assert result.covered_keywords | result.uncovered_keywords == {"solar"}
 
 
 class TestRetrievalConfig:
@@ -224,7 +227,6 @@ class TestZeroIdfKeywords:
         idf_values = {"k0": 0.0, "k1": 1.0, "m0": 1.0, "m1": 1.0, "junk": 1.0}
         entry = ManualEntry(heading="8541", sentences=("m0 junk", "m1"))
         result = retrieve(make_retriever(vectors, idf_values), "k0 k1", entry)
-        assert result.query_keywords == {"k0", "k1"}
         # k1's sentence scores first; k0 adds no score, yet the sentence that
         # aligns with it is still selected to cover it.
         assert [s.index for s in result.sentences] == [1, 0]
@@ -239,7 +241,7 @@ class TestZeroIdfKeywords:
         idf_values = {w: 0.0 if v <= median else v for w, v in idf_values.items()}
         assert any(idf_values[k] == 0.0 for k in keywords)
         result, expected = run_both(vectors, idf_values, sentences, keywords)
-        assert result.query_keywords == keywords
+        assert result.covered_keywords | result.uncovered_keywords == keywords
         assert [s.index for s in result.sentences] == expected.indices
         assert result.covered_keywords == expected.covered
         assert result.uncovered_keywords == expected.uncovered
@@ -255,7 +257,6 @@ def assert_same_retrieval(retriever, description, entry):
     assert all(type(s.index) is int for s in got.sentences)
     assert got.covered_keywords == want.covered_keywords
     assert got.uncovered_keywords == want.uncovered_keywords
-    assert got.query_keywords == want.query_keywords
     return got
 
 
@@ -369,10 +370,10 @@ class TestRetrievalIsExact:
         prepared = retriever.prepare(ManualEntry(heading="8541", sentences=texts))
         assert len(prepared.rows) == len({t for s in sentences for t in s})
         # Row j is the unit row of token j.
-        want = unit_rows(prepared.tokens, retriever.vectors)
+        want = unit_rows(prepared.tokens, retriever.encoder.vectors)
         assert prepared.rows.tobytes() == want.tobytes()
         for index, text in enumerate(texts):
-            want = unit_rows(tokenize(text), retriever.vectors)
+            want = unit_rows(tokenize(text), retriever.encoder.vectors)
             occurrences = prepared.occurrences[prepared.bounds[index] : prepared.bounds[index + 1]]
             assert prepared.rows[occurrences].tobytes() == want.tobytes()
             assert prepared.token_set(index) == set(tokenize(text))
@@ -381,15 +382,15 @@ class TestRetrievalIsExact:
         retriever = make_retriever({"solar": [0.6, 0.8]}, {"mystery": 0.7, "solar": 0.2})
         (query,) = retriever.queries([["unseen", "solar", "mystery"]])
         assert query.ordered == ["mystery", "solar", "unseen"]
-        assert query.rows.tobytes() == unit_rows(query.ordered, retriever.vectors).tobytes()
+        assert query.rows.tobytes() == unit_rows(query.ordered, retriever.encoder.vectors).tobytes()
         assert query.rows.tolist() == [[0.0, 0.0], [0.6, 0.8], [0.0, 0.0]]
-        weights = [retriever.idf.value(t) for t in query.ordered]
+        weights = [retriever.encoder.idf.value(t) for t in query.ordered]
         assert query.weights.tolist() == weights == [0.7, 0.2, math.log(4)]
 
 
 def retrieval_bits(result):
     sentences = [(s.index, s.score.hex(), s.text) for s in result.sentences]
-    return sentences, result.covered_keywords, result.uncovered_keywords, result.query_keywords
+    return sentences, result.covered_keywords, result.uncovered_keywords
 
 
 class TestBatchInvariance:

@@ -100,7 +100,7 @@ def retrieval_key(result):
     if result is None:
         return None
     sentences = [(s.index, s.score.hex(), s.text) for s in result.sentences]
-    keywords = (result.covered_keywords, result.uncovered_keywords, result.query_keywords)
+    keywords = (result.covered_keywords, result.uncovered_keywords)
     return sentences, keywords
 
 
@@ -217,8 +217,10 @@ class TestPoolMany:
 
 def make_retriever(vectors: dict, idf_values: dict, **config) -> KeySentenceRetriever:
     return KeySentenceRetriever(
-        WordVectorTable({k: np.asarray(v, dtype=float) for k, v in vectors.items()}),
-        IdfTable(document_count=4, values=idf_values),
+        PooledEncoder(
+            WordVectorTable({k: np.asarray(v, dtype=float) for k, v in vectors.items()}),
+            IdfTable(document_count=4, values=idf_values),
+        ),
         stopwords=frozenset(),
         config=RetrievalConfig(**config),
     )
@@ -278,7 +280,7 @@ class TestRetrieveMany:
         idf_values = dict.fromkeys(words, 1.0)
         probe = make_retriever(vectors, idf_values)
         prepared = probe.prepare(entry)
-        alignments = oracles.canonical_alignments(["k0"], prepared.rows, probe.vectors)[0]
+        alignments = oracles.canonical_alignments(["k0"], prepared.rows, probe.encoder.vectors)[0]
         at = float(alignments[prepared.occurrences[:2]].max())
         assert 0.5 < at < 1.0 and alignments[prepared.occurrences[2:]].max() < 0.5
 

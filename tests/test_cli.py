@@ -88,6 +88,14 @@ class TestSynthCommand:
         for name in ("cases.jsonl", "manual.jsonl", "vectors.txt", "config.json"):
             assert (corpus_dir / name).exists()
 
+    @pytest.mark.parametrize("dimension", ["0", "-1"])
+    def test_dimension_below_one_exit_2(self, runner, tmp_path, dimension):
+        out = tmp_path / "corpus"
+        result = runner.invoke(main, ["synth", "--out-dir", str(out), "--dimension", dimension])
+        assert result.exit_code == 2, result.output
+        assert "vector_dimension must be >= 1" in result.output
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_checkpoint_structure(self, trained_dir):
@@ -578,6 +586,27 @@ def delete_idf(checkpoint: Path) -> None:
 
 class TestExitCodes:
     """2 for bad user input, 1 for a corrupt checkpoint; never a traceback."""
+
+    def assert_directory_refused(self, result, directory: Path) -> None:
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"not a regular file: {directory}" in result.output
+
+    def test_config_that_is_a_directory_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["--config", str(tmp_path), "train"])
+        self.assert_directory_refused(result, tmp_path)
+
+    def test_input_file_that_is_a_directory_exit_2(self, runner, trained_dir, tmp_path):
+        config = str(trained_dir / "config.json")
+        result = runner.invoke(main, ["--config", config, "predict", "--input-file", str(tmp_path)])
+        self.assert_directory_refused(result, tmp_path)
+
+    def test_cases_that_are_a_directory_exit_2(self, runner, corpus_dir, tmp_path):
+        config = write_config(corpus_dir, tmp_path / "config.json", cases=str(tmp_path),
+                              checkpoint_dir=str(tmp_path / "checkpoint"))
+        result = runner.invoke(main, ["--config", str(config), "train"])
+        self.assert_directory_refused(result, tmp_path)
+        assert not (tmp_path / "checkpoint").exists()
 
     @pytest.mark.parametrize(
         "corrupt, bad_file",

@@ -90,9 +90,7 @@ def model_from(model, source, tmp_path):
         model,
         manuals={h: replace(e, sentences=tuple(s.upper() for s in e.sentences))
                  for h, e in manuals.items()},
-        retriever=KeySentenceRetriever(
-            retriever.vectors, retriever.idf, retriever.stopwords, retriever.config
-        ),
+        retriever=KeySentenceRetriever(retriever.encoder, retriever.stopwords, retriever.config),
     )
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from hsclassify import calibration
-from hsclassify.alignment import KeySentenceRetriever, RetrievalResult, RetrievedSentence
+from hsclassify.alignment import KeySentenceRetriever
 from hsclassify.calibration import _mean_nll, fit_temperature
 from hsclassify.classifier import _gradient, _top1_accuracy
 from hsclassify.encoder import PooledEncoder
@@ -103,12 +103,9 @@ def encoder_of(vectors: dict, idf: dict, documents: int = 5) -> PooledEncoder:
 
 def retrieved_from_manual(encoder: PooledEncoder, description: str, sentences: list[str]):
     """The description pooled with the retriever's parts of ``sentences``, taken in order."""
-    retriever = KeySentenceRetriever(encoder.vectors, encoder.idf)
     entry = make_manual_entry("8541", sorted(set(sentences)))
-    result = RetrievalResult(
-        sentences=[RetrievedSentence(s, entry.sentences.index(s), 0.0) for s in sentences]
-    )
-    parts = retriever.evidence_parts(entry, result)
+    prepared = KeySentenceRetriever(encoder).prepare(entry)
+    parts = [prepared.parts[entry.sentences.index(s)] for s in sentences]
     vectors, idf = encoder.vectors, encoder.idf
     for sentence, part in zip(sentences, parts):
         assert part.dtype == np.intp

@@ -130,7 +130,7 @@ class TestFit:
         # Pooled from the retriever's prepared sentence parts, bit for bit the
         # token-by-token encoding of the description and key sentences joined.
         _, split = small_corpus
-        vectors, idf = model.encoder.vectors, model.encoder.idf
+        vectors, idf = model.retriever.encoder.vectors, model.retriever.encoder.idf
         index = {
             case_id: row
             for bucket in model.case_index.by_subheading.values()
@@ -285,15 +285,15 @@ class TestCheckpoint:
         build = textproc._unit_table
         monkeypatch.setattr(textproc, "_unit_table", lambda m: units.update(["unit"]) or build(m))
         loaded = load_pipeline(tmp_path / "ckpt")
-        # One unit table per model, shared by the encoder and the retriever.
+        # One unit table per model, held by the encoder the retriever reads.
         assert units == {"unit": 1}
-        assert loaded.retriever.vectors is loaded.encoder.vectors
-        saved, table = model.encoder.vectors, loaded.encoder.vectors
+        saved, table = model.retriever.encoder.vectors, loaded.retriever.encoder.vectors
         assert table.tokens() == sorted(saved.tokens())
         order = [saved.index[t] for t in table.tokens()]
         assert table.matrix.tobytes() == saved.matrix[order].tobytes()
         assert table.unit_rows.tobytes() == saved.unit_rows[[*order, -1]].tobytes()
-        assert loaded.encoder.weights.tobytes() == model.encoder.weights[order].tobytes()
+        weights = loaded.retriever.encoder.weights
+        assert weights.tobytes() == model.retriever.encoder.weights[order].tobytes()
 
     def test_resave_is_byte_identical(self, model, tmp_path):
         save_pipeline(model, tmp_path / "a")
@@ -373,9 +373,7 @@ class TestCheckpoint:
     def test_stopword_with_a_newline_is_not_saved(self, model, tmp_path):
         # Saved newline-joined, "zzz\nthe" would load back as two stopwords.
         saved = model.retriever
-        retriever = KeySentenceRetriever(
-            saved.vectors, saved.idf, saved.stopwords | {"zzz\nthe"}, saved.config
-        )
+        retriever = KeySentenceRetriever(saved.encoder, saved.stopwords | {"zzz\nthe"}, saved.config)
         with pytest.raises(ValueError, match="newline"):
             save_pipeline(replace(model, retriever=retriever), tmp_path / "ckpt")
 
@@ -486,14 +484,6 @@ class TestCheckpoint:
         )
         with pytest.raises(DimensionMismatch):
             type(model)(**{**model.__dict__, "heading_classifier": bad})
-
-    def test_retriever_with_other_tables_rejected(self, model):
-        # Evidence parts come from the retriever's tables, pooled by the encoder.
-        vectors, idf = model.encoder.vectors, model.encoder.idf
-        for other in (KeySentenceRetriever(vectors, copy.copy(idf)),
-                      KeySentenceRetriever(copy.copy(vectors), idf)):
-            with pytest.raises(ValueError, match="share their vector and idf tables"):
-                type(model)(**{**model.__dict__, "retriever": other})
 
 
 class TestRefitTemperatures:
@@ -883,8 +873,8 @@ class TestVariants:
         gold = Counter(labels.index(c.label.subheading) for c in cases)
         bias = np.zeros(len(labels))
         bias[[a, b]] = 1.0
-        head = SoftmaxClassifier(np.zeros((ablation_model.encoder.output_dimension, len(labels))),
-                                 bias, labels)
+        dimension = ablation_model.retriever.encoder.output_dimension
+        head = SoftmaxClassifier(np.zeros((dimension, len(labels))), bias, labels)
         tied = replace(ablation_model, subheading_classifier=head, ablation_classifier=head)
         want = [labels[i] for i in [a, b, *(i for i in range(len(labels)) if i not in (a, b))]]
 

@@ -148,3 +148,6 @@ def test_config_validation():
         SynthConfig(subheadings_per_heading=10)
     with pytest.raises(ValueError):
         SynthConfig(train_per_subheading=0)
+    for dimension in (0, -1):
+        with pytest.raises(ValueError, match="vector_dimension"):
+            SynthConfig(vector_dimension=dimension)

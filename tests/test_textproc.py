@@ -101,6 +101,13 @@ class TestCosine:
 
     def test_zero_norm_convention(self):
         assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
+        assert cosine([1.0, 2.0], [-0.0, 0.0]) == 0.0
+
+    def test_tiny_nonzero_vector_is_not_zero(self):
+        # Every square underflows to 0, so the naive norm is 0.
+        assert cosine([1e-170, 0.0], [1.0, 0.0]) == 1.0
+        assert cosine([0.0, 5e-324], [0.0, -2.0]) == -1.0
+        assert cosine([1e-170, 0.0], [0.0, 1e-170]) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -307,6 +314,7 @@ class TestUnitRows:
             "huge": [1e200, -3e200, 2e200],  # the squares overflow: rescaled first
             "plain": [0.1, 1 / 3, -2.5],
             "small": [1e-160, 2e-160, 0.0],
+            "tiny": [1e-170, 0.0, 0.0],  # every square underflows: rescaled first
         }
         table = WordVectorTable(vectors)
         for token in vectors:
@@ -317,6 +325,9 @@ class TestUnitRows:
         assert table.unit_rows.shape == (len(vectors) + 1, 3)
         assert table.unit_rows[-1].tobytes() == np.zeros(3).tobytes()
         assert np.signbit(table.unit_rows[table.index["negzero"]]).all()
+        assert table.unit_rows[table.index["tiny"]].tolist() == [1.0, 0.0, 0.0]
+        subnormal = table.unit_rows[table.index["subnormal"]]
+        assert np.linalg.norm(subnormal) == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_tables(self, seed):
