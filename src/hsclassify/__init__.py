@@ -30,7 +30,6 @@ from .pipeline import (
 )
 from .textproc import (
     DEFAULT_STOPWORDS,
-    IdfTable,
     WordVectorTable,
     compute_idf,
     content_keywords,
@@ -55,7 +54,6 @@ __all__ = [
     "fit",
     "fit_temperature",
     "HsCode",
-    "IdfTable",
     "KeySentenceRetriever",
     "LabelSpace",
     "load_cases",

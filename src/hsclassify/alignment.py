@@ -9,7 +9,8 @@ nothing new, or the sentence budget runs out.
 Every score is a fixed function of the entry, the query and its uncovered
 keywords, computed the same way whatever else is in the call. Keywords and
 an entry's distinct tokens read their unit rows from the vector table's one
-unit-row table, by token id (the zero row for a token without a vector).
+unit-row table, by token id (the zero row for a token without a vector);
+a keyword reads its idf weight from the encoder by the same id.
 A keyword's cosines with the distinct tokens are one ``(1, d) @ (d, T)``
 product against their rows, and its best alignment in a sentence is the
 maximum over the sentence's tokens. A sentence's step score is one
@@ -18,10 +19,10 @@ maximum over the sentence's tokens. A sentence's step score is one
 with the same score bits alone or among others, and the greedy steps of all
 queries of an entry run together.
 
-The retriever is built on the ``PooledEncoder`` and reads its vector and idf
-tables, so retrieval and pooling see one set of tables. A prepared entry
-keeps each sentence's encoder part, which pools key sentences with their
-description.
+The retriever is built on the ``PooledEncoder`` and reads its vector table
+and idf weights, so retrieval and pooling see one copy of each. A prepared
+entry keeps each sentence's encoder part, which pools key sentences with
+their description.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class Query:
 
 
 class KeySentenceRetriever:
-    """Binds an encoder's vector and idf tables and a stopword set to the retrieval procedure.
+    """Binds an encoder's vectors and idf weights and a stopword set to the retrieval procedure.
 
     ``queries`` builds each description's ``Query`` once, and
     ``retrieve_many`` selects key sentences from one manual entry for many
@@ -166,7 +167,7 @@ class KeySentenceRetriever:
             bounds = np.concatenate(([0], np.cumsum(lengths)))
             prepared = self._entries[entry] = _PreparedEntry(
                 tokens=tuple(distinct),
-                rows=self.encoder.vectors.unit_rows_of(distinct),
+                rows=self.encoder.vectors.unit_rows[self.encoder.vectors.ids(distinct)],
                 parts=tuple(map(self.encoder.part, sentence_tokens)),
                 occurrences=occurrences,
                 bounds=bounds,
@@ -178,13 +179,13 @@ class KeySentenceRetriever:
     def queries(self, token_lists: Sequence[list[str]]) -> list[Query]:
         """The query of each description's tokens.
 
-        A keyword's row is its unit row in the vector table, the zero row
-        when it has no vector; its weight is its idf value either way.
+        A keyword's id gathers its unit row and its idf weight: the zero row
+        and 0.0 when it has no vector (its alignments are ±0 anyway).
         """
         orders = [sorted(content_keywords(tokens, self.stopwords)) for tokens in token_lists]
-        words = list(chain.from_iterable(orders))
-        rows = self.encoder.vectors.unit_rows_of(words)
-        weights = np.array([self.encoder.idf.value(t) for t in words], dtype=float)
+        ids = self.encoder.vectors.ids(chain.from_iterable(orders))
+        rows = self.encoder.vectors.unit_rows[ids]
+        weights = self.encoder.weights[ids]
         ends = accumulate(len(order) for order in orders)
         return [
             Query(order, rows[end - len(order) : end], weights[end - len(order) : end])

@@ -67,6 +67,8 @@ def _load_config(config_path: str | None, seed: int | None, output_format: str |
 
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise TypeError("its top level is not a JSON object")
         effective_seed = seed if seed is not None else int(data.get("seed", 0))
         return CliConfig(
             cases=resolve("cases"),
@@ -175,6 +177,10 @@ def _ctx_config(ctx: click.Context) -> CliConfig:
 def train(ctx: click.Context, with_ablation: bool):
     """Fit the full pipeline and write a checkpoint directory."""
     config = _ctx_config(ctx)
+    target = config.checkpoint_dir
+    existing = next(p for p in (target, *target.parents) if p.exists())
+    if not existing.is_dir():  # refused before fitting, not after
+        raise click.UsageError(f"checkpoint_dir is not a directory: {existing}")
     split = _load_split(config)
     manuals, vectors, stopwords = _load_training_inputs(config)
 

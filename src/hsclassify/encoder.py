@@ -7,8 +7,8 @@ vocabulary id and pools groups of parts, many groups at a time
 evidence sentences' parts. The vectors and weights of a group's tokens are
 gathered by id.
 
-The encoder owns the vector and idf tables of a fitted pipeline: the
-key-sentence retriever is built on it and reads both through it.
+The encoder owns the vector table and the idf weights of a fitted pipeline,
+the only copy of each: the key-sentence retriever reads both through it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .textproc import IdfTable, WordVectorTable
+from .errors import DimensionMismatch
+from .textproc import WordVectorTable, rescale_rows
 
 
 # A text's part: the ids of its in-vocabulary tokens, in token order.
@@ -34,19 +35,22 @@ class PooledEncoder:
     A text is pooled from its ``Part``: tokenized and looked up once, then
     pooled alone or followed by other parts (a description by its evidence
     sentences' parts, which the retriever keeps with its prepared manual
-    entry). ``pool_many`` pools many such groups at once.
+    entry). ``pool_many`` pools many such groups at once. ``weights[i]`` is
+    id i's idf weight; the unknown id V, whose unit row is zero, has 0.0.
     """
 
-    def __init__(self, vectors: WordVectorTable, idf: IdfTable):
+    def __init__(self, vectors: WordVectorTable, weights: Sequence[float]):
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (len(vectors),):
+            raise DimensionMismatch(f"idf weights of shape {weights.shape} for {len(vectors)} tokens")
         self.vectors = vectors
-        self.idf = idf
         self.output_dimension = vectors.dimension
-        # weights[i]: the idf weight of the token with id i.
-        self.weights = np.array([idf.value(token) for token in vectors.index], dtype=float)
+        self.weights = np.append(weights, 0.0)
         self.weights.flags.writeable = False
 
     def part(self, tokens: Iterable[str]) -> Part:
-        return self.vectors.ids(tokens)
+        ids = self.vectors.ids(tokens)
+        return ids[ids < len(self.vectors)]
 
     def pool_many(self, groups: Sequence[Sequence[Part]]) -> np.ndarray:
         """Row i: the encoding of the concatenation of ``groups[i]``'s tokens.
@@ -60,7 +64,8 @@ class PooledEncoder:
         ``(groups, d + 1)`` slabs in token order, and the padding adds +0.0,
         which changes nothing. The total weight is summed with the terms,
         never pairwise. Row norms are stacked dot products, the same calls as
-        ``np.linalg.norm``.
+        ``np.linalg.norm``; a row that ``rescale_rows`` rescales, as it does
+        the vector table's unit rows, gets the norm of the rescaled row.
         """
         d = self.output_dimension
         n = len(groups)
@@ -85,7 +90,10 @@ class PooledEncoder:
         totals = sums[:, d:]
         pooled = np.zeros((n, d))
         np.divide(sums[:, :d], totals, out=pooled, where=~(totals <= 0.0))
-        norms = np.sqrt(pooled[:, None, :] @ pooled[:, :, None])[:, 0]
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(pooled[:, None, :] @ pooled[:, :, None])[:, 0]
+        for i in rescale_rows(pooled, norms):
+            norms[i] = np.sqrt(pooled[i] @ pooled[i])
         np.divide(pooled, norms, out=pooled, where=norms > 0.0)
         return pooled
 

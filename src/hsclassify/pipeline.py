@@ -15,7 +15,8 @@ The path from a description to its stage-3 vector is written once, in two
 helpers that ``infer_many`` and both of ``fit``'s encoding passes call:
 ``_describe`` pools each description alone, and ``_evidence`` retrieves its
 key sentences and pools it with those of its first entry. The retriever
-holds the one ``PooledEncoder``; retrieval and pooling read its tables.
+holds the one ``PooledEncoder``; retrieval and pooling read its vectors and
+idf weights.
 
 Every batched step computes each description's floats with the same calls as
 for that description alone: heads and norms are stacked per-row products,
@@ -48,9 +49,9 @@ from .corpus import DecisionCase, LabelSpace, ManualEntry, build_label_space
 from .encoder import Part, PooledEncoder
 from .errors import BadK, DimensionMismatch, EmptyInput, HsClassifyError, UntrainedModel
 from .errors import MissingManualWarning, TemperatureBoundWarning
-from .textproc import DEFAULT_STOPWORDS, IdfTable, WordVectorTable, compute_idf, tokenize
+from .textproc import DEFAULT_STOPWORDS, WordVectorTable, compute_idf, tokenize
 
-CHECKPOINT_FORMAT = 5
+CHECKPOINT_FORMAT = 6
 
 # Descriptions per batch of the inference path and of fit's encoding passes.
 # A batch pools from a zero-padded (tokens x rows x (d + 1)) array, so this
@@ -417,13 +418,14 @@ def fit(
 ) -> PipelineModel:
     """Train both stages, fit per-stage temperatures, build the case index.
 
-    The idf table counts each training and validation description and each
-    manual sentence as one document. One encoder holds the vector and idf
-    tables, and the retriever is built on it. Each text is tokenized once:
-    a description for the idf table, its encoding and its retrieval query;
-    a sentence for the idf table and its entry's prepared rows. The
-    training and sentence tokens are released once used; only the
-    validation tokens and parts outlive the training encoding.
+    The idf weights count each training and validation description and
+    each manual sentence as one document. One encoder holds the vector table
+    and one idf weight per vector token, and the retriever is built on it.
+    Each text is tokenized once: a description for the idf weights, its
+    encoding and its retrieval query; a sentence for the idf weights and its
+    entry's prepared rows. The training and sentence tokens are released
+    once used; only the validation tokens and parts outlive the training
+    encoding.
 
     Every stage-3 input goes the way inference's does: ``_describe`` gives
     the description vectors, ``_evidence`` the key sentences and the
@@ -445,7 +447,7 @@ def fit(
     val_tokens = [tokenize(c.description) for c in validation_cases]
     manual_tokens = {h: [tokenize(s) for s in e.sentences] for h, e in manuals.items()}
     sentence_tokens = [t for sentences in manual_tokens.values() for t in sentences]
-    idf = compute_idf([*train_tokens, *val_tokens, *sentence_tokens])
+    idf = compute_idf([*train_tokens, *val_tokens, *sentence_tokens], vectors.index)
     encoder = PooledEncoder(vectors, idf)
     retriever = KeySentenceRetriever(encoder, stopwords, config.retrieval)
     for heading in label_space.headings:
@@ -627,8 +629,9 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
     snippets = [snippet for _, bucket in buckets for snippet in bucket.snippets]
     if any("\n" in text for text in [*snippets, *model.retriever.stopwords]):
         raise ValueError("a case snippet or stopword contains a newline")
-    vectors, idf = model.retriever.encoder.vectors, model.retriever.encoder.idf
-    tokens = sorted(vectors.tokens())
+    encoder = model.retriever.encoder
+    tokens = sorted(encoder.vectors.tokens())
+    ids = encoder.vectors.ids(tokens)
     files = {
         **{f"{stage}_classifier.npz": _npz(weights=head.weights, bias=head.bias)
            for stage, head in heads.items() if head is not None},
@@ -638,12 +641,8 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
             ids=np.array([case_id for _, bucket in buckets for case_id in bucket.ids]),
             snippets=np.frombuffer("\n".join(snippets).encode(*_UTF8), dtype=np.uint8),
         ),
-        "vectors.npz": _npz(
-            tokens=np.array(tokens), vectors=vectors.matrix[[vectors.index[t] for t in tokens]]
-        ),
-        "idf.json": _canonical(
-            {"document_count": idf.document_count, "values": dict(sorted(idf.items()))}
-        ) + b"\n",
+        "vectors.npz": _npz(tokens=np.array(tokens), vectors=encoder.vectors.matrix[ids]),
+        "idf.npz": _npz(weights=encoder.weights[ids]),
         "manual.jsonl": b"".join(
             _canonical({"heading": heading, "sentences": list(entry.sentences)}) + b"\n"
             for heading, entry in model.manuals.items()
@@ -747,7 +746,7 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
 
     vectors = parse("vectors.npz", lambda d: WordVectorTable.from_rows(
         *_arrays(d, "tokens", "vectors")))
-    idf = parse("idf.json", lambda d: IdfTable(**json.loads(d)))
+    encoder = parse("idf.npz", lambda d: PooledEncoder(vectors, *_arrays(d, "weights")))
     stopwords = parse("stopwords.txt", lambda d: frozenset(d.decode().split("\n")[:-1]))
     manuals = parse("manual.jsonl", lambda d: {
         r["heading"]: ManualEntry(r["heading"], tuple(r["sentences"]))
@@ -761,7 +760,7 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
     with _read(directory):
         return PipelineModel(
             manuals=manuals,
-            retriever=KeySentenceRetriever(PooledEncoder(vectors, idf), stopwords, config.retrieval),
+            retriever=KeySentenceRetriever(encoder, stopwords, config.retrieval),
             label_space=label_space,
             case_index=case_index,
             config=config,

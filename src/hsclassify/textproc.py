@@ -121,14 +121,9 @@ class WordVectorTable:
         return self._zero if i is None else self.matrix[i]
 
     def ids(self, tokens: Iterable[str]) -> np.ndarray:
-        """The ids of the in-vocabulary ``tokens``, in order."""
-        ids = map(self.index.get, tokens)
-        return np.array([i for i in ids if i is not None], dtype=np.intp)
-
-    def unit_rows_of(self, tokens: Iterable[str]) -> np.ndarray:
-        """The unit rows of ``tokens``, the zero row for a token without a vector."""
+        """Each token's id, in order; V, the zero unit row's id, for a token without a vector."""
         unknown = len(self.index)
-        return self.unit_rows[[self.index.get(token, unknown) for token in tokens]]
+        return np.array([self.index.get(token, unknown) for token in tokens], dtype=np.intp)
 
     def tokens(self) -> list[str]:
         return list(self.index)
@@ -189,58 +184,49 @@ class WordVectorTable:
         return cls.from_rows(tokens, np.frombuffer(values).reshape(len(tokens), dimension))
 
 
-# ``cosine`` and ``_unit_table`` rescale a nonzero vector whose norm is below
-# this (its squared components are subnormal and skew the norm) or overflows
-# to inf.
+# ``cosine`` and ``rescale_rows`` rescale a nonzero vector whose norm is
+# below this (its squared components are subnormal and skew the norm) or
+# overflows to inf.
 RESCALE_BELOW = 1e-150
+
+
+def rescale_rows(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Divide in place each nonzero row that ``cosine`` would rescale by its largest absolute value.
+
+    A row's norm, ``norms[i, 0]``, is below ``RESCALE_BELOW`` or inf. Returns
+    the rescaled rows' indices; the caller recomputes their norms.
+    """
+    rescaled = np.flatnonzero(((norms < RESCALE_BELOW) | (norms == np.inf))[:, 0])
+    if rescaled.size:
+        rescaled = rescaled[rows[rescaled].any(axis=1)]
+        rows[rescaled] /= np.abs(rows[rescaled]).max(axis=1, keepdims=True)
+    return rescaled
 
 
 def _unit_table(matrix: np.ndarray) -> np.ndarray:
     """Each row of ``matrix`` over its L2 norm, then one zero row.
 
     Norms are row-wise, so a row gets the bits it gets alone; a row of
-    zeros is kept as it is. A nonzero row whose norm ``cosine`` would
-    rescale (below ``RESCALE_BELOW`` or inf) is divided by its largest
-    absolute value first, then by the norm of the result.
+    zeros is kept as it is, and one that ``rescale_rows`` rescales is
+    divided by its norm after the rescale.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    rescaled = np.flatnonzero(
-        ((norms < RESCALE_BELOW) | (norms == np.inf))[:, 0] & matrix.any(axis=1)
-    )
-    norms[norms == 0.0] = 1.0
     table = np.zeros((len(matrix) + 1, matrix.shape[1]))
-    np.divide(matrix, norms, out=table[:-1])
-    if rescaled.size:
-        rows = matrix[rescaled] / np.abs(matrix[rescaled]).max(axis=1, keepdims=True)
-        table[rescaled] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = table[:-1]
+    rows[:] = matrix
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    rescaled = rescale_rows(rows, norms)
+    norms[rescaled] = np.linalg.norm(rows[rescaled], axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    np.divide(rows, norms, out=rows)
     return table
 
 
-class IdfTable:
-    """Inverse document frequencies: idf(t) = ln(N / df(t)).
+def compute_idf(documents: list[list[str]], vocabulary: Iterable[str]) -> np.ndarray:
+    """The idf weight of each ``vocabulary`` token, in order: ln(N / df(t)).
 
-    Tokens absent from every document fall back to df = 1, i.e. ln(N).
+    A token in no document falls back to df = 1, i.e. ln(N).
     """
-
-    def __init__(self, document_count: int, values: dict[str, float]):
-        if document_count < 1:
-            raise EmptyInput("document count must be positive")
-        if not np.isfinite(np.fromiter(values.values(), float, len(values))).all():
-            raise ValueError("idf values must be finite")
-        self.document_count = document_count
-        self._values = dict(values)
-        self._default = math.log(document_count)
-
-    def value(self, token: str) -> float:
-        return self._values.get(token, self._default)
-
-    def items(self):
-        return self._values.items()
-
-
-def compute_idf(documents: list[list[str]]) -> IdfTable:
-    """Build an IdfTable from tokenized documents."""
     if not documents:
         raise EmptyInput("need at least one document for idf statistics")
     n = len(documents)
@@ -248,8 +234,8 @@ def compute_idf(documents: list[list[str]]) -> IdfTable:
     for doc in documents:
         for token in set(doc):
             df[token] = df.get(token, 0) + 1
-    values = {t: math.log(n / count) for t, count in df.items()}
-    return IdfTable(document_count=n, values=values)
+    unseen = math.log(n)
+    return np.array([math.log(n / df[t]) if t in df else unseen for t in vocabulary], float)
 
 
 def cosine(u, v) -> float:

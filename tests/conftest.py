@@ -6,7 +6,9 @@ import datetime as dt
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from hsclassify.alignment import KeySentenceRetriever, RetrievalResult
 from hsclassify.corpus import DecisionCase, ManualEntry, parse_hs_code
 from hsclassify.encoder import PooledEncoder
-from hsclassify.textproc import IdfTable, WordVectorTable, compute_idf, tokenize
+from hsclassify.textproc import WordVectorTable, compute_idf, tokenize
 
 
 @pytest.fixture
@@ -33,20 +35,26 @@ def toy_vectors() -> WordVectorTable:
 
 
 @pytest.fixture
-def toy_idf() -> IdfTable:
+def toy_encoder(toy_vectors) -> PooledEncoder:
+    """The toy table with idf weights from four small documents."""
     docs = [
         ["solar", "panel", "cell"],
         ["solar", "glass"],
         ["panel", "diode"],
         ["solar", "panel"],
     ]
-    return compute_idf(docs)
+    return PooledEncoder(toy_vectors, compute_idf(docs, toy_vectors.index))
 
 
-@pytest.fixture
-def uniform_idf() -> IdfTable:
-    """Every token unseen, so each gets idf = ln(4): equal positive weights."""
-    return IdfTable(document_count=4, values={})
+def idf_encoder(
+    vectors: WordVectorTable, idf: Mapping[str, float] = {}, documents: int = 4
+) -> PooledEncoder:
+    """The encoder whose token ``t`` has the weight ``idf[t]``, ln(documents) if absent.
+
+    That is what ``compute_idf`` gives a token in no document.
+    """
+    default = math.log(documents)
+    return PooledEncoder(vectors, [idf.get(token, default) for token in vectors.index])
 
 
 def make_case(

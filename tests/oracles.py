@@ -25,13 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from hsclassify.alignment import KeySentenceRetriever, RetrievalResult, RetrievedSentence
 from hsclassify.corpus import DecisionCase, ManualEntry
-from hsclassify.encoder import Part
+from hsclassify.encoder import Part, PooledEncoder
 from hsclassify.evaluation import (
     MATCH_F1_THRESHOLD,
     CaseRecord,
@@ -46,7 +46,6 @@ from hsclassify.pipeline import InferenceTrace, PipelineModel, _word_index
 from hsclassify.textproc import (
     DEFAULT_STOPWORDS,
     RESCALE_BELOW,
-    IdfTable,
     WordVectorTable,
     content_keywords,
     tokenize,
@@ -226,30 +225,46 @@ def mean_nll(logits: np.ndarray, labels: np.ndarray, temperature: float, out=Non
     return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
 
 
-def scalar_encode(vectors, idf, text: str) -> np.ndarray:
-    """``PooledEncoder.encode`` as a running sum over the tokens of ``text``."""
+def idf_values(encoder: PooledEncoder) -> dict[str, float]:
+    """Each vector token's idf weight in ``encoder``, keyed by token."""
+    return dict(zip(encoder.vectors.tokens(), encoder.weights.tolist()))
+
+
+def scalar_encode(encoder: PooledEncoder, text: str) -> np.ndarray:
+    """``text`` pooled by ``encoder`` as a running sum over its tokens."""
+    vectors, idf = encoder.vectors, idf_values(encoder)
     pooled = np.zeros(vectors.dimension)
     total_weight = 0.0
     for token in tokenize(text):
         if token not in vectors:
             continue
-        weight = idf.value(token)
+        weight = idf[token]
         pooled += weight * vectors.get(token)
         total_weight += weight
     if total_weight <= 0.0:
         return np.zeros(vectors.dimension)
-    pooled /= total_weight
-    norm = np.linalg.norm(pooled)
-    if norm > 0.0:
-        pooled /= norm
-    return pooled
+    return unit_vector(pooled / total_weight)
 
 
-def joined_encode_with_evidence(vectors, idf, description: str, sentences) -> np.ndarray:
+def joined_encode_with_evidence(encoder: PooledEncoder, description: str, sentences) -> np.ndarray:
     """The description and its evidence joined into one text, then encoded."""
     if not sentences:
-        return scalar_encode(vectors, idf, description)
-    return scalar_encode(vectors, idf, " ‖ ".join([description, *sentences]))
+        return scalar_encode(encoder, description)
+    return scalar_encode(encoder, " ‖ ".join([description, *sentences]))
+
+
+def unit_vector(pooled: np.ndarray) -> np.ndarray:
+    """``pooled`` over its norm, ``np.linalg.norm``; zeros kept as they are.
+
+    A nonzero vector whose norm is below ``RESCALE_BELOW`` or overflows to
+    inf is first divided by its largest absolute value.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(pooled)
+    if (norm < RESCALE_BELOW or norm == np.inf) and pooled.any():
+        pooled = pooled / np.abs(pooled).max()
+        norm = np.linalg.norm(pooled)
+    return pooled / norm if norm > 0.0 else pooled
 
 
 def unit_row(vector) -> np.ndarray:
@@ -291,11 +306,13 @@ def step_score(terms: np.ndarray) -> float:
     return float(np.add.reduceat(terms, [0])[0]) if len(terms) else 0.0
 
 
+def keyword_weights(keywords: Iterable[str], idf: Mapping[str, float]) -> np.ndarray:
+    """Each keyword's idf weight; 0.0 for a keyword without a vector."""
+    return np.array([idf.get(t, 0.0) for t in keywords], dtype=float)
+
+
 def alignment_score(
-    keywords: Iterable[str],
-    sentence_tokens: list[str],
-    vectors: WordVectorTable,
-    idf: IdfTable,
+    keywords: Iterable[str], sentence_tokens: list[str], encoder: PooledEncoder
 ) -> float:
     """Sum over the sorted keywords of idf(t) times its best within-sentence cosine.
 
@@ -303,12 +320,13 @@ def alignment_score(
     scores below the empty sentence. The cosines are the canonical
     alignments against the sentence's distinct tokens.
     """
+    vectors = encoder.vectors
     ordered = sorted(set(keywords))
     distinct = list(dict.fromkeys(sentence_tokens))
     best = np.zeros(len(ordered))
     if distinct:
         best = canonical_alignments(ordered, unit_rows(distinct, vectors), vectors).max(axis=1)
-    weights = np.array([idf.value(t) for t in ordered])
+    weights = keyword_weights(ordered, idf_values(encoder))
     return step_score(np.maximum(best, 0.0) * weights)
 
 
@@ -330,7 +348,7 @@ def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: Ma
         best.append(
             alignments[:, columns].max(axis=1) if columns else np.zeros(len(keywords))
         )
-    weights = np.array([retriever.encoder.idf.value(t) for t in keywords])
+    weights = keyword_weights(keywords, idf_values(retriever.encoder))
     threshold = retriever.config.coverage_threshold
 
     result = RetrievalResult(uncovered_keywords=set(keywords))
@@ -419,22 +437,18 @@ def scalar_pool(encoder, parts: list[Part]) -> np.ndarray:
     A part's ids name the tokens, whose vectors and idf weights are looked
     up by token.
     """
-    vectors, idf = encoder.vectors, encoder.idf
+    vectors, idf = encoder.vectors, idf_values(encoder)
     tokens = vectors.tokens()
     pooled = np.zeros(vectors.dimension)
     total_weight = 0.0
     for part in parts:
         for token in (tokens[i] for i in part.tolist()):
-            weight = idf.value(token)
+            weight = idf[token]
             pooled += weight * vectors.get(token)
             total_weight += weight
     if total_weight <= 0.0:
         return np.zeros(vectors.dimension)
-    pooled /= total_weight
-    norm = np.linalg.norm(pooled)
-    if norm > 0.0:
-        pooled /= norm
-    return pooled
+    return unit_vector(pooled / total_weight)
 
 
 def reference_infer(model: PipelineModel, description: str, headings: int = 0) -> InferenceTrace:

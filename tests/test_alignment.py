@@ -11,10 +11,9 @@ import pytest
 from hsclassify import textproc
 from hsclassify.alignment import KeySentenceRetriever, RetrievalConfig
 from hsclassify.corpus import ManualEntry
-from hsclassify.encoder import PooledEncoder
-from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
+from hsclassify.textproc import WordVectorTable, tokenize
 
-from conftest import retrieve
+from conftest import idf_encoder, retrieve
 from oracles import (
     alignment_score,
     oracle_alignment_score,
@@ -28,9 +27,10 @@ NO_STOPWORDS: frozenset[str] = frozenset()
 
 def make_retriever(vectors: dict, idf_values: dict, n_docs: int = 4, **config) -> KeySentenceRetriever:
     return KeySentenceRetriever(
-        PooledEncoder(
+        idf_encoder(
             WordVectorTable({k: np.asarray(v, dtype=float) for k, v in vectors.items()}),
-            IdfTable(document_count=n_docs, values=idf_values),
+            idf_values,
+            n_docs,
         ),
         stopwords=NO_STOPWORDS,
         config=RetrievalConfig(**config),
@@ -77,22 +77,23 @@ def run_both(vectors, idf_values, sentences, keywords, max_sentences=7, threshol
 
 
 class TestAlignmentScore:
-    def test_verbatim_match_contributes_full_idf(self, toy_vectors, toy_idf):
-        score = alignment_score({"solar"}, ["solar", "panel"], toy_vectors, toy_idf)
-        assert score == pytest.approx(toy_idf.value("solar"), abs=1e-12)
+    def test_verbatim_match_contributes_full_idf(self, toy_encoder):
+        score = alignment_score({"solar"}, ["solar", "panel"], toy_encoder)
+        # "solar" is in 3 of the 4 idf documents.
+        assert score == pytest.approx(math.log(4 / 3), abs=1e-12)
 
-    def test_empty_sentence_scores_zero(self, toy_vectors, toy_idf):
-        assert alignment_score({"solar", "panel"}, [], toy_vectors, toy_idf) == 0.0
+    def test_empty_sentence_scores_zero(self, toy_encoder):
+        assert alignment_score({"solar", "panel"}, [], toy_encoder) == 0.0
 
-    def test_empty_query_scores_zero(self, toy_vectors, toy_idf):
-        assert alignment_score(set(), ["solar"], toy_vectors, toy_idf) == 0.0
+    def test_empty_query_scores_zero(self, toy_encoder):
+        assert alignment_score(set(), ["solar"], toy_encoder) == 0.0
 
-    def test_negative_similarity_clamped(self, toy_idf):
-        vectors = WordVectorTable({"up": [1.0, 0.0], "down": [-1.0, 0.0]})
-        assert alignment_score({"up"}, ["down"], vectors, toy_idf) == 0.0
+    def test_negative_similarity_clamped(self):
+        encoder = idf_encoder(WordVectorTable({"up": [1.0, 0.0], "down": [-1.0, 0.0]}))
+        assert alignment_score({"up"}, ["down"], encoder) == 0.0
 
-    def test_out_of_vocabulary_contributes_nothing(self, toy_vectors, toy_idf):
-        assert alignment_score({"mystery"}, ["solar"], toy_vectors, toy_idf) == 0.0
+    def test_out_of_vocabulary_contributes_nothing(self, toy_encoder):
+        assert alignment_score({"mystery"}, ["solar"], toy_encoder) == 0.0
 
     def test_matches_double_loop_oracle(self):
         vectors = {
@@ -105,7 +106,7 @@ class TestAlignmentScore:
         idf_values = {"a": 1.5, "b": 0.7, "x": 0.4, "y": 1.1, "z": 0.9}
         retriever = make_retriever(vectors, idf_values)
         sentence = ["x", "y", "z"]
-        got = alignment_score({"a", "b"}, sentence, retriever.encoder.vectors, retriever.encoder.idf)
+        got = alignment_score({"a", "b"}, sentence, retriever.encoder)
         expected = oracle_alignment_score(
             {"a", "b"}, sentence, vectors, idf_values, math.log(4), dim=3
         )
@@ -113,24 +114,24 @@ class TestAlignmentScore:
 
 
 class TestRetrieve:
-    def test_single_sentence_covers_everything(self, toy_vectors, toy_idf):
-        retriever = KeySentenceRetriever(PooledEncoder(toy_vectors, toy_idf), NO_STOPWORDS)
+    def test_single_sentence_covers_everything(self, toy_encoder):
+        retriever = KeySentenceRetriever(toy_encoder, NO_STOPWORDS)
         entry = ManualEntry(heading="8541", sentences=("solar panel cell", "glass diode"))
         result = retrieve(retriever, "solar panel", entry)
         assert [s.index for s in result.sentences] == [0]
         assert result.uncovered_keywords == set()
         assert result.covered_keywords == {"solar", "panel"}
 
-    def test_synonym_vectors_cover_keywords(self, toy_vectors, toy_idf):
-        retriever = KeySentenceRetriever(PooledEncoder(toy_vectors, toy_idf), NO_STOPWORDS)
+    def test_synonym_vectors_cover_keywords(self, toy_encoder):
+        retriever = KeySentenceRetriever(toy_encoder, NO_STOPWORDS)
         entry = ManualEntry(heading="8541", sentences=("sunlight collectors",))
         result = retrieve(retriever, "solar", entry)
         assert [s.index for s in result.sentences] == [0]
         assert result.covered_keywords == {"solar"}
 
-    def test_nothing_aligns_returns_empty(self, toy_idf):
+    def test_nothing_aligns_returns_empty(self):
         vectors = WordVectorTable({"solar": [1.0, 0.0], "iron": [0.0, 1.0]})
-        retriever = KeySentenceRetriever(PooledEncoder(vectors, toy_idf), NO_STOPWORDS)
+        retriever = KeySentenceRetriever(idf_encoder(vectors), NO_STOPWORDS)
         entry = ManualEntry(heading="7201", sentences=("iron iron", "iron"))
         result = retrieve(retriever, "solar", entry)
         assert result.sentences == []
@@ -196,8 +197,8 @@ class TestRetrieve:
         assert result.covered_keywords & result.uncovered_keywords == set()
         assert all(s.text == entry.sentences[s.index] for s in result.sentences)
 
-    def test_stopwords_removed_from_query(self, toy_vectors, toy_idf):
-        retriever = KeySentenceRetriever(PooledEncoder(toy_vectors, toy_idf), frozenset({"the"}))
+    def test_stopwords_removed_from_query(self, toy_encoder):
+        retriever = KeySentenceRetriever(toy_encoder, frozenset({"the"}))
         entry = ManualEntry(heading="8541", sentences=("solar panel",))
         result = retrieve(retriever, "the solar", entry)
         assert result.covered_keywords | result.uncovered_keywords == {"solar"}
@@ -378,14 +379,42 @@ class TestRetrievalIsExact:
             assert prepared.rows[occurrences].tobytes() == want.tobytes()
             assert prepared.token_set(index) == set(tokenize(text))
 
-    def test_unknown_keyword_has_the_zero_row_and_its_idf_weight(self):
-        retriever = make_retriever({"solar": [0.6, 0.8]}, {"mystery": 0.7, "solar": 0.2})
-        (query,) = retriever.queries([["unseen", "solar", "mystery"]])
-        assert query.ordered == ["mystery", "solar", "unseen"]
-        assert query.rows.tobytes() == unit_rows(query.ordered, retriever.encoder.vectors).tobytes()
-        assert query.rows.tolist() == [[0.0, 0.0], [0.6, 0.8], [0.0, 0.0]]
-        weights = [retriever.encoder.idf.value(t) for t in query.ordered]
-        assert query.weights.tolist() == weights == [0.7, 0.2, math.log(4)]
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unknown_keywords_change_no_selection(self, seed):
+        # An unknown keyword has the zero row, so its alignments are ±0 and
+        # its weight reaches no score: the query selects what it selects
+        # without it and leaves it uncovered. Its ±0 terms shift the order
+        # in which the step score's other terms are summed, so the scores
+        # agree to rounding.
+        vectors, idf_values, sentences, keywords = random_instance(seed)
+        retriever = make_retriever(vectors, idf_values)
+        entry = ManualEntry(heading="8541", sentences=tuple(" ".join(s) for s in sentences))
+        unknown = {"mystery", "unseen", "zzz"}
+        plain = retrieve(retriever, " ".join(sorted(keywords)), entry)
+        padded = retrieve(retriever, " ".join(sorted(keywords | unknown)), entry)
+        assert [s.index for s in padded.sentences] == [s.index for s in plain.sentences]
+        assert [s.score for s in padded.sentences] == pytest.approx(
+            [s.score for s in plain.sentences], rel=1e-14
+        )
+        assert padded.covered_keywords == plain.covered_keywords
+        assert padded.uncovered_keywords == plain.uncovered_keywords | unknown
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_unknown_id_weight_reaches_no_score_bit(self, seed):
+        vectors, idf_values, sentences, keywords = random_instance(seed)
+        retriever = make_retriever(vectors, idf_values)
+        (query,) = retriever.queries([["mystery", "unseen"]])
+        assert not query.rows.any() and query.weights.tolist() == [0.0, 0.0]
+        # Any finite weight >= 0 of the unknown id selects the same
+        # sentences with the same score bits, e.g. the ln(N) an unseen
+        # token gets.
+        heavy = make_retriever(vectors, idf_values)
+        heavy.encoder.weights = np.append(heavy.encoder.weights[:-1], math.log(4))
+        entry = ManualEntry(heading="8541", sentences=tuple(" ".join(s) for s in sentences))
+        description = " ".join(sorted(keywords | {"mystery", "unseen", "zzz"}))
+        assert retrieval_bits(retrieve(heavy, description, entry)) == retrieval_bits(
+            retrieve(retriever, description, entry)
+        )
 
 
 def retrieval_bits(result):

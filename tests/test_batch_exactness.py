@@ -26,9 +26,9 @@ from hsclassify.encoder import PooledEncoder
 from hsclassify.errors import MissingManualWarning
 from hsclassify.pipeline import CHUNK_ROWS, PipelineConfig, fit
 from hsclassify.synth import SynthConfig, generate
-from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
+from hsclassify.textproc import WordVectorTable, tokenize
 
-from conftest import retrieve
+from conftest import idf_encoder, retrieve
 
 BATCH_SIZES = [1, 2, 40, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
 
@@ -162,7 +162,7 @@ def random_encoder(rng, d: int) -> PooledEncoder:
     vectors["tiny"] = np.full(d, 5e-324)
     # Some idf weights are zero, so a group's total weight can be zero.
     idf = {t: float(rng.choice([0.0, rng.uniform(0.0, 3.0)])) for t in [*vocab, "neg"]}
-    return PooledEncoder(WordVectorTable(vectors), IdfTable(5, idf))
+    return idf_encoder(WordVectorTable(vectors), idf, documents=5)
 
 
 def assert_pools_like_the_token_loop(encoder: PooledEncoder, groups):
@@ -191,10 +191,11 @@ class TestPoolMany:
 
     def test_negative_zero_subnormal_and_zero_idf_tokens(self):
         tiny = 5e-324
-        encoder = PooledEncoder(
+        encoder = idf_encoder(
             WordVectorTable({"x": [-0.0, 1.0, -0.0], "y": [-0.0, -2.0, 0.0],
                              "t": [tiny, 3 * tiny, 0.0], "z": [1.0, 2.0, 3.0]}),
-            IdfTable(5, {"z": 0.0, "t": 1e-5}),
+            {"z": 0.0, "t": 1e-5},
+            documents=5,
         )
 
         def part(text):
@@ -217,9 +218,9 @@ class TestPoolMany:
 
 def make_retriever(vectors: dict, idf_values: dict, **config) -> KeySentenceRetriever:
     return KeySentenceRetriever(
-        PooledEncoder(
+        idf_encoder(
             WordVectorTable({k: np.asarray(v, dtype=float) for k, v in vectors.items()}),
-            IdfTable(document_count=4, values=idf_values),
+            idf_values,
         ),
         stopwords=frozenset(),
         config=RetrievalConfig(**config),

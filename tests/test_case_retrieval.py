@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from hsclassify.case_retrieval import build_index, similar_cases
-from hsclassify.encoder import PooledEncoder
 from hsclassify.errors import BadK, DimensionMismatch, DuplicateId, EmptyInput
-from hsclassify.textproc import IdfTable, WordVectorTable, cosine
+from hsclassify.encoder import PooledEncoder
+from hsclassify.textproc import WordVectorTable, cosine
 
-from conftest import encode_with_evidence, make_case
+from conftest import encode_with_evidence, idf_encoder, make_case
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def encoder() -> PooledEncoder:
             "gamma": [0.0, 0.0, 1.0],
         }
     )
-    return PooledEncoder(vectors, IdfTable(document_count=4, values={}))
+    return idf_encoder(vectors)
 
 
 def embedded(cases, encoder, evidence=None):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hsclassify import cli
 from hsclassify.cli import main
 from hsclassify.corpus import chronological_split, load_cases
 from hsclassify.pipeline import CandidateReport, _from_dict
@@ -31,7 +32,7 @@ CHECKPOINT_FILES = [
     "heading_classifier.npz",
     "subheading_classifier.npz",
     "case_index.npz",
-    "idf.json",
+    "idf.npz",
     "vectors.npz",
     "stopwords.txt",
     "manual.jsonl",
@@ -550,6 +551,11 @@ def downgrade_to_format_4(checkpoint: Path) -> None:
     path.write_text(json.dumps(manifest))
 
 
+def downgrade_to_format_5(checkpoint: Path) -> None:
+    path = checkpoint / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 5}))
+
+
 def nan_first_vector(checkpoint: Path) -> None:
     def edit(arrays):
         arrays["vectors"][0, 0] = np.nan
@@ -566,22 +572,30 @@ def nan_first_case_embedding(checkpoint: Path) -> None:
     edit_checkpoint_arrays(checkpoint, "case_index.npz", edit)
 
 
-def nan_first_idf_value(checkpoint: Path) -> None:
-    path = checkpoint / "idf.json"
-    idf = json.loads(path.read_text())
-    idf["values"][next(iter(idf["values"]))] = float("nan")  # written as NaN
-    path.write_text(json.dumps(idf))
-    rehash_checkpoint(checkpoint)
+def nan_first_weight(checkpoint: Path) -> None:
+    def edit(arrays):
+        arrays["weights"][0] = np.nan
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "idf.npz", edit)
+
+
+def drop_last_weight(checkpoint: Path) -> None:
+    def edit(arrays):
+        arrays["weights"] = arrays["weights"][:-1]
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "idf.npz", edit)
+
+
+def delete_idf(checkpoint: Path) -> None:
+    (checkpoint / "idf.npz").unlink()
 
 
 def ablation_temperature_without_head(checkpoint: Path) -> None:
     path = checkpoint / "manifest.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), "ablation_temperature": 1.0}))
     rehash_checkpoint(checkpoint)
-
-
-def delete_idf(checkpoint: Path) -> None:
-    (checkpoint / "idf.json").unlink()
 
 
 class TestExitCodes:
@@ -608,20 +622,48 @@ class TestExitCodes:
         self.assert_directory_refused(result, tmp_path)
         assert not (tmp_path / "checkpoint").exists()
 
+    @pytest.mark.parametrize("within", [False, True])
+    def test_checkpoint_dir_under_a_file_exit_2_before_fitting(
+        self, runner, corpus_dir, tmp_path, monkeypatch, within
+    ):
+        cases = tmp_path / "cases.jsonl"
+        shutil.copy(corpus_dir / "cases.jsonl", cases)
+        checkpoint = cases / "checkpoint" if within else cases
+        config = write_config(corpus_dir, tmp_path / "config.json", checkpoint_dir=str(checkpoint))
+        fits = []
+        monkeypatch.setattr(cli, "fit", lambda *args: fits.append(args))
+        result = runner.invoke(main, ["--config", str(config), "train"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"checkpoint_dir is not a directory: {cases}" in result.output
+        assert fits == []
+        assert cases.read_bytes() == (corpus_dir / "cases.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("top_level", ["[]", '"cases.jsonl"', "7"])
+    def test_config_that_is_not_a_json_object_exit_2(self, runner, tmp_path, top_level):
+        path = tmp_path / "c.json"
+        path.write_text(top_level)
+        result = runner.invoke(main, ["--config", str(path), "evaluate"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"config file {path} is invalid" in result.output
+
     @pytest.mark.parametrize(
         "corrupt, bad_file",
         [
             (truncate_case_index, "case_index.npz"),
             (drop_one_case_id, "case_index.npz"),
-            (delete_idf, "idf.json"),
+            (delete_idf, "idf.npz"),
             (delete_heading_temperature, "manifest.json"),
             (downgrade_to_format_1, "manifest.json: unsupported checkpoint format 1; retrain"),
             (downgrade_to_format_2, "manifest.json: unsupported checkpoint format 2; retrain"),
             (downgrade_to_format_3, "manifest.json: unsupported checkpoint format 3; retrain"),
             (downgrade_to_format_4, "manifest.json: unsupported checkpoint format 4; retrain"),
+            (downgrade_to_format_5, "manifest.json: unsupported checkpoint format 5; retrain"),
             (nan_first_vector, "vectors.npz"),
             (nan_first_case_embedding, "case_index.npz"),
-            (nan_first_idf_value, "idf.json"),
+            (nan_first_weight, "idf.npz: ValueError: array 'weights' holds a non-finite"),
+            (drop_last_weight, "idf.npz: idf weights of shape"),
             (ablation_temperature_without_head, "ckpt: ValueError: an ablation head needs"),
         ],
     )

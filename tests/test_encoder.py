@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsclassify.encoder import PooledEncoder
-from hsclassify.textproc import IdfTable, WordVectorTable
+from hsclassify.errors import DimensionMismatch
+from hsclassify.textproc import WordVectorTable, cosine
 
 import oracles
-from conftest import encode, encode_with_evidence
+from conftest import encode, encode_with_evidence, idf_encoder
 
 
 def _toy_encoder() -> PooledEncoder:
@@ -26,12 +27,13 @@ def _toy_encoder() -> PooledEncoder:
             "diode": [0.0, 1.0, 1.0],
         }
     )
-    return PooledEncoder(vectors, IdfTable(document_count=4, values={}))
+    return idf_encoder(vectors)
 
 
 @pytest.fixture
-def encoder(toy_vectors, uniform_idf) -> PooledEncoder:
-    return PooledEncoder(toy_vectors, uniform_idf)
+def encoder(toy_vectors) -> PooledEncoder:
+    """Every token unseen, so each gets idf = ln(4): equal positive weights."""
+    return idf_encoder(toy_vectors)
 
 
 class TestPooledEncoder:
@@ -56,8 +58,7 @@ class TestPooledEncoder:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_idf_weighting_shifts_the_mean(self, toy_vectors):
-        idf = IdfTable(document_count=4, values={"solar": math.log(4), "panel": math.log(2)})
-        enc = PooledEncoder(toy_vectors, idf)
+        enc = idf_encoder(toy_vectors, {"solar": math.log(4), "panel": math.log(2)})
         w_solar, w_panel = math.log(4), math.log(2)
         mean = (w_solar * np.array([1.0, 0, 0]) + w_panel * np.array([0, 1.0, 0])) / (
             w_solar + w_panel
@@ -66,9 +67,28 @@ class TestPooledEncoder:
         np.testing.assert_allclose(encode(enc, "solar panel"), expected, atol=1e-12)
 
     def test_zero_total_weight_gives_zero_vector(self, toy_vectors):
-        idf = IdfTable(document_count=1, values={"solar": 0.0})
-        enc = PooledEncoder(toy_vectors, idf)
+        enc = idf_encoder(toy_vectors, documents=1)  # ln(1) = 0 for every token
         assert not encode(enc, "solar solar").any()
+
+    def test_weights_are_one_per_id_then_zero_for_the_unknown_id(self, toy_vectors):
+        enc = PooledEncoder(toy_vectors, np.arange(len(toy_vectors), dtype=float) + 1.0)
+        assert enc.weights.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0]
+        assert not enc.weights.flags.writeable
+        assert enc.part(["cell", "unknown", "solar"]).tolist() == [3, 0]
+
+    @pytest.mark.parametrize("weights", [[1.0] * 5, [1.0] * 7, [[1.0] * 6]])
+    def test_one_weight_per_vector_token(self, toy_vectors, weights):
+        with pytest.raises(DimensionMismatch):
+            PooledEncoder(toy_vectors, weights)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-320, 1e170, 1e300])
+    def test_tiny_and_huge_rows_are_rescaled_to_unit_length(self, scale):
+        # The row's squared norm underflows, is subnormal or overflows.
+        enc = idf_encoder(WordVectorTable({"a": [scale, 0.0], "b": [scale, scale]}))
+        assert encode(enc, "a").tolist() == [1.0, 0.0]
+        (pooled,) = enc.pool_many([[enc.part(["a", "b"])]])
+        assert np.linalg.norm(pooled) == pytest.approx(1.0, rel=1e-15)
+        assert pooled @ [1.0, 0.0] == pytest.approx(cosine([2.0, 1.0], [1.0, 0.0]), rel=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(st.permutations(["solar", "panel", "cell", "glass", "diode"]))
@@ -89,7 +109,7 @@ class TestEncodeWithEvidence:
         desc = "solar panel cell"
         np.testing.assert_array_equal(
             encode_with_evidence(encoder, desc, []),
-            oracles.scalar_encode(encoder.vectors, encoder.idf, desc),
+            oracles.scalar_encode(encoder, desc),
         )
 
     def test_empty_description_single_sentence(self, encoder):

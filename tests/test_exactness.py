@@ -19,9 +19,9 @@ from hsclassify.alignment import KeySentenceRetriever
 from hsclassify.calibration import _mean_nll, fit_temperature
 from hsclassify.classifier import _gradient, _top1_accuracy
 from hsclassify.encoder import PooledEncoder
-from hsclassify.textproc import IdfTable, WordVectorTable, tokenize
+from hsclassify.textproc import WordVectorTable, tokenize
 
-from conftest import encode, encode_with_evidence, make_manual_entry
+from conftest import encode, encode_with_evidence, idf_encoder, make_manual_entry
 
 # One row, which BLAS routes to a matrix-vector kernel, and counts on either
 # side of 1,024 rows and twice that.
@@ -98,7 +98,7 @@ class TestBufferedPasses:
 
 
 def encoder_of(vectors: dict, idf: dict, documents: int = 5) -> PooledEncoder:
-    return PooledEncoder(WordVectorTable(vectors), IdfTable(documents, idf))
+    return idf_encoder(WordVectorTable(vectors), idf, documents)
 
 
 def retrieved_from_manual(encoder: PooledEncoder, description: str, sentences: list[str]):
@@ -106,7 +106,7 @@ def retrieved_from_manual(encoder: PooledEncoder, description: str, sentences: l
     entry = make_manual_entry("8541", sorted(set(sentences)))
     prepared = KeySentenceRetriever(encoder).prepare(entry)
     parts = [prepared.parts[entry.sentences.index(s)] for s in sentences]
-    vectors, idf = encoder.vectors, encoder.idf
+    vectors, idf = encoder.vectors, oracles.idf_values(encoder)
     for sentence, part in zip(sentences, parts):
         assert part.dtype == np.intp
         assert part.tobytes() == encoder.part(tokenize(sentence)).tobytes()
@@ -114,20 +114,19 @@ def retrieved_from_manual(encoder: PooledEncoder, description: str, sentences: l
         known = [t for t in tokenize(sentence) if t in vectors]
         rows = np.array([vectors.get(t) for t in known]).reshape(len(known), vectors.dimension)
         assert vectors.matrix[part].tobytes() == rows.tobytes()
-        assert encoder.weights[part].tobytes() == np.array([idf.value(t) for t in known]).tobytes()
+        assert encoder.weights[part].tobytes() == np.array([idf[t] for t in known]).tobytes()
     return encoder.pool_many([[encoder.part(tokenize(description)), *parts]])[0]
 
 
 def assert_pools_exactly(encoder: PooledEncoder, description: str, sentences: list[str]):
-    vectors, idf = encoder.vectors, encoder.idf
     assert encode(encoder, description).tobytes() == (
-        oracles.scalar_encode(vectors, idf, description).tobytes()
+        oracles.scalar_encode(encoder, description).tobytes()
     )
-    want = oracles.joined_encode_with_evidence(vectors, idf, description, sentences)
+    want = oracles.joined_encode_with_evidence(encoder, description, sentences)
     assert encode_with_evidence(encoder, description, sentences).tobytes() == want.tobytes()
     manual = [s for s in sentences if s.strip()]  # a manual sentence is never blank
     if manual:
-        want = oracles.joined_encode_with_evidence(vectors, idf, description, manual)
+        want = oracles.joined_encode_with_evidence(encoder, description, manual)
         assert retrieved_from_manual(encoder, description, manual).tobytes() == want.tobytes()
 
 

@@ -130,7 +130,7 @@ class TestFit:
         # Pooled from the retriever's prepared sentence parts, bit for bit the
         # token-by-token encoding of the description and key sentences joined.
         _, split = small_corpus
-        vectors, idf = model.retriever.encoder.vectors, model.retriever.encoder.idf
+        encoder = model.retriever.encoder
         index = {
             case_id: row
             for bucket in model.case_index.by_subheading.values()
@@ -139,12 +139,12 @@ class TestFit:
         for case in split.train:
             entry = model.manuals[case.label.heading]
             evidence = retrieve(model.retriever, case.description, entry).sentence_texts()
-            want = oracles.joined_encode_with_evidence(vectors, idf, case.description, evidence)
+            want = oracles.joined_encode_with_evidence(encoder, case.description, evidence)
             assert index[case.id].tobytes() == want.tobytes()
         for case in split.test:
             trace = next(model.infer_many([case.description]))
             evidence = trace.retrievals[0].sentence_texts()
-            want = oracles.joined_encode_with_evidence(vectors, idf, case.description, evidence)
+            want = oracles.joined_encode_with_evidence(encoder, case.description, evidence)
             assert trace.stage3_vector.tobytes() == want.tobytes()
 
     def test_empty_train_rejected(self, small_corpus):
@@ -293,7 +293,7 @@ class TestCheckpoint:
         assert table.matrix.tobytes() == saved.matrix[order].tobytes()
         assert table.unit_rows.tobytes() == saved.unit_rows[[*order, -1]].tobytes()
         weights = loaded.retriever.encoder.weights
-        assert weights.tobytes() == model.retriever.encoder.weights[order].tobytes()
+        assert weights.tobytes() == model.retriever.encoder.weights[[*order, -1]].tobytes()
 
     def test_resave_is_byte_identical(self, model, tmp_path):
         save_pipeline(model, tmp_path / "a")
@@ -309,13 +309,13 @@ class TestCheckpoint:
             "heading_classifier.npz",
             "subheading_classifier.npz",
             "case_index.npz",
-            "idf.json",
+            "idf.npz",
             "vectors.npz",
             "stopwords.txt",
             "manual.jsonl",
         }
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert manifest["format_version"] == 5
+        assert manifest["format_version"] == 6
         assert set(manifest["files"]) == names - {"manifest.json"}
         assert "config_hashes" not in manifest
 
@@ -327,6 +327,19 @@ class TestCheckpoint:
                  if m["name"].startswith(prefix)}
         save_pipeline(model, tmp_path / "ckpt")
         assert named and named <= {p.name.rsplit(".", 1)[0] for p in (tmp_path / "ckpt").iterdir()}
+
+    def test_readme_table_names_the_saved_files(self, model, ablation_model, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"(`format_version` {pipeline.CHECKPOINT_FORMAT})" in readme
+        table = readme.split("| file | holds |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        named = {name for row in table.splitlines()
+                 for name in re.findall(r"`(\w+\.\w+)`", row.split("|")[1])}
+        saved = {}
+        for label, fitted in (("plain", model), ("ablation", ablation_model)):
+            save_pipeline(fitted, tmp_path / label)
+            saved[label] = {p.name for p in (tmp_path / label).iterdir()}
+        assert named == saved["ablation"]
+        assert named - {"ablation_classifier.npz"} == saved["plain"]
 
     def test_missing_checkpoint_raises_untrained(self, tmp_path):
         with pytest.raises(UntrainedModel):
@@ -675,7 +688,7 @@ class TestSinglePass:
         fit(split.train, split.validation, corpus.manual, corpus.vectors, config=config)
         descriptions = Counter(c.description for c in [*split.train, *split.validation])
         assert {text: tokenized[text] for text in descriptions} == descriptions
-        # A manual sentence: once, for the idf table and its entry's prepared rows.
+        # A manual sentence: once, for the idf weights and its entry's prepared rows.
         sentences = [s for entry in corpus.manual.values() for s in entry.sentences]
         assert len(set(sentences)) == len(sentences)
         assert {tokenized[s] for s in sentences} == {1}

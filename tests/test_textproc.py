@@ -55,21 +55,27 @@ class TestTokenize:
 
 class TestComputeIdf:
     def test_token_in_every_document(self):
-        table = compute_idf([["a", "b"], ["a"], ["a", "c"]])
-        assert table.value("a") == 0.0
+        assert compute_idf([["a", "b"], ["a"], ["a", "c"]], ["a"]).tolist() == [0.0]
 
     def test_one_of_four(self):
-        table = compute_idf([["rare"], ["x"], ["y"], ["z"]])
-        assert table.value("rare") == pytest.approx(math.log(4), abs=1e-12)
-        assert table.value("rare") == pytest.approx(1.3863, abs=1e-4)
+        (rare,) = compute_idf([["rare"], ["x"], ["y"], ["z"]], ["rare"])
+        assert rare == pytest.approx(math.log(4), abs=1e-12)
+        assert rare == pytest.approx(1.3863, abs=1e-4)
 
     def test_unseen_token_falls_back_to_ln_n(self):
-        table = compute_idf([["x"], ["y"], ["z"], ["w"]])
-        assert table.value("never-seen") == pytest.approx(math.log(4))
+        weights = compute_idf([["x"], ["y"], ["z"], ["w"]], ["never-seen"])
+        assert weights.tolist() == [math.log(4)]
+
+    def test_one_weight_per_vocabulary_token_in_order(self):
+        docs = [["a", "b"], ["a"], ["a", "c", "c"]]
+        weights = compute_idf(docs, ["c", "unseen", "a", "b"])
+        assert weights.dtype == float
+        assert weights.tolist() == [math.log(3 / 1), math.log(3), 0.0, math.log(3 / 1)]
+        assert compute_idf(docs, []).shape == (0,)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            compute_idf([])
+            compute_idf([], ["a"])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -80,16 +86,16 @@ class TestComputeIdf:
         )
     )
     def test_monotone_in_document_frequency(self, docs):
-        table = compute_idf(docs)
         df = {}
         for doc in docs:
             for t in set(doc):
                 df[t] = df.get(t, 0) + 1
         tokens = sorted(df, key=df.get)
+        idf = dict(zip(tokens, compute_idf(docs, tokens).tolist()))
         for a, b in zip(tokens, tokens[1:]):
             if df[a] <= df[b]:
-                assert table.value(a) >= table.value(b) - 1e-12
-        assert all(table.value(t) >= 0.0 for t in df)
+                assert idf[a] >= idf[b] - 1e-12
+        assert all(value >= 0.0 for value in idf.values())
 
 
 class TestCosine:
@@ -155,8 +161,9 @@ class TestContentKeywords:
     @given(st.lists(st.sampled_from(["the", "of", "solar", "panel", "everywhere"]), max_size=8))
     def test_only_stopwords_are_dropped(self, tokens):
         # A token in every idf document (idf 0) is still a keyword.
-        idf = compute_idf([["everywhere", "solar"], ["everywhere"], ["everywhere", "panel"]])
-        assert idf.value("everywhere") == 0.0
+        idf = compute_idf([["everywhere", "solar"], ["everywhere"], ["everywhere", "panel"]],
+                          ["everywhere"])
+        assert idf.tolist() == [0.0]
         assert content_keywords(tokens) == set(tokens) - DEFAULT_STOPWORDS
 
 
@@ -203,8 +210,11 @@ class TestWordVectorTable:
     def test_ids_index_the_matrix(self, toy_vectors):
         ids = toy_vectors.ids(["panel", "missing", "solar", "panel"])
         assert ids.dtype == np.intp
-        assert [toy_vectors.tokens()[i] for i in ids] == ["panel", "solar", "panel"]
-        assert toy_vectors.matrix[ids].tobytes() == np.array(
+        # A token without a vector gets V, the id of the last, zero unit row.
+        assert ids[1] == len(toy_vectors) == len(toy_vectors.unit_rows) - 1
+        known = ids[[0, 2, 3]]
+        assert [toy_vectors.tokens()[i] for i in known] == ["panel", "solar", "panel"]
+        assert toy_vectors.matrix[known].tobytes() == np.array(
             [toy_vectors.get(t) for t in ["panel", "solar", "panel"]]
         ).tobytes()
         assert toy_vectors.ids([]).shape == (0,)
@@ -339,8 +349,9 @@ class TestUnitRows:
         want = oracles.unit_rows([*tokens, "unknown"], table)
         assert table.unit_rows.tobytes() == want.tobytes()
         picked = [tokens[-1], "unknown", tokens[0], tokens[-1]]
-        assert table.unit_rows_of(picked).tobytes() == oracles.unit_rows(picked, table).tobytes()
-        assert table.unit_rows_of([]).shape == (0, d)
+        rows = table.unit_rows[table.ids(picked)]
+        assert rows.tobytes() == oracles.unit_rows(picked, table).tobytes()
+        assert table.unit_rows[table.ids([])].shape == (0, d)
 
     @pytest.mark.parametrize(
         "text, line",
