@@ -3,7 +3,11 @@
 Plain mini-batch gradient descent on mean cross-entropy plus an L2 weight
 penalty. Weights start at zero (the objective is convex for a linear head),
 shuffling is driven by the config seed, and the returned parameters are the
-snapshot from the best validation epoch.
+snapshot from the best validation epoch. ``TrainConfig.epochs`` is a cap:
+training stops after the first epoch whose validation top-1 is 1.0, since
+a snapshot is replaced only by a strictly better epoch and no later epoch
+can be kept. The returned parameters are the ones a run of every epoch
+keeps.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ class TrainConfig:
 class TrainReport:
     """Per-epoch training curve and the selected epoch.
 
+    The lists hold one entry per epoch run: all of ``TrainConfig.epochs``,
+    or fewer when an epoch's validation top-1 reached 1.0 and training
+    stopped there (that epoch is then ``best_epoch``). The entries equal the
+    first entries of a run of every epoch.
+
     ``losses[e]`` is the mean of each row's cross-entropy at the parameters
     its epoch-``e`` step began from, plus (l2/2)*||W||^2 at the epoch's end.
     ``best_epoch`` is the argmax of validation top-1 accuracy with ties going
@@ -58,7 +67,10 @@ class TrainReport:
 # b``, ``exp(z - max) / sum``), so every float is the same. Passes are not
 # split into row chunks: BLAS may round a chunk's rows of ``x @ W`` otherwise
 # than the same rows of the whole product (a one-row chunk goes to a
-# matrix-vector kernel, and threads split rows elsewhere).
+# matrix-vector kernel, and threads split rows elsewhere). The step's
+# reductions call ``np.maximum.reduce`` and ``np.add.reduce`` directly: the
+# ndarray methods ``max``, ``sum`` and ``mean`` run the same reductions
+# through Python wrappers.
 
 
 def _logits(weights, bias, inputs) -> np.ndarray:
@@ -69,21 +81,21 @@ def _logits(weights, bias, inputs) -> np.ndarray:
 
 def _exp_shifted(logits: np.ndarray) -> np.ndarray:
     """exp(logits - row max), written over ``logits``."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     return np.exp(logits, out=logits)
 
 
 def softmax_inplace(logits: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, written over ``logits``."""
     exp = _exp_shifted(logits)
-    exp /= exp.sum(axis=-1, keepdims=True)
+    exp /= np.add.reduce(exp, axis=-1, keepdims=True)
     return exp
 
 
 def picked_probabilities(logits: np.ndarray, label_indices) -> np.ndarray:
     """softmax(logits)[i, label_indices[i]] for each row i; overwrites ``logits``."""
     exp = _exp_shifted(logits)
-    return exp[np.arange(exp.shape[0]), label_indices] / exp.sum(axis=-1)
+    return exp[np.arange(exp.shape[0]), label_indices] / np.add.reduce(exp, axis=-1)
 
 
 def mean_log_loss(picked: np.ndarray) -> float:
@@ -96,10 +108,11 @@ def _gradient(weights, bias, inputs, label_indices, l2_penalty):
     rows = np.arange(inputs.shape[0])
     delta = softmax_inplace(_logits(weights, bias, inputs))
     picked = delta[rows, label_indices]  # a copy, taken before the one-hot subtraction
-    loss_sum = -float(np.log(np.maximum(picked, _LOG_FLOOR, out=picked), out=picked).sum())
+    np.log(np.maximum(picked, _LOG_FLOOR, out=picked), out=picked)
+    loss_sum = -float(np.add.reduce(picked))
     delta[rows, label_indices] -= 1.0
     grad_w = inputs.T @ delta / rows.size + l2_penalty * weights
-    grad_b = delta.mean(axis=0)
+    grad_b = np.add.reduce(delta, axis=0) / rows.size
     return grad_w, grad_b, loss_sum
 
 
@@ -216,6 +229,8 @@ def train(
             best_acc = accuracy
             best = (weights.copy(), bias.copy())
             report.best_epoch = epoch
+            if accuracy == 1.0:  # no later epoch can score higher
+                break
 
     if not has_val:
         best, report.best_epoch = (weights, bias), config.epochs - 1

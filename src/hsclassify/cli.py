@@ -191,15 +191,22 @@ def train(ctx: click.Context, with_ablation: bool):
 
     report = model.fit_report
     click.echo(f"cases: {len(split.train)} train / {len(split.validation)} validation")
-    for stage in ("heading", "subheading", "ablation"):
+    caps = {"heading": config.pipeline.heading_train.epochs}
+    caps["subheading"] = caps["ablation"] = config.pipeline.subheading_train.epochs
+    for stage, cap in caps.items():
         stage_report = getattr(report, stage)
         if stage_report is None:  # no ablation head
             continue
-        best = stage_report.best_epoch
+        best, run = stage_report.best_epoch, len(stage_report.losses)
+        stopped = (
+            f"  (stopped after {run} of {cap} epochs: validation top-1 reached 1.0)"
+            if run < cap
+            else ""
+        )
         click.echo(
-            f"{stage}: best epoch {best + 1}/{len(stage_report.losses)}"
+            f"{stage}: best epoch {best + 1}/{run}"
             f"  val top-1 {stage_report.val_accuracies[best]:.4f}"
-            f"  epoch-mean train loss {stage_report.losses[best]:.4f}"
+            f"  epoch-mean train loss {stage_report.losses[best]:.4f}{stopped}"
         )
     if report.missing_manual_cases:
         click.echo(f"warning: {report.missing_manual_cases} cases lack a gold-heading manual entry")

@@ -24,6 +24,9 @@ from .textproc import WordVectorTable, rescale_rows
 # A text's part: the ids of its in-vocabulary tokens, in token order.
 Part = np.ndarray
 
+# No sum of k terms of magnitude at most m overflows while k * m is below this.
+_SUM_LIMIT = np.finfo(float).max / 2
+
 
 class PooledEncoder:
     """Unit-length IDF-weighted mean of in-vocabulary token vectors.
@@ -47,6 +50,11 @@ class PooledEncoder:
         self.output_dimension = vectors.dimension
         self.weights = np.append(weights, 0.0)
         self.weights.flags.writeable = False
+        # Bounds every |w * v| and every weight a pooled sum adds; a product of
+        # Python floats overflows to inf without a warning.
+        matrix = vectors.matrix
+        largest = max(float(matrix.max(initial=0.0)), -float(matrix.min(initial=0.0)), 1.0)
+        self._largest_term = float(np.abs(self.weights).max()) * largest
 
     def part(self, tokens: Iterable[str]) -> Part:
         ids = self.vectors.ids(tokens)
@@ -63,7 +71,11 @@ class PooledEncoder:
         which is summed over its first axis from +0.0: that adds whole
         ``(groups, d + 1)`` slabs in token order, and the padding adds +0.0,
         which changes nothing. The total weight is summed with the terms,
-        never pairwise. Row norms are stacked dot products, the same calls as
+        never pairwise. When a batch's sums could overflow (a word vector
+        near the float maximum), each group whose mean is not finite is
+        pooled again from its vectors over their largest absolute value,
+        which keeps its direction; the other groups keep their bits. Row
+        norms are stacked dot products, the same calls as
         ``np.linalg.norm``; a row that ``rescale_rows`` rescales, as it does
         the vector table's unit rows, gets the norm of the rescaled row.
         """
@@ -74,6 +86,28 @@ class PooledEncoder:
         if not width:
             return np.zeros((n, d))
         ids = np.concatenate([part for group in groups for part in group])
+        if len(ids) * self._largest_term < _SUM_LIMIT:
+            pooled = self._means(ids, lengths, width)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                pooled = self._means(ids, lengths, width)
+            for i in np.flatnonzero(~np.isfinite(pooled).all(axis=1)):
+                start = sum(lengths[:i])
+                group = ids[start : start + lengths[i]]
+                rows = self.vectors.matrix[group]
+                rows = rows / np.abs(rows).max() * self.weights[group][:, None]
+                pooled[i] = np.add.reduce(rows, axis=0, initial=0.0)
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(pooled[:, None, :] @ pooled[:, :, None])[:, 0]
+        for i in rescale_rows(pooled, norms):
+            norms[i] = np.sqrt(pooled[i] @ pooled[i])
+        np.divide(pooled, norms, out=pooled, where=norms > 0.0)
+        return pooled
+
+    def _means(self, ids: np.ndarray, lengths: list[int], width: int) -> np.ndarray:
+        """Each group's weighted mean of its tokens' vectors, the groups' ids end to end."""
+        d = self.output_dimension
+        n = len(lengths)
         weights = self.weights[ids][:, None]
         terms = self.vectors.matrix[ids]
         terms *= weights
@@ -90,10 +124,5 @@ class PooledEncoder:
         totals = sums[:, d:]
         pooled = np.zeros((n, d))
         np.divide(sums[:, :d], totals, out=pooled, where=~(totals <= 0.0))
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(pooled[:, None, :] @ pooled[:, :, None])[:, 0]
-        for i in rescale_rows(pooled, norms):
-            norms[i] = np.sqrt(pooled[i] @ pooled[i])
-        np.divide(pooled, norms, out=pooled, where=norms > 0.0)
         return pooled
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,38 @@ def reference_train(inputs, labels, val_inputs, val_labels, config, num_classes)
     return best[0], best[1], losses, accuracies, best_epoch
 
 
+def assert_train_stops_exactly(inputs, labels, val_inputs, val_labels, config, classes):
+    """``train`` keeps the full-length reference's parameters and best epoch, and runs
+    its epochs up to the first with validation top-1 1.0 (all of them if none is).
+
+    Returns the reference's validation accuracies, one per epoch of the cap.
+    """
+    clf, report = train(
+        inputs, labels, val_inputs, val_labels, config, [f"c{i}" for i in range(classes)]
+    )
+    weights, bias, losses, accuracies, best_epoch = reference_train(
+        inputs, labels, val_inputs, val_labels, config, classes
+    )
+    assert clf.weights.tobytes() == weights.tobytes()
+    assert clf.bias.tobytes() == bias.tobytes()
+    assert report.best_epoch == best_epoch
+    run = accuracies.index(1.0) + 1 if 1.0 in accuracies else config.epochs
+    assert len(report.losses) == len(report.val_accuracies) == run
+    assert [v.hex() for v in report.losses] == [v.hex() for v in losses[:run]]
+    assert [v.hex() for v in report.val_accuracies] == [v.hex() for v in accuracies[:run]]
+    return accuracies
+
+
+def offset_line(seed=0, per_class=12):
+    """One feature, classes on either side of 1.1: the boundary must move far from
+    where zero weights put it, so validation becomes perfect only after some epochs."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([rng.uniform(0.0, 1.0, per_class), rng.uniform(1.2, 2.2, per_class)])
+    inputs = [np.array([v]) for v in values]
+    val_inputs = [np.array([v]) for v in (0.2, 0.9, 1.3, 2.0)]
+    return inputs, [0] * per_class + [1] * per_class, val_inputs, [0, 0, 1, 1]
+
+
 class TestStepMatchesPlainReference:
     """``train`` and ``_gradient`` keep the bits of the plain one-softmax step."""
 
@@ -216,17 +249,70 @@ class TestStepMatchesPlainReference:
         config = TrainConfig(
             epochs=12, learning_rate=0.5, batch_size=batch_size, seed=4, l2_penalty=1e-3
         )
-        clf, report = train(
-            inputs, labels, val_inputs, val_labels, config, [f"c{i}" for i in range(classes)]
-        )
-        weights, bias, losses, accuracies, best_epoch = reference_train(
+        accuracies = assert_train_stops_exactly(
             inputs, labels, val_inputs, val_labels, config, classes
         )
-        assert clf.weights.tobytes() == weights.tobytes()
-        assert clf.bias.tobytes() == bias.tobytes()
-        assert [v.hex() for v in report.losses] == [v.hex() for v in losses]
-        assert [v.hex() for v in report.val_accuracies] == [v.hex() for v in accuracies]
-        assert report.best_epoch == best_epoch
+        if case == "single_class":  # every prediction is right: stops after epoch 0
+            assert accuracies[0] == 1.0
+
+
+class TestStopAtFirstPerfectEpoch:
+    """Training ends after the first epoch with validation top-1 1.0, keeping what
+    a run of every epoch keeps: no later epoch can score strictly higher."""
+
+    @pytest.mark.parametrize(
+        "case, first_perfect",
+        [
+            ("perfect_at_epoch_0", 0),
+            ("perfect_mid_run", 6),
+            ("never_perfect", None),
+            ("sentinel_validation", None),
+            ("no_validation", None),
+        ],
+    )
+    def test_matches_the_full_run(self, case, first_perfect):
+        config = TrainConfig(epochs=12, learning_rate=0.5, batch_size=8, seed=4)
+        if case in ("perfect_at_epoch_0", "sentinel_validation", "no_validation"):
+            inputs, labels = separable_blobs(seed=3)
+            val_inputs, val_labels = separable_blobs(seed=4, per_class=3)
+            if case == "sentinel_validation":  # the other labels are all predicted right
+                val_labels[0] = -1
+            elif case == "no_validation":
+                val_inputs, val_labels = [], []
+        else:
+            inputs, labels, val_inputs, val_labels = offset_line()
+            if case == "never_perfect":
+                config = replace(config, learning_rate=0.05)
+        accuracies = assert_train_stops_exactly(
+            inputs, labels, val_inputs, val_labels, config, 2
+        )
+        assert (accuracies.index(1.0) if 1.0 in accuracies else None) == first_perfect
+        if case == "sentinel_validation":
+            assert set(accuracies) == {(len(val_labels) - 1) / len(val_labels)}
+        if case == "perfect_mid_run":  # the kept snapshot was replaced before the stop
+            assert 0.0 < max(accuracies[:first_perfect]) < 1.0
+
+    @pytest.mark.parametrize("case, first_perfect", [("blobs", 0), ("offset_line", 4)])
+    def test_steps_run(self, case, first_perfect, monkeypatch):
+        """A head perfect at epoch e runs (e + 1) x ceil(n / batch_size) steps."""
+        if case == "blobs":
+            inputs, labels = separable_blobs(seed=3)
+            val_inputs, val_labels = separable_blobs(seed=4, per_class=3)
+        else:
+            inputs, labels, val_inputs, val_labels = offset_line()
+        config = TrainConfig(epochs=12, learning_rate=0.5, batch_size=7, seed=4)
+        steps = []
+        gradient = classifier._gradient
+
+        def counted(*args):
+            steps.append(len(args[2]))
+            return gradient(*args)
+
+        monkeypatch.setattr(classifier, "_gradient", counted)
+        _, report = train(inputs, labels, val_inputs, val_labels, config, ["a", "b"])
+        assert report.best_epoch == first_perfect
+        assert len(steps) == (first_perfect + 1) * math.ceil(len(inputs) / config.batch_size)
+        assert sum(steps) == (first_perfect + 1) * len(inputs)
 
 
 class TestTrain:
@@ -254,15 +340,15 @@ class TestTrain:
         assert all(int(np.argmax(probabilities(clf, x))) == 1 for x in inputs)
 
     def test_best_epoch_selects_highest_validation_accuracy(self):
-        inputs, labels = separable_blobs(seed=7)
-        val_inputs, val_labels = separable_blobs(seed=8, per_class=5)
-        _, report = train(
-            inputs, labels, val_inputs, val_labels, TrainConfig(epochs=10), ["a", "b"]
-        )
-        accs = report.val_accuracies
-        assert len(accs) == 10
-        assert accs[report.best_epoch] == max(accs)
-        assert report.best_epoch == accs.index(max(accs))  # earliest tie
+        blobs = (*separable_blobs(seed=7), *separable_blobs(seed=8, per_class=5))
+        for inputs, labels, val_inputs, val_labels in (blobs, offset_line()):
+            _, report = train(
+                inputs, labels, val_inputs, val_labels, TrainConfig(epochs=10), ["a", "b"]
+            )
+            accs = report.val_accuracies
+            assert len(accs) == (accs.index(1.0) + 1 if 1.0 in accs else 10)
+            assert accs[report.best_epoch] == max(accs)
+            assert report.best_epoch == accs.index(max(accs))  # earliest tie
 
     def test_seeded_training_is_bit_reproducible(self):
         inputs, labels = separable_blobs(seed=5)

@@ -488,18 +488,24 @@ class TestTrainVariants:
         assert (tmp_path / "ckpt-abl" / "ablation_classifier.npz").exists()
         manifest = json.loads((tmp_path / "ckpt-abl" / "manifest.json").read_text())
         assert "ablation_classifier.npz" in manifest["files"]
-        epochs = {}
-        for stage in ("heading", "subheading", "ablation"):
+        caps = {stage: config[f"{stage}_train"]["epochs"] for stage in ("heading", "subheading")}
+        caps["ablation"] = caps["subheading"]
+        for stage, cap in caps.items():
             line = re.search(
-                rf"^{stage}: best epoch (\d+)/(\d+)  val top-1 [01]\.\d{{4}}"
-                rf"  epoch-mean train loss \d+\.\d{{4}}$",
+                rf"^{stage}: best epoch (\d+)/(\d+)  val top-1 ([01]\.\d{{4}})"
+                rf"  epoch-mean train loss \d+\.\d{{4}}"
+                rf"(  \(stopped after (\d+) of (\d+) epochs: validation top-1 reached 1\.0\))?$",
                 result.output,
                 re.MULTILINE,
             )
             assert line, result.output
-            assert 1 <= int(line[1]) <= int(line[2])
-            epochs[stage] = int(line[2])
-        assert epochs["ablation"] == epochs["subheading"]
+            best, run = int(line[1]), int(line[2])
+            assert 1 <= best <= run <= cap
+            if line[4]:  # stopped at its first perfect epoch, which it keeps
+                assert (int(line[5]), int(line[6])) == (run, cap)
+                assert run < cap and best == run and line[3] == "1.0000"
+            else:  # every epoch ran
+                assert run == cap
 
 
 def truncate_case_index(checkpoint: Path) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,32 @@ class TestPooledEncoder:
         (pooled,) = enc.pool_many([[enc.part(["a", "b"])]])
         assert np.linalg.norm(pooled) == pytest.approx(1.0, rel=1e-15)
         assert pooled @ [1.0, 0.0] == pytest.approx(cosine([2.0, 1.0], [1.0, 0.0]), rel=1e-15)
+
+    def test_a_group_whose_mean_overflows_pools_to_a_finite_unit_row(self):
+        # 1.5e308 * ln 4 overflows, so the groups with "a" are pooled again from
+        # their vectors over 1.5e308; the group of "b" alone keeps its bits.
+        enc = idf_encoder(WordVectorTable({"a": [1.5e308, 1.0], "b": [0.3, 0.7]}))
+        groups = [[enc.part(["a"])], [enc.part(["b"])], [enc.part(["a", "b"])]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pooled = enc.pool_many(groups)
+            alone = [enc.pool_many([group])[0] for group in groups]
+        assert pooled[0].tolist() == enc.vectors.unit_rows[0].tolist() == [1.0, 1 / 1.5e308]
+        b_alone = idf_encoder(WordVectorTable({"b": [0.3, 0.7]}))
+        assert pooled[1].tobytes() == encode(b_alone, "b").tobytes()
+        # The mean of the two rows points along [1.5e308 + 0.3, 1.7].
+        assert pooled[2][0] == 1.0
+        assert pooled[2][1] == pytest.approx(1.7 / 1.5e308, rel=1e-12)
+        for row, one in zip(pooled, alone):
+            assert row.tobytes() == one.tobytes()
+
+    def test_a_sum_that_overflows_from_finite_terms(self):
+        # Each w * v is ln 4 * 1e308, finite; their sum is not.
+        enc = idf_encoder(WordVectorTable({"a": [1e308, 1.0], "b": [1e308, -1.0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (pooled,) = enc.pool_many([[enc.part(["a", "b"])]])
+        assert pooled.tolist() == [1.0, 0.0]
 
     @settings(max_examples=50, deadline=None)
     @given(st.permutations(["solar", "panel", "cell", "glass", "diode"]))
