@@ -13,16 +13,18 @@ unit-row table, by token id (the zero row for a token without a vector);
 a keyword reads its idf weight from the encoder by the same id.
 A keyword's cosines with the distinct tokens are one ``(1, d) @ (d, T)``
 product against their rows, and its best alignment in a sentence is the
-maximum over the sentence's tokens. A sentence's step score is one
-``np.add.reduceat`` segment, over the query's sorted keywords, of
-``uncovered * max(best, 0) * idf``. So a query selects the same sentences
-with the same score bits alone or among others, and the greedy steps of all
-queries of an entry run together.
+maximum over the sentence's tokens. Those are a function of the keyword's
+id and the entry alone, so a call with many queries aligns each distinct
+keyword id once and gathers the rows back to every query that holds it. A
+sentence's step score is one ``np.add.reduceat`` segment, over the query's
+sorted keywords, of ``uncovered * max(best, 0) * idf``. So a query
+selects the same sentences with the same score bits alone or among others,
+and the greedy steps of all queries of an entry run together.
 
 The retriever is built on the ``PooledEncoder`` and reads its vector table
 and idf weights, so retrieval and pooling see one copy of each. A prepared
-entry keeps each sentence's encoder part, which pools key sentences with
-their description.
+entry keeps each sentence's encoder part, which pools key sentences on from
+their description's running sums.
 """
 
 from __future__ import annotations
@@ -111,14 +113,16 @@ class _PreparedEntry:
 
 @dataclass(frozen=True, eq=False)
 class Query:
-    """A description's keywords, sorted, with their unit rows and idf weights.
+    """A description's keywords, sorted, with their vector-table ids.
 
-    Built once per description and shared by every entry retrieved from.
+    ``ids[k]`` is keyword k's id: V, the unknown id, for a keyword without
+    a vector, whose unit row is zero and idf weight 0.0 (its alignments
+    are ±0 anyway). Built once per description and shared by every entry
+    retrieved from.
     """
 
     ordered: list[str]
-    rows: np.ndarray
-    weights: np.ndarray
+    ids: np.ndarray
 
 
 class KeySentenceRetriever:
@@ -168,7 +172,7 @@ class KeySentenceRetriever:
             prepared = self._entries[entry] = _PreparedEntry(
                 tokens=tuple(distinct),
                 rows=self.encoder.vectors.unit_rows[self.encoder.vectors.ids(distinct)],
-                parts=tuple(map(self.encoder.part, sentence_tokens)),
+                parts=tuple(self.encoder.parts(sentence_tokens)),
                 occurrences=occurrences,
                 bounds=bounds,
                 nonempty=np.flatnonzero(lengths),
@@ -177,20 +181,11 @@ class KeySentenceRetriever:
         return prepared
 
     def queries(self, token_lists: Sequence[list[str]]) -> list[Query]:
-        """The query of each description's tokens.
-
-        A keyword's id gathers its unit row and its idf weight: the zero row
-        and 0.0 when it has no vector (its alignments are ±0 anyway).
-        """
+        """The query of each description's tokens."""
         orders = [sorted(content_keywords(tokens, self.stopwords)) for tokens in token_lists]
         ids = self.encoder.vectors.ids(chain.from_iterable(orders))
-        rows = self.encoder.vectors.unit_rows[ids]
-        weights = self.encoder.weights[ids]
         ends = accumulate(len(order) for order in orders)
-        return [
-            Query(order, rows[end - len(order) : end], weights[end - len(order) : end])
-            for order, end in zip(orders, ends)
-        ]
+        return [Query(order, ids[end - len(order) : end]) for order, end in zip(orders, ends)]
 
     def retrieve_many(
         self, queries: Sequence[Query], manual_entry: ManualEntry
@@ -205,19 +200,30 @@ class KeySentenceRetriever:
         would cover nothing new (it is not taken), or ``max_sentences`` is
         reached; a query whose keywords no sentence covers stops before the
         first step. The queries that go on take each step together.
+
+        Each distinct keyword id of the call is aligned once: one
+        ``best_alignments`` row per id, gathered back to each keyword by
+        ``np.unique``'s inverse index. A call with one query aligns its own
+        keywords' rows as they are, with no such step.
         """
         prepared = self.prepare(manual_entry)
         results = [RetrievalResult(uncovered_keywords=set(q.ordered)) for q in queries]
         ids = [i for i, query in enumerate(queries) if query.ordered]
         if not ids:
             return results
-        best = prepared.best_alignments(np.concatenate([queries[i].rows for i in ids]))
+        unit_rows = self.encoder.vectors.unit_rows
+        if len(ids) == 1:
+            keyword_ids = queries[ids[0]].ids
+            best = prepared.best_alignments(unit_rows[keyword_ids])
+        else:
+            keyword_ids = np.concatenate([queries[i].ids for i in ids])
+            distinct, inverse = np.unique(keyword_ids, return_inverse=True)
+            best = prepared.best_alignments(unit_rows[distinct])[inverse]
         covers = best >= self.config.coverage_threshold
         if not covers.any():
             return results
         lengths = np.array([len(queries[i].ordered) for i in ids])
-        weights = np.concatenate([queries[i].weights for i in ids])
-        weighted = np.maximum(best, 0.0) * weights[:, None]
+        weighted = np.maximum(best, 0.0) * self.encoder.weights[keyword_ids][:, None]
 
         # Query j's keywords are the segment starting at starts[j] of the
         # keyword axis, in sorted order; keyword k belongs to query owner[k].
@@ -225,9 +231,10 @@ class KeySentenceRetriever:
         owner = np.repeat(np.arange(len(ids)), lengths)
         keyword_index = np.arange(len(owner))
         uncovered = np.ones(len(owner))
-        taken = np.zeros((len(ids), len(manual_entry.sentences)), dtype=bool)
+        texts = manual_entry.sentences
+        taken = np.zeros((len(ids), len(texts)), dtype=bool)
         going = np.logical_or.reduceat(covers.any(axis=1), starts)
-        for _ in range(min(self.config.max_sentences, len(manual_entry.sentences))):
+        for _ in range(min(self.config.max_sentences, len(texts))):
             if not going.any():
                 break
             scores = np.add.reduceat(weighted * uncovered[:, None], starts, axis=0)
@@ -240,9 +247,7 @@ class KeySentenceRetriever:
             for j, index, score in zip(
                 stepping.tolist(), picked.tolist(), scores[stepping, picked].tolist()
             ):
-                results[ids[j]].sentences.append(
-                    RetrievedSentence(text=manual_entry.sentences[index], index=index, score=score)
-                )
+                results[ids[j]].sentences.append(RetrievedSentence(texts[index], index, score))
             taken[stepping, picked] = True
             uncovered[gained & going[owner]] = 0.0
             going &= np.logical_or.reduceat(uncovered > 0.0, starts)

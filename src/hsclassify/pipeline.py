@@ -13,10 +13,11 @@ stage. ``predict`` is its one-description case;
 
 The path from a description to its stage-3 vector is written once, in two
 helpers that ``infer_many`` and both of ``fit``'s encoding passes call:
-``_describe`` pools each description alone, and ``_evidence`` retrieves its
-key sentences and pools it with those of its first entry. The retriever
-holds the one ``PooledEncoder``; retrieval and pooling read its vectors and
-idf weights.
+``_describe`` pools each description alone and keeps the running sums that
+pooling ended with, and ``_evidence`` retrieves its key sentences and pools
+those of its first entry on from the description's sums, so a description's
+tokens are summed once. The retriever holds the one ``PooledEncoder``;
+retrieval and pooling read its vectors and idf weights.
 
 Every batched step computes each description's floats with the same calls as
 for that description alone: heads and norms are stacked per-row products,
@@ -54,9 +55,12 @@ from .textproc import DEFAULT_STOPWORDS, WordVectorTable, compute_idf, tokenize
 CHECKPOINT_FORMAT = 6
 
 # Descriptions per batch of the inference path and of fit's encoding passes.
-# A batch pools from a zero-padded (tokens x rows x (d + 1)) array, so this
-# bounds memory. Refitting temperatures on the benchmark's shapes took the
-# same time in batches of 64 as of 128, with about 1.5 MB less peak memory.
+# A batch pools from a zero-padded (tokens x rows x (d + 1)) array: for stage
+# 3, the evidence tokens after one slab of the descriptions' running sums. It
+# aligns each distinct keyword of the batch once per manual entry, then
+# gathers a keyword x sentence row per query keyword. So this bounds memory.
+# Refitting temperatures on the benchmark's shapes took the same time in
+# batches of 64 as of 128, with about 1.5 MB less peak memory.
 CHUNK_ROWS = 64
 
 
@@ -230,13 +234,13 @@ class PipelineModel:
         for start in range(0, len(descriptions), CHUNK_ROWS):
             chunk = descriptions[start : start + CHUNK_ROWS]
             tokens = [tokenize(d) for d in chunk]
-            parts, x = _describe(self.retriever.encoder, tokens)
+            parts, sums, x = _describe(self.retriever.encoder, tokens)
             heading_logits = self.heading_classifier.logits(x)
             heading_probs = self.heading_scaler.probabilities(heading_logits)
             ranked = _ranked(heading_probs)
 
             entries = [[self.manuals.get(space.headings[h]) for h in row[:headings]] for row in ranked]
-            retrievals, stage3 = _evidence(self.retriever, tokens, parts, x, entries)
+            retrievals, stage3 = _evidence(self.retriever, tokens, parts, sums, x, entries)
             subheading_logits = self.subheading_classifier.logits(stage3)
             probs = self.subheading_scaler.probabilities(subheading_logits)
             ablation_logits = None
@@ -324,34 +328,44 @@ def _word_index(
     return headings, postings
 
 
-def _describe(encoder: PooledEncoder, tokens: Sequence[list[str]]) -> tuple[list[Part], np.ndarray]:
-    """Each token list's part, and its description vector: the part pooled alone.
+def _describe(
+    encoder: PooledEncoder, tokens: Sequence[list[str]]
+) -> tuple[list[Part], np.ndarray, np.ndarray]:
+    """Each token list's part, its running sums and its description vector.
 
-    The vectors are pooled ``CHUNK_ROWS`` at a time.
+    A description vector is the part pooled alone; its running sums, the
+    ``d + 1`` terms that pooling ended with, are where ``_evidence`` continues
+    it with key sentences. The vectors are pooled ``CHUNK_ROWS`` at a time.
     """
-    parts = [encoder.part(t) for t in tokens]
+    parts = encoder.parts(tokens)
+    sums = np.zeros((len(parts), encoder.output_dimension + 1))
     x = np.zeros((len(parts), encoder.output_dimension))
     for start in range(0, len(parts), CHUNK_ROWS):
-        chunk = parts[start : start + CHUNK_ROWS]
-        x[start : start + len(chunk)] = encoder.pool_many([[part] for part in chunk])
-    return parts, x
+        stop = start + CHUNK_ROWS
+        x[start:stop] = encoder.pool_many(
+            [[part] for part in parts[start:stop]], sums_out=sums[start:stop]
+        )
+    return parts, sums, x
 
 
 def _evidence(
     retriever: KeySentenceRetriever,
     tokens: Sequence[list[str]],
     parts: Sequence[Part],
+    sums: np.ndarray,
     x: np.ndarray,
     entries: Sequence[Sequence[ManualEntry | None]],
 ) -> tuple[list[list[RetrievalResult | None]], np.ndarray]:
     """Each description's key sentences from each of its entries, and its stage-3 rows.
 
+    ``parts``, ``sums`` and ``x`` are ``_describe``'s output for ``tokens``.
     ``retrievals[i][j]`` holds description i's key sentences from
     ``entries[i][j]`` (None for no entry). The descriptions with any entry
     get their queries from one call; each entry is retrieved from once, for
-    all the descriptions that need it. Stage-3 row i is ``parts[i]`` pooled
-    with the parts of its key sentences from ``entries[i][0]``; a row
-    without such sentences is its description vector ``x[i]``.
+    all the descriptions that need it. Stage-3 row i is description i
+    pooled with the parts of its key sentences from ``entries[i][0]``: only
+    the sentences' tokens are pooled, continuing the description's running
+    sums. A row without such sentences is its description vector.
     """
     requests: dict[ManualEntry, list[tuple[int, int]]] = {}
     for i, row in enumerate(entries):
@@ -361,18 +375,20 @@ def _evidence(
     needing = [i for i, row in enumerate(entries) if any(entry is not None for entry in row)]
     queries = dict(zip(needing, retriever.queries([tokens[i] for i in needing])))
     retrievals: list[list[RetrievalResult | None]] = [[None] * len(row) for row in entries]
+    evidence: dict[int, list[Part]] = {}
     for entry, slots in requests.items():
         results = retriever.retrieve_many([queries[i] for i, _ in slots], entry)
+        sentence_parts = retriever.prepare(entry).parts
         for (i, position), result in zip(slots, results):
             retrievals[i][position] = result
+            if position == 0 and result.sentences:
+                evidence[i] = [sentence_parts[s.index] for s in result.sentences]
 
-    chosen = [i for i, row in enumerate(retrievals) if row[0] is not None and row[0].sentences]
-    groups = []
-    for i in chosen:
-        prepared = retriever.prepare(entries[i][0])
-        groups.append([parts[i], *(prepared.parts[s.index] for s in retrievals[i][0].sentences)])
+    chosen = sorted(evidence)
+    groups = [evidence[i] for i in chosen]
     stage3 = x.copy()
-    stage3[chosen] = retriever.encoder.pool_many(groups)
+    lead = ([parts[i] for i in chosen], sums[chosen])
+    stage3[chosen] = retriever.encoder.pool_many(groups, lead)
     return retrievals, stage3
 
 
@@ -424,12 +440,12 @@ def fit(
     Each text is tokenized once: a description for the idf weights, its
     encoding and its retrieval query; a sentence for the idf weights and its
     entry's prepared rows. The training and sentence tokens are released
-    once used; only the validation tokens and parts outlive the training
+    once used; only the validation tokens, parts and sums outlive the training
     encoding.
 
     Every stage-3 input goes the way inference's does: ``_describe`` gives
-    the description vectors, ``_evidence`` the key sentences and the
-    description pooled with them. Training cases go one gold heading at a
+    the description vectors and running sums, ``_evidence`` the key
+    sentences and the description pooled with them. Training cases go one gold heading at a
     time, ``CHUNK_ROWS`` at a time, with the key sentences of their gold
     heading's manual; a case without evidence reuses its description
     vector (a missing manual warns once per heading). The case index holds
@@ -475,13 +491,14 @@ def fit(
         for start in range(0, len(members), CHUNK_ROWS):
             rows = members[start : start + CHUNK_ROWS]
             tokens = [train_tokens[i] for i in rows]
-            parts, x1 = _describe(encoder, tokens)
+            parts, sums, x1 = _describe(encoder, tokens)
             x1_train[rows] = x1
-            _, x3_train[rows] = _evidence(retriever, tokens, parts, x1, [[entry]] * len(rows))
+            entries = [[entry]] * len(rows)
+            _, x3_train[rows] = _evidence(retriever, tokens, parts, sums, x1, entries)
     del train_tokens  # the validation inputs below read only ``val_tokens``
 
     y1_train = _label_indices(train_cases, label_space.heading_index, "heading")
-    val_parts, x1_val = _describe(encoder, val_tokens)
+    val_parts, val_sums, x1_val = _describe(encoder, val_tokens)
     y1_val = _label_indices(validation_cases, label_space.heading_index, "heading")
     heading_clf, heading_report = train(
         x1_train, y1_train, x1_val, y1_val, config.heading_train, label_space.headings
@@ -497,7 +514,8 @@ def fit(
         stop = start + CHUNK_ROWS
         entries = [[manuals.get(label_space.headings[h])] for h in top_headings[start:stop]]
         _, x3_val[start:stop] = _evidence(
-            retriever, val_tokens[start:stop], val_parts[start:stop], x1_val[start:stop], entries
+            retriever, val_tokens[start:stop], val_parts[start:stop], val_sums[start:stop],
+            x1_val[start:stop], entries,
         )
 
     y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")

@@ -79,13 +79,13 @@ def make_manual_entry(heading: str, sentences: list[str]) -> ManualEntry:
 
 def encode_with_evidence(encoder: PooledEncoder, description: str, sentences) -> np.ndarray:
     """A description pooled with its evidence sentences, in order, from their parts."""
-    parts = [encoder.part(tokenize(text)) for text in [description, *sentences]]
+    parts = encoder.parts([tokenize(text) for text in [description, *sentences]])
     return encoder.pool_many([parts])[0]
 
 
 def encode(encoder: PooledEncoder, text: str) -> np.ndarray:
     """One text pooled alone from its part."""
-    return encoder.pool_many([[encoder.part(tokenize(text))]])[0]
+    return encoder.pool_many([encoder.parts([tokenize(text)])])[0]
 
 
 def retrieve(

@@ -468,7 +468,7 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
         return softmax(z / scaler.temperature)
 
     tokens = tokenize(description)
-    part = encoder.part(tokens)
+    (part,) = encoder.parts([tokens])
     description_vector = scalar_pool(encoder, [part])
     heading_logits = logits(model.heading_classifier, description_vector)
     heading_probs = probabilities(model.heading_scaler, heading_logits)
@@ -482,7 +482,7 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
 
     stage3_vector = description_vector
     if retrievals[0] is not None and retrievals[0].sentences:
-        evidence = [encoder.part(tokenize(s.text)) for s in retrievals[0].sentences]
+        evidence = encoder.parts([tokenize(s.text) for s in retrievals[0].sentences])
         stage3_vector = scalar_pool(encoder, [part, *evidence])
     subheading_logits = logits(model.subheading_classifier, stage3_vector)
     probs = probabilities(model.subheading_scaler, subheading_logits)

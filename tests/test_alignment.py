@@ -404,7 +404,10 @@ class TestRetrievalIsExact:
         vectors, idf_values, sentences, keywords = random_instance(seed)
         retriever = make_retriever(vectors, idf_values)
         (query,) = retriever.queries([["mystery", "unseen"]])
-        assert not query.rows.any() and query.weights.tolist() == [0.0, 0.0]
+        unknown = len(retriever.encoder.vectors)
+        assert query.ids.tolist() == [unknown, unknown]
+        encoder = retriever.encoder
+        assert not encoder.vectors.unit_rows[unknown].any() and encoder.weights[unknown] == 0.0
         # Any finite weight >= 0 of the unknown id selects the same
         # sentences with the same score bits, e.g. the ln(N) an unseen
         # token gets.

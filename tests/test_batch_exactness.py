@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 import oracles
-from hsclassify.alignment import KeySentenceRetriever, RetrievalConfig
+from hsclassify.alignment import KeySentenceRetriever, RetrievalConfig, _PreparedEntry
 from hsclassify.calibration import TemperatureScaler
 from hsclassify.classifier import SoftmaxClassifier, TrainConfig
 from hsclassify.corpus import ManualEntry, chronological_split
 from hsclassify.encoder import PooledEncoder
 from hsclassify.errors import MissingManualWarning
-from hsclassify.pipeline import CHUNK_ROWS, PipelineConfig, fit
+from hsclassify.pipeline import CHUNK_ROWS, PipelineConfig, _describe, fit
 from hsclassify.synth import SynthConfig, generate
 from hsclassify.textproc import WordVectorTable, tokenize
 
@@ -181,10 +181,10 @@ class TestPoolMany:
         for _ in range(25):
             encoder = random_encoder(rng, int(rng.choice([1, 2, 7, 50])))
             groups = [
-                [
-                    encoder.part(rng.choice(words, size=int(rng.integers(0, 12))).tolist())
+                encoder.parts([
+                    rng.choice(words, size=int(rng.integers(0, 12))).tolist()
                     for _ in range(int(rng.integers(1, 4)))
-                ]
+                ])
                 for _ in range(int(rng.integers(1, 45)))
             ]
             assert_pools_like_the_token_loop(encoder, groups)
@@ -199,7 +199,8 @@ class TestPoolMany:
         )
 
         def part(text):
-            return encoder.part(tokenize(text))
+            (part,) = encoder.parts([tokenize(text)])
+            return part
 
         groups = [[part("x")], [part("x y x"), part("y")], [part("t x t")], [part("z z")],
                   [part("")], [part("z"), part("x")], [part("t")]]
@@ -207,6 +208,48 @@ class TestPoolMany:
         pooled = encoder.pool_many(groups)
         assert not np.signbit(pooled[0]).any()
         assert not pooled[3].any() and not pooled[4].any()
+
+    @pytest.mark.parametrize(
+        "n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
+    )
+    def test_continued_groups_equal_the_joint_pooling(self, n):
+        # Stage 1 keeps each description's running sums and stage 3 pools the
+        # evidence on from them: row for row the bits of pooling the
+        # description and its evidence jointly. Descriptions include empty
+        # ones, ones of -0.0 vectors only and ones of subnormal vectors only.
+        rng = np.random.default_rng([61, n])
+        words = [*(f"w{i}" for i in range(30)), "neg", "tiny", "oov"]
+        for d in (1, 7, 50):
+            encoder = random_encoder(rng, d)
+            tokens = [
+                rng.choice(words, size=int(rng.integers(0, 12))).tolist()
+                for _ in range(n - min(n, 3))
+            ]
+            tokens = [*tokens, [], ["neg", "neg"], ["tiny", "oov"]][:n]
+            rng.shuffle(tokens)
+            parts, sums, x = _describe(encoder, tokens)
+            groups = [
+                encoder.parts([rng.choice(words, size=int(rng.integers(0, 6))).tolist()
+                               for _ in range(int(rng.integers(1, 4)))])
+                for _ in range(n)
+            ]
+            continued = encoder.pool_many(groups, (parts, sums))
+            joint = encoder.pool_many([[part, *group] for part, group in zip(parts, groups)])
+            assert continued.tobytes() == joint.tobytes()
+            for i in range(n):
+                want = oracles.scalar_pool(encoder, [parts[i], *groups[i]])
+                assert continued[i].tobytes() == want.tobytes()
+                assert x[i].tobytes() == oracles.scalar_pool(encoder, [parts[i]]).tobytes()
+            # A running sum from +0.0 is never -0.0.
+            assert not np.signbit(sums[[t == ["neg", "neg"] for t in tokens]]).any()
+
+    def test_a_continuation_with_no_evidence_token_is_the_description(self):
+        encoder = random_encoder(np.random.default_rng(7), 7)
+        parts, sums, x = _describe(encoder, [["w1", "w2"], [], ["oov"]])
+        groups = [encoder.parts([["oov"]]), [], [np.zeros(0, np.intp)]]
+        continued = encoder.pool_many(groups, (parts, sums))
+        assert continued.tobytes() == x.tobytes()
+        assert encoder.pool_many([], ([], sums[:0])).shape == (0, 7)
 
     def test_no_group_pools_to_no_row(self):
         encoder = random_encoder(np.random.default_rng(5), 7)
@@ -295,6 +338,64 @@ class TestRetrieveMany:
         results = assert_retrieves_like_the_scalar_loop(retriever, texts, entry)
         assert results[0].sentences == []
         assert results[0].uncovered_keywords == {"k0"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_queries_sharing_keywords_retrieve_like_the_scalar_loop(self, seed, monkeypatch):
+        # Many queries over a small vocabulary share most keywords, and
+        # several keywords without a vector share the unknown id, within a
+        # query and across queries. Each distinct id is aligned once.
+        rng = np.random.default_rng([67, seed])
+        dim = int(rng.choice([3, 16, 50]))
+        vocab = [f"w{i}" for i in range(12)]
+        unknown = [f"u{i}" for i in range(4)]
+        vectors = {w: rng.normal(size=dim) for w in vocab}
+        vectors["w1"] = vectors["w0"] + 0.01 * rng.normal(size=dim)
+        idf_values = {w: float(rng.uniform(0.1, 3.0)) for w in vocab}
+        sentences = [
+            " ".join(rng.choice([*vocab, *unknown], size=int(rng.integers(0, 6))).tolist()) or "--"
+            for _ in range(int(rng.integers(1, 9)))
+        ]
+        entry = ManualEntry(heading="8541", sentences=tuple(sentences))
+        texts = [
+            " ".join(rng.choice([*vocab, *unknown], size=int(rng.integers(0, 8))).tolist())
+            for _ in range(int(rng.integers(2, 2 * CHUNK_ROWS)))
+        ]
+        texts += ["u0 u1 u2", "u3", "u0 w0 u1"]
+        retriever = make_retriever(
+            vectors, idf_values, max_sentences=int(rng.integers(1, 8)),
+            coverage_threshold=float(rng.choice([0.5, 0.95, 1.0])),
+        )
+        rows = []
+        original = _PreparedEntry.best_alignments
+        monkeypatch.setattr(
+            _PreparedEntry, "best_alignments", lambda p, r: rows.append(len(r)) or original(p, r)
+        )
+        assert_retrieves_like_the_scalar_loop(retriever, texts, entry)
+        queries = retriever.queries([tokenize(t) for t in texts])
+        ids = {i for q in queries for i in q.ids.tolist()}
+        assert rows[0] == len(ids) < sum(len(q.ordered) for q in queries)
+        # Then each text alone, as ``retrieve`` calls it: its own keywords' rows.
+        assert rows[1:] == [len(q.ordered) for q in queries if q.ordered]
+
+    def test_queries_sharing_a_keyword_at_the_threshold(self):
+        # Every query holds k0, whose best alignment is exactly the threshold
+        # (it covers) or the next float below it (it does not).
+        entry = ManualEntry(heading="8541", sentences=("s0 s1", "s2 s3", "s4 s5"))
+        texts = ["k0", *(f"k0 k{i} k{i + 1}" for i in range(1, 12)), "k0 k0 zz"]
+        rng = np.random.default_rng(53)
+        words = [*(f"s{i}" for i in range(6)), *(f"k{i}" for i in range(14))]
+        vectors = {w: rng.normal(size=50) for w in words}
+        vectors["k0"] = vectors["s0"] + 0.3 * rng.normal(size=50)
+        idf_values = dict.fromkeys(words, 1.0)
+        probe = make_retriever(vectors, idf_values)
+        prepared = probe.prepare(entry)
+        at = float(oracles.canonical_alignments(["k0"], prepared.rows, probe.encoder.vectors)[0][
+            prepared.occurrences[:2]
+        ].max())
+        for threshold, covered in ((at, {"k0"}), (float(np.nextafter(at, 2.0)), set())):
+            retriever = make_retriever(vectors, idf_values, coverage_threshold=threshold)
+            results = assert_retrieves_like_the_scalar_loop(retriever, texts, entry)
+            assert all(r.covered_keywords & {"k0"} == covered for r in results)
 
     def test_empty_query_list(self):
         retriever = make_retriever({"a": [1.0, 0.0]}, {})

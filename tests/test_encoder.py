@@ -75,7 +75,9 @@ class TestPooledEncoder:
         enc = PooledEncoder(toy_vectors, np.arange(len(toy_vectors), dtype=float) + 1.0)
         assert enc.weights.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0]
         assert not enc.weights.flags.writeable
-        assert enc.part(["cell", "unknown", "solar"]).tolist() == [3, 0]
+        parts = enc.parts([["cell", "unknown", "solar"], [], ["unknown"], ["solar"]])
+        assert [part.tolist() for part in parts] == [[3, 0], [], [], [0]]
+        assert enc.parts([]) == []
 
     @pytest.mark.parametrize("weights", [[1.0] * 5, [1.0] * 7, [[1.0] * 6]])
     def test_one_weight_per_vector_token(self, toy_vectors, weights):
@@ -87,7 +89,7 @@ class TestPooledEncoder:
         # The row's squared norm underflows, is subnormal or overflows.
         enc = idf_encoder(WordVectorTable({"a": [scale, 0.0], "b": [scale, scale]}))
         assert encode(enc, "a").tolist() == [1.0, 0.0]
-        (pooled,) = enc.pool_many([[enc.part(["a", "b"])]])
+        (pooled,) = enc.pool_many([enc.parts([["a", "b"]])])
         assert np.linalg.norm(pooled) == pytest.approx(1.0, rel=1e-15)
         assert pooled @ [1.0, 0.0] == pytest.approx(cosine([2.0, 1.0], [1.0, 0.0]), rel=1e-15)
 
@@ -95,7 +97,7 @@ class TestPooledEncoder:
         # 1.5e308 * ln 4 overflows, so the groups with "a" are pooled again from
         # their vectors over 1.5e308; the group of "b" alone keeps its bits.
         enc = idf_encoder(WordVectorTable({"a": [1.5e308, 1.0], "b": [0.3, 0.7]}))
-        groups = [[enc.part(["a"])], [enc.part(["b"])], [enc.part(["a", "b"])]]
+        groups = [[part] for part in enc.parts([["a"], ["b"], ["a", "b"]])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pooled = enc.pool_many(groups)
@@ -109,12 +111,48 @@ class TestPooledEncoder:
         for row, one in zip(pooled, alone):
             assert row.tobytes() == one.tobytes()
 
+    @pytest.mark.parametrize("description, sentence", [("a", "b"), ("b", "a")])
+    def test_a_continued_group_whose_mean_overflows_is_pooled_again_whole(
+        self, description, sentence
+    ):
+        # The overflow check counts the description's tokens, and the group is
+        # pooled again from the description's vectors followed by the
+        # sentence's: the bits of pooling both jointly.
+        enc = idf_encoder(WordVectorTable({"a": [1.5e308, 1.0], "b": [0.0, 1.0]}))
+        lead = enc.parts([[description]])
+        group = enc.parts([[sentence]])
+        sums = np.zeros((1, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            enc.pool_many([lead], sums_out=sums)
+            (continued,) = enc.pool_many([group], (lead, sums))
+            (joint,) = enc.pool_many([[*lead, *group]])
+        assert continued.tobytes() == joint.tobytes()
+        assert continued[0] == 1.0
+        assert continued[1] == pytest.approx(2 / 1.5e308, rel=1e-12)
+
+    def test_norms_ignore_overflow_only_when_a_squared_norm_could_overflow(self, monkeypatch):
+        ordinary = idf_encoder(WordVectorTable({"a": [3.0, -4.0], "b": [1e-300, 2.0]}))
+        # (1e160)**2 overflows a float.
+        huge = idf_encoder(WordVectorTable({"a": [1e160, 1.0], "b": [0.3, 0.7]}))
+        entered = []
+        errstate = np.errstate
+        monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+        ordinary.pool_many([[part] for part in ordinary.parts([["a", "b"], ["b"]])])
+        assert entered == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pooled = huge.pool_many([[part] for part in huge.parts([["a"], ["a", "b"]])])
+        assert entered == [{"over": "ignore"}]
+        assert pooled[0].tolist() == [1.0, 1e-160]
+        assert np.linalg.norm(pooled[1]) == pytest.approx(1.0, rel=1e-15)
+
     def test_a_sum_that_overflows_from_finite_terms(self):
         # Each w * v is ln 4 * 1e308, finite; their sum is not.
         enc = idf_encoder(WordVectorTable({"a": [1e308, 1.0], "b": [1e308, -1.0]}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (pooled,) = enc.pool_many([[enc.part(["a", "b"])]])
+            (pooled,) = enc.pool_many([enc.parts([["a", "b"]])])
         assert pooled.tolist() == [1.0, 0.0]
 
     @settings(max_examples=50, deadline=None)

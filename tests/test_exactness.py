@@ -109,13 +109,13 @@ def retrieved_from_manual(encoder: PooledEncoder, description: str, sentences: l
     vectors, idf = encoder.vectors, oracles.idf_values(encoder)
     for sentence, part in zip(sentences, parts):
         assert part.dtype == np.intp
-        assert part.tobytes() == encoder.part(tokenize(sentence)).tobytes()
+        assert part.tobytes() == encoder.parts([tokenize(sentence)])[0].tobytes()
         # The gathered rows and weights are each known token's own.
         known = [t for t in tokenize(sentence) if t in vectors]
         rows = np.array([vectors.get(t) for t in known]).reshape(len(known), vectors.dimension)
         assert vectors.matrix[part].tobytes() == rows.tobytes()
         assert encoder.weights[part].tobytes() == np.array([idf[t] for t in known]).tobytes()
-    return encoder.pool_many([[encoder.part(tokenize(description)), *parts]])[0]
+    return encoder.pool_many([[*encoder.parts([tokenize(description)]), *parts]])[0]
 
 
 def assert_pools_exactly(encoder: PooledEncoder, description: str, sentences: list[str]):

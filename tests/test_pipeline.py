@@ -676,6 +676,99 @@ class TestSinglePass:
         assert calls["pooled"] <= 2 * len(split.train) + 2 * len(split.validation)
         assert calls["pool_many"] == 2 * len(model.label_space.headings) + 2
 
+    @pytest.fixture
+    def aligned(self, monkeypatch):
+        """Each retrieval call's query keywords and the rows it aligned (None: no call)."""
+        records = []
+        retrieve_many = KeySentenceRetriever.retrieve_many
+        best_alignments = alignment._PreparedEntry.best_alignments
+
+        def recording_retrieve(self, queries, entry):
+            records.append([[query.ordered for query in queries], None])
+            return retrieve_many(self, queries, entry)
+
+        def recording_alignments(self, keyword_rows):
+            records[-1][1] = len(keyword_rows)
+            return best_alignments(self, keyword_rows)
+
+        monkeypatch.setattr(KeySentenceRetriever, "retrieve_many", recording_retrieve)
+        monkeypatch.setattr(alignment._PreparedEntry, "best_alignments", recording_alignments)
+        return records
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Each ``pool_many`` call's groups and leading parts (None: no lead)."""
+        records = []
+        pool_many = PooledEncoder.pool_many
+
+        def recording(self, groups, *args, **kwargs):
+            lead = args[0] if args else kwargs.get("lead")
+            records.append((groups, None if lead is None else lead[0]))
+            return pool_many(self, groups, *args, **kwargs)
+
+        monkeypatch.setattr(PooledEncoder, "pool_many", recording)
+        return records
+
+    @staticmethod
+    def assert_stage3_pools_only_evidence(model, pooled):
+        # Stage 1 pools each description part alone; stage 3 pools only key
+        # sentences' parts, after the descriptions' running sums.
+        prepared = [model.retriever.prepare(entry) for entry in model.manuals.values()]
+        sentence_parts = {id(part) for entry in prepared for part in entry.parts}
+        stages = Counter()
+        for groups, lead in pooled:
+            if lead is None:
+                assert all(len(group) == 1 for group in groups)
+                assert not any(id(group[0]) in sentence_parts for group in groups)
+            else:
+                assert len(lead) == len(groups)
+                assert all(id(part) in sentence_parts for group in groups for part in group)
+                assert not any(id(part) in sentence_parts for part in lead)
+            stages[lead is None] += 1
+        assert stages[True] and stages[False]
+
+    def test_multi_query_calls_align_each_distinct_keyword_once(
+        self, small_corpus, aligned, pooled
+    ):
+        corpus, split = small_corpus
+        model = fit(split.train, split.validation, corpus.manual, corpus.vectors,
+                    config=PipelineConfig(**FAST_TRAIN))
+        fitted = len(aligned)
+        evaluate_pipeline(model, list(split.test))
+        refit_temperatures(copy.copy(model), list(split.validation))
+        shared = Counter()
+        for call, (orders, rows) in enumerate(aligned):
+            keywords = [t for order in orders for t in order]
+            if sum(map(bool, orders)) < 2:
+                assert rows == (len(keywords) or None)
+                continue
+            # Keywords without a vector share the unknown id.
+            distinct = {t if t in corpus.vectors else None for t in keywords}
+            assert rows == len(distinct)
+            shared[call < fitted] += len(distinct) < len(keywords)
+        # fit, and evaluate with calibration, each share keywords across queries.
+        assert shared[True] and shared[False]
+        self.assert_stage3_pools_only_evidence(model, pooled)
+
+    def test_predict_aligns_its_own_keywords_and_pools_evidence_after_the_description(
+        self, model, small_corpus, aligned, pooled, monkeypatch
+    ):
+        _, split = small_corpus
+        description = split.test[0].description
+        uniques = Counter()
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.update([1]) or unique(*a, **k))
+        report = model.predict(description, k=3)
+        assert report.heading_candidates[0].key_sentences
+        (query,) = model.retriever.queries([textproc.tokenize(description)])
+        assert aligned == [[[query.ordered], len(query.ordered)]] * 3
+        assert not uniques
+        self.assert_stage3_pools_only_evidence(model, pooled)
+        (_, (stage3, lead)) = pooled
+        assert [len(group) for group in stage3] == [len(report.heading_candidates[0].key_sentences)]
+        (part,) = model.retriever.encoder.parts([textproc.tokenize(description)])
+        assert [p.tolist() for p in lead] == [part.tolist()]
+
     def test_fit_tokenizes_each_description_once(self, small_corpus, monkeypatch):
         corpus, split = small_corpus
         tokenized = Counter()
