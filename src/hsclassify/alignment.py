@@ -25,12 +25,20 @@ The retriever is built on the ``PooledEncoder`` and reads its vector table
 and idf weights, so retrieval and pooling see one copy of each. A prepared
 entry keeps each sentence's encoder part, which pools key sentences on from
 their description's running sums.
+
+A ``RetrievalResult`` stores the selection only: the selected sentence
+indices and their step scores, with references to the entry's sentences,
+the query's sorted keywords and the query's final per-keyword uncovered
+flags. The sentence records and the covered and uncovered keyword sets a
+reader may want are derived from those when read, so a caller that reads
+only the indices, as training and stage 3 do, pays for no presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
+from operator import not_
 from typing import Sequence
 
 import numpy as np
@@ -59,16 +67,42 @@ class RetrievedSentence:
     score: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievalResult:
-    """Selected sentences plus the keyword-coverage record."""
+    """One query's selection from one manual entry.
 
-    sentences: list[RetrievedSentence] = field(default_factory=list)
-    covered_keywords: set[str] = field(default_factory=set)
-    uncovered_keywords: set[str] = field(default_factory=set)
+    A result stores the selection: ``indices`` are the selected sentences in
+    the order they were taken and ``scores`` their step scores. It keeps
+    references to what the selection reads: the entry's ``entry_sentences``,
+    the query's sorted ``keywords`` and ``uncovered``, one flag per keyword
+    (1.0 while it is uncovered, 0.0 once covered). The properties
+    ``sentences``, ``covered_keywords`` and ``uncovered_keywords`` and
+    ``sentence_texts()`` derive the presentation from those fields each time
+    they are read, and cache nothing.
+    """
+
+    entry_sentences: Sequence[str]
+    keywords: Sequence[str]
+    indices: list[int] = field(default_factory=list)
+    scores: list[float] = field(default_factory=list)
+    uncovered: Sequence[float] = ()
+
+    @property
+    def sentences(self) -> list[RetrievedSentence]:
+        texts = self.entry_sentences
+        return [RetrievedSentence(texts[i], i, s) for i, s in zip(self.indices, self.scores)]
+
+    @property
+    def covered_keywords(self) -> set[str]:
+        return set(compress(self.keywords, map(not_, self.uncovered)))
+
+    @property
+    def uncovered_keywords(self) -> set[str]:
+        return set(compress(self.keywords, self.uncovered))
 
     def sentence_texts(self) -> list[str]:
-        return [s.text for s in self.sentences]
+        texts = self.entry_sentences
+        return [texts[i] for i in self.indices]
 
 
 @dataclass(frozen=True)
@@ -111,14 +145,15 @@ class _PreparedEntry:
         return {self.tokens[j] for j in occurrences.tolist()}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Query:
     """A description's keywords, sorted, with their vector-table ids.
 
     ``ids[k]`` is keyword k's id: V, the unknown id, for a keyword without
     a vector, whose unit row is zero and idf weight 0.0 (its alignments
     are ±0 anyway). Built once per description and shared by every entry
-    retrieved from.
+    retrieved from; queries compare by identity, and nothing changes one
+    after ``queries`` built it.
     """
 
     ordered: list[str]
@@ -205,9 +240,16 @@ class KeySentenceRetriever:
         ``best_alignments`` row per id, gathered back to each keyword by
         ``np.unique``'s inverse index. A call with one query aligns its own
         keywords' rows as they are, with no such step.
+
+        Each query's result is filled in the greedy loop: each step appends
+        the selected index and its step score. Once the loop ends, the result
+        takes the query's slice of the per-keyword uncovered flags. No
+        sentence record or keyword set is built here; the result's views
+        derive them when read.
         """
         prepared = self.prepare(manual_entry)
-        results = [RetrievalResult(uncovered_keywords=set(q.ordered)) for q in queries]
+        texts = manual_entry.sentences
+        results = [RetrievalResult(texts, query.ordered) for query in queries]
         ids = [i for i, query in enumerate(queries) if query.ordered]
         if not ids:
             return results
@@ -220,9 +262,11 @@ class KeySentenceRetriever:
             distinct, inverse = np.unique(keyword_ids, return_inverse=True)
             best = prepared.best_alignments(unit_rows[distinct])[inverse]
         covers = best >= self.config.coverage_threshold
-        if not covers.any():
-            return results
         lengths = np.array([len(queries[i].ordered) for i in ids])
+        if not covers.any():
+            for i, length in zip(ids, lengths.tolist()):
+                results[i].uncovered = [1.0] * length
+            return results
         weighted = np.maximum(best, 0.0) * self.encoder.weights[keyword_ids][:, None]
 
         # Query j's keywords are the segment starting at starts[j] of the
@@ -231,8 +275,9 @@ class KeySentenceRetriever:
         owner = np.repeat(np.arange(len(ids)), lengths)
         keyword_index = np.arange(len(owner))
         uncovered = np.ones(len(owner))
-        texts = manual_entry.sentences
         taken = np.zeros((len(ids), len(texts)), dtype=bool)
+        selected = [results[i].indices for i in ids]
+        step_scores = [results[i].scores for i in ids]
         going = np.logical_or.reduceat(covers.any(axis=1), starts)
         for _ in range(min(self.config.max_sentences, len(texts))):
             if not going.any():
@@ -247,15 +292,13 @@ class KeySentenceRetriever:
             for j, index, score in zip(
                 stepping.tolist(), picked.tolist(), scores[stepping, picked].tolist()
             ):
-                results[ids[j]].sentences.append(RetrievedSentence(texts[index], index, score))
+                selected[j].append(index)
+                step_scores[j].append(score)
             taken[stepping, picked] = True
             uncovered[gained & going[owner]] = 0.0
             going &= np.logical_or.reduceat(uncovered > 0.0, starts)
 
         flags = uncovered.tolist()
-        for i, start in zip(ids, starts.tolist()):
-            ordered = queries[i].ordered
-            covered = {t for t, flag in zip(ordered, flags[start : start + len(ordered)]) if not flag}
-            results[i].covered_keywords = covered
-            results[i].uncovered_keywords -= covered
+        for i, start, length in zip(ids, starts.tolist(), lengths.tolist()):
+            results[i].uncovered = flags[start : start + length]
         return results

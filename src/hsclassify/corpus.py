@@ -170,9 +170,11 @@ def _case_from_record(
 ) -> DecisionCase:
     """The case of ``record``, which sits on ``line``; ParseError names the line.
 
-    ``codes`` and ``dates`` map each raw code and date string already parsed
-    in this load to its value, so each distinct string is parsed once. Both
-    values are immutable, so cases share them.
+    A blank id or description is refused by ``DecisionCase`` itself, whose
+    ``ValueError`` becomes the ParseError. ``codes`` and ``dates`` map each
+    raw code and date string already parsed in this load to its value, so
+    each distinct string is parsed once. Both values are immutable, so cases
+    share them.
     """
     for key in ("id", "description", "hs_code", "date"):
         if key not in record:
@@ -180,8 +182,6 @@ def _case_from_record(
     description = record["description"]
     if not isinstance(description, str):
         raise ParseError("description must be a string", line)
-    if not description.strip():
-        raise ParseError("description is empty", line)
     raw_code = str(record["hs_code"])
     label = codes.get(raw_code)
     if label is None:

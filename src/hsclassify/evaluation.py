@@ -267,7 +267,7 @@ def evaluate_pipeline(
                 if result is not None:
                     entry = model.manuals[space.headings[trace.ranked_headings[0]]]
                     prepared = retriever.prepare(entry)
-                    retrieved = [(prepared.token_set(s.index), s.text) for s in result.sentences]
+                    retrieved = [(prepared.token_set(i), entry.sentences[i]) for i in result.indices]
                 outcome = _match_evidence(retrieved, [token_set(s) for s in case.gold_evidence])
                 record.retrieval_precision = outcome.precision
                 record.retrieval_recall = outcome.recall

@@ -363,16 +363,19 @@ def _evidence(
     ``entries[i][j]`` (None for no entry). The descriptions with any entry
     get their queries from one call; each entry is retrieved from once, for
     all the descriptions that need it. Stage-3 row i is description i
-    pooled with the parts of its key sentences from ``entries[i][0]``: only
-    the sentences' tokens are pooled, continuing the description's running
-    sums. A row without such sentences is its description vector.
+    pooled with the parts of its key sentences from ``entries[i][0]``,
+    ``prepare(entry).parts[s]`` for each selected index ``s`` of its result:
+    only the sentences' tokens are pooled, continuing the description's
+    running sums. A row without such sentences is its description vector.
+    Only the results' indices are read here; no sentence text or keyword
+    set is built.
     """
     requests: dict[ManualEntry, list[tuple[int, int]]] = {}
     for i, row in enumerate(entries):
         for position, entry in enumerate(row):
             if entry is not None:
                 requests.setdefault(entry, []).append((i, position))
-    needing = [i for i, row in enumerate(entries) if any(entry is not None for entry in row)]
+    needing = sorted({i for slots in requests.values() for i, _ in slots})
     queries = dict(zip(needing, retriever.queries([tokens[i] for i in needing])))
     retrievals: list[list[RetrievalResult | None]] = [[None] * len(row) for row in entries]
     evidence: dict[int, list[Part]] = {}
@@ -381,8 +384,8 @@ def _evidence(
         sentence_parts = retriever.prepare(entry).parts
         for (i, position), result in zip(slots, results):
             retrievals[i][position] = result
-            if position == 0 and result.sentences:
-                evidence[i] = [sentence_parts[s.index] for s in result.sentences]
+            if position == 0 and result.indices:
+                evidence[i] = [sentence_parts[s] for s in result.indices]
 
     chosen = sorted(evidence)
     groups = [evidence[i] for i in chosen]

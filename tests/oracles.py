@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from hsclassify.alignment import KeySentenceRetriever, RetrievalResult, RetrievedSentence
+from hsclassify.alignment import KeySentenceRetriever, RetrievedSentence
 from hsclassify.corpus import DecisionCase, ManualEntry
 from hsclassify.encoder import Part, PooledEncoder
 from hsclassify.evaluation import (
@@ -330,7 +330,21 @@ def alignment_score(
     return step_score(np.maximum(best, 0.0) * weights)
 
 
-def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: ManualEntry):
+@dataclass
+class ScalarRetrieval:
+    """``scalar_retrieve``'s result: plain stored fields, under ``RetrievalResult``'s names."""
+
+    sentences: list[RetrievedSentence] = field(default_factory=list)
+    covered_keywords: set[str] = field(default_factory=set)
+    uncovered_keywords: set[str] = field(default_factory=set)
+
+    def sentence_texts(self) -> list[str]:
+        return [s.text for s in self.sentences]
+
+
+def scalar_retrieve(
+    retriever: KeySentenceRetriever, description: str, entry: ManualEntry
+) -> ScalarRetrieval:
     """The greedy loop one sentence at a time, from the canonical alignments.
 
     Each keyword's cosines with the entry's distinct tokens are its own
@@ -351,7 +365,7 @@ def scalar_retrieve(retriever: KeySentenceRetriever, description: str, entry: Ma
     weights = keyword_weights(keywords, idf_values(retriever.encoder))
     threshold = retriever.config.coverage_threshold
 
-    result = RetrievalResult(uncovered_keywords=set(keywords))
+    result = ScalarRetrieval(uncovered_keywords=set(keywords))
     uncovered = np.ones(len(keywords))
     remaining = list(range(len(entry.sentences)))
     while (

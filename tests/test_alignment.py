@@ -420,6 +420,66 @@ class TestRetrievalIsExact:
         )
 
 
+class TestViewsEqualTheOracle:
+    """A result stores its selection; its views equal the scalar loop's stored fields."""
+
+    # "solar" aligns with no sentence token and "mystery", "unseen" have no vector.
+    DESCRIPTIONS = [
+        "",  # no keywords
+        "mystery unseen",  # no keyword has a vector
+        "solar",  # nothing covers it: the query stops before its first step
+        "solar mystery",
+        "iron solar",
+        "iron steel solar mystery",
+    ]
+
+    @staticmethod
+    def retriever_and_entry():
+        vectors = {"solar": [1.0, 0.0], "iron": [0.0, 1.0], "steel": [0.6, 0.8]}
+        retriever = make_retriever(vectors, {"solar": 1.0, "iron": 0.5, "steel": 2.0})
+        return retriever, ManualEntry(heading="7201", sentences=("iron iron", "steel", "iron steel"))
+
+    @pytest.mark.parametrize("description", DESCRIPTIONS)
+    def test_alone(self, description):
+        retriever, entry = self.retriever_and_entry()
+        got = assert_same_retrieval(retriever, description, entry)
+        assert got.sentence_texts() == scalar_retrieve(retriever, description, entry).sentence_texts()
+
+    def test_in_one_call(self):
+        # Queries that stop before their first step sit beside queries that step.
+        retriever, entry = self.retriever_and_entry()
+        queries = retriever.queries([tokenize(d) for d in self.DESCRIPTIONS])
+        results = retriever.retrieve_many(queries, entry)
+        assert [bool(r.indices) for r in results] == [False, False, False, False, True, True]
+        for description, got in zip(self.DESCRIPTIONS, results):
+            want = scalar_retrieve(retriever, description, entry)
+            assert retrieval_bits(got) == retrieval_bits(want)
+            assert got.sentence_texts() == want.sentence_texts()
+
+    def test_when_nothing_in_the_call_is_covered(self):
+        retriever, entry = self.retriever_and_entry()
+        descriptions = ["solar", "", "solar mystery"]
+        results = retriever.retrieve_many(retriever.queries([tokenize(d) for d in descriptions]), entry)
+        for description, got in zip(descriptions, results):
+            assert retrieval_bits(got) == retrieval_bits(scalar_retrieve(retriever, description, entry))
+
+    def test_views_read_twice_are_built_on_each_read(self):
+        retriever, entry = self.retriever_and_entry()
+        description = "iron steel solar mystery"
+        got = retrieve(retriever, description, entry)
+        want = scalar_retrieve(retriever, description, entry)
+        assert got.covered_keywords and got.uncovered_keywords
+        for _ in range(2):
+            assert retrieval_bits(got) == retrieval_bits(want)
+            assert got.sentence_texts() == want.sentence_texts()
+            # A view is a new object on each read: changing one changes no later read.
+            got.covered_keywords.add("x")
+            got.uncovered_keywords.clear()
+            got.sentences.clear()
+            got.sentence_texts().clear()
+        assert got.covered_keywords is not got.covered_keywords
+
+
 def retrieval_bits(result):
     sentences = [(s.index, s.score.hex(), s.text) for s in result.sentences]
     return sentences, result.covered_keywords, result.uncovered_keywords

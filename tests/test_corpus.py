@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hsclassify.corpus import (
     DatasetSplit,
+    DecisionCase,
     HsCode,
     LabelSpace,
     ManualEntry,
@@ -109,6 +110,26 @@ class TestLoadCases:
         )
         with pytest.raises(ParseError, match="line 2: description must be a string"):
             load_cases(path)
+
+    @pytest.mark.parametrize("case_id, description", [("b", ""), ("b", " \t\n"), ("", "y")])
+    def test_blank_id_or_description_names_line(self, tmp_path, case_id, description):
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"id": "a", "description": "x", "hs_code": "854140", "date": "2024-01-01"},
+                {"id": case_id, "description": description, "hs_code": "852859", "date": "2024-01-02"},
+            ],
+        )
+        with pytest.raises(ParseError, match="line 2: (case id|description)") as raised:
+            load_cases(path)
+        assert raised.value.line == 2
+
+    @pytest.mark.parametrize("case_id, description", [("a", ""), ("a", " \t\n"), ("", "x")])
+    def test_a_case_built_directly_refuses_a_blank_id_or_description(self, case_id, description):
+        with pytest.raises(ValueError, match="case id|description") as raised:
+            DecisionCase(case_id, description, parse_hs_code("854140"), dt.date(2024, 1, 1))
+        assert type(raised.value) is ValueError
 
     @pytest.mark.parametrize("origin", [None, "international", "anywhere", 7])
     def test_origin_is_not_required_and_ignored(self, tmp_path, origin):

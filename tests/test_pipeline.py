@@ -677,6 +677,53 @@ class TestSinglePass:
         assert calls["pool_many"] == 2 * len(model.label_space.headings) + 2
 
     @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts of the ``RetrievedSentence``s and the results' keyword sets built.
+
+        A result's keyword views build their sets with ``set``, so counting
+        the calls of ``alignment.set`` counts them.
+        """
+        counts = Counter()
+        sentence = alignment.RetrievedSentence
+
+        def counted_sentence(*args):
+            counts["RetrievedSentence"] += 1
+            return sentence(*args)
+
+        def counted_set(*args):
+            counts["keyword sets"] += 1
+            return set(*args)
+
+        monkeypatch.setattr(alignment, "RetrievedSentence", counted_sentence)
+        monkeypatch.setattr(alignment, "set", counted_set, raising=False)
+        return counts
+
+    def test_fit_and_calibration_build_no_sentence_record_or_keyword_set(
+        self, small_corpus, built
+    ):
+        corpus, split = small_corpus
+        model = fit(split.train, split.validation, corpus.manual, corpus.vectors,
+                    config=PipelineConfig(**FAST_TRAIN))
+        refit_temperatures(model, list(split.validation))
+        assert built == {}
+        # The views build them, on each read.
+        (trace,) = model.infer_many([split.test[0].description])
+        result = trace.retrievals[0]
+        assert len(result.sentences) == len(result.indices) > 0
+        assert result.covered_keywords
+        assert built == {"RetrievedSentence": len(result.indices), "keyword sets": 1}
+
+    def test_evaluate_and_predict_build_no_sentence_record(self, model, small_corpus, built):
+        _, split = small_corpus
+        cases = list(split.test)
+        assert any(case.gold_evidence for case in cases)
+        metrics = evaluate_pipeline(model, cases)
+        assert metrics.retrieval_precision is not None
+        report = model.predict(split.test[0].description, k=3)
+        assert report.heading_candidates[0].key_sentences
+        assert built == {}
+
+    @pytest.fixture
     def aligned(self, monkeypatch):
         """Each retrieval call's query keywords and the rows it aligned (None: no call)."""
         records = []
