@@ -33,7 +33,6 @@ from .textproc import (
     WordVectorTable,
     compute_idf,
     content_keywords,
-    cosine,
     tokenize,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "chronological_split",
     "compute_idf",
     "content_keywords",
-    "cosine",
     "DatasetSplit",
     "DecisionCase",
     "DEFAULT_STOPWORDS",

@@ -2,8 +2,9 @@
 
 Each subheading's cases form one bucket: an ``n x d`` embedding matrix with
 the case ids, snippets and row norms beside it. A lookup scores every case
-once with ``cosine``'s own expression, one stacked dot product per row, so
-its ranking and similarities equal ranking every case with ``cosine``.
+once as ``np.dot(row, query) / (norm(row) * norm(query))`` (+0.0 where that
+product of norms is 0), one stacked dot product per row, so its ranking and
+similarities equal scoring the cases one at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .corpus import DecisionCase
 from .errors import BadK, DimensionMismatch, DuplicateId, EmptyInput
-from .textproc import RESCALE_BELOW, cosine
 
 SNIPPET_LENGTH = 80
 
@@ -102,9 +102,10 @@ def similar_cases(
     """Top-m prior cases of ``subheading`` by cosine to the query embedding.
 
     Each is ``(case_id, similarity, snippet)``. Ties break on lexicographic
-    case id; an unknown subheading yields []. Every case is scored once with
-    ``cosine``'s expression; a case or query whose norm is below
-    ``RESCALE_BELOW`` or inf is scored by ``cosine`` itself.
+    case id; an unknown subheading yields []. Every case is scored once,
+    its dot with the query over the product of their norms; a zero row or
+    a zero query scores +0.0. Encoder rows are unit or zero, so no product
+    overflows or underflows.
     """
     if m < 0:
         raise BadK(f"m={m} is negative")
@@ -118,18 +119,12 @@ def similar_cases(
         )
     if m == 0:
         return []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        query_norm = np.linalg.norm(query)
-        scores = _row_dots(bucket.embeddings, query) / (bucket.norms * query_norm)
+    norms = bucket.norms * np.linalg.norm(query)
+    scores = np.zeros(len(norms))
+    np.divide(_row_dots(bucket.embeddings, query), norms, out=scores, where=norms > 0.0)
     rows = len(scores)
-    rescaled = np.nonzero((bucket.norms < RESCALE_BELOW) | (bucket.norms == np.inf))[0]
-    for i in range(rows) if query_norm < RESCALE_BELOW or query_norm == np.inf else rescaled:
-        scores[i] = cosine(query, bucket.embeddings[i])
     leaders = range(rows)
-    # A NaN score (only an overflowing dot product or a non-finite value
-    # gives one) has no rank, so the whole bucket is sorted then, as the
-    # scalar loop sorts it.
-    if m < rows and not np.isnan(scores).any():
+    if m < rows:
         leaders = np.nonzero(scores >= np.partition(scores, rows - m)[rows - m])[0].tolist()
     ranked = sorted(leaders, key=lambda i: (-scores[i], bucket.ids[i]))[:m]
     return [(bucket.ids[i], float(scores[i]), bucket.snippets[i]) for i in ranked]

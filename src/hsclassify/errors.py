@@ -37,6 +37,10 @@ class DimensionMismatch(HsClassifyError):
     """Vector or matrix dimensions do not agree."""
 
 
+class OutOfRange(HsClassifyError):
+    """A word-vector component or idf weight lies outside its accepted range."""
+
+
 class IndexOutOfRange(HsClassifyError):
     """A class index is outside the classifier's label range."""
 

@@ -234,13 +234,13 @@ class PipelineModel:
         for start in range(0, len(descriptions), CHUNK_ROWS):
             chunk = descriptions[start : start + CHUNK_ROWS]
             tokens = [tokenize(d) for d in chunk]
-            parts, sums, x = _describe(self.retriever.encoder, tokens)
+            sums, x = _describe(self.retriever.encoder, tokens)
             heading_logits = self.heading_classifier.logits(x)
             heading_probs = self.heading_scaler.probabilities(heading_logits)
             ranked = _ranked(heading_probs)
 
             entries = [[self.manuals.get(space.headings[h]) for h in row[:headings]] for row in ranked]
-            retrievals, stage3 = _evidence(self.retriever, tokens, parts, sums, x, entries)
+            retrievals, stage3 = _evidence(self.retriever, tokens, sums, x, entries)
             subheading_logits = self.subheading_classifier.logits(stage3)
             probs = self.subheading_scaler.probabilities(subheading_logits)
             ablation_logits = None
@@ -328,14 +328,13 @@ def _word_index(
     return headings, postings
 
 
-def _describe(
-    encoder: PooledEncoder, tokens: Sequence[list[str]]
-) -> tuple[list[Part], np.ndarray, np.ndarray]:
-    """Each token list's part, its running sums and its description vector.
+def _describe(encoder: PooledEncoder, tokens: Sequence[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each token list's running sums and its description vector.
 
-    A description vector is the part pooled alone; its running sums, the
-    ``d + 1`` terms that pooling ended with, are where ``_evidence`` continues
-    it with key sentences. The vectors are pooled ``CHUNK_ROWS`` at a time.
+    A description vector is the token list's part pooled alone; its running
+    sums, the ``d + 1`` terms that pooling ended with, are where
+    ``_evidence`` continues it with key sentences. The vectors are pooled
+    ``CHUNK_ROWS`` at a time.
     """
     parts = encoder.parts(tokens)
     sums = np.zeros((len(parts), encoder.output_dimension + 1))
@@ -345,20 +344,19 @@ def _describe(
         x[start:stop] = encoder.pool_many(
             [[part] for part in parts[start:stop]], sums_out=sums[start:stop]
         )
-    return parts, sums, x
+    return sums, x
 
 
 def _evidence(
     retriever: KeySentenceRetriever,
     tokens: Sequence[list[str]],
-    parts: Sequence[Part],
     sums: np.ndarray,
     x: np.ndarray,
     entries: Sequence[Sequence[ManualEntry | None]],
 ) -> tuple[list[list[RetrievalResult | None]], np.ndarray]:
     """Each description's key sentences from each of its entries, and its stage-3 rows.
 
-    ``parts``, ``sums`` and ``x`` are ``_describe``'s output for ``tokens``.
+    ``sums`` and ``x`` are ``_describe``'s output for ``tokens``.
     ``retrievals[i][j]`` holds description i's key sentences from
     ``entries[i][j]`` (None for no entry). The descriptions with any entry
     get their queries from one call; each entry is retrieved from once, for
@@ -390,8 +388,7 @@ def _evidence(
     chosen = sorted(evidence)
     groups = [evidence[i] for i in chosen]
     stage3 = x.copy()
-    lead = ([parts[i] for i in chosen], sums[chosen])
-    stage3[chosen] = retriever.encoder.pool_many(groups, lead)
+    stage3[chosen] = retriever.encoder.pool_many(groups, sums[chosen])
     return retrievals, stage3
 
 
@@ -494,14 +491,14 @@ def fit(
         for start in range(0, len(members), CHUNK_ROWS):
             rows = members[start : start + CHUNK_ROWS]
             tokens = [train_tokens[i] for i in rows]
-            parts, sums, x1 = _describe(encoder, tokens)
+            sums, x1 = _describe(encoder, tokens)
             x1_train[rows] = x1
             entries = [[entry]] * len(rows)
-            _, x3_train[rows] = _evidence(retriever, tokens, parts, sums, x1, entries)
+            _, x3_train[rows] = _evidence(retriever, tokens, sums, x1, entries)
     del train_tokens  # the validation inputs below read only ``val_tokens``
 
     y1_train = _label_indices(train_cases, label_space.heading_index, "heading")
-    val_parts, val_sums, x1_val = _describe(encoder, val_tokens)
+    val_sums, x1_val = _describe(encoder, val_tokens)
     y1_val = _label_indices(validation_cases, label_space.heading_index, "heading")
     heading_clf, heading_report = train(
         x1_train, y1_train, x1_val, y1_val, config.heading_train, label_space.headings
@@ -517,8 +514,7 @@ def fit(
         stop = start + CHUNK_ROWS
         entries = [[manuals.get(label_space.headings[h])] for h in top_headings[start:stop]]
         _, x3_val[start:stop] = _evidence(
-            retriever, val_tokens[start:stop], val_parts[start:stop], val_sums[start:stop],
-            x1_val[start:stop], entries,
+            retriever, val_tokens[start:stop], val_sums[start:stop], x1_val[start:stop], entries
         )
 
     y3_train = _label_indices(train_cases, label_space.subheading_index, "subheading")
@@ -725,7 +721,16 @@ def _case_index(data: bytes) -> CaseIndex:
     counts = [len(embeddings), *map(len, columns)]
     if embeddings.ndim != 2 or len(set(counts)) != 1:
         raise DimensionMismatch(f"row counts of embeddings, subheadings, ids, snippets: {counts}")
-    return CaseIndex.from_rows(*columns, embeddings)
+    # Every row fit writes is an encoding: all zeros or of unit norm, so no
+    # component exceeds 1 (and no squared norm can overflow).
+    message = "an embedding row is neither all zeros nor of unit norm"
+    if np.abs(embeddings).max(initial=0.0) > 1.0 + 1e-9:
+        raise ValueError(message)
+    index = CaseIndex.from_rows(*columns, embeddings)
+    norms = np.concatenate([np.zeros(0), *(b.norms for b in index.by_subheading.values())])
+    if embeddings[~(np.abs(norms - 1.0) <= 1e-9)].any():
+        raise ValueError(message)
+    return index
 
 
 def load_pipeline(directory: str | Path) -> PipelineModel:

@@ -1,4 +1,4 @@
-"""Tokenization, stopwords, static word vectors, IDF statistics, similarity.
+"""Tokenization, stopwords, static word vectors, IDF statistics and their value ranges.
 
 These primitives are shared by the encoder, the key-sentence retriever, and
 the word-matching baseline. All tables are immutable after construction.
@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, ParseError
+from .errors import DimensionMismatch, EmptyInput, OutOfRange, ParseError
 
 # Word tokens are runs of unicode word characters (underscore excluded),
 # optionally joined by interior dots so measurements like "22.1v" survive.
@@ -32,6 +32,33 @@ DEFAULT_STOPWORDS = frozenset(
     through to too under until up very was we were what when where which while
     who whom why will with you your yours""".split()
 )
+
+
+# Every word-vector component is 0 or of magnitude in VECTOR_RANGE, and every
+# idf weight 0 or in WEIGHT_RANGE (so none is negative); NaN and inf are
+# outside both. Real embeddings lie within about 1e-6 to 10, and
+# ``compute_idf``'s weights are 0 or ln(N / df) >= 1 / N. Pooling needs no
+# rescue inside these ranges:
+# - No overflow. Each term w * v is 0 or of magnitude in [1e-70, 1e70], so
+#   no sum of up to 2**31 terms overflows. A mean with non-negative weights
+#   lies within 1e50 in every component, so its squared norm does not
+#   overflow either.
+# - No underflow. A nonzero float sum of such terms is at least about
+#   2**-53 * 1e-70, and the total weight at most about 2e29, so every
+#   nonzero mean component is at least about 1e-116 and its square is a
+#   normal float. (Vectors down to 1e-100 would give about 1e-165.)
+VECTOR_RANGE = (1e-50, 1e50)
+WEIGHT_RANGE = (1e-20, 1e20)
+_VECTOR_RULE = "a value must be 0, or finite with magnitude from {:g} to {:g}".format(*VECTOR_RANGE)
+
+
+def first_outside(values: np.ndarray, low: float, high: float) -> int | None:
+    """The flat index of the first value neither 0 nor within [low, high]; None if there is none.
+
+    NaN lies outside every range.
+    """
+    inside = (values >= low) & (values <= high) | (values == 0.0)
+    return None if inside.all() else int(np.argmin(inside, axis=None))
 
 
 def tokenize(text: str) -> list[str]:
@@ -97,6 +124,10 @@ class WordVectorTable:
             raise EmptyInput("word vector table is empty")
         if matrix.ndim != 2 or len(matrix) != len(tokens):
             raise DimensionMismatch(f"{len(tokens)} tokens for vectors of shape {matrix.shape}")
+        bad = first_outside(np.abs(matrix), *VECTOR_RANGE)
+        if bad is not None:
+            token, value = tokens[bad // matrix.shape[1]], float(matrix.flat[bad])
+            raise OutOfRange(f"token {token!r} has the vector value {value!r}; {_VECTOR_RULE}")
         index = {token: i for i, token in enumerate(tokens)}
         if len(index) < len(tokens):  # a repeated token keeps its last vector
             matrix = matrix[list(index.values())]
@@ -136,9 +167,10 @@ class WordVectorTable:
         skipped, matching common pretrained-vector releases. A value is any
         string Python's ``float()`` reads. Each line's values are converted
         in one call and streamed into one buffer, 8 bytes per value, which
-        is checked for non-finite values once, at the end. The first fault
-        in file order is reported: a bad value, a token with no values or a
-        non-finite value, and after those, inconsistent lengths.
+        is checked against ``VECTOR_RANGE`` once, at the end. The first
+        fault in file order is reported: a bad value, a token with no values
+        or a value out of range (named with the file, line and token), and
+        after those, inconsistent lengths.
         """
         tokens: list[str] = []
         values = array("d")  # every row's values, end to end
@@ -170,11 +202,12 @@ class WordVectorTable:
                 lines.append(line_no)
                 values.frombytes(row.tobytes())
                 ends.append(len(values))
-        # Every row read precedes the fault, so a non-finite value is reported first.
-        non_finite = np.flatnonzero(~np.isfinite(values))
-        if non_finite.size:
-            i = int(np.searchsorted(ends, non_finite[0], side="right"))
-            raise ParseError(f"token {tokens[i]!r} has a non-finite vector value", lines[i])
+        # Every row read precedes the fault, so a value out of range is reported first.
+        bad = first_outside(np.abs(values), *VECTOR_RANGE)
+        if bad is not None:
+            i = int(np.searchsorted(ends, bad, side="right"))
+            message = f"{path}: token {tokens[i]!r} has the vector value {values[bad]!r}"
+            raise ParseError(f"{message}; {_VECTOR_RULE}", lines[i])
         if fault is not None:
             raise fault
         lengths = set(np.diff(ends, prepend=0).tolist())
@@ -184,39 +217,17 @@ class WordVectorTable:
         return cls.from_rows(tokens, np.frombuffer(values).reshape(len(tokens), dimension))
 
 
-# ``cosine`` and ``rescale_rows`` rescale a nonzero vector whose norm is
-# below this (its squared components are subnormal and skew the norm) or
-# overflows to inf.
-RESCALE_BELOW = 1e-150
-
-
-def rescale_rows(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Divide in place each nonzero row that ``cosine`` would rescale by its largest absolute value.
-
-    A row's norm, ``norms[i, 0]``, is below ``RESCALE_BELOW`` or inf. Returns
-    the rescaled rows' indices; the caller recomputes their norms.
-    """
-    rescaled = np.flatnonzero(((norms < RESCALE_BELOW) | (norms == np.inf))[:, 0])
-    if rescaled.size:
-        rescaled = rescaled[rows[rescaled].any(axis=1)]
-        rows[rescaled] /= np.abs(rows[rescaled]).max(axis=1, keepdims=True)
-    return rescaled
-
-
 def _unit_table(matrix: np.ndarray) -> np.ndarray:
     """Each row of ``matrix`` over its L2 norm, then one zero row.
 
     Norms are row-wise, so a row gets the bits it gets alone; a row of
-    zeros is kept as it is, and one that ``rescale_rows`` rescales is
-    divided by its norm after the rescale.
+    zeros is kept as it is. A table in ``VECTOR_RANGE`` has no norm that
+    overflows, nor a nonzero one below 1e-50.
     """
     table = np.zeros((len(matrix) + 1, matrix.shape[1]))
     rows = table[:-1]
     rows[:] = matrix
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    rescaled = rescale_rows(rows, norms)
-    norms[rescaled] = np.linalg.norm(rows[rescaled], axis=1, keepdims=True)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     np.divide(rows, norms, out=rows)
     return table
@@ -236,23 +247,6 @@ def compute_idf(documents: list[list[str]], vocabulary: Iterable[str]) -> np.nda
             df[token] = df.get(token, 0) + 1
     unseen = math.log(n)
     return np.array([math.log(n / df[t]) if t in df else unseen for t in vocabulary], float)
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity; 0.0 when either vector is all zeros."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"vector lengths differ: {u.shape} vs {v.shape}")
-    with np.errstate(over="ignore"):
-        nu = np.linalg.norm(u)
-        nv = np.linalg.norm(v)
-    if nu < RESCALE_BELOW or nv < RESCALE_BELOW or nu == np.inf or nv == np.inf:
-        if not (u.any() and v.any()):
-            return 0.0
-        # The cosine is scale-free, so rescale and recompute.
-        return cosine(u / np.abs(u).max(), v / np.abs(v).max())
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def content_keywords(

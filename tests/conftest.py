@@ -12,11 +12,24 @@ from typing import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hsclassify.alignment import KeySentenceRetriever, RetrievalResult
 from hsclassify.corpus import DecisionCase, ManualEntry, parse_hs_code
 from hsclassify.encoder import PooledEncoder
-from hsclassify.textproc import WordVectorTable, compute_idf, tokenize
+from hsclassify.textproc import VECTOR_RANGE, WEIGHT_RANGE, WordVectorTable, compute_idf, tokenize
+
+
+def _in_range(low: float, high: float) -> st.SearchStrategy[float]:
+    """0, an edge of [low, high], or any float between them."""
+    return st.one_of(st.sampled_from([0.0, low, high]), st.floats(low, high))
+
+
+# Any accepted word-vector component and idf weight, edges included.
+vector_component = st.tuples(_in_range(*VECTOR_RANGE), st.booleans()).map(
+    lambda pair: -pair[0] if pair[1] else pair[0]
+)
+idf_weight = _in_range(*WEIGHT_RANGE)
 
 
 @pytest.fixture

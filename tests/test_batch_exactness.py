@@ -157,9 +157,10 @@ class TestInferMany:
 
 def random_encoder(rng, d: int) -> PooledEncoder:
     vocab = [f"w{i}" for i in range(30)]
-    vectors = {t: rng.normal(size=d) * 10.0 ** rng.integers(-300, 3) for t in vocab}
+    # Scales across most of the accepted range; "tiny" sits at its lower edge.
+    vectors = {t: rng.normal(size=d) * 10.0 ** rng.integers(-40, 41) for t in vocab}
     vectors["neg"] = np.full(d, -0.0)
-    vectors["tiny"] = np.full(d, 5e-324)
+    vectors["tiny"] = np.full(d, 1e-50)
     # Some idf weights are zero, so a group's total weight can be zero.
     idf = {t: float(rng.choice([0.0, rng.uniform(0.0, 3.0)])) for t in [*vocab, "neg"]}
     return idf_encoder(WordVectorTable(vectors), idf, documents=5)
@@ -189,8 +190,8 @@ class TestPoolMany:
             ]
             assert_pools_like_the_token_loop(encoder, groups)
 
-    def test_negative_zero_subnormal_and_zero_idf_tokens(self):
-        tiny = 5e-324
+    def test_negative_zero_smallest_and_zero_idf_tokens(self):
+        tiny = 1e-50
         encoder = idf_encoder(
             WordVectorTable({"x": [-0.0, 1.0, -0.0], "y": [-0.0, -2.0, 0.0],
                              "t": [tiny, 3 * tiny, 0.0], "z": [1.0, 2.0, 3.0]}),
@@ -216,7 +217,7 @@ class TestPoolMany:
         # Stage 1 keeps each description's running sums and stage 3 pools the
         # evidence on from them: row for row the bits of pooling the
         # description and its evidence jointly. Descriptions include empty
-        # ones, ones of -0.0 vectors only and ones of subnormal vectors only.
+        # ones, ones of -0.0 vectors only and ones of the smallest vectors only.
         rng = np.random.default_rng([61, n])
         words = [*(f"w{i}" for i in range(30)), "neg", "tiny", "oov"]
         for d in (1, 7, 50):
@@ -227,13 +228,14 @@ class TestPoolMany:
             ]
             tokens = [*tokens, [], ["neg", "neg"], ["tiny", "oov"]][:n]
             rng.shuffle(tokens)
-            parts, sums, x = _describe(encoder, tokens)
+            parts = encoder.parts(tokens)
+            sums, x = _describe(encoder, tokens)
             groups = [
                 encoder.parts([rng.choice(words, size=int(rng.integers(0, 6))).tolist()
                                for _ in range(int(rng.integers(1, 4)))])
                 for _ in range(n)
             ]
-            continued = encoder.pool_many(groups, (parts, sums))
+            continued = encoder.pool_many(groups, sums)
             joint = encoder.pool_many([[part, *group] for part, group in zip(parts, groups)])
             assert continued.tobytes() == joint.tobytes()
             for i in range(n):
@@ -245,11 +247,11 @@ class TestPoolMany:
 
     def test_a_continuation_with_no_evidence_token_is_the_description(self):
         encoder = random_encoder(np.random.default_rng(7), 7)
-        parts, sums, x = _describe(encoder, [["w1", "w2"], [], ["oov"]])
+        sums, x = _describe(encoder, [["w1", "w2"], [], ["oov"]])
         groups = [encoder.parts([["oov"]]), [], [np.zeros(0, np.intp)]]
-        continued = encoder.pool_many(groups, (parts, sums))
+        continued = encoder.pool_many(groups, sums)
         assert continued.tobytes() == x.tobytes()
-        assert encoder.pool_many([], ([], sums[:0])).shape == (0, 7)
+        assert encoder.pool_many([], sums[:0]).shape == (0, 7)
 
     def test_no_group_pools_to_no_row(self):
         encoder = random_encoder(np.random.default_rng(5), 7)

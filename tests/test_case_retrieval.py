@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsclassify.case_retrieval import build_index, similar_cases
 from hsclassify.errors import BadK, DimensionMismatch, DuplicateId, EmptyInput
 from hsclassify.encoder import PooledEncoder
-from hsclassify.textproc import WordVectorTable, cosine
+from hsclassify.textproc import WordVectorTable
 
-from conftest import encode_with_evidence, idf_encoder, make_case
+import oracles
+from conftest import encode_with_evidence, idf_encoder, make_case, vector_component
 
 
 @pytest.fixture
@@ -125,29 +130,22 @@ class TestSimilarCases:
 
 
 def scalar_reference(embeddings: dict, query, m: int) -> list[tuple[str, float]]:
-    """``cosine`` against every case, then sort: the loop the lookup must equal."""
-    scored = [(cid, cosine(query, vector)) for cid, vector in embeddings.items()]
+    """``oracles.cosine`` against every case, then sort: the loop the lookup must equal."""
+    scored = [(cid, oracles.cosine(query, vector)) for cid, vector in embeddings.items()]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:m]
-
-
-def nan_as_nan(pairs) -> list:
-    """Pairs with each NaN similarity replaced by one marker, so NaN equals NaN."""
-    return [(cid, "nan" if np.isnan(sim) else sim) for cid, sim in pairs]
 
 
 def assert_exact(embeddings: dict, query, m: int) -> list:
     got = similar_cases(indexed(embeddings), query, "854140", m=m)
     # Floats compare with ==: the lookup must return the reference's very bits.
-    assert nan_as_nan((cid, sim) for cid, sim, _ in got) == nan_as_nan(
-        scalar_reference(embeddings, query, m)
-    )
+    assert [(cid, sim) for cid, sim, _ in got] == scalar_reference(embeddings, query, m)
     assert [snippet for _, _, snippet in got] == [f"case {cid}" for cid, _, _ in got]
     return got
 
 
 class TestLookupIsExact:
-    """The one-pass lookup equals the scalar ``cosine`` loop bit for bit."""
+    """The one-pass lookup equals the scalar ``oracles.cosine`` loop bit for bit."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_buckets(self, seed):
@@ -184,12 +182,12 @@ class TestLookupIsExact:
         assert got[0][:2] == ("a", 0.0)
         assert_exact(embeddings, np.array([1.0, 0.0, 0.0]), m=2)
 
-    def test_tiny_norm_query_and_rows(self):
-        embeddings = {"a": np.array([1.0, 0.1]), "b": np.array([3.3e-162, 0.0]),
+    def test_smallest_norm_query_and_rows(self):
+        embeddings = {"a": np.array([1.0, 0.1]), "b": np.array([1e-50, 0.0]),
                       "c": np.array([0.0, 1.0]), "d": np.array([-1.0, 0.5])}
-        assert_exact(embeddings, np.array([3.3341784415318333e-162, 1e-163]), m=1)
+        assert_exact(embeddings, np.array([3.3e-50, 1e-50]), m=1)
         got = assert_exact(embeddings, np.array([1.0, 0.0]), m=1)
-        assert got[0][0] == "b"
+        assert got[0][:2] == ("b", 1.0)
 
     def test_m_zero_and_small_buckets(self):
         embeddings = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
@@ -221,23 +219,40 @@ class TestLookupIsExact:
             for m in (1, 3, 5, 199, 200):
                 assert_exact(embeddings, query, m)
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     @pytest.mark.parametrize("seed", range(10))
-    def test_overflowing_and_subnormal_scales(self, seed):
-        # Rows and queries at 1e200 overflow their norms (NaN or 0 cosines),
-        # at 1e-160 they take cosine's rescale path.
+    def test_scales_at_the_vector_range_edges(self, seed):
         rng = np.random.default_rng(200 + seed)
         n, dim = int(rng.integers(2, 40)), int(rng.choice([3, 24]))
-        scales = rng.choice([1.0, 1e200, 1e-160, 0.0], size=(n, 1))
+        scales = rng.choice([1.0, 1e50, 1e-50, 0.0], size=(n, 1))
         vectors = rng.normal(size=(n, dim)) * scales
         embeddings = {f"c{int(j):02d}": v for j, v in zip(rng.permutation(n), vectors)}
-        for scale in (1.0, 1e200, 1e-160):
-            for m in (1, 3, n - 1, n):
-                assert_exact(embeddings, rng.normal(size=dim) * scale, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1.0, 1e50, 1e-50):
+                for m in (1, 3, n - 1, n):
+                    assert_exact(embeddings, rng.normal(size=dim) * scale, m)
 
     def test_bucket_norms_are_each_rows_norm(self):
         rng = np.random.default_rng(7)
-        vectors = rng.normal(size=(500, 300)) * rng.choice([1.0, 1e-3, 1e100, 1e-160], size=(500, 1))
+        vectors = rng.normal(size=(500, 300)) * rng.choice([1.0, 1e-3, 1e50, 1e-50], size=(500, 1))
         index = indexed({f"c{i:03d}": v for i, v in enumerate(vectors)})
         bucket = index.by_subheading["854140"]
         assert [n.hex() for n in bucket.norms] == [np.linalg.norm(r).hex() for r in vectors]
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scores_are_bounded_and_symmetric_for_vectors_in_range(data):
+    dim = data.draw(st.integers(1, 6))
+    vector = st.lists(vector_component, min_size=dim, max_size=dim).map(np.array)
+    rows = data.draw(st.lists(vector, min_size=1, max_size=8))
+    query = data.draw(vector)
+    embeddings = {f"c{i}": row for i, row in enumerate(rows)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = similar_cases(indexed(embeddings), query, "854140", m=len(rows))
+        for cid, score, _ in got:
+            assert -1.0 - 1e-12 <= score <= 1.0 + 1e-12
+            ((_, back, _),) = similar_cases(indexed({"q": query}), embeddings[cid], "854140", m=1)
+            assert score == pytest.approx(back, abs=1e-12)

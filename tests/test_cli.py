@@ -586,6 +586,47 @@ def nan_first_weight(checkpoint: Path) -> None:
     edit_checkpoint_arrays(checkpoint, "idf.npz", edit)
 
 
+def negative_first_weight(checkpoint: Path) -> None:
+    def edit(arrays):
+        arrays["weights"][0] = -1.0
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "idf.npz", edit)
+
+
+def huge_first_vector(checkpoint: Path) -> None:
+    def edit(arrays):
+        arrays["vectors"][0, 0] = 1e60
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "vectors.npz", edit)
+
+
+def tiny_first_vector(checkpoint: Path) -> None:
+    def edit(arrays):
+        arrays["vectors"][0, 0] = 1e-60
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "vectors.npz", edit)
+
+
+def huge_first_case_embedding(checkpoint: Path) -> None:
+    """A case row that no encoder gives: finite, but far from unit length."""
+    def edit(arrays):
+        arrays["embeddings"][0] *= 1e200
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "case_index.npz", edit)
+
+
+def halved_first_case_embedding(checkpoint: Path) -> None:
+    def edit(arrays):
+        arrays["embeddings"][0] *= 0.5
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "case_index.npz", edit)
+
+
 def drop_last_weight(checkpoint: Path) -> None:
     def edit(arrays):
         arrays["weights"] = arrays["weights"][:-1]
@@ -645,6 +686,22 @@ class TestExitCodes:
         assert fits == []
         assert cases.read_bytes() == (corpus_dir / "cases.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("value", ["1e-60", "-1e60", "nan"])
+    def test_vector_value_out_of_range_exit_2(self, runner, corpus_dir, tmp_path, value):
+        lines = (corpus_dir / "vectors.txt").read_text(encoding="utf-8").splitlines()
+        token, *values = lines[2].split(" ")
+        lines[2] = " ".join([token, value, *values[1:]])
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(corpus_dir, tmp_path / "config.json", vectors=str(vectors),
+                              checkpoint_dir=str(tmp_path / "checkpoint"))
+        result = runner.invoke(main, ["--config", str(config), "train"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        named = f"line 3: {vectors}: token {token!r} has the vector value {float(value)!r}"
+        assert named in result.output
+        assert not (tmp_path / "checkpoint").exists()
+
     @pytest.mark.parametrize("top_level", ["[]", '"cases.jsonl"', "7"])
     def test_config_that_is_not_a_json_object_exit_2(self, runner, tmp_path, top_level):
         path = tmp_path / "c.json"
@@ -670,6 +727,11 @@ class TestExitCodes:
             (nan_first_case_embedding, "case_index.npz"),
             (nan_first_weight, "idf.npz: ValueError: array 'weights' holds a non-finite"),
             (drop_last_weight, "idf.npz: idf weights of shape"),
+            (negative_first_weight, "idf.npz: token "),
+            (huge_first_vector, "vectors.npz: token "),
+            (tiny_first_vector, "vectors.npz: token "),
+            (huge_first_case_embedding, "case_index.npz: ValueError: an embedding row"),
+            (halved_first_case_embedding, "case_index.npz: ValueError: an embedding row"),
             (ablation_temperature_without_head, "ckpt: ValueError: an ablation head needs"),
         ],
     )

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsclassify.encoder import PooledEncoder
-from hsclassify.errors import DimensionMismatch
-from hsclassify.textproc import WordVectorTable, cosine
+from hsclassify.errors import DimensionMismatch, OutOfRange
+from hsclassify.textproc import WordVectorTable
 
 import oracles
-from conftest import encode, encode_with_evidence, idf_encoder
+from conftest import encode, encode_with_evidence, idf_encoder, idf_weight, vector_component
 
 
 def _toy_encoder() -> PooledEncoder:
@@ -84,76 +84,78 @@ class TestPooledEncoder:
         with pytest.raises(DimensionMismatch):
             PooledEncoder(toy_vectors, weights)
 
-    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-320, 1e170, 1e300])
-    def test_tiny_and_huge_rows_are_rescaled_to_unit_length(self, scale):
-        # The row's squared norm underflows, is subnormal or overflows.
-        enc = idf_encoder(WordVectorTable({"a": [scale, 0.0], "b": [scale, scale]}))
-        assert encode(enc, "a").tolist() == [1.0, 0.0]
-        (pooled,) = enc.pool_many([enc.parts([["a", "b"]])])
-        assert np.linalg.norm(pooled) == pytest.approx(1.0, rel=1e-15)
-        assert pooled @ [1.0, 0.0] == pytest.approx(cosine([2.0, 1.0], [1.0, 0.0]), rel=1e-15)
+    @pytest.mark.parametrize(
+        "weight", [np.nan, np.inf, -np.inf, -1.0, -1e-20, 9.99e-21, 1.01e20, 5e-324]
+    )
+    def test_weights_out_of_range_are_refused_naming_the_token(self, toy_vectors, weight):
+        weights = [1.0] * len(toy_vectors)
+        weights[2] = weight
+        with pytest.raises(OutOfRange, match=f"token {toy_vectors.tokens()[2]!r} has the idf"):
+            PooledEncoder(toy_vectors, weights)
 
-    def test_a_group_whose_mean_overflows_pools_to_a_finite_unit_row(self):
-        # 1.5e308 * ln 4 overflows, so the groups with "a" are pooled again from
-        # their vectors over 1.5e308; the group of "b" alone keeps its bits.
-        enc = idf_encoder(WordVectorTable({"a": [1.5e308, 1.0], "b": [0.3, 0.7]}))
-        groups = [[part] for part in enc.parts([["a"], ["b"], ["a", "b"]])]
+    @pytest.mark.parametrize("scale", [1e-50, 1e50])
+    @pytest.mark.parametrize("weight", [1e-20, 1.0, 1e20])
+    def test_rows_at_the_range_edges_pool_to_unit_length(self, scale, weight):
+        # The smallest and largest vectors, at the smallest and largest weights.
+        enc = PooledEncoder(WordVectorTable({"a": [scale, 0.0], "b": [scale, scale]}), [weight] * 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pooled = enc.pool_many(groups)
-            alone = [enc.pool_many([group])[0] for group in groups]
-        assert pooled[0].tolist() == enc.vectors.unit_rows[0].tolist() == [1.0, 1 / 1.5e308]
-        b_alone = idf_encoder(WordVectorTable({"b": [0.3, 0.7]}))
-        assert pooled[1].tobytes() == encode(b_alone, "b").tobytes()
-        # The mean of the two rows points along [1.5e308 + 0.3, 1.7].
-        assert pooled[2][0] == 1.0
-        assert pooled[2][1] == pytest.approx(1.7 / 1.5e308, rel=1e-12)
-        for row, one in zip(pooled, alone):
-            assert row.tobytes() == one.tobytes()
+            assert encode(enc, "a").tolist() == [1.0, 0.0]
+            (pooled,) = enc.pool_many([enc.parts([["a", "b"]])])
+        assert np.linalg.norm(pooled) == pytest.approx(1.0, rel=1e-15)
+        assert pooled @ [1.0, 0.0] == pytest.approx(2 / math.sqrt(5.0), rel=1e-15)
 
     @pytest.mark.parametrize("description, sentence", [("a", "b"), ("b", "a")])
-    def test_a_continued_group_whose_mean_overflows_is_pooled_again_whole(
+    def test_a_continued_group_at_the_range_edges_is_the_joint_pooling(
         self, description, sentence
     ):
-        # The overflow check counts the description's tokens, and the group is
-        # pooled again from the description's vectors followed by the
-        # sentence's: the bits of pooling both jointly.
-        enc = idf_encoder(WordVectorTable({"a": [1.5e308, 1.0], "b": [0.0, 1.0]}))
-        lead = enc.parts([[description]])
-        group = enc.parts([[sentence]])
+        enc = PooledEncoder(WordVectorTable({"a": [1e50, 1e-50], "b": [-1e-50, 1e50]}),
+                            [1e20, 1e-20])
+        lead = enc.parts([[description] * 3])
+        group = enc.parts([[sentence] * 2])
         sums = np.zeros((1, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             enc.pool_many([lead], sums_out=sums)
-            (continued,) = enc.pool_many([group], (lead, sums))
+            (continued,) = enc.pool_many([group], sums)
             (joint,) = enc.pool_many([[*lead, *group]])
         assert continued.tobytes() == joint.tobytes()
-        assert continued[0] == 1.0
-        assert continued[1] == pytest.approx(2 / 1.5e308, rel=1e-12)
+        assert continued.tobytes() == oracles.scalar_pool(enc, [*lead, *group]).tobytes()
+        assert np.linalg.norm(continued) == pytest.approx(1.0, rel=1e-15)
 
-    def test_norms_ignore_overflow_only_when_a_squared_norm_could_overflow(self, monkeypatch):
-        ordinary = idf_encoder(WordVectorTable({"a": [3.0, -4.0], "b": [1e-300, 2.0]}))
-        # (1e160)**2 overflows a float.
-        huge = idf_encoder(WordVectorTable({"a": [1e160, 1.0], "b": [0.3, 0.7]}))
-        entered = []
-        errstate = np.errstate
-        monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
-        ordinary.pool_many([[part] for part in ordinary.parts([["a", "b"], ["b"]])])
-        assert entered == []
+    def test_a_long_sum_of_the_largest_terms_stays_finite(self):
+        # 10**5 terms of 1e70 and a total weight of 1e25.
+        enc = PooledEncoder(WordVectorTable({"a": [1e50, 1.0], "b": [1e50, -1.0]}), [1e20, 1e20])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pooled = huge.pool_many([[part] for part in huge.parts([["a"], ["a", "b"]])])
-        assert entered == [{"over": "ignore"}]
-        assert pooled[0].tolist() == [1.0, 1e-160]
-        assert np.linalg.norm(pooled[1]) == pytest.approx(1.0, rel=1e-15)
-
-    def test_a_sum_that_overflows_from_finite_terms(self):
-        # Each w * v is ln 4 * 1e308, finite; their sum is not.
-        enc = idf_encoder(WordVectorTable({"a": [1e308, 1.0], "b": [1e308, -1.0]}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            (pooled,) = enc.pool_many([enc.parts([["a", "b"]])])
+            (pooled,) = enc.pool_many([enc.parts([["a", "b"] * 50_000])])
         assert pooled.tolist() == [1.0, 0.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pooling_at_the_range_edges_warns_never_and_equals_the_token_loop(self, data):
+        d = data.draw(st.integers(1, 4))
+        v = data.draw(st.integers(1, 5))
+        matrix = data.draw(st.lists(st.lists(vector_component, min_size=d, max_size=d),
+                                    min_size=v, max_size=v))
+        weights = data.draw(st.lists(idf_weight, min_size=v, max_size=v))
+        ids = st.lists(st.integers(0, v - 1), max_size=6).map(lambda x: np.array(x, np.intp))
+        groups = data.draw(st.lists(st.lists(ids, min_size=1, max_size=3), min_size=1, max_size=5))
+        leads = data.draw(st.lists(ids, min_size=len(groups), max_size=len(groups)))
+        with warnings.catch_warnings(), np.errstate(under="raise"):
+            warnings.simplefilter("error")
+            enc = PooledEncoder(WordVectorTable.from_rows([f"w{i}" for i in range(v)], matrix),
+                                weights)
+            pooled = enc.pool_many(groups)
+            sums = np.zeros((len(groups), d + 1))
+            enc.pool_many([[lead] for lead in leads], sums_out=sums)
+            continued = enc.pool_many(groups, sums)
+        for rows, lead in ((pooled, None), (continued, leads)):
+            for i, (row, group) in enumerate(zip(rows, groups)):
+                parts = group if lead is None else [lead[i], *group]
+                assert row.tobytes() == oracles.scalar_pool(enc, parts).tobytes()
+                norm = np.linalg.norm(row)
+                assert norm == 0.0 and not row.any() or abs(norm - 1.0) <= 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(st.permutations(["solar", "panel", "cell", "glass", "diode"]))

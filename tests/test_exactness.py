@@ -169,13 +169,15 @@ class TestPoolingIsExact:
         assert_pools_exactly(encoder, "x y x", ["x", "y"])
         assert np.signbit(encode(encoder, "x")).tolist() == [False, False, False]
 
-    def test_subnormal_vectors(self):
-        tiny = 5e-324
+    @pytest.mark.parametrize("weight", [1e-20, 1e20])
+    def test_vectors_and_weights_at_the_range_edges(self, weight):
         encoder = encoder_of(
-            {"x": [tiny, 3 * tiny, 0.0], "y": [2e-310, -tiny, 1e-308]}, {"y": 1e-5}
+            {"x": [1e-50, 3e-50, 0.0], "y": [1e50, -1e-50, 1e-49], "z": [-1e50, 0.0, 1e50]},
+            {"y": weight, "z": 1e-20},
         )
         assert_pools_exactly(encoder, "x y", ["y x x", "x"])
         assert_pools_exactly(encoder, "x", [])
+        assert_pools_exactly(encoder, "z x", ["x", "z y z"])
 
     def test_all_zero_idf_weights_give_the_zero_vector(self):
         encoder = encoder_of({"x": [1.0, 2.0], "y": [0.5, -1.0]}, {"x": 0.0, "y": 0.0})

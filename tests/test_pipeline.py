@@ -27,7 +27,7 @@ from hsclassify.errors import (
     TemperatureBoundWarning,
     UntrainedModel,
 )
-from hsclassify import alignment, case_retrieval, evaluation, pipeline, textproc
+from hsclassify import alignment, evaluation, pipeline, textproc
 from hsclassify.evaluation import evaluate_pipeline
 from hsclassify.pipeline import (
     CandidateReport,
@@ -440,12 +440,15 @@ class TestCheckpoint:
         assert [b.snippets for b in loaded] == [b.snippets for b in saved]
 
     def test_case_index_of_other_dimension_rejected_at_load(self, model, tmp_path):
+        def unit_prefix(arrays):
+            # The first 5 components of each row, at unit length again.
+            rows = arrays["embeddings"][:, :5]
+            norms = np.linalg.norm(rows, axis=1, keepdims=True)
+            unit = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0.0)
+            return {**arrays, "embeddings": unit}
+
         save_pipeline(model, tmp_path / "ckpt")
-        edit_checkpoint_arrays(
-            tmp_path / "ckpt",
-            "case_index.npz",
-            lambda arrays: {**arrays, "embeddings": arrays["embeddings"][:, :5]},
-        )
+        edit_checkpoint_arrays(tmp_path / "ckpt", "case_index.npz", unit_prefix)
         with pytest.raises(DimensionMismatch, match="case index dimension 5"):
             load_pipeline(tmp_path / "ckpt")
 
@@ -635,7 +638,7 @@ class TestSinglePass:
         assert calls["logits4"] == calls["logits6"] == 1
         assert calls["pool_many"] == 2
 
-    def test_repeat_predict_tokenizes_once_and_scores_cases_without_cosine(
+    def test_repeat_predict_tokenizes_once(
         self, model, small_corpus, calls, monkeypatch
     ):
         def count(module, name):
@@ -654,7 +657,6 @@ class TestSinglePass:
         for module in (pipeline, alignment):
             count(module, "tokenize")
         count(textproc, "_unit_table")
-        count(case_retrieval, "cosine")
         report = model.predict(description, k=3)
         # One tokenization shared by 3 retrievals, whose keyword rows are
         # gathered from the model's unit table: no row is normalised.
@@ -662,9 +664,6 @@ class TestSinglePass:
         assert calls["retrieve_many"] == calls["queries"] == 3
         m = model.config.similar_cases_per_candidate
         assert all(len(c.similar_cases) == m for c in report.subheading_candidates)
-        # Encoder rows are unit (zero only for a text with no known word), so
-        # no case here falls back to ``cosine``.
-        assert calls["cosine"] == 0
 
     def test_fit_encodes_each_training_case_at_most_twice(self, small_corpus, calls):
         # x1 and description+evidence per training case, pooled per gold
@@ -744,13 +743,13 @@ class TestSinglePass:
 
     @pytest.fixture
     def pooled(self, monkeypatch):
-        """Each ``pool_many`` call's groups and leading parts (None: no lead)."""
+        """Each ``pool_many`` call's groups and leading sums (None: no lead)."""
         records = []
         pool_many = PooledEncoder.pool_many
 
         def recording(self, groups, *args, **kwargs):
             lead = args[0] if args else kwargs.get("lead")
-            records.append((groups, None if lead is None else lead[0]))
+            records.append((groups, lead))
             return pool_many(self, groups, *args, **kwargs)
 
         monkeypatch.setattr(PooledEncoder, "pool_many", recording)
@@ -759,7 +758,7 @@ class TestSinglePass:
     @staticmethod
     def assert_stage3_pools_only_evidence(model, pooled):
         # Stage 1 pools each description part alone; stage 3 pools only key
-        # sentences' parts, after the descriptions' running sums.
+        # sentences' parts, after the descriptions' running sums, one row per group.
         prepared = [model.retriever.prepare(entry) for entry in model.manuals.values()]
         sentence_parts = {id(part) for entry in prepared for part in entry.parts}
         stages = Counter()
@@ -768,9 +767,8 @@ class TestSinglePass:
                 assert all(len(group) == 1 for group in groups)
                 assert not any(id(group[0]) in sentence_parts for group in groups)
             else:
-                assert len(lead) == len(groups)
+                assert lead.shape == (len(groups), model.retriever.encoder.output_dimension + 1)
                 assert all(id(part) in sentence_parts for group in groups for part in group)
-                assert not any(id(part) in sentence_parts for part in lead)
             stages[lead is None] += 1
         assert stages[True] and stages[False]
 
@@ -813,8 +811,11 @@ class TestSinglePass:
         self.assert_stage3_pools_only_evidence(model, pooled)
         (_, (stage3, lead)) = pooled
         assert [len(group) for group in stage3] == [len(report.heading_candidates[0].key_sentences)]
+        # The lead is the description's own running sums.
         (part,) = model.retriever.encoder.parts([textproc.tokenize(description)])
-        assert [p.tolist() for p in lead] == [part.tolist()]
+        sums = np.zeros_like(lead)
+        model.retriever.encoder.pool_many([[part]], sums_out=sums)
+        assert lead.tobytes() == sums.tobytes()
 
     def test_fit_tokenizes_each_description_once(self, small_corpus, monkeypatch):
         corpus, split = small_corpus

@@ -1,8 +1,9 @@
-"""Tokenizer, idf statistics, cosine, keywords, and the vector table."""
+"""Tokenizer, idf statistics, keywords, and the vector table with its value range."""
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hsclassify.errors import DimensionMismatch, EmptyInput, ParseError
+from hsclassify.errors import DimensionMismatch, EmptyInput, OutOfRange, ParseError
 from hsclassify.textproc import (
     DEFAULT_STOPWORDS,
     WordVectorTable,
     compute_idf,
     content_keywords,
-    cosine,
     load_stopwords,
     tokenize,
 )
@@ -98,49 +98,6 @@ class TestComputeIdf:
         assert all(value >= 0.0 for value in idf.values())
 
 
-class TestCosine:
-    def test_identical_nonzero(self):
-        assert cosine([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_zero_norm_convention(self):
-        assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
-        assert cosine([1.0, 2.0], [-0.0, 0.0]) == 0.0
-
-    def test_tiny_nonzero_vector_is_not_zero(self):
-        # Every square underflows to 0, so the naive norm is 0.
-        assert cosine([1e-170, 0.0], [1.0, 0.0]) == 1.0
-        assert cosine([0.0, 5e-324], [0.0, -2.0]) == -1.0
-        assert cosine([1e-170, 0.0], [0.0, 1e-170]) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine([1.0], [1.0, 2.0])
-
-    def test_tiny_norm_stays_exact(self):
-        # Squaring 3e-162 gives a subnormal float, which skews a naive norm.
-        assert cosine([3.3341784415318333e-162], [1.0]) == 1.0
-        assert cosine([3e-162, -3e-162], [-1.0, 1.0]) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_huge_norm_is_rescaled(self):
-        # Squaring 1e200 overflows, so the naive norm is inf and the cosine 0.
-        assert cosine([1e200, -3e200], [1.0, -3.0]) == pytest.approx(1.0, abs=1e-12)
-        assert cosine([1e300, 1e300], [-2e-160, -2e-160]) == pytest.approx(-1.0, abs=1e-12)
-        assert cosine([1e200, 0.0], [0.0, 2e300]) == 0.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
-        st.data(),
-    )
-    def test_symmetry_and_bound(self, u, data):
-        v = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(u), max_size=len(u)))
-        assert cosine(u, v) == pytest.approx(cosine(v, u), abs=1e-12)
-        assert abs(cosine(u, v)) <= 1.0 + 1e-12
-
-
 class TestContentKeywords:
     def test_all_stopwords(self):
         assert content_keywords(["the", "of", "and"]) == set()
@@ -174,7 +131,7 @@ class TestWordVectorTable:
 
     def test_save_load_roundtrip(self, tmp_path):
         # Floats written with repr() read back bit for bit.
-        vectors = {"solar": [0.1, 1 / 3, -2.5e-300], "panel": [1e300, -0.0, 2 / 7]}
+        vectors = {"solar": [0.1, 1 / 3, -1e-50], "panel": [1e50, -0.0, 2 / 7]}
         path = tmp_path / "vectors.txt"
         path.write_text(
             "".join(f"{t} {' '.join(map(repr, v))}\n" for t, v in vectors.items()), encoding="utf-8"
@@ -200,6 +157,25 @@ class TestWordVectorTable:
             WordVectorTable({})
         with pytest.raises(EmptyInput):
             WordVectorTable.from_rows([], np.zeros((0, 3)))
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 9.99e-51, -9.99e-51, 1.01e50, -1.01e50, 5e-324]
+    )
+    def test_values_out_of_range_are_refused_naming_the_token(self, value):
+        message = re.escape(f"token 'a' has the vector value {value!r}")
+        with pytest.raises(OutOfRange, match=message):
+            WordVectorTable({"a": [value, 1.0], "b": [1.0, 2.0]})
+        with pytest.raises(OutOfRange, match="token 'b'"):
+            WordVectorTable.from_rows(["a", "b"], np.array([[1.0, 2.0], [3.0, value]]))
+        with pytest.raises(OutOfRange, match="token 'a'"):  # a repeated token's first vector
+            WordVectorTable.from_rows(["a", "a"], np.array([[value, 2.0], [3.0, 4.0]]))
+
+    def test_values_at_the_range_edges_are_accepted(self):
+        edges = [1e-50, -1e-50, 1e50, -1e50, 0.0, -0.0]
+        table = WordVectorTable.from_rows([f"w{i}" for i in range(6)], np.diag(edges))
+        assert table.matrix.diagonal().tolist() == edges
+        assert table.unit_rows[:4].diagonal().tolist() == [1.0, -1.0, 1.0, -1.0]
+        assert not table.unit_rows[4:].any()
 
     def test_from_rows_checks_the_row_count(self):
         with pytest.raises(DimensionMismatch):
@@ -315,36 +291,35 @@ class TestWordVectorTableIsImmutable:
 
 class TestUnitRows:
     def test_each_row_is_its_vector_normalised_alone(self):
-        tiny = 5e-324
         vectors = {
             "zero": [0.0, 0.0, 0.0],
             "negzero": [-0.0, -0.0, -0.0],
             "mixed": [-0.0, 1.0, -0.0],
-            "subnormal": [tiny, -3 * tiny, 2e-310],
-            "huge": [1e200, -3e200, 2e200],  # the squares overflow: rescaled first
+            "huge": [1e50, -3e49, 2e49],
             "plain": [0.1, 1 / 3, -2.5],
-            "small": [1e-160, 2e-160, 0.0],
-            "tiny": [1e-170, 0.0, 0.0],  # every square underflows: rescaled first
+            "small": [1e-50, 2e-50, 0.0],
+            "edge": [1e-50, 0.0, 0.0],
         }
         table = WordVectorTable(vectors)
         for token in vectors:
             want = oracles.unit_row(vectors[token])[0]
             assert table.unit_rows[table.index[token]].tobytes() == want.tobytes(), token
         huge = table.unit_rows[table.index["huge"]]
-        np.testing.assert_allclose(huge, np.array([1.0, -3.0, 2.0]) / np.sqrt(14.0), rtol=1e-15)
+        np.testing.assert_allclose(huge, np.array([10.0, -3.0, 2.0]) / np.sqrt(113.0), rtol=1e-15)
         assert table.unit_rows.shape == (len(vectors) + 1, 3)
         assert table.unit_rows[-1].tobytes() == np.zeros(3).tobytes()
         assert np.signbit(table.unit_rows[table.index["negzero"]]).all()
-        assert table.unit_rows[table.index["tiny"]].tolist() == [1.0, 0.0, 0.0]
-        subnormal = table.unit_rows[table.index["subnormal"]]
-        assert np.linalg.norm(subnormal) == pytest.approx(1.0, rel=1e-15)
+        assert table.unit_rows[table.index["edge"]].tolist() == [1.0, 0.0, 0.0]
+        small = table.unit_rows[table.index["small"]]
+        assert np.linalg.norm(small) == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_tables(self, seed):
         rng = np.random.default_rng([5, seed])
         d = int(rng.choice([1, 7, 8, 50, 301]))
         tokens = [f"w{i}" for i in range(int(rng.integers(1, 200)))]
-        matrix = rng.normal(size=(len(tokens), d)) * 10.0 ** rng.integers(-300, 150, (len(tokens), 1))
+        matrix = rng.normal(size=(len(tokens), d)) * 10.0 ** rng.integers(-40, 41, (len(tokens), 1))
+        matrix[0, 0], matrix[-1, -1] = 1e-50, -1e50  # the range's edges
         table = WordVectorTable.from_rows(tokens, matrix)
         want = oracles.unit_rows([*tokens, "unknown"], table)
         assert table.unit_rows.tobytes() == want.tobytes()
@@ -362,14 +337,19 @@ class TestUnitRows:
             ("foo 1 0 0\nbar 0 nan 0\nbaz x 0 0\n", 2),
             ("foo 1 0 0\nbar 0 1e400\nbaz x 0 0\nqux 1\n", 2),
             ("foo 1\nbar 1 2 3\n\nbaz 1 nan\nqux 1 inf\n", 4),
+            ("foo 1 0 0\nbar 0 1e-60 0\nbaz x 0 0\n", 2),
+            ("foo 1e-50 0\nbar 0 1e50\nbaz -1.5e50 0\nqux 1 nan\n", 3),
+            ("foo 1 0\nbar 1 2 3\nbaz 0 5e-324\n", 3),
         ],
     )
-    def test_non_finite_values_rejected_with_line(self, tmp_path, text, line):
+    def test_values_out_of_range_rejected_with_file_line_and_token(self, tmp_path, text, line):
         path = tmp_path / "vectors.txt"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match="non-finite") as info:
+        token = text.split("\n")[line - 1].split(" ")[0]
+        with pytest.raises(ParseError, match=r"from 1e-50 to 1e\+50") as info:
             WordVectorTable.load(path)
         assert info.value.line == line
+        assert f"{path}: token {token!r} has the vector value " in str(info.value)
 
 
 def test_load_stopwords(tmp_path):
