@@ -29,9 +29,9 @@ their description's running sums.
 A ``RetrievalResult`` stores the selection only: the selected sentence
 indices and their step scores, with references to the entry's sentences,
 the query's sorted keywords and the query's final per-keyword uncovered
-flags. The sentence records and the covered and uncovered keyword sets a
-reader may want are derived from those when read, so a caller that reads
-only the indices, as training and stage 3 do, pays for no presentation.
+flags. The selected sentences' texts and the covered and uncovered keyword
+sets are derived from those when read, so a caller that reads only the
+indices, as training and stage 3 do, pays for no presentation.
 """
 
 from __future__ import annotations
@@ -60,13 +60,6 @@ class RetrievalConfig:
             raise ValueError("coverage_threshold must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class RetrievedSentence:
-    text: str
-    index: int
-    score: float
-
-
 @dataclass(slots=True)
 class RetrievalResult:
     """One query's selection from one manual entry.
@@ -76,9 +69,9 @@ class RetrievalResult:
     references to what the selection reads: the entry's ``entry_sentences``,
     the query's sorted ``keywords`` and ``uncovered``, one flag per keyword
     (1.0 while it is uncovered, 0.0 once covered). The properties
-    ``sentences``, ``covered_keywords`` and ``uncovered_keywords`` and
-    ``sentence_texts()`` derive the presentation from those fields each time
-    they are read, and cache nothing.
+    ``covered_keywords`` and ``uncovered_keywords`` and ``sentence_texts()``
+    derive the presentation from those fields each time they are read, and
+    cache nothing.
     """
 
     entry_sentences: Sequence[str]
@@ -86,11 +79,6 @@ class RetrievalResult:
     indices: list[int] = field(default_factory=list)
     scores: list[float] = field(default_factory=list)
     uncovered: Sequence[float] = ()
-
-    @property
-    def sentences(self) -> list[RetrievedSentence]:
-        texts = self.entry_sentences
-        return [RetrievedSentence(texts[i], i, s) for i, s in zip(self.indices, self.scores)]
 
     @property
     def covered_keywords(self) -> set[str]:
@@ -244,8 +232,8 @@ class KeySentenceRetriever:
         Each query's result is filled in the greedy loop: each step appends
         the selected index and its step score. Once the loop ends, the result
         takes the query's slice of the per-keyword uncovered flags. No
-        sentence record or keyword set is built here; the result's views
-        derive them when read.
+        sentence text or keyword set is built here; the result derives them
+        when read.
         """
         prepared = self.prepare(manual_entry)
         texts = manual_entry.sentences

@@ -4,7 +4,9 @@ Each subheading's cases form one bucket: an ``n x d`` embedding matrix with
 the case ids, snippets and row norms beside it. A lookup scores every case
 once as ``np.dot(row, query) / (norm(row) * norm(query))`` (+0.0 where that
 product of norms is 0), one stacked dot product per row, so its ranking and
-similarities equal scoring the cases one at a time.
+similarities equal scoring the cases one at a time. An index refuses an
+embedding component that is NaN, infinite or larger in magnitude than
+``VECTOR_RANGE[1]``, so no squared row norm overflows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DecisionCase
-from .errors import BadK, DimensionMismatch, DuplicateId, EmptyInput
+from .errors import BadK, DimensionMismatch, DuplicateId, EmptyInput, OutOfRange
+from .textproc import VECTOR_RANGE
 
 SNIPPET_LENGTH = 80
 
@@ -40,6 +43,14 @@ class CaseIndex:
     def from_rows(cls, subheadings: Sequence[str], ids: Sequence[str], snippets: Sequence[str],
                   embeddings: np.ndarray) -> "CaseIndex":
         """Index rows grouped by subheading; each bucket's matrix is a view of ``embeddings``."""
+        high = VECTOR_RANGE[1]
+        if not np.abs(embeddings).max(initial=0.0) <= high:  # NaN fails too
+            bad = int(np.argmin(np.abs(embeddings) <= high))
+            value = float(embeddings.flat[bad])
+            raise OutOfRange(
+                f"case {ids[bad // embeddings.shape[1]]!r} has the embedding value {value!r}; "
+                f"a value must be finite with magnitude at most {high:g}"
+            )
         norms = np.sqrt(_row_dots(embeddings, embeddings))
         rows = len(subheadings)
         starts = [i for i in range(rows) if i == 0 or subheadings[i] != subheadings[i - 1]]

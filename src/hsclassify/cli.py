@@ -208,8 +208,6 @@ def train(ctx: click.Context, with_ablation: bool):
             f"  val top-1 {stage_report.val_accuracies[best]:.4f}"
             f"  epoch-mean train loss {stage_report.losses[best]:.4f}{stopped}"
         )
-    if report.missing_manual_cases:
-        click.echo(f"warning: {report.missing_manual_cases} cases lack a gold-heading manual entry")
     _echo_temperatures(model)
     click.echo(f"checkpoint written to {config.checkpoint_dir}")
 

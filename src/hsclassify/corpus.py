@@ -274,11 +274,12 @@ def load_manual(path: str | Path) -> dict[str, ManualEntry]:
             if heading in entries:
                 raise DuplicateHeading(f"line {line_no}: duplicate heading {heading!r}")
             sentences = record["sentences"]
-            if not isinstance(sentences, list) or not sentences:
-                raise ParseError(f"heading {heading}: sentences must be a non-empty list", line_no)
-            if any(not isinstance(s, str) or not s.strip() for s in sentences):
-                raise ParseError(f"heading {heading}: empty sentence", line_no)
-            entries[heading] = ManualEntry(heading=heading, sentences=tuple(sentences))
+            if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
+                raise ParseError(f"heading {heading}: sentences must be a list of strings", line_no)
+            try:
+                entries[heading] = ManualEntry(heading=heading, sentences=tuple(sentences))
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no) from exc
     return entries
 
 

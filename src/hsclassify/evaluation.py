@@ -41,12 +41,11 @@ def _overlap_f1(a: set[str], b: set[str]) -> float:
 
 @dataclass(frozen=True)
 class PrecisionRecall:
-    """Evidence-match outcome; flags mark undefined denominators."""
+    """Evidence-match outcome; recall is None when there is no gold evidence."""
 
     precision: float
     recall: float | None
     matches: int
-    precision_defined: bool = True
 
 
 def _match_evidence(
@@ -62,7 +61,7 @@ def _match_evidence(
     descending F1 with ties broken on gold order and retrieved text, so
     permuting the retrieved list never changes the outcome. With empty gold
     evidence the recall is undefined (None); with nothing retrieved the
-    precision is reported as 0.0 and flagged.
+    precision is 0.0.
     """
     pairs = []
     for g_idx, g_set in enumerate(gold_sets):
@@ -86,7 +85,6 @@ def _match_evidence(
         precision=matches / len(retrieved) if retrieved else 0.0,
         recall=matches / len(gold_sets) if gold_sets else None,
         matches=matches,
-        precision_defined=bool(retrieved),
     )
 
 

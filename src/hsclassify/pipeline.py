@@ -143,7 +143,6 @@ class FitReport:
     heading: TrainReport
     subheading: TrainReport
     ablation: TrainReport | None = None
-    missing_manual_cases: int = 0
 
 
 @dataclass
@@ -202,8 +201,11 @@ class PipelineModel:
             )
         if self.heading_classifier.labels != list(self.label_space.headings):
             raise ValueError("heading classifier is not bound to the heading label space")
-        if self.subheading_classifier.labels != list(self.label_space.subheadings):
-            raise ValueError("subheading classifier is not bound to the subheading label space")
+        subheadings = list(self.label_space.subheadings)
+        for stage, head in (("subheading", self.subheading_classifier),
+                            ("ablation", self.ablation_classifier)):
+            if head is not None and head.labels != subheadings:
+                raise ValueError(f"{stage} classifier is not bound to the subheading label space")
         if (self.ablation_classifier is None) != (self.ablation_scaler is None):
             raise ValueError("an ablation head needs an ablation temperature, and the reverse")
 
@@ -445,15 +447,16 @@ def fit(
 
     Every stage-3 input goes the way inference's does: ``_describe`` gives
     the description vectors and running sums, ``_evidence`` the key
-    sentences and the description pooled with them. Training cases go one gold heading at a
-    time, ``CHUNK_ROWS`` at a time, with the key sentences of their gold
-    heading's manual; a case without evidence reuses its description
-    vector (a missing manual warns once per heading). The case index holds
-    the stage-3 training vectors. A validation case's stage-3 input is what
-    inference would pool for it: its description with the key sentences of
-    its top heading's manual, ranked by the heading logits the heading
-    temperature is fitted on. The ablation head, when trained, reads the
-    description vectors of stage 1.
+    sentences and the description pooled with them. Training cases go one
+    gold heading at a time, ``CHUNK_ROWS`` at a time, with the key sentences
+    of their gold heading's manual; a case without evidence reuses its
+    description vector (a missing manual warns once per heading, with its
+    training-case count). The case index holds the stage-3 training
+    vectors. A validation case's stage-3 input is what inference would
+    pool for it: its description with the key sentences of its top
+    heading's manual, ranked by the heading logits the heading temperature
+    is fitted on. The ablation head, when trained, reads the description
+    vectors of stage 1.
     """
     if not train_cases:
         raise EmptyInput("no training cases")
@@ -471,10 +474,14 @@ def fit(
             retriever.prepare(manuals[heading], manual_tokens[heading])
     del manual_tokens, sentence_tokens  # the prepared entries hold what retrieval reads
 
-    for heading in sorted({c.label.heading for c in train_cases} - manuals.keys()):
+    by_heading: dict[str, list[int]] = {}
+    for i, case in enumerate(train_cases):
+        by_heading.setdefault(case.label.heading, []).append(i)
+    for heading in sorted(by_heading.keys() - manuals.keys()):
+        count = len(by_heading[heading])
         warnings.warn(
-            f"no manual entry for gold heading {heading}; affected cases train on "
-            "description alone",
+            f"no manual entry for gold heading {heading}; its {count} training "
+            f"case{'s train' if count != 1 else ' trains'} on the description alone",
             MissingManualWarning,
             stacklevel=2,
         )
@@ -483,9 +490,6 @@ def fit(
     # description pooled with the key sentences of its gold heading's manual.
     x1_train = np.zeros((len(train_cases), encoder.output_dimension))
     x3_train = np.zeros_like(x1_train)
-    by_heading: dict[str, list[int]] = {}
-    for i, case in enumerate(train_cases):
-        by_heading.setdefault(case.label.heading, []).append(i)
     for heading, members in by_heading.items():
         entry = manuals.get(heading)
         for start in range(0, len(members), CHUNK_ROWS):
@@ -555,7 +559,6 @@ def fit(
             heading=heading_report,
             subheading=subheading_report,
             ablation=ablation_report,
-            missing_manual_cases=sum(1 for c in train_cases if c.label.heading not in manuals),
         ),
     )
 
@@ -621,14 +624,11 @@ _UTF8 = ("utf-8", "surrogatepass")
 def _arrays(data: bytes, *names: str) -> list:
     """The named arrays of ``.npz`` bytes; str arrays come back as lists of str.
 
-    A float array with a NaN or infinite value is refused.
+    The type each array becomes checks its values.
     """
     loaded = np.load(io.BytesIO(data), allow_pickle=False)
-    arrays = {name: loaded[name] for name in names}
-    for name, array in arrays.items():
-        if array.dtype.kind == "f" and not np.isfinite(array).all():
-            raise ValueError(f"array {name!r} holds a non-finite value")
-    return [a.tolist() if a.dtype.kind == "U" else a for a in arrays.values()]
+    arrays = [loaded[name] for name in names]
+    return [a.tolist() if a.dtype.kind == "U" else a for a in arrays]
 
 
 def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
@@ -721,15 +721,11 @@ def _case_index(data: bytes) -> CaseIndex:
     counts = [len(embeddings), *map(len, columns)]
     if embeddings.ndim != 2 or len(set(counts)) != 1:
         raise DimensionMismatch(f"row counts of embeddings, subheadings, ids, snippets: {counts}")
-    # Every row fit writes is an encoding: all zeros or of unit norm, so no
-    # component exceeds 1 (and no squared norm can overflow).
-    message = "an embedding row is neither all zeros nor of unit norm"
-    if np.abs(embeddings).max(initial=0.0) > 1.0 + 1e-9:
-        raise ValueError(message)
     index = CaseIndex.from_rows(*columns, embeddings)
+    # Every row fit writes is an encoding: all zeros or of unit norm.
     norms = np.concatenate([np.zeros(0), *(b.norms for b in index.by_subheading.values())])
     if embeddings[~(np.abs(norms - 1.0) <= 1e-9)].any():
-        raise ValueError(message)
+        raise ValueError("an embedding row is neither all zeros nor of unit norm")
     return index
 
 

@@ -40,6 +40,8 @@ HEADING_WORDS = 5
 SUBHEADING_WORDS = 4
 FILLER_WORDS = 12
 QUOTE_MANUAL_PROBABILITY = 0.15
+REVOKED_CASES = 6
+YEAR = 2024
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,7 @@ class SynthConfig:
     validation_per_subheading: int = 5
     test_per_subheading: int = 5
     vector_dimension: int = 50
-    revoked_cases: int = 6
     seed: int = 7
-    year: int = 2024
 
     def __post_init__(self):
         if not 1 <= self.headings <= 99:
@@ -190,7 +190,7 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthCorpus:
                         "id": f"case-{counter:05d}",
                         "description": make_description(heading, subheading),
                         "hs_code": f"{subheading[:4]}.{subheading[4:]}",
-                        "date": f"{config.year:04d}-{month:02d}-{day:02d}",
+                        "date": f"{YEAR:04d}-{month:02d}-{day:02d}",
                         # The loader ignores "origin"; it stays so seeded corpora keep their bytes.
                         "origin": ("international" if counter % 2 else "domestic"),
                     }
@@ -198,7 +198,7 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthCorpus:
                         record["gold_evidence"] = list(evidence_sentences[subheading])
                     records.append(record)
 
-    for i in range(config.revoked_cases):
+    for i in range(REVOKED_CASES):
         heading = headings[i % len(headings)]
         subheading = heading + subheading_suffixes[i % len(subheading_suffixes)]
         records.append(
@@ -206,7 +206,7 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthCorpus:
                 "id": f"case-revoked-{i + 1:03d}",
                 "description": make_description(heading, subheading),
                 "hs_code": f"{subheading[:4]}.{subheading[4:]}",
-                "date": f"{config.year:04d}-03-{1 + i % 28:02d}",
+                "date": f"{YEAR:04d}-03-{1 + i % 28:02d}",
                 "origin": "domestic",
                 "revoked": True,
             }

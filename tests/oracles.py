@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from hsclassify.alignment import KeySentenceRetriever, RetrievedSentence
+from hsclassify.alignment import KeySentenceRetriever
 from hsclassify.corpus import DecisionCase, ManualEntry
 from hsclassify.encoder import Part, PooledEncoder
 from hsclassify.evaluation import (
@@ -325,12 +325,14 @@ def alignment_score(
 class ScalarRetrieval:
     """``scalar_retrieve``'s result: plain stored fields, under ``RetrievalResult``'s names."""
 
-    sentences: list[RetrievedSentence] = field(default_factory=list)
+    indices: list[int] = field(default_factory=list)
+    scores: list[float] = field(default_factory=list)
+    texts: list[str] = field(default_factory=list)
     covered_keywords: set[str] = field(default_factory=set)
     uncovered_keywords: set[str] = field(default_factory=set)
 
     def sentence_texts(self) -> list[str]:
-        return [s.text for s in self.sentences]
+        return self.texts
 
 
 def scalar_retrieve(
@@ -362,7 +364,7 @@ def scalar_retrieve(
     while (
         uncovered.any()
         and remaining
-        and len(result.sentences) < retriever.config.max_sentences
+        and len(result.indices) < retriever.config.max_sentences
     ):
         best_index, best_score = -1, -math.inf
         for index in remaining:
@@ -376,9 +378,9 @@ def scalar_retrieve(
         }
         if not newly_covered:
             break
-        result.sentences.append(
-            RetrievedSentence(entry.sentences[best_index], best_index, best_score)
-        )
+        result.indices.append(best_index)
+        result.scores.append(best_score)
+        result.texts.append(entry.sentences[best_index])
         remaining.remove(best_index)
         uncovered[[k for k, t in enumerate(keywords) if t in newly_covered]] = 0.0
         result.covered_keywords |= newly_covered
@@ -486,8 +488,8 @@ def reference_infer(model: PipelineModel, description: str, headings: int = 0) -
     ]
 
     stage3_vector = description_vector
-    if retrievals[0] is not None and retrievals[0].sentences:
-        evidence = encoder.parts([tokenize(s.text) for s in retrievals[0].sentences])
+    if retrievals[0] is not None and retrievals[0].indices:
+        evidence = encoder.parts([tokenize(text) for text in retrievals[0].texts])
         stage3_vector = scalar_pool(encoder, [part, *evidence])
     subheading_logits = logits(model.subheading_classifier, stage3_vector)
     probs = probabilities(model.subheading_scaler, subheading_logits)

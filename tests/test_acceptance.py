@@ -73,7 +73,7 @@ class TestCriterion2RetrievalOracle:
             vectors, idf_values, sentences, keywords = random_instance(seed)
             result, expected = run_both(vectors, idf_values, sentences, keywords)
             same = (
-                [s.index for s in result.sentences] == expected.indices
+                result.indices == expected.indices
                 and result.covered_keywords == expected.covered
                 and result.uncovered_keywords == expected.uncovered
             )

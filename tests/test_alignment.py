@@ -118,7 +118,7 @@ class TestRetrieve:
         retriever = KeySentenceRetriever(toy_encoder, NO_STOPWORDS)
         entry = ManualEntry(heading="8541", sentences=("solar panel cell", "glass diode"))
         result = retrieve(retriever, "solar panel", entry)
-        assert [s.index for s in result.sentences] == [0]
+        assert result.indices == [0]
         assert result.uncovered_keywords == set()
         assert result.covered_keywords == {"solar", "panel"}
 
@@ -126,7 +126,7 @@ class TestRetrieve:
         retriever = KeySentenceRetriever(toy_encoder, NO_STOPWORDS)
         entry = ManualEntry(heading="8541", sentences=("sunlight collectors",))
         result = retrieve(retriever, "solar", entry)
-        assert [s.index for s in result.sentences] == [0]
+        assert result.indices == [0]
         assert result.covered_keywords == {"solar"}
 
     def test_nothing_aligns_returns_empty(self):
@@ -134,7 +134,7 @@ class TestRetrieve:
         retriever = KeySentenceRetriever(idf_encoder(vectors), NO_STOPWORDS)
         entry = ManualEntry(heading="7201", sentences=("iron iron", "iron"))
         result = retrieve(retriever, "solar", entry)
-        assert result.sentences == []
+        assert result.indices == []
         assert result.uncovered_keywords == {"solar"}
         assert result.covered_keywords == set()
 
@@ -151,26 +151,26 @@ class TestRetrieve:
         sentences = [["m4"], ["m0", "m1"], ["m2", "m3", "junk"], ["m0"]]
         keywords = {f"k{i}" for i in range(5)}
         result, expected = run_both(vectors, idf_values, sentences, keywords)
-        assert [s.index for s in result.sentences] == [0, 1, 2]
-        assert [s.score for s in result.sentences] == pytest.approx([3.0, 2.0, 2.0])
-        assert [s.index for s in result.sentences] == expected.indices
+        assert result.indices == [0, 1, 2]
+        assert result.scores == pytest.approx([3.0, 2.0, 2.0])
+        assert result.indices == expected.indices
         assert result.uncovered_keywords == expected.uncovered == set()
 
     def test_max_sentences_one_returns_global_argmax(self):
         vectors, idf_values, sentences, keywords = random_instance(seed=100)
         result, expected = run_both(vectors, idf_values, sentences, keywords, max_sentences=1)
-        assert [s.index for s in result.sentences] == expected.indices
-        assert len(result.sentences) <= 1
+        assert result.indices == expected.indices
+        assert len(result.indices) <= 1
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_enumeration_oracle(self, seed):
         vectors, idf_values, sentences, keywords = random_instance(seed)
         result, expected = run_both(vectors, idf_values, sentences, keywords)
-        assert [s.index for s in result.sentences] == expected.indices
+        assert result.indices == expected.indices
         assert result.covered_keywords == expected.covered
         assert result.uncovered_keywords == expected.uncovered
-        for got, want in zip(result.sentences, expected.scores):
-            assert got.score == pytest.approx(want, abs=1e-9)
+        for got, want in zip(result.scores, expected.scores):
+            assert got == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [7, 21, 33])
     def test_retrieve_is_deterministic(self, seed):
@@ -180,7 +180,7 @@ class TestRetrieve:
         description = " ".join(sorted(keywords))
         first = retrieve(retriever, description, entry)
         second = retrieve(retriever, description, entry)
-        assert [s.index for s in first.sentences] == [s.index for s in second.sentences]
+        assert first.indices == second.indices
         assert first.covered_keywords == second.covered_keywords
 
     @pytest.mark.parametrize("seed", range(40, 60))
@@ -189,13 +189,13 @@ class TestRetrieve:
         retriever = make_retriever(vectors, idf_values)
         entry = ManualEntry(heading="8541", sentences=tuple(" ".join(s) for s in sentences))
         result = retrieve(retriever, " ".join(sorted(keywords)), entry)
-        indices = [s.index for s in result.sentences]
+        indices = result.indices
         assert len(indices) == len(set(indices))
         assert all(0 <= i < len(entry.sentences) for i in indices)
-        assert len(result.sentences) <= len(keywords)
+        assert len(result.indices) <= len(keywords)
         assert result.covered_keywords | result.uncovered_keywords == keywords
         assert result.covered_keywords & result.uncovered_keywords == set()
-        assert all(s.text == entry.sentences[s.index] for s in result.sentences)
+        assert result.sentence_texts() == [entry.sentences[i] for i in indices]
 
     def test_stopwords_removed_from_query(self, toy_encoder):
         retriever = KeySentenceRetriever(toy_encoder, frozenset({"the"}))
@@ -230,8 +230,8 @@ class TestZeroIdfKeywords:
         result = retrieve(make_retriever(vectors, idf_values), "k0 k1", entry)
         # k1's sentence scores first; k0 adds no score, yet the sentence that
         # aligns with it is still selected to cover it.
-        assert [s.index for s in result.sentences] == [1, 0]
-        assert [s.score for s in result.sentences] == [1.0, 0.0]
+        assert result.indices == [1, 0]
+        assert result.scores == [1.0, 0.0]
         assert result.covered_keywords == {"k0", "k1"}
         assert result.uncovered_keywords == set()
 
@@ -243,7 +243,7 @@ class TestZeroIdfKeywords:
         assert any(idf_values[k] == 0.0 for k in keywords)
         result, expected = run_both(vectors, idf_values, sentences, keywords)
         assert result.covered_keywords | result.uncovered_keywords == keywords
-        assert [s.index for s in result.sentences] == expected.indices
+        assert result.indices == expected.indices
         assert result.covered_keywords == expected.covered
         assert result.uncovered_keywords == expected.uncovered
 
@@ -252,10 +252,10 @@ def assert_same_retrieval(retriever, description, entry):
     got = retrieve(retriever, description, entry)
     want = scalar_retrieve(retriever, description, entry)
     # Scores compare with ==: the lockstep selection must return the scalar loop's very bits.
-    assert [(s.index, s.score, s.text) for s in got.sentences] == [
-        (s.index, s.score, s.text) for s in want.sentences
-    ]
-    assert all(type(s.index) is int for s in got.sentences)
+    assert (got.indices, got.scores, got.sentence_texts()) == (
+        want.indices, want.scores, want.sentence_texts()
+    )
+    assert all(type(i) is int for i in got.indices)
     assert got.covered_keywords == want.covered_keywords
     assert got.uncovered_keywords == want.uncovered_keywords
     return got
@@ -301,7 +301,7 @@ class TestRetrievalIsExact:
         retriever = make_retriever(vectors, {"a": 1.0, "b": 1.0, "c": 1.0})
         entry = ManualEntry(heading="8541", sentences=("c", "b a c", "a c b", "a b"))
         got = assert_same_retrieval(retriever, "a b", entry)
-        assert [s.index for s in got.sentences] == [1]
+        assert got.indices == [1]
 
     @pytest.mark.parametrize("seed", [10, 54, 200])
     def test_scaled_copies_of_one_vector_near_tie(self, seed):
@@ -345,7 +345,7 @@ class TestRetrievalIsExact:
         assert calls == list(entry.sentences)
         second = retrieve(retriever, description, entry)
         assert calls == list(entry.sentences)
-        assert second.sentences == first.sentences
+        assert retrieval_bits(second) == retrieval_bits(first)
 
     def test_repeat_retrieval_reuses_the_prepared_rows(self, monkeypatch):
         vectors, idf_values, sentences, keywords = random_instance(3)
@@ -362,7 +362,7 @@ class TestRetrievalIsExact:
         # table built with the vector table.
         assert calls == {}
         assert retriever.prepare(entry) is prepared
-        assert second.sentences == first.sentences
+        assert retrieval_bits(second) == retrieval_bits(first)
 
     def test_prepared_rows_are_one_per_distinct_token(self):
         vectors, idf_values, sentences, _ = random_instance(5)
@@ -392,10 +392,8 @@ class TestRetrievalIsExact:
         unknown = {"mystery", "unseen", "zzz"}
         plain = retrieve(retriever, " ".join(sorted(keywords)), entry)
         padded = retrieve(retriever, " ".join(sorted(keywords | unknown)), entry)
-        assert [s.index for s in padded.sentences] == [s.index for s in plain.sentences]
-        assert [s.score for s in padded.sentences] == pytest.approx(
-            [s.score for s in plain.sentences], rel=1e-14
-        )
+        assert padded.indices == plain.indices
+        assert padded.scores == pytest.approx(plain.scores, rel=1e-14)
         assert padded.covered_keywords == plain.covered_keywords
         assert padded.uncovered_keywords == plain.uncovered_keywords | unknown
 
@@ -475,14 +473,14 @@ class TestViewsEqualTheOracle:
             # A view is a new object on each read: changing one changes no later read.
             got.covered_keywords.add("x")
             got.uncovered_keywords.clear()
-            got.sentences.clear()
             got.sentence_texts().clear()
         assert got.covered_keywords is not got.covered_keywords
 
 
 def retrieval_bits(result):
-    sentences = [(s.index, s.score.hex(), s.text) for s in result.sentences]
-    return sentences, result.covered_keywords, result.uncovered_keywords
+    scores = [score.hex() for score in result.scores]
+    texts = result.sentence_texts()
+    return result.indices, scores, texts, result.covered_keywords, result.uncovered_keywords
 
 
 class TestBatchInvariance:

@@ -99,7 +99,7 @@ def descriptions(split) -> list[str]:
 def retrieval_key(result):
     if result is None:
         return None
-    sentences = [(s.index, s.score.hex(), s.text) for s in result.sentences]
+    sentences = (result.indices, [score.hex() for score in result.scores], result.sentence_texts())
     keywords = (result.covered_keywords, result.uncovered_keywords)
     return sentences, keywords
 
@@ -142,7 +142,7 @@ class TestInferMany:
             assert_same_trace(alone, reference[position])
 
         retrievals = [r for trace in reference for r in trace.retrievals]
-        assert any(r is not None and r.sentences for r in retrievals)
+        assert any(r is not None and r.indices for r in retrievals)
         if name in WITHOUT_MANUAL:
             assert None in retrievals
         if MODES[name].get("train_ablation"):
@@ -332,13 +332,13 @@ class TestRetrieveMany:
 
         retriever = make_retriever(vectors, idf_values, coverage_threshold=at)
         results = assert_retrieves_like_the_scalar_loop(retriever, texts, entry)
-        assert [s.index for s in results[0].sentences] == [0]
+        assert results[0].indices == [0]
         assert results[0].covered_keywords == {"k0"}
 
         above = float(np.nextafter(at, 2.0))
         retriever = make_retriever(vectors, idf_values, coverage_threshold=above)
         results = assert_retrieves_like_the_scalar_loop(retriever, texts, entry)
-        assert results[0].sentences == []
+        assert results[0].indices == []
         assert results[0].uncovered_keywords == {"k0"}
 
     @pytest.mark.parametrize("seed", range(6))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsclassify.case_retrieval import build_index, similar_cases
-from hsclassify.errors import BadK, DimensionMismatch, DuplicateId, EmptyInput
+from hsclassify.errors import BadK, DimensionMismatch, DuplicateId, EmptyInput, OutOfRange
 from hsclassify.encoder import PooledEncoder
 from hsclassify.textproc import WordVectorTable
 
@@ -40,6 +40,15 @@ def indexed(embeddings: dict, subheading: str = "854140"):
     """An index of one bucket: case id -> embedding, each described by its id."""
     cases = [make_case(cid, description=f"case {cid}", code=subheading) for cid in embeddings]
     return build_index(cases, list(embeddings.values()))
+
+
+def largest_at_one(rows: np.ndarray) -> np.ndarray:
+    """Each row scaled so its largest component magnitude is 1.
+
+    Times a scale of 1e50, a row's largest component sits at the top of the
+    range an index accepts.
+    """
+    return rows / np.abs(rows).max(axis=1, keepdims=True)
 
 
 def ten_cases():
@@ -74,6 +83,31 @@ class TestBuildIndex:
     def test_empty_input(self, encoder):
         with pytest.raises(EmptyInput):
             build_index([], [])
+
+    @pytest.mark.parametrize("value", [1e200, -1e200, float(np.nextafter(1e50, np.inf)), np.inf, np.nan])
+    def test_component_beyond_the_vector_range_refused(self, value):
+        # A row with a component this large could have a squared norm that overflows.
+        embeddings = {"ok": np.array([1.0, 0.0]), "bad": np.array([0.5, value])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange) as info:
+                indexed(embeddings)
+        assert str(info.value).startswith(f"case 'bad' has the embedding value {value!r}; ")
+
+    def test_overflowing_row_refused(self):
+        with pytest.raises(OutOfRange, match=r"case 'huge' has the embedding value 1e\+200"):
+            indexed({"huge": np.array([1e200, 1e200])})
+
+    def test_components_at_the_vector_range_top_indexed(self):
+        embeddings = {"up": np.array([1e50, -1e50]), "down": np.array([-1e50, 1e50]),
+                      "unit": np.array([1.0, 0.0])}
+        index = indexed(embeddings)
+        got = similar_cases(index, np.array([1.0, -1.0]), "854140", m=3)
+        assert [(cid, sim) for cid, sim, _ in got] == [
+            ("up", pytest.approx(1.0, abs=1e-12)),
+            ("unit", pytest.approx(2 ** -0.5, abs=1e-12)),
+            ("down", pytest.approx(-1.0, abs=1e-12)),
+        ]
 
 
 class TestSimilarCases:
@@ -224,7 +258,7 @@ class TestLookupIsExact:
         rng = np.random.default_rng(200 + seed)
         n, dim = int(rng.integers(2, 40)), int(rng.choice([3, 24]))
         scales = rng.choice([1.0, 1e50, 1e-50, 0.0], size=(n, 1))
-        vectors = rng.normal(size=(n, dim)) * scales
+        vectors = largest_at_one(rng.normal(size=(n, dim))) * scales
         embeddings = {f"c{int(j):02d}": v for j, v in zip(rng.permutation(n), vectors)}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -234,7 +268,8 @@ class TestLookupIsExact:
 
     def test_bucket_norms_are_each_rows_norm(self):
         rng = np.random.default_rng(7)
-        vectors = rng.normal(size=(500, 300)) * rng.choice([1.0, 1e-3, 1e50, 1e-50], size=(500, 1))
+        scales = rng.choice([1.0, 1e-3, 1e50, 1e-50], size=(500, 1))
+        vectors = largest_at_one(rng.normal(size=(500, 300))) * scales
         index = indexed({f"c{i:03d}": v for i, v in enumerate(vectors)})
         bucket = index.by_subheading["854140"]
         assert [n.hex() for n in bucket.norms] == [np.linalg.norm(r).hex() for r in vectors]

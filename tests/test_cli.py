@@ -130,26 +130,39 @@ class TestTrainCommand:
         for name in first:
             assert first[name] == second[name], name
 
-    def test_missing_manual_entry_warns_in_one_line(self, runner, corpus_dir, tmp_path):
+    @pytest.fixture(scope="class")
+    def without_manual_8501(self, runner, corpus_dir, tmp_path_factory):
+        """A train run on the corpus with heading 8501's manual entry removed."""
         records = (corpus_dir / "manual.jsonl").read_text().splitlines()
         assert json.loads(records[0])["heading"] == "8501"
-        (tmp_path / "manual.jsonl").write_text("".join(r + "\n" for r in records[1:]))
+        directory = tmp_path_factory.mktemp("without_8501")
+        (directory / "manual.jsonl").write_text("".join(r + "\n" for r in records[1:]))
         config = write_config(
             corpus_dir,
-            tmp_path / "config.json",
-            manual=str(tmp_path / "manual.jsonl"),
-            checkpoint_dir=str(tmp_path / "ckpt"),
+            directory / "config.json",
+            manual=str(directory / "manual.jsonl"),
+            checkpoint_dir=str(directory / "ckpt"),
         )
         result = runner.invoke(main, ["--config", str(config), "train"])
         assert result.exit_code == 0, result.output
+        return result
+
+    def test_missing_manual_entry_warns_in_one_line(self, corpus_dir, without_manual_8501):
+        train = chronological_split(load_cases(corpus_dir / "cases.jsonl")).train
+        count = sum(1 for case in train if case.label.heading == "8501")
         # The toy corpus's classes separate, so both temperatures fit at the lower bound.
-        assert result.stderr.splitlines() == [
-            "warning: no manual entry for gold heading 8501; affected cases train on "
-            "description alone",
+        assert without_manual_8501.stderr.splitlines() == [
+            f"warning: no manual entry for gold heading 8501; its {count} training cases "
+            "train on the description alone",
             *(f"warning: {stage} stage: the fitted temperature 0.0500 is at the search bound 0.05"
               for stage in ("heading", "subheading")),
         ]
-        assert "cli.py:" not in result.output
+        assert "cli.py:" not in without_manual_8501.output
+
+    def test_missing_manual_entry_is_not_repeated_on_stdout(self, without_manual_8501):
+        lines = without_manual_8501.stdout.splitlines()
+        assert lines[-1].startswith("checkpoint written to ")
+        assert not [line for line in lines if line.startswith("warning:")]
 
     def test_no_config_exit_2(self, runner):
         result = runner.invoke(main, ["train"])
@@ -586,6 +599,22 @@ def nan_first_weight(checkpoint: Path) -> None:
     edit_checkpoint_arrays(checkpoint, "idf.npz", edit)
 
 
+def nan_heading_bias(checkpoint: Path) -> None:
+    def edit(arrays):
+        arrays["bias"][0] = np.nan
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "heading_classifier.npz", edit)
+
+
+def nan_subheading_weight(checkpoint: Path) -> None:
+    def edit(arrays):
+        arrays["weights"][0, 0] = np.nan
+        return arrays
+
+    edit_checkpoint_arrays(checkpoint, "subheading_classifier.npz", edit)
+
+
 def negative_first_weight(checkpoint: Path) -> None:
     def edit(arrays):
         arrays["weights"][0] = -1.0
@@ -725,12 +754,15 @@ class TestExitCodes:
             (downgrade_to_format_5, "manifest.json: unsupported checkpoint format 5; retrain"),
             (nan_first_vector, "vectors.npz"),
             (nan_first_case_embedding, "case_index.npz"),
-            (nan_first_weight, "idf.npz: ValueError: array 'weights' holds a non-finite"),
+            (nan_first_weight, "idf.npz: token "),
+            (nan_heading_bias, "heading_classifier.npz: ValueError: parameters must be finite"),
+            (nan_subheading_weight,
+             "subheading_classifier.npz: ValueError: parameters must be finite"),
             (drop_last_weight, "idf.npz: idf weights of shape"),
             (negative_first_weight, "idf.npz: token "),
             (huge_first_vector, "vectors.npz: token "),
             (tiny_first_vector, "vectors.npz: token "),
-            (huge_first_case_embedding, "case_index.npz: ValueError: an embedding row"),
+            (huge_first_case_embedding, "case_index.npz: case "),
             (halved_first_case_embedding, "case_index.npz: ValueError: an embedding row"),
             (ablation_temperature_without_head, "ckpt: ValueError: an ablation head needs"),
         ],

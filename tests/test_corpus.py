@@ -313,6 +313,26 @@ class TestLoadManual:
         with pytest.raises(ParseError):
             load_manual(path)
 
+    @pytest.mark.parametrize(
+        "sentences, message",
+        [
+            ([], "manual entry 8541 has no sentences"),
+            (["a", "  "], "manual entry 8541 contains an empty sentence"),
+            (["a", 7], "heading 8541: sentences must be a list of strings"),
+            ("a", "heading 8541: sentences must be a list of strings"),
+        ],
+    )
+    def test_bad_sentences_refused_naming_the_line(self, tmp_path, sentences, message):
+        path = tmp_path / "manual.jsonl"
+        write_jsonl(
+            path,
+            [{"heading": "8501", "sentences": ["a"]}, {"heading": "85.41", "sentences": sentences}],
+        )
+        with pytest.raises(ParseError) as info:
+            load_manual(path)
+        assert str(info.value) == f"line 2: {message}"
+        assert info.value.line == 2
+
     def test_entry_without_sentences_refused(self):
         # So key-sentence retrieval never meets an entry with nothing to select.
         with pytest.raises(ValueError, match="manual entry 8541 has no sentences"):

@@ -101,14 +101,12 @@ class TestRetrievalPrecisionRecall:
     def test_zero_retrieved_nonempty_gold(self):
         outcome = retrieval_precision_recall([], ["some gold sentence"])
         assert outcome.precision == 0.0
-        assert not outcome.precision_defined
         assert outcome.recall == 0.0
 
     def test_empty_gold_leaves_recall_undefined(self):
         outcome = retrieval_precision_recall(["anything here"], [])
         assert outcome.recall is None
         assert outcome.precision == 0.0
-        assert outcome.precision_defined
 
     def test_gold_matchable_at_most_once(self):
         gold = ["solar panel assembly"]

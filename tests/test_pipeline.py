@@ -116,15 +116,21 @@ class TestFit:
         manuals = dict(corpus.manual)
         dropped = split.train[0].label.heading
         del manuals[dropped]
-        with pytest.warns(MissingManualWarning):
-            pipeline = fit(
+        count = sum(1 for case in split.train if case.label.heading == dropped)
+        message = (
+            f"no manual entry for gold heading {dropped}; its {count} training cases train "
+            "on the description alone"
+        )
+        with pytest.warns(MissingManualWarning) as record:
+            fit(
                 split.train,
                 split.validation,
                 manuals,
                 corpus.vectors,
                 config=PipelineConfig(**FAST_TRAIN),
             )
-        assert pipeline.fit_report.missing_manual_cases > 0
+        missing = [str(w.message) for w in record if w.category is MissingManualWarning]
+        assert missing == [message]
 
     def test_evidence_vectors_equal_encoding_of_joined_text(self, model, small_corpus):
         # Pooled from the retriever's prepared sentence parts, bit for bit the
@@ -580,7 +586,7 @@ class TestSinglePass:
         _, split = small_corpus
         cases = list(split.test)
         traces = list(ablation_model.infer_many([c.description for c in cases]))
-        with_evidence = sum(1 for trace in traces if trace.retrievals[0].sentences)
+        with_evidence = sum(1 for trace in traces if trace.retrievals[0].indices)
         top_headings = {trace.ranked_headings[0] for trace in traces}
         calls.clear()
         evaluate_pipeline(ablation_model, cases)
@@ -677,29 +683,21 @@ class TestSinglePass:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Counts of the ``RetrievedSentence``s and the results' keyword sets built.
+        """Counts of the results' keyword sets built.
 
         A result's keyword views build their sets with ``set``, so counting
         the calls of ``alignment.set`` counts them.
         """
         counts = Counter()
-        sentence = alignment.RetrievedSentence
-
-        def counted_sentence(*args):
-            counts["RetrievedSentence"] += 1
-            return sentence(*args)
 
         def counted_set(*args):
             counts["keyword sets"] += 1
             return set(*args)
 
-        monkeypatch.setattr(alignment, "RetrievedSentence", counted_sentence)
         monkeypatch.setattr(alignment, "set", counted_set, raising=False)
         return counts
 
-    def test_fit_and_calibration_build_no_sentence_record_or_keyword_set(
-        self, small_corpus, built
-    ):
+    def test_fit_and_calibration_build_no_keyword_set(self, small_corpus, built):
         corpus, split = small_corpus
         model = fit(split.train, split.validation, corpus.manual, corpus.vectors,
                     config=PipelineConfig(**FAST_TRAIN))
@@ -708,11 +706,11 @@ class TestSinglePass:
         # The views build them, on each read.
         (trace,) = model.infer_many([split.test[0].description])
         result = trace.retrievals[0]
-        assert len(result.sentences) == len(result.indices) > 0
+        assert result.indices
         assert result.covered_keywords
-        assert built == {"RetrievedSentence": len(result.indices), "keyword sets": 1}
+        assert built == {"keyword sets": 1}
 
-    def test_evaluate_and_predict_build_no_sentence_record(self, model, small_corpus, built):
+    def test_evaluate_and_predict_build_no_keyword_set(self, model, small_corpus, built):
         _, split = small_corpus
         cases = list(split.test)
         assert any(case.gold_evidence for case in cases)
@@ -1015,6 +1013,14 @@ class TestVariants:
         assert "ablation_hs6_top1" in data
         table = metrics.render_table()
         assert "pipeline (ablation)" in table
+
+    def test_ablation_head_bound_to_other_labels_refused(self, ablation_model):
+        # Its indices are read through the subheading label space, so a head
+        # bound to other labels would be misread.
+        head = ablation_model.ablation_classifier
+        reversed_head = SoftmaxClassifier(head.weights, head.bias, head.labels[::-1])
+        with pytest.raises(ValueError, match="ablation classifier is not bound"):
+            replace(ablation_model, ablation_classifier=reversed_head)
 
     def test_tied_subheadings_rank_the_lower_index_first(self, ablation_model, small_corpus):
         # Both stage-3 heads give every description the same logits, equal

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from hsclassify.corpus import build_label_space, chronological_split, load_cases, load_manual
-from hsclassify.synth import SynthConfig, generate, write_corpus
+from hsclassify.synth import REVOKED_CASES, SynthConfig, generate, write_corpus
 from hsclassify.textproc import WordVectorTable, tokenize
 
 
@@ -102,13 +102,12 @@ class TestWriteCorpus:
             validation_per_subheading=1,
             test_per_subheading=1,
             vector_dimension=4,
-            revoked_cases=3,
             seed=3,
         )
         paths = write_corpus(generate(config), tmp_path, config)
         lines = paths["cases"].read_text().splitlines()
         revoked = [json.loads(l) for l in lines if json.loads(l).get("revoked")]
-        assert len(revoked) == 3
+        assert len(revoked) == REVOKED_CASES
 
     def test_config_file_is_complete(self, tmp_path):
         config = SynthConfig(
