@@ -11,8 +11,9 @@ embedding component that is NaN, infinite or larger in magnitude than
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -40,9 +41,18 @@ class CaseIndex:
     dimension: int
 
     @classmethod
-    def from_rows(cls, subheadings: Sequence[str], ids: Sequence[str], snippets: Sequence[str],
-                  embeddings: np.ndarray) -> "CaseIndex":
-        """Index rows grouped by subheading; each bucket's matrix is a view of ``embeddings``."""
+    def from_sizes(cls, sizes: Mapping[str, int], ids: Sequence[str], snippets: Sequence[str],
+                   embeddings: np.ndarray) -> "CaseIndex":
+        """Index consecutive buckets of rows: the next ``sizes[s]`` rows hold subheading ``s``.
+
+        Buckets follow the order of ``sizes``; a subheading of size 0 gets
+        none. Each bucket's matrix is a view of ``embeddings``.
+        """
+        if min(sizes.values(), default=0) < 0:
+            raise ValueError(f"a bucket size is negative: {min(sizes.values())}")
+        rows = [len(embeddings), sum(sizes.values()), len(ids), len(snippets)]
+        if embeddings.ndim != 2 or len(set(rows)) != 1:
+            raise DimensionMismatch(f"row counts of embeddings, bucket sizes, ids, snippets: {rows}")
         high = VECTOR_RANGE[1]
         if not np.abs(embeddings).max(initial=0.0) <= high:  # NaN fails too
             bad = int(np.argmin(np.abs(embeddings) <= high))
@@ -52,19 +62,18 @@ class CaseIndex:
                 f"a value must be finite with magnitude at most {high:g}"
             )
         norms = np.sqrt(_row_dots(embeddings, embeddings))
-        rows = len(subheadings)
-        starts = [i for i in range(rows) if i == 0 or subheadings[i] != subheadings[i - 1]]
         by_subheading: dict[str, Bucket] = {}
-        for start, stop in zip(starts, [*starts[1:], rows]):
-            subheading = subheadings[start]
-            if subheading in by_subheading:
-                raise ValueError(f"rows of subheading {subheading} are not contiguous")
-            by_subheading[subheading] = Bucket(
-                list(ids[start:stop]),
-                list(snippets[start:stop]),
-                embeddings[start:stop],
-                norms[start:stop],
-            )
+        start = 0
+        for subheading, size in sizes.items():
+            stop = start + size
+            if size:
+                by_subheading[subheading] = Bucket(
+                    list(ids[start:stop]),
+                    list(snippets[start:stop]),
+                    embeddings[start:stop],
+                    norms[start:stop],
+                )
+            start = stop
         return cls(by_subheading, dimension=embeddings.shape[1])
 
 
@@ -99,8 +108,8 @@ def build_index(cases: Sequence[DecisionCase], embeddings: Sequence[np.ndarray])
             raise DuplicateId(f"duplicate case id {case.id!r} in index build")
         seen.add(case.id)
     order = sorted(range(len(cases)), key=lambda i: cases[i].label.subheading)
-    return CaseIndex.from_rows(
-        [cases[i].label.subheading for i in order],
+    return CaseIndex.from_sizes(
+        Counter(cases[i].label.subheading for i in order),
         [cases[i].id for i in order],
         [_snippet(cases[i].description) for i in order],
         np.asarray(embeddings)[order],

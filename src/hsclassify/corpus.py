@@ -99,6 +99,8 @@ class DecisionCase:
     def __post_init__(self):
         if not self.id:
             raise ValueError("case id cannot be empty")
+        if "\n" in self.id:
+            raise ValueError(f"case id {self.id!r} contains a newline")
         if not self.description.strip():
             raise ValueError("description must contain a non-whitespace character")
 
@@ -170,11 +172,11 @@ def _case_from_record(
 ) -> DecisionCase:
     """The case of ``record``, which sits on ``line``; ParseError names the line.
 
-    A blank id or description is refused by ``DecisionCase`` itself, whose
-    ``ValueError`` becomes the ParseError. ``codes`` and ``dates`` map each
-    raw code and date string already parsed in this load to its value, so
-    each distinct string is parsed once. Both values are immutable, so cases
-    share them.
+    A blank id or description, or an id with a newline, is refused by
+    ``DecisionCase`` itself, whose ``ValueError`` becomes the ParseError.
+    ``codes`` and ``dates`` map each raw code and date string already parsed
+    in this load to its value, so each distinct string is parsed once. Both
+    values are immutable, so cases share them.
     """
     for key in ("id", "description", "hs_code", "date"):
         if key not in record:

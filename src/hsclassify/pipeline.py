@@ -34,7 +34,7 @@ import math
 import warnings
 import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
@@ -52,7 +52,7 @@ from .errors import BadK, DimensionMismatch, EmptyInput, HsClassifyError, Untrai
 from .errors import MissingManualWarning, TemperatureBoundWarning
 from .textproc import DEFAULT_STOPWORDS, WordVectorTable, compute_idf, tokenize
 
-CHECKPOINT_FORMAT = 6
+CHECKPOINT_FORMAT = 7
 
 # Descriptions per batch of the inference path and of fit's encoding passes.
 # A batch pools from a zero-padded (tokens x rows x (d + 1)) array: for stage
@@ -108,7 +108,8 @@ class CandidateReport:
     subheading_candidates: list[SubheadingCandidate]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as nested dicts and lists; its str, float and bool leaves are shared."""
+        return _plain(self)
 
     def render_text(self) -> str:
         """Plain-text report; scores shown to 4 decimal places."""
@@ -206,6 +207,9 @@ class PipelineModel:
                             ("ablation", self.ablation_classifier)):
             if head is not None and head.labels != subheadings:
                 raise ValueError(f"{stage} classifier is not bound to the subheading label space")
+        foreign = sorted(self.case_index.by_subheading.keys() - set(subheadings))
+        if foreign:
+            raise ValueError(f"case index buckets outside the subheading label space: {foreign}")
         if (self.ablation_classifier is None) != (self.ablation_scaler is None):
             raise ValueError("an ablation head needs an ablation temperature, and the reverse")
 
@@ -306,6 +310,18 @@ class PipelineModel:
             heading_candidates=heading_candidates,
             subheading_candidates=subheading_candidates,
         )
+
+
+def _plain(value):
+    """Each dataclass in ``value`` a dict of its fields, each list a new list, other values as is.
+
+    ``dataclasses.asdict`` without its deep copy of every leaf.
+    """
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
 
 
 def _ranked(probabilities: np.ndarray) -> np.ndarray:
@@ -615,26 +631,37 @@ def _npz(**arrays: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
-# Case snippets are stored "\n"-joined as one array of UTF-8 bytes (a case's
-# snippet is its description with every whitespace run flattened to a space).
-# Lone surrogates, which JSON input can hold, pass through.
+# Case ids, case snippets and vocabulary tokens are each stored "\n"-joined as
+# one array of UTF-8 bytes, not as a fixed-width str array of 4 bytes per
+# character of the longest. Lone surrogates, which JSON input can hold, pass
+# through.
 _UTF8 = ("utf-8", "surrogatepass")
 
 
-def _arrays(data: bytes, *names: str) -> list:
-    """The named arrays of ``.npz`` bytes; str arrays come back as lists of str.
+def _utf8_lines(texts: Sequence[str], what: str) -> np.ndarray:
+    """``texts`` joined by "\n" as UTF-8 bytes; a text with a newline would split, so is refused."""
+    if any("\n" in text for text in texts):
+        raise ValueError(f"a {what} contains a newline")
+    return np.frombuffer("\n".join(texts).encode(*_UTF8), dtype=np.uint8)
 
-    The type each array becomes checks its values.
-    """
+
+def _lines(array: np.ndarray, name: str) -> list[str]:
+    """The texts of a ``_utf8_lines`` array; ``name`` names it in the error for any other array."""
+    if array.dtype != np.uint8 or array.ndim != 1:
+        raise ValueError(f"{name} must be one array of UTF-8 bytes")
+    return array.tobytes().decode(*_UTF8).split("\n")
+
+
+def _arrays(data: bytes, *names: str) -> list[np.ndarray]:
+    """The named arrays of ``.npz`` bytes; the type each array becomes checks its values."""
     loaded = np.load(io.BytesIO(data), allow_pickle=False)
-    arrays = [loaded[name] for name in names]
-    return [a.tolist() if a.dtype.kind == "U" else a for a in arrays]
+    return [loaded[name] for name in names]
 
 
 def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
     """Write a fitted pipeline as a self-contained checkpoint directory.
 
-    Float arrays go to ``.npz`` files; ``manifest.json`` holds the config, the
+    Arrays go to ``.npz`` files; ``manifest.json`` holds the config, the
     temperatures, the label space, each file's sha256 and its own. One model
     always saves to the same bytes.
     """
@@ -642,10 +669,12 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     heads = {"heading": model.heading_classifier, "subheading": model.subheading_classifier,
              "ablation": model.ablation_classifier}
-    buckets = sorted(model.case_index.by_subheading.items())
-    snippets = [snippet for _, bucket in buckets for snippet in bucket.snippets]
-    if any("\n" in text for text in [*snippets, *model.retriever.stopwords]):
-        raise ValueError("a case snippet or stopword contains a newline")
+    # The manifest's label space names the buckets: the case index stores their
+    # sizes in its order, 0 for a subheading without one.
+    sized = [model.case_index.by_subheading.get(s) for s in model.label_space.subheadings]
+    buckets = [bucket for bucket in sized if bucket is not None]
+    if any("\n" in word for word in model.retriever.stopwords):
+        raise ValueError("a stopword contains a newline")
     encoder = model.retriever.encoder
     tokens = sorted(encoder.vectors.tokens())
     ids = encoder.vectors.ids(tokens)
@@ -653,12 +682,13 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
         **{f"{stage}_classifier.npz": _npz(weights=head.weights, bias=head.bias)
            for stage, head in heads.items() if head is not None},
         "case_index.npz": _npz(
-            embeddings=np.concatenate([bucket.embeddings for _, bucket in buckets]),
-            subheadings=np.array([sub for sub, bucket in buckets for _ in bucket.ids]),
-            ids=np.array([case_id for _, bucket in buckets for case_id in bucket.ids]),
-            snippets=np.frombuffer("\n".join(snippets).encode(*_UTF8), dtype=np.uint8),
+            embeddings=np.concatenate([bucket.embeddings for bucket in buckets]),
+            counts=np.array([0 if b is None else len(b.ids) for b in sized], np.int64),
+            ids=_utf8_lines([i for bucket in buckets for i in bucket.ids], "case id"),
+            snippets=_utf8_lines([s for bucket in buckets for s in bucket.snippets], "case snippet"),
         ),
-        "vectors.npz": _npz(tokens=np.array(tokens), vectors=encoder.vectors.matrix[ids]),
+        "vectors.npz": _npz(tokens=_utf8_lines(tokens, "vocabulary token"),
+                            vectors=encoder.vectors.matrix[ids]),
         "idf.npz": _npz(weights=encoder.weights[ids]),
         "manual.jsonl": b"".join(
             _canonical({"heading": heading, "sentences": list(entry.sentences)}) + b"\n"
@@ -711,17 +741,18 @@ def _manifest(data: bytes) -> dict:
     return manifest
 
 
-def _case_index(data: bytes) -> CaseIndex:
-    embeddings, subheadings, ids, snippets = _arrays(
-        data, "embeddings", "subheadings", "ids", "snippets"
-    )
-    if not isinstance(snippets, np.ndarray) or snippets.dtype != np.uint8 or snippets.ndim != 1:
-        raise ValueError("snippets must be one array of UTF-8 bytes")
-    columns = [subheadings, ids, snippets.tobytes().decode(*_UTF8).split("\n")]
-    counts = [len(embeddings), *map(len, columns)]
-    if embeddings.ndim != 2 or len(set(counts)) != 1:
-        raise DimensionMismatch(f"row counts of embeddings, subheadings, ids, snippets: {counts}")
-    index = CaseIndex.from_rows(*columns, embeddings)
+def _case_index(data: bytes, subheadings: Sequence[str]) -> CaseIndex:
+    """The case index whose ``counts`` give the bucket size of each of ``subheadings``."""
+    embeddings, counts, ids, snippets = _arrays(data, "embeddings", "counts", "ids", "snippets")
+    if counts.dtype.kind not in "iu" or counts.ndim != 1:
+        raise ValueError("counts must be one array of integers")
+    if len(counts) != len(subheadings):
+        raise DimensionMismatch(
+            f"{len(counts)} bucket counts for the {len(subheadings)} label-space subheadings"
+        )
+    sizes = dict(zip(subheadings, counts.tolist()))
+    columns = _lines(ids, "ids"), _lines(snippets, "snippets")
+    index = CaseIndex.from_sizes(sizes, *columns, embeddings)
     # Every row fit writes is an encoding: all zeros or of unit norm.
     norms = np.concatenate([np.zeros(0), *(b.norms for b in index.by_subheading.values())])
     if embeddings[~(np.abs(norms - 1.0) <= 1e-9)].any():
@@ -766,8 +797,11 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
     def classifier(name: str, labels: Sequence[str]) -> SoftmaxClassifier:
         return parse(name, lambda d: SoftmaxClassifier(*_arrays(d, "weights", "bias"), labels))
 
-    vectors = parse("vectors.npz", lambda d: WordVectorTable.from_rows(
-        *_arrays(d, "tokens", "vectors")))
+    def vector_table(data: bytes) -> WordVectorTable:
+        tokens, matrix = _arrays(data, "tokens", "vectors")
+        return WordVectorTable.from_rows(_lines(tokens, "tokens"), matrix)
+
+    vectors = parse("vectors.npz", vector_table)
     encoder = parse("idf.npz", lambda d: PooledEncoder(vectors, *_arrays(d, "weights")))
     stopwords = parse("stopwords.txt", lambda d: frozenset(d.decode().split("\n")[:-1]))
     manuals = parse("manual.jsonl", lambda d: {
@@ -778,7 +812,7 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
                   ablation=label_space.subheadings)
     heads = {f"{stage}_classifier": classifier(f"{stage}_classifier.npz", stage_labels)
              for stage, stage_labels in labels.items() if f"{stage}_classifier.npz" in data}
-    case_index = parse("case_index.npz", _case_index)
+    case_index = parse("case_index.npz", lambda d: _case_index(d, label_space.subheadings))
     with _read(directory):
         return PipelineModel(
             manuals=manuals,

@@ -131,6 +131,12 @@ def rehash_checkpoint(checkpoint: Path) -> None:
     path.write_bytes(_canonical(manifest) + b"\n")
 
 
+def drop_first_case_id(arrays: dict) -> dict:
+    """The ``case_index.npz`` arrays with the first of its newline-joined case ids dropped."""
+    ids = arrays["ids"].tobytes()
+    return {**arrays, "ids": np.frombuffer(ids[ids.index(b"\n") + 1 :], dtype=np.uint8)}
+
+
 def edit_checkpoint_arrays(checkpoint: Path, name: str, edit) -> None:
     """Replace the arrays of ``name`` by ``edit(arrays)`` and re-sign the checkpoint."""
     path = checkpoint / name

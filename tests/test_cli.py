@@ -16,7 +16,7 @@ from hsclassify.cli import main
 from hsclassify.corpus import chronological_split, load_cases
 from hsclassify.pipeline import CandidateReport, _from_dict
 
-from conftest import edit_checkpoint_arrays, rehash_checkpoint, write_jsonl
+from conftest import drop_first_case_id, edit_checkpoint_arrays, rehash_checkpoint, write_jsonl
 
 SMALL_SYNTH = [
     "--headings", "4",
@@ -528,9 +528,36 @@ def truncate_case_index(checkpoint: Path) -> None:
 
 
 def drop_one_case_id(checkpoint: Path) -> None:
+    edit_checkpoint_arrays(checkpoint, "case_index.npz", drop_first_case_id)
+
+
+def edit_counts(checkpoint: Path, edit) -> None:
+    """Replace the case index's bucket counts by ``edit(counts)``."""
     edit_checkpoint_arrays(
-        checkpoint, "case_index.npz", lambda arrays: {**arrays, "ids": arrays["ids"][1:]}
+        checkpoint, "case_index.npz", lambda arrays: {**arrays, "counts": edit(arrays["counts"])}
     )
+
+
+def counts_one_entry_short(checkpoint: Path) -> None:
+    edit_counts(checkpoint, lambda counts: counts[:-1])
+
+
+def counts_sum_one_row_short(checkpoint: Path) -> None:
+    edit_counts(checkpoint, lambda counts: counts - (np.arange(len(counts)) == 0))
+
+
+def counts_with_a_negative_entry(checkpoint: Path) -> None:
+    """The second bucket's rows moved to the first, and one more: the sum still matches."""
+    def edit(counts):
+        counts[0] += counts[1] + 1
+        counts[1] = -1
+        return counts
+
+    edit_counts(checkpoint, edit)
+
+
+def counts_as_floats(checkpoint: Path) -> None:
+    edit_counts(checkpoint, lambda counts: counts.astype(float))
 
 
 def delete_heading_temperature(checkpoint: Path) -> None:
@@ -573,6 +600,11 @@ def downgrade_to_format_4(checkpoint: Path) -> None:
 def downgrade_to_format_5(checkpoint: Path) -> None:
     path = checkpoint / "manifest.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 5}))
+
+
+def downgrade_to_format_6(checkpoint: Path) -> None:
+    path = checkpoint / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 6}))
 
 
 def nan_first_vector(checkpoint: Path) -> None:
@@ -745,6 +777,10 @@ class TestExitCodes:
         [
             (truncate_case_index, "case_index.npz"),
             (drop_one_case_id, "case_index.npz"),
+            (counts_one_entry_short, "case_index.npz: 7 bucket counts for the 8 label-space"),
+            (counts_sum_one_row_short, "case_index.npz: row counts of embeddings, bucket sizes"),
+            (counts_with_a_negative_entry, "case_index.npz: ValueError: a bucket size is negative"),
+            (counts_as_floats, "case_index.npz: ValueError: counts must be one array of integers"),
             (delete_idf, "idf.npz"),
             (delete_heading_temperature, "manifest.json"),
             (downgrade_to_format_1, "manifest.json: unsupported checkpoint format 1; retrain"),
@@ -752,6 +788,7 @@ class TestExitCodes:
             (downgrade_to_format_3, "manifest.json: unsupported checkpoint format 3; retrain"),
             (downgrade_to_format_4, "manifest.json: unsupported checkpoint format 4; retrain"),
             (downgrade_to_format_5, "manifest.json: unsupported checkpoint format 5; retrain"),
+            (downgrade_to_format_6, "manifest.json: unsupported checkpoint format 6; retrain"),
             (nan_first_vector, "vectors.npz"),
             (nan_first_case_embedding, "case_index.npz"),
             (nan_first_weight, "idf.npz: token "),

@@ -111,7 +111,9 @@ class TestLoadCases:
         with pytest.raises(ParseError, match="line 2: description must be a string"):
             load_cases(path)
 
-    @pytest.mark.parametrize("case_id, description", [("b", ""), ("b", " \t\n"), ("", "y")])
+    @pytest.mark.parametrize(
+        "case_id, description", [("b", ""), ("b", " \t\n"), ("", "y"), ("a\nb", "y")]
+    )
     def test_blank_id_or_description_names_line(self, tmp_path, case_id, description):
         path = tmp_path / "cases.jsonl"
         write_jsonl(
@@ -125,7 +127,9 @@ class TestLoadCases:
             load_cases(path)
         assert raised.value.line == 2
 
-    @pytest.mark.parametrize("case_id, description", [("a", ""), ("a", " \t\n"), ("", "x")])
+    @pytest.mark.parametrize(
+        "case_id, description", [("a", ""), ("a", " \t\n"), ("", "x"), ("a\nb", "x")]
+    )
     def test_a_case_built_directly_refuses_a_blank_id_or_description(self, case_id, description):
         with pytest.raises(ValueError, match="case id|description") as raised:
             DecisionCase(case_id, description, parse_hs_code("854140"), dt.date(2024, 1, 1))

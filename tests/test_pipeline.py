@@ -7,7 +7,7 @@ import json
 import re
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,13 @@ from hsclassify.pipeline import (
 from hsclassify.synth import SynthConfig, generate
 
 import oracles
-from conftest import edit_checkpoint_arrays, make_case, rehash_checkpoint, retrieve
+from conftest import (
+    drop_first_case_id,
+    edit_checkpoint_arrays,
+    make_case,
+    rehash_checkpoint,
+    retrieve,
+)
 
 SMALL = SynthConfig(
     headings=6,
@@ -233,6 +239,7 @@ class TestCandidateReport:
     def test_structured_roundtrip(self, model, small_corpus):
         _, split = small_corpus
         report = model.predict(split.test[0].description, k=3)
+        assert report.to_dict() == asdict(report)
         parsed = _from_dict(CandidateReport, json.loads(json.dumps(report.to_dict())))
         assert parsed == report
 
@@ -321,7 +328,7 @@ class TestCheckpoint:
             "manual.jsonl",
         }
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert manifest["format_version"] == 6
+        assert manifest["format_version"] == 7
         assert set(manifest["files"]) == names - {"manifest.json"}
         assert "config_hashes" not in manifest
 
@@ -359,35 +366,56 @@ class TestCheckpoint:
 
     def test_case_index_row_counts_checked_at_load(self, model, tmp_path):
         save_pipeline(model, tmp_path / "ckpt")
-        edit_checkpoint_arrays(
-            tmp_path / "ckpt", "case_index.npz", lambda arrays: {**arrays, "ids": arrays["ids"][1:]}
-        )
+        edit_checkpoint_arrays(tmp_path / "ckpt", "case_index.npz", drop_first_case_id)
         with pytest.raises(DimensionMismatch, match="case_index.npz: row counts"):
             load_pipeline(tmp_path / "ckpt")
 
-    def test_snippets_stored_as_utf8_bytes_round_trip(self, model, tmp_path):
-        rows = [(sub, case_id, embedding)
-                for sub, bucket in sorted(model.case_index.by_subheading.items())
-                for case_id, embedding in zip(bucket.ids, bucket.embeddings)]
-        snippets = [_snippet(f"Câble n°{i} « façade » ☃ " * 8) for i in range(len(rows))]
+    def test_ids_and_snippets_stored_as_utf8_bytes_round_trip(self, model, tmp_path):
+        buckets = sorted(model.case_index.by_subheading.items())
+        sizes = {sub: len(bucket.ids) for sub, bucket in buckets}
+        embeddings = np.concatenate([bucket.embeddings for _, bucket in buckets])
+        rows = len(embeddings)
+        snippets = [_snippet(f"Câble n°{i} « façade » ☃ " * 8) for i in range(rows)]
         snippets[:3] = ["", "lone \ud800 surrogate", "plain"]
         assert snippets[-1].endswith("…")
-        subheadings, ids, embeddings = zip(*rows)
-        index = CaseIndex.from_rows(subheadings, ids, snippets, np.array(embeddings))
+        ids = [f"décision-{i}-☃" for i in range(rows)]
+        ids[:3] = ["", "lone \udfff", "plain"]
+        index = CaseIndex.from_sizes(sizes, ids, snippets, embeddings)
         save_pipeline(replace(model, case_index=index), tmp_path / "ckpt")
         with np.load(tmp_path / "ckpt" / "case_index.npz", allow_pickle=False) as arrays:
-            assert arrays["snippets"].dtype == np.uint8
+            assert arrays["snippets"].dtype == arrays["ids"].dtype == np.uint8
         loaded = load_pipeline(tmp_path / "ckpt").case_index.by_subheading
         assert [s for b in loaded.values() for s in b.snippets] == snippets
-        assert [i for b in loaded.values() for i in b.ids] == list(ids)
+        assert [i for b in loaded.values() for i in b.ids] == ids
 
-    def test_snippet_with_a_newline_is_not_saved(self, model, tmp_path):
+    def test_no_saved_array_is_fixed_width_text(self, ablation_model, tmp_path):
+        # A str array stores 4 bytes per character of its longest item.
+        save_pipeline(ablation_model, tmp_path / "ckpt")
+        for path in sorted((tmp_path / "ckpt").glob("*.npz")):
+            with np.load(path, allow_pickle=False) as arrays:
+                kinds = {name: arrays[name].dtype.kind for name in arrays.files}
+            assert "U" not in kinds.values(), (path.name, kinds)
+
+    @pytest.mark.parametrize("column, what", [("snippets", "case snippet"), ("ids", "case id")])
+    def test_snippet_or_case_id_with_a_newline_is_not_saved(self, model, tmp_path, column, what):
+        # Saved newline-joined, either would load back as two.
         buckets = dict(model.case_index.by_subheading)
         subheading, bucket = next(iter(buckets.items()))
-        buckets[subheading] = replace(bucket, snippets=["two\nlines", *bucket.snippets[1:]])
+        buckets[subheading] = replace(bucket, **{column: ["a\nb", *getattr(bucket, column)[1:]]})
         index = CaseIndex(buckets, model.case_index.dimension)
-        with pytest.raises(ValueError, match="newline"):
+        with pytest.raises(ValueError, match=f"a {what} contains a newline"):
             save_pipeline(replace(model, case_index=index), tmp_path / "ckpt")
+
+    def test_token_with_a_newline_is_not_saved(self, model, tmp_path):
+        saved = model.retriever
+        table = saved.encoder.vectors
+        vectors = textproc.WordVectorTable.from_rows(
+            [*table.tokens(), "x\ny"], np.vstack([table.matrix, table.matrix[:1]])
+        )
+        encoder = PooledEncoder(vectors, np.append(saved.encoder.weights[:-1], 1.0))
+        retriever = KeySentenceRetriever(encoder, saved.stopwords, saved.config)
+        with pytest.raises(ValueError, match="a vocabulary token contains a newline"):
+            save_pipeline(replace(model, retriever=retriever), tmp_path / "ckpt")
 
     def test_stopword_with_a_newline_is_not_saved(self, model, tmp_path):
         # Saved newline-joined, "zzz\nthe" would load back as two stopwords.
@@ -417,15 +445,20 @@ class TestCheckpoint:
         with pytest.raises((DimensionMismatch, UntrainedModel), match=message):
             load_pipeline(tmp_path / "ckpt")
 
-    def test_case_index_rows_grouped_by_subheading(self, model, tmp_path):
-        # Moving the first row to the end splits its subheading's bucket in two.
+    @pytest.mark.parametrize("name, column", [("case_index.npz", "ids"), ("vectors.npz", "tokens")])
+    @pytest.mark.parametrize("edit", ["str_array", "not_utf8"])
+    def test_text_columns_checked_at_load(self, model, tmp_path, name, column, edit):
+        def edited(arrays):
+            data = arrays[column].tobytes()
+            if edit == "str_array":
+                return {**arrays, column: np.array(data.decode().split("\n"))}
+            return {**arrays, column: np.frombuffer(b"\xff" + data[1:], dtype=np.uint8)}
+
         save_pipeline(model, tmp_path / "ckpt")
-        edit_checkpoint_arrays(
-            tmp_path / "ckpt",
-            "case_index.npz",
-            lambda arrays: {key: np.roll(value, -1, axis=0) for key, value in arrays.items()},
-        )
-        with pytest.raises(UntrainedModel, match="case_index.npz: ValueError: rows of subheading"):
+        edit_checkpoint_arrays(tmp_path / "ckpt", name, edited)
+        message = {"str_array": f"ValueError: {column} must be one array of UTF-8 bytes",
+                   "not_utf8": "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"}[edit]
+        with pytest.raises(UntrainedModel, match=f"{name}: {message}"):
             load_pipeline(tmp_path / "ckpt")
 
     def test_case_index_norms_are_each_rows_norm(self, model, tmp_path):
@@ -506,6 +539,15 @@ class TestCheckpoint:
         )
         with pytest.raises(DimensionMismatch):
             type(model)(**{**model.__dict__, "heading_classifier": bad})
+
+    def test_case_index_bound_to_the_subheading_label_space(self, model):
+        # A report only reads buckets of label-space subheadings, and a
+        # checkpoint stores one bucket size per label-space subheading.
+        buckets = dict(model.case_index.by_subheading)
+        buckets["999999"] = next(iter(buckets.values()))
+        index = CaseIndex(buckets, model.case_index.dimension)
+        with pytest.raises(ValueError, match=r"outside the subheading label space: \['999999'\]"):
+            replace(model, case_index=index)
 
 
 class TestRefitTemperatures:
